@@ -15,13 +15,32 @@ from dataclasses import dataclass, field
 
 from .scalars import Scalar
 from .graded import GradedPoly
-from .arakelov import (AbelianTautRing, ArithClass, c1_critical_power,
-                       harmonic_substitution, height_polynomial,
-                       lagrangian_degree, proportionality_map_check,
-                       tautological_ring)
+from .arakelov import (AbelianTautRing, ArithClass, LagrangianArithRing,
+                       c1_critical_power, harmonic_substitution,
+                       height_polynomial, lagrangian_degree,
+                       proportionality_map_check, tautological_ring)
 from .verify import run_checks
 
 MAX_DEFAULT_D = 7
+
+
+def minimum_working_degree(command: str, d: int, k: int = 0) -> int | None:
+    """Smallest --max-degree with which a command computes its true answer,
+    or None for commands without a working degree.
+
+    Every ring needs its generators (degrees 1..d) within the cap.  Every
+    class vanishes above the arithmetic dimension d(d-1)/2 + 1, so
+    pontrjagin needs p_k (degree 2k) in range only up to it, and c1-power
+    and height-poly need the critical power C1^(1 + d(d-1)/2) in range.
+    """
+    dimension = d * (d - 1) // 2 + 1
+    if command == "pontrjagin":
+        return max(d, min(2 * k, dimension))
+    if command in ("c1-power", "height-poly"):
+        return dimension
+    if command == "ring-info":
+        return d
+    return None
 
 
 @dataclass
@@ -112,7 +131,8 @@ def cmd_pontrjagin(config: RunConfig) -> Report:
     from .charclasses import ClassVector, pontrjagin_from_c
     classes = ClassVector.standard(ring.zgens, list(ring.zgens.names))
     poly = pontrjagin_from_c(classes, k)[k - 1]
-    if poly.is_zero() or poly.max_degree() > ring.cap:
+    if poly.max_degree() > ring.cap:
+        # main() admits this only for a cap at or above the dimension.
         value = ring.zero()
     else:
         value = ring.reduce(ring.from_z(poly))
@@ -158,7 +178,8 @@ def cmd_ring_info(config: RunConfig) -> Report:
 
 
 def cmd_height_poly(config: RunConfig) -> Report:
-    result = height_polynomial(config.d)
+    result = height_polynomial(config.d, LagrangianArithRing(
+        config.d, "formal", config.max_degree))
     report = Report("height-poly", {"d": config.d, "invert2": config.invert2})
     report.add("height polynomial", result.height.render(),
                result.height.render(True), result.height.to_json())
@@ -236,10 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_k=False):
+    def common(p, need_k=False, working_degree=True):
         p.add_argument("--d", type=int, required=True)
-        p.add_argument("--max-degree", type=int, default=None,
-                       help="working-degree override (required for d > 7)")
+        if working_degree:
+            p.add_argument("--max-degree", type=int, default=None,
+                           help="working-degree override (required for d > 7)")
         if need_k:
             p.add_argument("--k", type=int, required=True)
 
@@ -262,10 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--invert2", action="store_true")
 
     p = sub.add_parser("hmap-check", help="proportionality map residues")
-    common(p)
+    common(p, working_degree=False)
 
     p = sub.add_parser("degree", help="degree of the Lagrangian Grassmannian")
-    common(p)
+    common(p, working_degree=False)
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--only", type=str, default=None,
@@ -301,14 +323,25 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--d must be positive")
         if args.command in ("height-poly", "hmap-check", "degree") and config.d < 2:
             parser.error(f"{args.command} needs --d >= 2")
-        if config.d > MAX_DEFAULT_D and config.max_degree is None:
-            parser.error(f"--d {config.d} exceeds the default cap "
-                         f"{MAX_DEFAULT_D}; pass --max-degree to override")
-        if config.d > MAX_DEFAULT_D:
-            print(f"warning: d={config.d} builds large exact matrices; "
-                  "expect long runtimes", file=sys.stderr)
         if args.command == "pontrjagin" and not 1 <= config.extra_k <= config.d:
             parser.error("--k must satisfy 1 <= k <= d")
+        minimum = minimum_working_degree(args.command, config.d,
+                                         config.extra_k)
+        if minimum is None:
+            if args.command == "hmap-check" and config.d > MAX_DEFAULT_D:
+                parser.error(f"hmap-check needs --d <= {MAX_DEFAULT_D}")
+        elif config.max_degree is None:
+            if config.d > MAX_DEFAULT_D:
+                parser.error(f"--d {config.d} exceeds the default cap "
+                             f"{MAX_DEFAULT_D}; pass --max-degree "
+                             f"(at least {minimum}) to override")
+        elif config.max_degree < minimum:
+            parser.error(f"--max-degree {config.max_degree} is below the "
+                         f"minimum working degree {minimum} of "
+                         f"{args.command} at --d {config.d}")
+        if minimum is not None and config.d > MAX_DEFAULT_D:
+            print(f"warning: d={config.d} is above the default cap "
+                  f"{MAX_DEFAULT_D}; expect long runtimes", file=sys.stderr)
 
     start = time.monotonic()
     try:

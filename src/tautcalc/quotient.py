@@ -1,21 +1,24 @@
-"""Finite graded quotient rings by degreewise exact linear algebra.
+"""Finite graded quotient rings by division by a coprime-lead Groebner basis.
 
-Each degree gets its own row-reduced relation span over Q, with bookkeeping
-that expresses every pivot row as an explicit combination of
-(relation component) x (multiplier monomial) products.  Normal forms,
-preferred bases, ideal-membership witnesses and null combinations (distinct
-witness solutions) all fall out of the same elimination.
+Relations are split into homogeneous components, ordered by weighted graded
+reverse-lex: degree first, then the monomial with the smaller exponent of the
+last differing generator is the larger.  Any two components must have coprime
+leading monomials or both be monomials; by Buchberger's first criterion
+(Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 sec. 9) they
+are then a Groebner basis, so multivariate division gives normal forms on the
+standard monomials together with cofactors (membership witnesses).  Other
+witnesses differ from these by Koszul syzygies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from heapq import heappop, heappush
+from typing import Iterable, Iterator, Sequence
 
 from .scalars import Scalar, ZERO
-from .graded import (GeneratorSet, GradedPoly, Monomial, is_squarefree,
-                     monomial_sort_key, monomials_of_degree, _mul_mono)
+from .graded import GeneratorSet, GradedPoly, Monomial, monomials_of_degree
 
 
 class ReductionError(ValueError):
@@ -28,7 +31,7 @@ class RingPresentation:
 
     Relations may be mixed-degree; they are split into homogeneous components
     (each component is a relation of the graded ring).  Relation coefficients
-    must be rational: the linear algebra runs over Q.
+    must be rational.
     """
 
     gens: GeneratorSet
@@ -96,14 +99,6 @@ class Witness:
         return out
 
 
-class _Row:
-    __slots__ = ("entries", "combo")
-
-    def __init__(self, entries: dict[int, Fraction], combo: dict[int, Fraction] | None):
-        self.entries = entries
-        self.combo = combo
-
-
 @dataclass
 class DimensionReport:
     dims: list[int]
@@ -112,13 +107,22 @@ class DimensionReport:
     socle_dim: int
 
 
-class QuotientRing:
-    """Graded quotient with per-degree reduction data.
+def _order_key(mono: Monomial) -> Monomial:
+    """Within one degree, the larger monomial has the smaller key."""
+    return mono[::-1]
 
-    Construction eliminates, in every degree up to the cap, the span of all
-    (relation component) x (monomial) products.  Pivoting prefers to
-    eliminate non-squarefree monomials, so squarefree monomials with small
-    graded-lex keys survive as the preferred basis.
+
+def _exact(q: Fraction) -> int | Fraction:
+    """Integral values as int: the division then runs mostly on integers."""
+    return q.numerator if q.denominator == 1 else q
+
+
+class QuotientRing:
+    """Graded quotient reduced by division by its relation components.
+
+    A monomial m = t * lead(s) is rewritten to t * (lead(s) - s) / lc(s) by
+    the first component s whose lead divides it.  The normal form and
+    cofactors of each monomial are computed on first use and kept.
     """
 
     def __init__(self, presentation: RingPresentation, track_witnesses: bool = True):
@@ -128,105 +132,103 @@ class QuotientRing:
         self.track_witnesses = track_witnesses
         self.slots: list[RelationSlot] = []
         self._slot_lookup: dict[tuple[int, int], int] = {}
+        # Per slot: lead support [(generator, exponent)], lead, 1/lc and the
+        # rewrite tail [(monomial, -c/lc)].
+        self._rules: list[tuple[list, Monomial, int | Fraction, list]] = []
         for ri, rel in enumerate(presentation.relations):
             for deg, comp in rel.degree_components().items():
-                slot = RelationSlot(ri, deg, comp)
                 self._slot_lookup[(ri, deg)] = len(self.slots)
-                self.slots.append(slot)
-        self._monomials: list[list[Monomial]] = []
-        self._monomial_index: list[dict[Monomial, int]] = []
-        self._elim_rank: list[dict[int, int]] = []
-        self._pivots: list[dict[int, _Row]] = []
-        self._labels: list[list[tuple[int, Monomial]]] = []
-        self._null_combos: list[list[dict[int, Fraction]]] = []
-        self._basis: list[list[Monomial]] = []
-        self._subset_cache: dict[frozenset[int], QuotientRing] = {}
-        for k in range(self.top_degree + 1):
-            self._build_degree(k)
-
-    # -- construction --------------------------------------------------------
+                self.slots.append(RelationSlot(ri, deg, comp))
+                terms = [(m, c.rational_part()) for m, c in comp.items()]
+                lead, lc = min(terms, key=lambda mc: _order_key(mc[0]))
+                support = [(i, e) for i, e in enumerate(lead) if e]
+                tail = [(m, _exact(-c / lc)) for m, c in terms if m != lead]
+                self._rules.append((support, lead, _exact(1 / lc), tail))
+        for i, (_, lead_i, _, tail_i) in enumerate(self._rules):
+            for j, (_, lead_j, _, tail_j) in enumerate(self._rules[:i]):
+                # The S-polynomial of two monomials is 0.
+                if (tail_i or tail_j) and any(a and b for a, b in zip(lead_i, lead_j)):
+                    a, b = self.slots[j], self.slots[i]
+                    raise ValueError(
+                        "leading monomials of relation components "
+                        f"({a.relation_index}, {a.component_degree}) and "
+                        f"({b.relation_index}, {b.component_degree}) "
+                        "are not coprime")
+        self._basis: dict[int, list[Monomial]] = {}
+        self._reduced: dict[Monomial, tuple[dict, dict | None]] = {}
 
     def slot_poly(self, relation_index: int, component_degree: int) -> GradedPoly:
         return self.slots[self._slot_lookup[(relation_index, component_degree)]].poly
 
-    def _build_degree(self, k: int):
-        monos = monomials_of_degree(self.gens, k)
-        index = {m: i for i, m in enumerate(monos)}
-        self._monomials.append(monos)
-        self._monomial_index.append(index)
+    # -- division ------------------------------------------------------------
 
-        # Elimination preference: non-squarefree monomials first (in graded-lex
-        # order), then squarefree ones largest-key-first, so small squarefree
-        # keys are kept as basis whenever possible.
-        def elim_key(col: int):
-            m = monos[col]
-            if is_squarefree(m):
-                return (1, m)
-            return (0, tuple(-e for e in m))
+    def _rule_for(self, mono: Monomial) -> int | None:
+        """Index of the first component whose lead divides mono."""
+        for si, rule in enumerate(self._rules):
+            if all(mono[i] >= e for i, e in rule[0]):
+                return si
+        return None
 
-        order = sorted(range(len(monos)), key=elim_key)
-        rank = {col: pos for pos, col in enumerate(order)}
-        self._elim_rank.append(rank)
+    def _reduce_monomial(self, mono: Monomial) -> tuple[dict, dict | None]:
+        """Normal form {standard monomial: coefficient} of mono and, when
+        tracked, its cofactors {slot: {multiplier: coefficient}}.
 
-        labels: list[tuple[int, Monomial]] = []
-        pivots: dict[int, _Row] = {}
-        nulls: list[dict[int, Fraction]] = []
-
-        for si, slot in enumerate(self.slots):
-            rem = k - slot.component_degree
-            if rem < 0:
+        Terms are rewritten largest first, so each coefficient is final when
+        its term is rewritten, and the result is linear in the per-monomial
+        rewrites: a term reduced before takes its kept result, and no result
+        depends on the order of queries.
+        """
+        hit = self._reduced.get(mono)
+        if hit is not None:
+            return hit
+        coeffs: dict[Monomial, int | Fraction] = {mono: 1}
+        heap = [(_order_key(mono), mono)]
+        nf: dict[Monomial, int | Fraction] = {}
+        cof: dict[int, dict] | None = {} if self.track_witnesses else None
+        while heap:
+            _, m = heappop(heap)
+            c = coeffs.pop(m)
+            if not c:
                 continue
-            for mult in monomials_of_degree(self.gens, rem):
-                entries: dict[int, Fraction] = {}
-                for mono, coeff in slot.poly.items():
-                    entries[index[_mul_mono(mono, mult)]] = coeff.rational_part()
-                label_idx = len(labels)
-                labels.append((si, mult))
-                combo = {label_idx: Fraction(1)} if self.track_witnesses else None
-                self._insert_row(entries, combo, pivots, rank, nulls)
-
-        self._labels.append(labels)
-        self._pivots.append(pivots)
-        self._null_combos.append(nulls)
-        basis_cols = sorted(set(range(len(monos))) - set(pivots),
-                            key=lambda c: monomial_sort_key(self.gens, monos[c]))
-        self._basis.append([monos[c] for c in basis_cols])
-
-    def _insert_row(self, entries, combo, pivots, rank, nulls):
-        while entries:
-            present = [c for c in entries if c in pivots]
-            if present:
-                c = min(present, key=rank.__getitem__)
-                factor = entries[c]
-                row = pivots[c]
-                _row_axpy(entries, -factor, row.entries)
-                if combo is not None and row.combo is not None:
-                    _combo_axpy(combo, -factor, row.combo)
+            hit = self._reduced.get(m)
+            if hit is not None:
+                _axpy(nf, c, hit[0])
+                if cof is not None:
+                    for si, terms in hit[1].items():
+                        _axpy(cof.setdefault(si, {}), c, terms)
                 continue
-            lead = min(entries, key=rank.__getitem__)
-            inv = Fraction(1) / entries[lead]
-            if inv != 1:
-                entries = {c: v * inv for c, v in entries.items()}
-                if combo is not None:
-                    combo = {l: q * inv for l, q in combo.items()}
-            # Keep full reduction: clear the new column from existing rows so
-            # every pivot row mentions no other pivot column.
-            for other in pivots.values():
-                factor = other.entries.get(lead)
-                if factor:
-                    _row_axpy(other.entries, -factor, entries)
-                    if combo is not None and other.combo is not None:
-                        _combo_axpy(other.combo, -factor, combo)
-            pivots[lead] = _Row(entries, combo)
-            return
-        if combo is not None and combo:
-            nulls.append(combo)
+            si = self._rule_for(m)
+            if si is None:
+                _axpy(nf, c, {m: 1})
+                continue
+            _, lead, inv_lc, tail = self._rules[si]
+            t = tuple(a - b for a, b in zip(m, lead))
+            if cof is not None:
+                _axpy(cof.setdefault(si, {}), c, {t: inv_lc})
+            for tm, tc in tail:
+                n = tuple(a + b for a, b in zip(t, tm))
+                old = coeffs.get(n)
+                if old is None:
+                    coeffs[n] = c * tc
+                    heappush(heap, (_order_key(n), n))
+                else:
+                    coeffs[n] = old + c * tc
+        self._reduced[mono] = (nf, cof)
+        return nf, cof
+
+    def _standard_monomials(self, degree: int) -> list[Monomial]:
+        basis = self._basis.get(degree)
+        if basis is None:
+            basis = [m for m in monomials_of_degree(self.gens, degree)
+                     if self._rule_for(m) is None]
+            self._basis[degree] = basis
+        return basis
 
     # -- reduction -----------------------------------------------------------
 
     def monomial_basis(self, degree: int) -> list[Monomial]:
         self._check_degree(degree)
-        return list(self._basis[degree])
+        return list(self._standard_monomials(degree))
 
     def _check_degree(self, degree: int):
         if degree > self.top_degree:
@@ -246,40 +248,20 @@ class QuotientRing:
         if poly.gens != self.gens:
             raise ReductionError("polynomial over wrong generator set")
         self._check_degree(poly.max_degree())
-        nf = GradedPoly.zero(self.gens)
-        cof: dict[tuple[int, int], dict[Monomial, Scalar]] = {}
-        for k, comp in poly.degree_components().items():
-            index = self._monomial_index[k]
-            vec: dict[int, Scalar] = {index[m]: c for m, c in comp.items()}
-            pivots = self._pivots[k]
-            labels = self._labels[k]
-            for col in sorted(pivots, key=self._elim_rank[k].__getitem__):
-                factor = vec.get(col)
-                if not factor:
-                    continue
-                row = pivots[col]
-                for c2, val in row.entries.items():
-                    new = vec.get(c2, ZERO) - factor * val
-                    if new:
-                        vec[c2] = new
-                    else:
-                        vec.pop(c2, None)
-                if with_cofactors:
-                    for label_idx, q in row.combo.items():
-                        si, mult = labels[label_idx]
-                        slot = self.slots[si]
-                        key = (slot.relation_index, slot.component_degree)
-                        bucket = cof.setdefault(key, {})
-                        new = bucket.get(mult, ZERO) + factor * q
-                        if new:
-                            bucket[mult] = new
-                        else:
-                            bucket.pop(mult, None)
-            monos = self._monomials[k]
-            nf = nf + GradedPoly(self.gens, {monos[c]: v for c, v in vec.items()})
-        cofactors = {key: GradedPoly(self.gens, terms)
-                     for key, terms in cof.items() if terms}
-        return nf, cofactors
+        nf: dict[Monomial, Scalar] = {}
+        cof: dict[int, dict[Monomial, Scalar]] = {}
+        # Smallest monomials first: the larger ones' divisions then reuse them.
+        for mono, coeff in sorted(poly.items(), reverse=True,
+                                  key=lambda mc: _order_key(mc[0])):
+            mono_nf, mono_cof = self._reduce_monomial(mono)
+            _axpy(nf, coeff, mono_nf)
+            if with_cofactors:
+                for si, terms in mono_cof.items():
+                    _axpy(cof.setdefault(si, {}), coeff, terms)
+        keys = [(s.relation_index, s.component_degree) for s in self.slots]
+        cofactors = {keys[si]: GradedPoly(self.gens, terms)
+                     for si, terms in sorted(cof.items()) if terms}
+        return GradedPoly(self.gens, nf), cofactors
 
     # -- witnesses -----------------------------------------------------------
 
@@ -287,9 +269,8 @@ class QuotientRing:
                            relation_indices: Sequence[int] | None = None) -> Witness:
         """Express poly in the ideal generated by the chosen relations.
 
-        The solve is degreewise and may be underdetermined; the first
-        deterministic solution is returned.  Raises if poly is not in the
-        span of the chosen subset.
+        The cofactors are those of the division.  Raises if poly is not in
+        the ideal of the chosen subset.
         """
         ring, relabel = self._subset_ring(relation_indices)
         nf, cof = ring.reduce_with_cofactors(poly)
@@ -305,50 +286,57 @@ class QuotientRing:
         return witness
 
     def _subset_ring(self, relation_indices: Sequence[int] | None):
-        if relation_indices is None:
+        """Ring of the chosen relations (a subset of a coprime-lead basis is
+        again one) and the map back to this ring's relation indices."""
+        everything = set(range(len(self.presentation.relations)))
+        if relation_indices is None or set(relation_indices) == everything:
             return self, None
-        key = frozenset(relation_indices)
-        if key == frozenset(range(len(self.presentation.relations))):
-            return self, None
-        cached = self._subset_cache.get(key)
-        if cached is None:
-            chosen = [self.presentation.relations[i] for i in sorted(key)]
-            pres = RingPresentation(self.gens, chosen, self.top_degree)
-            cached = QuotientRing(pres, track_witnesses=True)
-            self._subset_cache[key] = cached
-        return cached, dict(enumerate(sorted(key)))
+        chosen = sorted(set(relation_indices))
+        pres = RingPresentation(
+            self.gens, [self.presentation.relations[i] for i in chosen],
+            self.top_degree)
+        return QuotientRing(pres, track_witnesses=True), dict(enumerate(chosen))
 
     def alternative_witnesses(self, poly: GradedPoly, count: int = 3,
                               relation_indices: Sequence[int] | None = None) -> list[Witness]:
-        """Distinct solutions of the (possibly underdetermined) witness system:
-        the deterministic solution perturbed by null combinations of the
-        relation rows.  Returns as many distinct witnesses as exist, up to
-        count."""
-        ring, relabel = self._subset_ring(relation_indices)
+        """Distinct witnesses for poly: the division witness perturbed by
+        Koszul syzygies (s_j e_i - s_i e_j) * m of the chosen relation
+        components, scaled 1, 2, ...  Returns as many distinct witnesses as
+        exist, up to count."""
         base = self.membership_witness(poly, relation_indices)
-        out = [base]
+        slots = [s for s in self.slots if relation_indices is None
+                 or s.relation_index in relation_indices]
         degrees = sorted(poly.degree_components())
-        scale = 1
-        while len(out) < count:
-            added = False
-            for k in degrees:
-                for null in ring._null_combos[k]:
-                    if len(out) >= count:
-                        break
-                    cand = _perturb(base, null, ring, relabel, k,
-                                    Fraction(scale), self)
-                    if all(cand.cofactors != w.cofactors for w in out):
-                        out.append(cand)
-                        added = True
-            if not added:
-                break
-            scale += 1
+        out = [base]
+        for scale in range(1, count):
+            for syzygy in self._koszul_syzygies(slots, degrees):
+                if len(out) == count:
+                    return out
+                cofactors = dict(base.cofactors)
+                for key, p in syzygy.items():
+                    cofactors[key] = (cofactors.get(key, GradedPoly.zero(self.gens))
+                                      + p * scale)
+                cofactors = {key: p for key, p in cofactors.items() if p}
+                if all(cofactors != w.cofactors for w in out):
+                    out.append(Witness(poly, cofactors, base.residue, self))
         return out
+
+    def _koszul_syzygies(self, slots: list[RelationSlot],
+                         degrees: list[int]) -> Iterator[dict[tuple[int, int], GradedPoly]]:
+        for k in degrees:
+            for i, si in enumerate(slots):
+                for sj in slots[i + 1:]:
+                    rem = k - si.component_degree - sj.component_degree
+                    for mult in monomials_of_degree(self.gens, rem) if rem >= 0 else ():
+                        m = GradedPoly.monomial(self.gens, mult)
+                        yield {(si.relation_index, si.component_degree): sj.poly * m,
+                               (sj.relation_index, sj.component_degree): -(si.poly * m)}
 
     # -- reports -------------------------------------------------------------
 
     def dimension_report(self) -> DimensionReport:
-        dims = [len(b) for b in self._basis]
+        dims = [len(self._standard_monomials(k))
+                for k in range(self.top_degree + 1)]
         socle = 0
         for k, d in enumerate(dims):
             if d:
@@ -356,7 +344,7 @@ class QuotientRing:
         return DimensionReport(dims, sum(dims), socle, dims[socle])
 
     def audit_dump(self) -> dict:
-        """Per-degree bases and reduction matrices, JSON-ready."""
+        """Per-degree bases and reduction rows m - nf(m), JSON-ready."""
         def mono_name(m: Monomial) -> str:
             if not any(m):
                 return "1"
@@ -365,16 +353,22 @@ class QuotientRing:
 
         degrees = []
         for k in range(self.top_degree + 1):
-            monos = self._monomials[k]
+            monos = monomials_of_degree(self.gens, k)
+            position = {m: i for i, m in enumerate(monos)}
             rows = {}
-            for col, row in sorted(self._pivots[k].items()):
-                rows[mono_name(monos[col])] = {
-                    mono_name(monos[c]): str(v)
-                    for c, v in sorted(row.entries.items())}
+            for m in monos:
+                if self._rule_for(m) is None:
+                    continue
+                entries = {b: -v for b, v in self._reduce_monomial(m)[0].items()}
+                entries[m] = 1
+                rows[mono_name(m)] = {
+                    mono_name(b): str(v)
+                    for b, v in sorted(entries.items(),
+                                       key=lambda bv: position[bv[0]])}
             degrees.append({
                 "degree": k,
                 "monomials": [mono_name(m) for m in monos],
-                "basis": [mono_name(m) for m in self._basis[k]],
+                "basis": [mono_name(m) for m in self._standard_monomials(k)],
                 "reduction_rows": rows,
             })
         return {"generators": [{"name": n, "degree": d}
@@ -383,35 +377,13 @@ class QuotientRing:
                 "degrees": degrees}
 
 
-def _row_axpy(target: dict[int, Fraction], factor: Fraction, source: dict[int, Fraction]):
-    for c, v in source.items():
-        new = target.get(c, Fraction(0)) + factor * v
+def _axpy(target: dict, factor, source: dict[Monomial, int | Fraction]):
+    """target += factor * source, for rational or Scalar values."""
+    zero = ZERO if isinstance(factor, Scalar) else 0
+    for m, v in source.items():
+        new = target.get(m, zero) + factor * v
         if new:
-            target[c] = new
+            target[m] = new
         else:
-            target.pop(c, None)
+            target.pop(m, None)
 
-
-def _combo_axpy(target: dict[int, Fraction], factor: Fraction, source: dict[int, Fraction]):
-    for l, q in source.items():
-        new = target.get(l, Fraction(0)) + factor * q
-        if new:
-            target[l] = new
-        else:
-            target.pop(l, None)
-
-
-def _perturb(base: Witness, null: dict[int, Fraction], ring: QuotientRing,
-             relabel: dict[int, int] | None, degree: int, scale: Fraction,
-             parent: QuotientRing) -> Witness:
-    cofactors = dict(base.cofactors)
-    labels = ring._labels[degree]
-    for label_idx, q in null.items():
-        si, mult = labels[label_idx]
-        slot = ring.slots[si]
-        ri = slot.relation_index if relabel is None else relabel[slot.relation_index]
-        key = (ri, slot.component_degree)
-        cur = cofactors.get(key, GradedPoly.zero(base.target.gens))
-        cofactors[key] = cur + GradedPoly.monomial(base.target.gens, mult, q * scale)
-    cofactors = {k: p for k, p in cofactors.items() if not p.is_zero()}
-    return Witness(base.target, cofactors, base.residue, parent)

@@ -73,6 +73,24 @@ def test_d4_critical_power_values():
     assert ring.aq.normal_form(result.phi_raw.truncate(3)) == result.phi
 
 
+# r_7 as computed by the degreewise-elimination quotient that division by a
+# Groebner basis replaced: the old path is the oracle for the new one.
+R7_ELIMINATION = (
+    "-759532303/5290740 + 1322387679848/9061714935*log2 + 6072/13*zeta'(-1)"
+    " - 15360/13*zeta'(-3) + 710640/221*zeta'(-5) - 17520480/4199*zeta'(-7)"
+    " + 12719520/4199*zeta'(-9) - 318890880/223193*zeta'(-11)")
+
+
+def test_d7_critical_power_two_routes():
+    result = c1_critical_power(7)
+    assert result.r.render() == R7_ELIMINATION
+    assert height_polynomial(7).substituted == result.r
+    assert result.socle_coordinate == lagrangian_degree(7)
+    ring = result.reduced.ring
+    assert ring.aq.normal_form(
+        result.phi_raw.truncate(ring.cap - ring.gamma_degree)) == result.phi
+
+
 def test_d4_intermediate_witness_combination():
     ring = AbelianTautRing(4)
     result = c1_critical_power(4, ring)

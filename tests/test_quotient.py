@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -5,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from tautcalc.scalars import Scalar, zeta_prime_symbol
-from tautcalc.graded import GeneratorSet, GradedPoly
+from tautcalc.graded import GeneratorSet, GradedPoly, monomial_sort_key
 from tautcalc.quotient import (QuotientRing, ReductionError, RingPresentation)
-from tautcalc.arakelov import tautological_ring, lagrangian_degree
+from tautcalc.arakelov import (AbelianTautRing, LagrangianArithRing,
+                               tautological_ring, lagrangian_degree)
 
 
 def u(ring_or_gens, name):
@@ -218,3 +220,81 @@ def test_audit_dump_serializable():
     degree2 = doc["degrees"][2]
     assert degree2["basis"] == ["u2"]
     assert "u1^2" in degree2["reduction_rows"]
+
+
+def test_rejects_shared_lead_variables():
+    gens = GeneratorSet([("u1", 1), ("u2", 2)])
+    u1, u2 = u(gens, "u1"), u(gens, "u2")
+    # leads u1^2 and u1^3 share u1: not a Groebner basis by the first criterion
+    with pytest.raises(ValueError, match="coprime"):
+        QuotientRing(RingPresentation(gens, [u1 * u1 - u2 * 2,
+                                             u1 ** 3 - u1 * u2], 4))
+    # a monomial does not escape the check when the other component is not one
+    with pytest.raises(ValueError, match="coprime"):
+        QuotientRing(RingPresentation(gens, [u1 * u1 - u2 * 2, u1 * u2], 4))
+    # two monomials sharing a variable have S-polynomial 0
+    ring = QuotientRing(RingPresentation(gens, [u1 * u1, u1 * u2], 4))
+    assert ring.monomial_basis(3) == []
+    assert ring.monomial_basis(4) == [(0, 2)]
+
+
+def squarefree_monomials(gens, count, degree):
+    """Squarefree monomials of the given degree in the first count
+    generators, enumerated independently of the quotient code."""
+    out = []
+    for picks in itertools.product((0, 1), repeat=count):
+        mono = picks + (0,) * (len(gens) - count)
+        if gens.degree_of(mono) == degree:
+            out.append(mono)
+    return sorted(out, key=lambda m: monomial_sort_key(gens, m))
+
+
+def assert_squarefree_basis(ring, count):
+    for k in range(ring.top_degree + 1):
+        assert ring.monomial_basis(k) == squarefree_monomials(ring.gens, count, k)
+
+
+def test_standard_monomials_are_squarefree():
+    # The generators of degree < d span; u_d (C_d) is itself a relation.
+    for d in range(2, 8):
+        assert_squarefree_basis(tautological_ring(d), d - 1)
+    for d in range(2, 7):
+        for ring in (AbelianTautRing(d), LagrangianArithRing(d, "formal")):
+            assert_squarefree_basis(ring.zq, d - 1)
+            assert_squarefree_basis(ring.aq, d - 1)
+
+
+def test_reduction_does_not_depend_on_query_order():
+    ring = tautological_ring(5, track_witnesses=True)
+    rng = random.Random(11)
+    polys = []
+    for _ in range(12):
+        terms = {}
+        for _ in range(4):
+            mono = tuple(rng.randrange(4) for _ in range(5))
+            if ring.gens.degree_of(mono) <= ring.top_degree:
+                terms[mono] = Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+        polys.append(GradedPoly(ring.gens, terms))
+    forward = [ring.reduce_with_cofactors(p) for p in polys]
+    fresh = tautological_ring(5, track_witnesses=True)
+    backward = [fresh.reduce_with_cofactors(p) for p in reversed(polys)]
+    assert forward == backward[::-1]
+    for p, (nf, cof) in zip(polys, forward):
+        expanded = nf
+        for (ri, cd), c in cof.items():
+            expanded = expanded + c * ring.slot_poly(ri, cd)
+        assert expanded == p
+
+
+def test_alternative_witnesses_respect_relation_subset():
+    gens = GeneratorSet([(f"u{j}", j) for j in range(1, 4)])
+    u1, u2, u3 = (u(gens, f"u{j}") for j in (1, 2, 3))
+    p1 = u1 * u1 - u2 * 2
+    p2 = u2 * u2 - u1 * u3 * 2
+    ring = QuotientRing(RingPresentation(gens, [p1, p2, u3], 6))
+    target = p1 * u1 * u3 + p2 * u2
+    witnesses = ring.alternative_witnesses(target, 4, relation_indices=[0, 1])
+    assert len(witnesses) == 4
+    for w in witnesses:
+        assert w.verify()
+        assert {ri for ri, _ in w.cofactors} <= {0, 1}
