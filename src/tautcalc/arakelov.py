@@ -22,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .scalars import (Scalar, ZERO, LOG2, harmonic, harmonic_symbol,
                       zeta_negative_odd, zeta_prime_symbol)
 from .graded import GeneratorSet, GradedPoly, Monomial
-from .quotient import QuotientRing, ReductionError, RingPresentation
+from .quotient import QuotientRing, ReductionError, RingPresentation, _axpy
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 
 
@@ -227,11 +227,17 @@ class ArithRing:
     zgens: GeneratorSet
     agens: GeneratorSet
     relations: list[ArithRelation]
+    odd_sums: dict[int, GradedPoly]
+    rho: dict[int, GradedPoly]
     zq: QuotientRing
     aq: QuotientRing
 
     def _setup(self, d: int, n_gens: int, cap: int, gamma_degree: int | None,
-               a_top_relations: int):
+               coefficient: Callable[[int], Scalar | Fraction]):
+        """Build both quotients.  Form relations: the dual square, and
+        u_n = 0 when the ring has gamma.  Lifted relations: p_k(C) rewrites
+        to a(coefficient(k) * s_{2k-1}(u)) for k <= min(n, cap // 2), and
+        C_n to a(gamma) when the ring has gamma."""
         self.d = d
         self.cap = cap
         self.gamma_degree = gamma_degree
@@ -241,17 +247,32 @@ class ArithRing:
         rel = dual_square_relation(self.agens)
         if not rel.is_zero():
             a_rels.append(rel)
-        if a_top_relations:
+        if gamma_degree is not None:
             a_rels.append(GradedPoly.generator(self.agens, f"u{n_gens}"))
         self.aq = QuotientRing(
-            RingPresentation(self.agens, a_rels, max(cap - 1, max(self.agens.degrees))),
+            RingPresentation(self.agens, a_rels, max(cap - 1, n_gens)),
             track_witnesses=False)
         self._omega_map = {f"C{j}": f"u{j}" for j in range(1, n_gens + 1)}
 
-    def _finish(self):
-        pres = RingPresentation(self.zgens, [r.zpoly for r in self.relations],
-                                self.cap)
-        self.zq = QuotientRing(pres, track_witnesses=True)
+        top_k = min(n_gens, cap // 2)
+        sums = ch_from_c(ClassVector.standard(self.agens, list(self.agens.names)),
+                         2 * top_k - 1)
+        # odd_sums[k]: normal form of the odd power sum s_{2k-1}(u); the
+        # relations read no other power sum.
+        self.odd_sums = {k: self.aq.normal_form(sums[2 * k - 2].truncate(cap - 1))
+                         for k in range(1, top_k + 1)}
+        self.rho = {k: s * coefficient(k) for k, s in self.odd_sums.items()}
+        zc = ClassVector.standard(self.zgens, list(self.zgens.names))
+        zero = GradedPoly.zero(self.agens)
+        self.relations = [ArithRelation(p, self.rho[k], zero)
+                          for k, p in enumerate(pontrjagin_from_c(zc, top_k), 1)]
+        if gamma_degree is not None and gamma_degree <= cap:
+            self.relations.append(ArithRelation(
+                GradedPoly.generator(self.zgens, f"C{n_gens}"), zero,
+                GradedPoly.constant(self.agens, 1)))
+        self.zq = QuotientRing(
+            RingPresentation(self.zgens, [r.zpoly for r in self.relations], cap),
+            track_witnesses=True)
 
     # -- constructors of elements -------------------------------------------
 
@@ -299,10 +320,6 @@ class ArithRing:
             out = out + GradedPoly.monomial(self.agens, mono, coeff * sign)
         return out
 
-    def a_power_sums(self, up_to: int) -> list[GradedPoly]:
-        classes = ClassVector.standard(self.agens, list(self.agens.names))
-        return ch_from_c(classes, up_to)
-
     def z_power_sums(self, up_to: int) -> list[GradedPoly]:
         classes = ClassVector.standard(self.zgens, list(self.zgens.names))
         return ch_from_c(classes, up_to)
@@ -318,13 +335,7 @@ class ArithRing:
         raw_a, raw_g = self._form_contributions(cof)
         raw_a = raw_a + x.a
         raw_g = raw_g + x.g
-        a = self.aq.normal_form(raw_a.truncate(self.cap - 1))
-        if self.gamma_degree is not None:
-            g = self.aq.normal_form(raw_g.truncate(self.cap - self.gamma_degree))
-        else:
-            if not raw_g.is_zero():
-                raise ReductionError("gamma part in a ring without gamma")
-            g = raw_g
+        a, g = self._form_normal_forms(raw_a, raw_g)
         return ArithClass(self, nf, a, g), raw_a, raw_g
 
     def reduce(self, x: ArithClass) -> ArithClass:
@@ -343,6 +354,16 @@ class ArithRing:
                     rel.gpart, self.cap - (self.gamma_degree or 0))
         return a, g
 
+    def _form_normal_forms(self, a: GradedPoly, g: GradedPoly):
+        """Normal forms of a form part and a gamma coefficient, each
+        truncated to the ring's working degree."""
+        a = self.aq.normal_form(a.truncate(self.cap - 1))
+        if self.gamma_degree is None:
+            if not g.is_zero():
+                raise ReductionError("gamma part in a ring without gamma")
+            return a, g
+        return a, self.aq.normal_form(g.truncate(self.cap - self.gamma_degree))
+
     def reduce_variants(self, x: ArithClass, count: int = 3) -> list[ArithClass]:
         """Reductions of a class whose polynomial part lies in the relation
         ideal, computed from distinct witness solutions."""
@@ -351,10 +372,7 @@ class ArithRing:
         out = []
         for w in witnesses:
             raw_a, raw_g = self._form_contributions(w.cofactors)
-            a = self.aq.normal_form((raw_a + x.a).truncate(self.cap - 1))
-            g_cap = self.cap - self.gamma_degree if self.gamma_degree else 0
-            g = (self.aq.normal_form((raw_g + x.g).truncate(g_cap))
-                 if self.gamma_degree else raw_g + x.g)
+            a, g = self._form_normal_forms(raw_a + x.a, raw_g + x.g)
             out.append(ArithClass(self, GradedPoly.zero(self.zgens), a, g))
         return out
 
@@ -395,29 +413,8 @@ class AbelianTautRing(ArithRing):
             raise ValueError("d > 7 needs an explicit working-degree override")
         if cap is None:
             cap = d * (d - 1) // 2 + 1
-        self._setup(d, d, cap, gamma_degree=d, a_top_relations=True)
-        zc = ClassVector.standard(self.zgens, list(self.zgens.names))
-        pontrjagin = pontrjagin_from_c(zc, min(d, cap // 2))
-        odd_sums = self.a_power_sums(max(0, min(2 * (cap // 2) - 1, cap - 1)))
-        self.relations = []
-        self.rho: dict[int, GradedPoly] = {}
-        for k in range(1, cap // 2 + 1):
-            if k > d:
-                break
-            zpoly = pontrjagin[k - 1]
-            if zpoly.is_zero():
-                continue
-            s = self.aq.normal_form(odd_sums[2 * k - 2].truncate(self.cap - 1))
-            rho = s * _bracket(k) * Fraction((-1) ** k)
-            self.rho[k] = rho
-            self.relations.append(ArithRelation(zpoly, rho,
-                                                GradedPoly.zero(self.agens)))
-        if d <= cap:
-            self.relations.append(ArithRelation(
-                GradedPoly.generator(self.zgens, f"C{d}"),
-                GradedPoly.zero(self.agens),
-                GradedPoly.constant(self.agens, 1)))
-        self._finish()
+        self._setup(d, d, cap, gamma_degree=d,
+                    coefficient=lambda k: _bracket(k) * Fraction((-1) ** k))
 
 
 class LagrangianArithRing(ArithRing):
@@ -436,27 +433,15 @@ class LagrangianArithRing(ArithRing):
         if harmonic_mode not in ("exact", "formal"):
             raise ValueError("harmonic_mode must be 'exact' or 'formal'")
         self.harmonic_mode = harmonic_mode
-        n = d - 1
         if cap is None:
             cap = d * (d - 1) // 2 + 1
-        self._setup(d, n, cap, gamma_degree=None, a_top_relations=False)
-        zc = ClassVector.standard(self.zgens, list(self.zgens.names))
-        pontrjagin = pontrjagin_from_c(zc, min(n, cap // 2))
-        odd_sums = self.a_power_sums(max(0, min(2 * (cap // 2) - 1, cap - 1)))
-        self.relations = []
-        for k in range(1, min(n, cap // 2) + 1):
-            zpoly = pontrjagin[k - 1]
-            if zpoly.is_zero():
-                continue
-            if harmonic_mode == "exact":
-                coeff: Scalar | Fraction = harmonic(2 * k - 1)
-            else:
-                coeff = harmonic_symbol(k)
-            s = self.aq.normal_form(odd_sums[2 * k - 2].truncate(self.cap - 1))
-            apart = s * coeff * Fraction((-1) ** (k + 1))
-            self.relations.append(ArithRelation(zpoly, apart,
-                                                GradedPoly.zero(self.agens)))
-        self._finish()
+
+        def coefficient(k: int) -> Scalar | Fraction:
+            h = (harmonic(2 * k - 1) if harmonic_mode == "exact"
+                 else harmonic_symbol(k))
+            return h * Fraction((-1) ** (k + 1))
+
+        self._setup(d, d - 1, cap, gamma_degree=None, coefficient=coefficient)
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +461,12 @@ class CriticalPowerResult:
     socle_coordinate: Fraction
 
 
-def c1_critical_power(d: int, ring: AbelianTautRing | None = None) -> CriticalPowerResult:
-    """Reduce C1^(1 + d(d-1)/2) and split the result as
-    a(r * u1^(d(d-1)/2) + phi * gamma)."""
-    ring = ring or AbelianTautRing(d)
-    top = d * (d - 1) // 2
+def _critical_split(ring: ArithRing):
+    """Reduce C1^(1 + top), top = d(d-1)/2, whose form part must lie in the
+    one-dimensional socle R^top.  Returns (reduced class, gamma coefficient
+    straight from the witness, socle monomial, form coordinate normalized
+    against u1^top, the socle coordinate lam of u1^top)."""
+    top = ring.d * (ring.d - 1) // 2
     power = GradedPoly.monomial(ring.zgens, ring.zgens.single("C1", top + 1))
     reduced, _, raw_g = ring.reduce_detailed(ring.from_z(power))
     if not reduced.z.is_zero():
@@ -497,12 +483,21 @@ def c1_critical_power(d: int, ring: AbelianTautRing | None = None) -> CriticalPo
     lam = u1_top.coefficient(socle).rational_part()
     if top > 0 and not lam:
         raise ReductionError("u1^top vanished in the classical ring")
-    r = reduced.a.coefficient(socle) / lam if top > 0 else reduced.a.coefficient(socle)
+    coordinate = reduced.a.coefficient(socle)
+    return reduced, raw_g, socle, coordinate / lam if top > 0 else coordinate, lam
+
+
+def c1_critical_power(d: int, ring: AbelianTautRing | None = None) -> CriticalPowerResult:
+    """Reduce C1^(1 + d(d-1)/2) and split the result as
+    a(r * u1^(d(d-1)/2) + phi * gamma)."""
+    ring = ring or AbelianTautRing(d)
+    reduced, raw_g, socle, r, lam = _critical_split(ring)
     phi = reduced.g
     expected_phi_degree = (d - 1) * (d - 2) // 2
     if not phi.is_zero() and phi.max_degree() != expected_phi_degree:
         raise ReductionError("gamma coefficient has the wrong form degree")
-    return CriticalPowerResult(d, top + 1, reduced, r, phi, raw_g, socle, lam)
+    return CriticalPowerResult(d, d * (d - 1) // 2 + 1, reduced, r, phi, raw_g,
+                               socle, lam)
 
 
 def harmonic_substitution(d: int) -> dict[str, Scalar]:
@@ -528,17 +523,7 @@ def height_polynomial(d: int, ring: LagrangianArithRing | None = None) -> Height
     if d < 2:
         raise ValueError("d must be at least 2")
     ring = ring or LagrangianArithRing(d, "formal")
-    top = d * (d - 1) // 2
-    power = GradedPoly.monomial(ring.zgens, ring.zgens.single("C1", top + 1))
-    reduced = ring.reduce(ring.from_z(power))
-    if not reduced.z.is_zero():
-        raise ReductionError("critical power kept a polynomial part")
-    basis = ring.aq.monomial_basis(top)
-    socle = basis[0]
-    u1_top = ring.aq.normal_form(
-        GradedPoly.monomial(ring.agens, ring.agens.single("u1", top)))
-    lam = u1_top.coefficient(socle).rational_part()
-    height = reduced.a.coefficient(socle) / lam
+    _, _, _, height, lam = _critical_split(ring)
     substituted = height.substitute(harmonic_substitution(d))
     return HeightPolynomialResult(d, height, substituted, lam)
 
@@ -633,16 +618,6 @@ class ProportionalityReport:
                 and all(res.is_zero() for _, res in self.relation_residues))
 
 
-def _axpy(target: dict, source: Mapping, factor: Fraction) -> None:
-    """target += factor * source, in place, dropping zero entries."""
-    for c, v in source.items():
-        new = target.get(c, Fraction(0)) + factor * v
-        if new:
-            target[c] = new
-        else:
-            target.pop(c, None)
-
-
 def _solve_rational_system(rows: list[tuple[dict[int, Fraction], Scalar]],
                            n_vars: int) -> tuple[list[Scalar] | None,
                                                  list[Fraction] | None]:
@@ -659,8 +634,8 @@ def _solve_rational_system(rows: list[tuple[dict[int, Fraction], Scalar]],
             if lead in pivots:
                 factor = entries[lead]
                 prow, prhs, pcombo = pivots[lead]
-                _axpy(entries, prow, -factor)
-                _axpy(combo, pcombo, -factor)
+                _axpy(entries, -factor, prow)
+                _axpy(combo, -factor, pcombo)
                 rhs = rhs - prhs * factor
                 continue
             inv = Fraction(1) / entries[lead]
@@ -702,13 +677,17 @@ class _MapSolver:
             for mono in aq.monomial_basis(k - 1):
                 self.var_index[(k, mono)] = len(self.var_index)
         self.e0_index = len(self.var_index)
-        sums = ring.a_power_sums(max(2 * self.d - 3, 1))
-        self._s_nf = [aq.normal_form(s.truncate(aq.top_degree)) for s in sums]
+        # One row per (condition, form monomial).  monomial_basis raises
+        # ReductionError if the working degree is too small for the
+        # conditions, before _harmonic_rhs reads past ring.odd_sums.
+        self.condition_degrees = range(self.d + (self.d % 2), 2 * (self.d - 1) + 1, 2)
+        self.rowmap = [(i, mono) for i, degree in enumerate(self.condition_degrees)
+                       for mono in aq.monomial_basis(degree - 1)]
 
     def _harmonic_rhs(self, degree: int, e0: Scalar) -> ArithClass:
         # Image of the degree-2k component of 1 - a(sum H s): the dual flips
         # the odd power sum, leaving +e0 H s.
-        s = self._s_nf[degree - 2]
+        s = self.ring.odd_sums[degree // 2]
         return self.ring.from_a(s * (harmonic(degree - 1) * e0))
 
     def _build(self, assign, e0: Scalar):
@@ -729,7 +708,7 @@ class _MapSolver:
                 x = x * Fraction(1, 2)
             X[k] = ring.reduce(x).drop_gamma()
         conditions = []
-        for degree in range(d + (d % 2), 2 * (d - 1) + 1, 2):
+        for degree in self.condition_degrees:
             half = degree // 2
             acc = self._harmonic_rhs(degree, e0)
             if half < d:
@@ -742,7 +721,6 @@ class _MapSolver:
     def solve(self):
         """Returns ((images, e0), "", None) or (None, diagnosis, certificate);
         the certificate is set only when the linear system is inconsistent."""
-        aq = self.ring.aq
         base_x, base_c = self._build(lambda k, m: ZERO, ZERO)
         for degree, cond in base_c:
             if not cond.z.is_zero():
@@ -753,8 +731,6 @@ class _MapSolver:
             if base_x[k].z != expected:
                 return None, (f"forced image of C{k} has a mixed polynomial "
                               "part"), None
-        rowmap = [(i, mono) for i, (degree, _) in enumerate(base_c)
-                  for mono in aq.monomial_basis(degree - 1)]
 
         def column(j: int):
             if j == self.e0_index:
@@ -764,7 +740,7 @@ class _MapSolver:
                 probe_c = self._build(
                     lambda k, m: Fraction(1) if (k, m) == key else ZERO, ZERO)[1]
             col = {}
-            for ri, (ci, mono) in enumerate(rowmap):
+            for ri, (ci, mono) in enumerate(self.rowmap):
                 delta = (probe_c[ci][1].a.coefficient(mono)
                          - base_c[ci][1].a.coefficient(mono))
                 if delta:
@@ -779,7 +755,7 @@ class _MapSolver:
         cols = {j: column(j) for j in range(n_vars)}
         pinned_rows = []
         free_rows = []
-        for ri, (ci, mono) in enumerate(rowmap):
+        for ri, (ci, mono) in enumerate(self.rowmap):
             entries = {j: cols[j][ri] for j in range(n_vars) if ri in cols[j]}
             rhs = -base_c[ci][1].a.coefficient(mono)
             free_rows.append((entries, rhs))
@@ -795,7 +771,7 @@ class _MapSolver:
             # pinned system would rule out only e0 = 1.
             solution, y = _solve_rational_system(free_rows, n_vars)
             if solution is None:
-                labels = [(base_c[ci][0], mono) for ci, mono in rowmap]
+                labels = [(base_c[ci][0], mono) for ci, mono in self.rowmap]
                 value = sum((rhs * w for (_, rhs), w in zip(free_rows, y)), ZERO)
                 return None, ("no correction forms make every relation "
                               "component vanish: the linear system is "

@@ -49,7 +49,6 @@ class RunConfig:
     command: str
     fmt: str = "text"
     invert2: bool = False
-    harmonic_mode: str = "exact"
     max_degree: int | None = None
     selection: list[str] | None = None
     audit: bool = False

@@ -69,10 +69,6 @@ def monomial_sort_key(gens: GeneratorSet, mono: Monomial):
     return (gens.degree_of(mono), tuple(-e for e in mono))
 
 
-def is_squarefree(mono: Monomial) -> bool:
-    return all(e <= 1 for e in mono)
-
-
 _MONOMIAL_CACHE: dict[tuple[GeneratorSet, int], list[Monomial]] = {}
 
 

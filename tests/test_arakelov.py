@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from tautcalc.scalars import (LOG2, Scalar, ZERO, harmonic_symbol,
-                              zeta_prime_symbol)
+from tautcalc.scalars import (LOG2, Scalar, ZERO, harmonic, harmonic_symbol,
+                              zeta_negative_odd, zeta_prime_symbol)
 from tautcalc.graded import GradedPoly
+from tautcalc.charclasses import ClassVector, ch_from_c, pontrjagin_from_c
+from tautcalc.quotient import ReductionError
 from tautcalc.arakelov import (AbelianTautRing, ArithClass,
                                LagrangianArithRing, c1_critical_power,
                                ch_even_check, harmonic_substitution,
@@ -89,6 +91,69 @@ def test_d7_critical_power_two_routes():
     ring = result.reduced.ring
     assert ring.aq.normal_form(
         result.phi_raw.truncate(ring.cap - ring.gamma_degree)) == result.phi
+
+
+def abelian_coefficient(k):
+    """(-1)^k (2 Z(2k-1)/zeta(1-2k) + H(2k-1) - 2 log2/(1-4^-k))."""
+    bracket = (zeta_prime_symbol(k) * (Fraction(2) / zeta_negative_odd(k))
+               + harmonic(2 * k - 1) - LOG2 * 2 / (1 - Fraction(1, 4**k)))
+    return bracket * (-1) ** k
+
+
+def lagrangian_coefficient(mode):
+    def coefficient(k):
+        h = harmonic(2 * k - 1) if mode == "exact" else harmonic_symbol(k)
+        return Scalar.coerce(h) * (-1) ** (k + 1)
+    return coefficient
+
+
+def assert_relations_from_odd_sums(ring, coefficient):
+    """ring.odd_sums[k] is the form normal form of the free-ring power sum
+    s_{2k-1}(u), and p_k(C) rewrites to a(coefficient(k) * odd_sums[k])."""
+    top_k = min(len(ring.agens), ring.cap // 2)
+    assert sorted(ring.odd_sums) == list(range(1, top_k + 1))
+    free = ch_from_c(ClassVector.standard(ring.agens, list(ring.agens.names)),
+                     2 * top_k - 1)
+    pontrjagin = pontrjagin_from_c(
+        ClassVector.standard(ring.zgens, list(ring.zgens.names)), top_k)
+    for k in range(1, top_k + 1):
+        assert ring.odd_sums[k] == ring.aq.normal_form(
+            free[2 * k - 2].truncate(ring.cap - 1)), (ring.d, k)
+        rel = ring.relations[k - 1]
+        assert rel.zpoly == pontrjagin[k - 1]
+        assert rel.apart == ring.odd_sums[k] * coefficient(k), (ring.d, k)
+        assert rel.gpart.is_zero()
+        assert ring.rho[k] == rel.apart
+    gamma = ring.relations[top_k:]
+    if ring.gamma_degree is None:
+        assert gamma == []
+    else:
+        (rel,) = gamma
+        assert rel.zpoly == gen(ring, f"C{ring.d}", "z")
+        assert rel.apart.is_zero()
+        assert rel.gpart == GradedPoly.constant(ring.agens, 1)
+
+
+def test_relations_from_odd_power_sums():
+    for d in range(2, 8):
+        assert_relations_from_odd_sums(AbelianTautRing(d), abelian_coefficient)
+        for mode in ("exact", "formal"):
+            assert_relations_from_odd_sums(LagrangianArithRing(d, mode),
+                                           lagrangian_coefficient(mode))
+
+
+def test_critical_power_two_routes_d8_d9():
+    for d in (8, 9):
+        cap = d * (d - 1) // 2 + 1
+        abelian = AbelianTautRing(d, cap)
+        lagrangian = LagrangianArithRing(d, "formal", cap)
+        assert_relations_from_odd_sums(abelian, abelian_coefficient)
+        assert_relations_from_odd_sums(lagrangian, lagrangian_coefficient("formal"))
+        result = c1_critical_power(d, abelian)
+        height = height_polynomial(d, lagrangian)
+        assert result.r == height.substituted, d
+        assert result.socle_coordinate == lagrangian_degree(d)
+        assert height.socle_coordinate == lagrangian_degree(d)
 
 
 def test_d4_intermediate_witness_combination():
@@ -288,6 +353,12 @@ def test_proportionality_map_d5_obstruction_reported():
                if condition_pairing({label: Fraction(1)}, ring6) == 0]
     assert trivial
     assert all(cert6.y[label] == 0 for label in trivial)
+
+
+def test_proportionality_map_needs_working_degree():
+    # The d = 5 conditions reach form degree 7, above this ring's 6.
+    with pytest.raises(ReductionError, match="exceeds working degree"):
+        proportionality_map_check(5, AbelianTautRing(5, cap=7))
 
 
 def test_map_solver_rejects_symbolic_matrix(monkeypatch):
