@@ -31,6 +31,16 @@ from .quotient import QuotientRing, ReductionError, RingPresentation, _axpy
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 
 
+# Rings with d above this need an explicit working degree.
+MAX_DEFAULT_D = 7
+
+
+def arithmetic_dimension(d: int) -> int:
+    """d(d-1)/2 + 1, the default working degree: every arithmetic class
+    vanishes above it, and C1 to this power is the critical power."""
+    return d * (d - 1) // 2 + 1
+
+
 # ---------------------------------------------------------------------------
 # Classical tautological ring
 # ---------------------------------------------------------------------------
@@ -54,7 +64,7 @@ def tautological_presentation(d: int, top_degree: int | None = None) -> RingPres
         raise ValueError("d must be positive")
     gens = GeneratorSet([(f"u{j}", j) for j in range(1, d + 1)])
     if top_degree is None:
-        top_degree = d * (d - 1) // 2 + 1
+        top_degree = arithmetic_dimension(d)
     relations = [GradedPoly.generator(gens, f"u{d}")]
     rel = dual_square_relation(gens)
     if not rel.is_zero():
@@ -154,16 +164,6 @@ class ArithClass:
             return NotImplemented
         return (self.ring is other.ring and self.z == other.z
                 and self.a == other.a and self.g == other.g)
-
-    def component(self, k: int) -> "ArithClass":
-        """Ring-degree-k part: polynomial degree k, form degree k-1, and the
-        gamma coefficient in form degree k - gamma_degree."""
-        g = (self.g.graded_component(k - self.ring.gamma_degree)
-             if self.ring.gamma_degree and k >= self.ring.gamma_degree
-             else GradedPoly.zero(self.ring.agens))
-        return ArithClass(self.ring, self.z.graded_component(k),
-                          self.a.graded_component(k - 1) if k >= 1
-                          else GradedPoly.zero(self.ring.agens), g)
 
     def drop_gamma(self) -> "ArithClass":
         return ArithClass(self.ring, self.z, self.a,
@@ -409,10 +409,11 @@ class AbelianTautRing(ArithRing):
     def __init__(self, d: int, cap: int | None = None):
         if d < 1:
             raise ValueError("d must be positive")
-        if d > 7 and cap is None:
-            raise ValueError("d > 7 needs an explicit working-degree override")
+        if d > MAX_DEFAULT_D and cap is None:
+            raise ValueError(f"d > {MAX_DEFAULT_D} needs an explicit "
+                             "working-degree override")
         if cap is None:
-            cap = d * (d - 1) // 2 + 1
+            cap = arithmetic_dimension(d)
         self._setup(d, d, cap, gamma_degree=d,
                     coefficient=lambda k: _bracket(k) * Fraction((-1) ** k))
 
@@ -432,9 +433,8 @@ class LagrangianArithRing(ArithRing):
             raise ValueError("d must be at least 2")
         if harmonic_mode not in ("exact", "formal"):
             raise ValueError("harmonic_mode must be 'exact' or 'formal'")
-        self.harmonic_mode = harmonic_mode
         if cap is None:
-            cap = d * (d - 1) // 2 + 1
+            cap = arithmetic_dimension(d)
 
         def coefficient(k: int) -> Scalar | Fraction:
             h = (harmonic(2 * k - 1) if harmonic_mode == "exact"
@@ -496,8 +496,8 @@ def c1_critical_power(d: int, ring: AbelianTautRing | None = None) -> CriticalPo
     expected_phi_degree = (d - 1) * (d - 2) // 2
     if not phi.is_zero() and phi.max_degree() != expected_phi_degree:
         raise ReductionError("gamma coefficient has the wrong form degree")
-    return CriticalPowerResult(d, d * (d - 1) // 2 + 1, reduced, r, phi, raw_g,
-                               socle, lam)
+    return CriticalPowerResult(d, arithmetic_dimension(d), reduced, r, phi,
+                               raw_g, socle, lam)
 
 
 def harmonic_substitution(d: int) -> dict[str, Scalar]:
@@ -672,17 +672,18 @@ class _MapSolver:
         self.ring = ring
         self.d = ring.d
         aq = ring.aq
-        self.var_index: dict[tuple[int, Monomial], int] = {}
-        for k in range(1, self.d, 2):
-            for mono in aq.monomial_basis(k - 1):
-                self.var_index[(k, mono)] = len(self.var_index)
-        self.e0_index = len(self.var_index)
-        # One row per (condition, form monomial).  monomial_basis raises
-        # ReductionError if the working degree is too small for the
+        # The unknowns in order: the coefficient (k, mono) of B_k for each
+        # odd k < d and basis monomial of R^(k-1), then "e0".
+        self.unknowns: list[tuple[int, Monomial] | str] = [
+            (k, mono) for k in range(1, self.d, 2)
+            for mono in aq.monomial_basis(k - 1)]
+        self.unknowns.append("e0")
+        # One row per (condition degree, form monomial).  monomial_basis
+        # raises ReductionError if the working degree is too small for the
         # conditions, before _harmonic_rhs reads past ring.odd_sums.
         self.condition_degrees = range(self.d + (self.d % 2), 2 * (self.d - 1) + 1, 2)
-        self.rowmap = [(i, mono) for i, degree in enumerate(self.condition_degrees)
-                       for mono in aq.monomial_basis(degree - 1)]
+        self.rows = [(degree, mono) for degree in self.condition_degrees
+                     for mono in aq.monomial_basis(degree - 1)]
 
     def _harmonic_rhs(self, degree: int, e0: Scalar) -> ArithClass:
         # Image of the degree-2k component of 1 - a(sum H s): the dual flips
@@ -718,11 +719,46 @@ class _MapSolver:
             conditions.append((degree, ring.reduce(acc).drop_gamma()))
         return X, conditions
 
+    def linearize(self):
+        """Evaluate _build at zero, then with each unknown in turn set to 1.
+        Returns the images and conditions {degree: class} at zero and, per
+        row, the change {unknown index: rational} of its coefficient along
+        each unknown.  Raises ReductionError unless _build consumes exactly
+        the map's unknowns, and ValueError on a change that is not rational."""
+        def evaluate(unknown):
+            asked = []
+
+            def assign(k, m):
+                asked.append((k, m))
+                return Fraction(1) if (k, m) == unknown else ZERO
+
+            images, conditions = self._build(
+                assign, Scalar.coerce(1) if unknown == "e0" else ZERO)
+            if asked != self.unknowns[:-1]:
+                raise ReductionError("the map's conditions do not consume "
+                                     "exactly its unknowns")
+            return images, dict(conditions)
+
+        images, conditions = evaluate(None)
+        matrix = {row: {} for row in self.rows}
+        for j, unknown in enumerate(self.unknowns):
+            probe = evaluate(unknown)[1]
+            for ri, (degree, mono) in enumerate(self.rows):
+                delta = (probe[degree].a.coefficient(mono)
+                         - conditions[degree].a.coefficient(mono))
+                if delta:
+                    if not delta.is_rational():
+                        raise ValueError(
+                            f"proportionality map: coefficient of unknown {j} "
+                            f"in row {ri} is not rational ({delta.render()})")
+                    matrix[(degree, mono)][j] = delta.rational_part()
+        return images, conditions, matrix
+
     def solve(self):
         """Returns ((images, e0), "", None) or (None, diagnosis, certificate);
         the certificate is set only when the linear system is inconsistent."""
-        base_x, base_c = self._build(lambda k, m: ZERO, ZERO)
-        for degree, cond in base_c:
+        base_x, base_c, matrix = self.linearize()
+        for degree, cond in base_c.items():
             if not cond.z.is_zero():
                 return None, (f"polynomial part of the degree-{degree} "
                               "condition does not vanish"), None
@@ -732,36 +768,16 @@ class _MapSolver:
                 return None, (f"forced image of C{k} has a mixed polynomial "
                               "part"), None
 
-        def column(j: int):
-            if j == self.e0_index:
-                probe_c = self._build(lambda k, m: ZERO, Scalar.coerce(1))[1]
-            else:
-                key = next(kk for kk, jj in self.var_index.items() if jj == j)
-                probe_c = self._build(
-                    lambda k, m: Fraction(1) if (k, m) == key else ZERO, ZERO)[1]
-            col = {}
-            for ri, (ci, mono) in enumerate(self.rowmap):
-                delta = (probe_c[ci][1].a.coefficient(mono)
-                         - base_c[ci][1].a.coefficient(mono))
-                if delta:
-                    if not delta.is_rational():
-                        raise ValueError(
-                            f"proportionality map: coefficient of unknown {j} "
-                            f"in row {ri} is not rational ({delta.render()})")
-                    col[ri] = delta.rational_part()
-            return col
-
-        n_vars = self.e0_index + 1
-        cols = {j: column(j) for j in range(n_vars)}
-        pinned_rows = []
+        # The system is M x = b with b = -c(0).  Pinning e0 = 1 moves its
+        # column, the last, to the right-hand side.
+        n_vars = len(self.unknowns)
         free_rows = []
-        for ri, (ci, mono) in enumerate(self.rowmap):
-            entries = {j: cols[j][ri] for j in range(n_vars) if ri in cols[j]}
-            rhs = -base_c[ci][1].a.coefficient(mono)
+        pinned_rows = []
+        for (degree, mono), entries in matrix.items():
+            rhs = -base_c[degree].a.coefficient(mono)
             free_rows.append((entries, rhs))
-            entries_pinned = {j: v for j, v in entries.items() if j != self.e0_index}
-            rhs_pinned = rhs - entries.get(self.e0_index, Fraction(0))
-            pinned_rows.append((entries_pinned, rhs_pinned))
+            pinned = dict(entries)
+            pinned_rows.append((pinned, rhs - pinned.pop(n_vars - 1, 0)))
 
         solution, _ = _solve_rational_system(pinned_rows, n_vars)
         if solution is not None:
@@ -771,17 +787,16 @@ class _MapSolver:
             # pinned system would rule out only e0 = 1.
             solution, y = _solve_rational_system(free_rows, n_vars)
             if solution is None:
-                labels = [(base_c[ci][0], mono) for ci, mono in self.rowmap]
                 value = sum((rhs * w for (_, rhs), w in zip(free_rows, y)), ZERO)
                 return None, ("no correction forms make every relation "
                               "component vanish: the linear system is "
                               "inconsistent over the exact scalars"), \
-                    MapCertificate(self.d, dict(zip(labels, y)), value)
-            e0 = solution[self.e0_index]
+                    MapCertificate(self.d, dict(zip(self.rows, y)), value)
+            e0 = solution[-1]
             if not e0:
                 return None, "only the degenerate map with e0 = 0 survives", None
-        images, conditions = self._build(
-            lambda k, m: solution[self.var_index[(k, m)]], e0)
+        values = dict(zip(self.unknowns, solution))
+        images, conditions = self._build(lambda k, m: values[(k, m)], e0)
         for degree, cond in conditions:
             if not cond.is_zero():
                 return None, f"residual condition at degree {degree}", None
@@ -794,35 +809,24 @@ def condition_pairing(y: Mapping[tuple[int, Monomial], Fraction],
     (condition degree, form monomial), if it does not depend on the map's
     unknowns; else None.  Uses no elimination.
 
-    The conditions c are affine in the unknowns, so their values at zero and
-    at each unit vector determine them; yᵀc is constant (yᵀM = 0) when it
-    takes the same value at all of these points.  The unknowns the
+    The conditions are affine in the unknowns, c(x) = c(0) + M x, so yᵀc is
+    constant exactly when yᵀM = 0, and is then yᵀc(0).  The unknowns the
     conditions consume must be exactly the map's shape: a basis of R^(k-1)
     for each odd k < d, plus the constant-form scale e0.
     """
-    shape = [(k, m) for k in range(1, ring.d, 2)
-             for m in ring.aq.monomial_basis(k - 1)]
     solver = _MapSolver(ring)
-    points = ([(None, ZERO)] + [(key, ZERO) for key in shape]
-              + [(None, Scalar.coerce(1))])
-    values = []
-    for unit, e0 in points:
-        asked = []
-
-        def assign(k, m):
-            asked.append((k, m))
-            return Fraction(1) if (k, m) == unit else ZERO
-
-        conditions = dict(solver._build(assign, e0)[1])
-        if asked != shape:
+    try:
+        _, conditions, matrix = solver.linearize()
+    except ReductionError:
+        return None
+    y_m: dict[int, Fraction] = {}
+    value = ZERO
+    for (degree, mono), weight in y.items():
+        if degree not in conditions:
             return None
-        total = ZERO
-        for (degree, mono), weight in y.items():
-            if degree not in conditions:
-                return None
-            total = total + conditions[degree].a.coefficient(mono) * weight
-        values.append(total)
-    return values[0] if all(v == values[0] for v in values) else None
+        _axpy(y_m, weight, matrix.get((degree, mono), {}))
+        value = value + conditions[degree].a.coefficient(mono) * weight
+    return None if y_m else value
 
 
 def verify_map_certificate(cert: MapCertificate,

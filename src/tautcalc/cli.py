@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 
 from .scalars import Scalar
 from .graded import GradedPoly
-from .arakelov import (AbelianTautRing, ArithClass, LagrangianArithRing,
+from .arakelov import (MAX_DEFAULT_D, AbelianTautRing, ArithClass,
+                       LagrangianArithRing, arithmetic_dimension,
                        c1_critical_power, harmonic_substitution,
                        height_polynomial, lagrangian_degree,
                        proportionality_map_check, tautological_ring)
 from .verify import run_checks
-
-MAX_DEFAULT_D = 7
 
 
 def minimum_working_degree(command: str, d: int, k: int = 0) -> int | None:
@@ -33,7 +32,7 @@ def minimum_working_degree(command: str, d: int, k: int = 0) -> int | None:
     pontrjagin needs p_k (degree 2k) in range only up to it, and c1-power
     and height-poly need the critical power C1^(1 + d(d-1)/2) in range.
     """
-    dimension = d * (d - 1) // 2 + 1
+    dimension = arithmetic_dimension(d)
     if command == "pontrjagin":
         return max(d, min(2 * k, dimension))
     if command in ("c1-power", "height-poly"):
@@ -260,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, required=True)
         if working_degree:
             p.add_argument("--max-degree", type=int, default=None,
-                           help="working-degree override (required for d > 7)")
+                           help="working-degree override (required for "
+                                f"d > {MAX_DEFAULT_D})")
         if need_k:
             p.add_argument("--k", type=int, required=True)
 

@@ -7,6 +7,7 @@ tuples ordered graded-lexicographically in the declared generator order.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
 from typing import Callable, Iterable, Mapping
 
 from .scalars import Scalar, ZERO, FormalSeries
@@ -222,20 +223,7 @@ class GradedPoly:
             out.gens = self.gens
             out._terms = {m: c * s for m, c in self._terms.items()}
             return out
-        self._check(other)
-        terms: dict[Monomial, Scalar] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = _mul_mono(m1, m2)
-                new = terms.get(m, ZERO) + c1 * c2
-                if new:
-                    terms[m] = new
-                else:
-                    terms.pop(m, None)
-        out = GradedPoly.__new__(GradedPoly)
-        out.gens = self.gens
-        out._terms = terms
-        return out
+        return self.mul_truncated(other, None)
 
     __rmul__ = __mul__
 
@@ -251,14 +239,19 @@ class GradedPoly:
             n >>= 1
         return result
 
-    def mul_truncated(self, other: "GradedPoly", max_degree: int) -> "GradedPoly":
-        """Product with monomials above max_degree dropped during expansion."""
+    def mul_truncated(self, other: "GradedPoly",
+                      max_degree: int | None) -> "GradedPoly":
+        """Product with monomials above max_degree dropped during expansion;
+        None drops none."""
         self._check(other)
+        degree_of = self.gens.degree_of
+        cap = inf if max_degree is None else max_degree
+        right = [(m2, c2, degree_of(m2)) for m2, c2 in other._terms.items()]
         terms: dict[Monomial, Scalar] = {}
         for m1, c1 in self._terms.items():
-            d1 = self.gens.degree_of(m1)
-            for m2, c2 in other._terms.items():
-                if d1 + self.gens.degree_of(m2) > max_degree:
+            room = cap - degree_of(m1)
+            for m2, c2, d2 in right:
+                if d2 > room:
                     continue
                 m = _mul_mono(m1, m2)
                 new = terms.get(m, ZERO) + c1 * c2
@@ -266,7 +259,10 @@ class GradedPoly:
                     terms[m] = new
                 else:
                     terms.pop(m, None)
-        return GradedPoly(self.gens, terms)
+        out = GradedPoly.__new__(GradedPoly)
+        out.gens = self.gens
+        out._terms = terms
+        return out
 
     def rename(self, target: GeneratorSet,
                mapping: Mapping[str, str] | None = None) -> "GradedPoly":

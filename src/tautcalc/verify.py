@@ -87,9 +87,9 @@ def check_witness_form() -> CheckResult:
                        else "d=4 witness mismatch")
 
 
-def check_dimensions(max_d: int = 7) -> CheckResult:
+def check_dimensions() -> CheckResult:
     failures = []
-    for d in range(2, max_d + 1):
+    for d in range(2, 8):
         ring = tautological_ring(d)
         rep = ring.dimension_report()
         top = d * (d - 1) // 2
@@ -105,24 +105,24 @@ def check_dimensions(max_d: int = 7) -> CheckResult:
         if deg != lagrangian_degree(d):
             failures.append(f"d={d} degree {deg}")
     return CheckResult("dimensions", "published", not failures,
-                       ", ".join(failures) or f"d=2..{max_d}: dim 2^(d-1), "
+                       ", ".join(failures) or "d=2..7: dim 2^(d-1), "
                        "socle d(d-1)/2, u1^top matches the degree formula")
 
 
-def check_two_route(max_d: int = 5) -> CheckResult:
+def check_two_route() -> CheckResult:
     failures = []
-    for d in range(2, max_d + 1):
+    for d in range(2, 6):
         hp = height_polynomial(d)
         rd = c1_critical_power(d)
         if hp.substituted != rd.r:
             failures.append(f"d={d}")
     return CheckResult("two-route", "derived", not failures,
-                       ", ".join(failures) or f"d=2..{max_d} agree exactly")
+                       ", ".join(failures) or "d=2..5 agree exactly")
 
 
-def check_hmap(max_d: int = 5) -> CheckResult:
+def check_hmap() -> CheckResult:
     failures = []
-    for d in range(2, max_d + 1):
+    for d in range(2, 6):
         ring = AbelianTautRing(d)
         rep = proportionality_map_check(d, ring)
         if rep.certificate is not None:
@@ -132,42 +132,24 @@ def check_hmap(max_d: int = 5) -> CheckResult:
         elif not rep.ok:
             failures.append(f"d={d} ({rep.diagnosis or 'nonzero residues'})")
     return CheckResult("hmap", "derived", not failures,
-                       "; ".join(failures) or f"d=2..{max_d}: all residues zero")
+                       "; ".join(failures) or "d=2..5: all residues zero")
 
 
-def check_ch_even(max_d: int = 6) -> CheckResult:
+def check_ch_even() -> CheckResult:
     failures = []
-    for d in range(1, max_d + 1):
+    for d in range(1, 7):
         rep = ch_even_check(d)
         if not rep.ok:
             failures.append(f"d={d}")
     return CheckResult("ch-even", "derived", not failures,
-                       ", ".join(failures) or f"d<={max_d}: both routes agree "
+                       ", ".join(failures) or "d<=6: both routes agree "
                        "in every even degree")
 
 
-def _random_poly(rng: random.Random, gens: GeneratorSet, max_degree: int,
-                 terms: int) -> GradedPoly:
-    out = GradedPoly.zero(gens)
-    for _ in range(terms):
-        mono = [0] * len(gens)
-        budget = rng.randrange(max_degree + 1)
-        while budget > 0:
-            i = rng.randrange(len(gens))
-            if gens.degrees[i] <= budget:
-                mono[i] += 1
-                budget -= gens.degrees[i]
-            else:
-                break
-        coeff = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
-        out = out + GradedPoly.monomial(gens, tuple(mono), coeff)
-    return out
-
-
-def check_newton(cases: int = 120, seed: int = 20260808) -> CheckResult:
-    rng = random.Random(seed)
+def check_newton() -> CheckResult:
+    rng = random.Random(20260808)
     failures = 0
-    for case in range(cases):
+    for _ in range(120):
         rank = rng.randrange(2, 7)
         gens = GeneratorSet([(f"c{j}", j) for j in range(1, rank + 1)])
         classes = []
@@ -180,7 +162,7 @@ def check_newton(cases: int = 120, seed: int = 20260808) -> CheckResult:
         if any(back.chern(j) != vector.chern(j) for j in range(1, rank + 1)):
             failures += 1
     return CheckResult("newton", "derived", failures == 0,
-                       f"{cases} round-trips, {failures} failures")
+                       f"120 round-trips, {failures} failures")
 
 
 def check_cauchy() -> CheckResult:
@@ -203,9 +185,9 @@ def check_cauchy() -> CheckResult:
                        "route matches through degree 12")
 
 
-def check_witness_independence(max_d: int = 5) -> CheckResult:
+def check_witness_independence() -> CheckResult:
     failures = []
-    for d in range(2, max_d + 1):
+    for d in range(2, 6):
         ring = AbelianTautRing(d)
         top = d * (d - 1) // 2
         power = GradedPoly.monomial(ring.zgens, ring.zgens.single("C1", top + 1))
@@ -219,7 +201,7 @@ def check_witness_independence(max_d: int = 5) -> CheckResult:
         if d >= 4 and len(variants) < 3:
             failures.append(f"d={d} underdetermined system expected")
     return CheckResult("witness-independence", "derived", not failures,
-                       ", ".join(failures) or f"d=2..{max_d}: all solutions "
+                       ", ".join(failures) or "d=2..5: all solutions "
                        "reduce identically")
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from tautcalc.scalars import (LOG2, Scalar, ZERO, harmonic, harmonic_symbol,
                               zeta_negative_odd, zeta_prime_symbol)
-from tautcalc.graded import GradedPoly
+from tautcalc.graded import GradedPoly, monomials_of_degree
 from tautcalc.charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 from tautcalc.quotient import ReductionError
 from tautcalc.arakelov import (AbelianTautRing, ArithClass,
@@ -200,6 +200,31 @@ def test_pontrjagin_products_vanish():
             assert prod.is_zero(), (i, j)
 
 
+def test_truncated_ring_reduces_like_full_ring():
+    # Below the default working degree a ring keeps only the relations that
+    # fit; every lifted monomial up to the cap must still reduce to the
+    # full ring's reduction truncated to the cap.
+    checked = 0
+    for d in range(2, 6):
+        for make in (lambda cap: AbelianTautRing(d, cap),
+                     lambda cap: LagrangianArithRing(d, "formal", cap)):
+            full = make(None)
+            for cap in range(d, full.cap):
+                ring = make(cap)
+                for degree in range(cap + 1):
+                    for mono in monomials_of_degree(ring.zgens, degree):
+                        x = ring.reduce(ring.from_z(
+                            GradedPoly.monomial(ring.zgens, mono)))
+                        y = full.reduce(full.from_z(
+                            GradedPoly.monomial(full.zgens, mono)))
+                        assert x.z == y.z.truncate(cap), (d, cap, mono)
+                        assert x.a == y.a.truncate(cap - 1), (d, cap, mono)
+                        g_cap = cap - (ring.gamma_degree or 0)
+                        assert x.g == y.g.truncate(g_cap), (d, cap, mono)
+                        checked += 1
+    assert checked == 767
+
+
 def test_reduce_idempotent_and_homomorphic():
     ring = AbelianTautRing(3)
     rng = random.Random(17)
@@ -370,6 +395,20 @@ def test_map_solver_rejects_symbolic_matrix(monkeypatch):
                         harmonic_rhs(self, degree, e0 * LOG2))
     with pytest.raises(ValueError, match="not rational"):
         proportionality_map_check(3)
+
+
+def test_certificate_rejected_when_build_skips_an_unknown(monkeypatch):
+    # A certificate proves nothing about the map unless the conditions it
+    # pairs with consume every unknown of the map's shape.
+    ring = AbelianTautRing(5)
+    cert = proportionality_map_check(5, ring).certificate
+    assert verify_map_certificate(cert, ring)
+    skipped = (1, ring.aq.monomial_basis(0)[0])
+    build = _MapSolver._build
+    monkeypatch.setattr(_MapSolver, "_build", lambda self, assign, e0: build(
+        self, lambda k, m: ZERO if (k, m) == skipped else assign(k, m), e0))
+    assert condition_pairing(cert.y, ring) is None
+    assert not verify_map_certificate(cert, ring)
 
 
 def test_rational_system_certificate():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +112,17 @@ def test_hmap_check_reports_certificate(capsys):
     assert main(["verify", "--only", "hmap"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] hmap (derived): d=5 (inconsistent, certificate verified)" in out
+
+
+def test_hmap_check_reports_match_recorded(capsys):
+    # The recorded text reports pin the generator images, the constant form
+    # scale and the certificate weights of hmap-check --d 2..6.
+    recorded = Path(__file__).parent / "data" / "hmap_check_d2_d6.txt"
+    out = []
+    for d in range(2, 7):
+        assert main(["hmap-check", "--d", str(d)]) == (0 if d <= 4 else 1)
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == recorded.read_text()
 
 
 def test_verify_subset(capsys):
