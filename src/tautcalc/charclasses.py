@@ -6,7 +6,7 @@ of an even series."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .scalars import FormalSeries, Scalar
 from .graded import GeneratorSet, GradedPoly, apply_series_as_polynomial
@@ -52,9 +52,13 @@ class ClassVector:
                             for j, c in enumerate(self.classes, start=1)])
 
 
-def ch_from_c(classes: ClassVector, up_to: int) -> list[GradedPoly]:
+def ch_from_c(classes: ClassVector, up_to: int,
+              reduce: Callable[[GradedPoly], GradedPoly] | None = None) -> list[GradedPoly]:
     """Power sums s_k = k! ch^[k] for k = 1..up_to, by Newton's identities:
-    s_k = sum_{i<k} (-1)^(i-1) c_i s_{k-i} + (-1)^(k-1) k c_k."""
+    s_k = sum_{i<k} (-1)^(i-1) c_i s_{k-i} + (-1)^(k-1) k c_k.
+
+    With ``reduce`` (a normal form of a quotient ring) each s_k is reduced
+    as soon as it is built, so the recursion runs on normal forms."""
     sums: list[GradedPoly] = []
     for k in range(1, up_to + 1):
         acc = classes.chern(k) * Fraction((-1) ** (k - 1) * k)
@@ -62,7 +66,7 @@ def ch_from_c(classes: ClassVector, up_to: int) -> list[GradedPoly]:
             ci = classes.chern(i)
             if not ci.is_zero():
                 acc = acc + ci * sums[k - i - 1] * Fraction((-1) ** (i - 1))
-        sums.append(acc)
+        sums.append(reduce(acc) if reduce else acc)
     return sums
 
 

@@ -8,11 +8,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import inf
+from operator import add, mul
 from typing import Callable, Iterable, Mapping
 
-from .scalars import Scalar, ZERO, FormalSeries
+from .scalars import (ConstMonomial, Scalar, ZERO, FormalSeries,
+                      _merge_monomials)
 
 Monomial = tuple[int, ...]
+
+# A polynomial split by constant monomial: {constant monomial: {monomial:
+# rational}}.  Q-linear work runs on these rational slices.
+Slices = dict[ConstMonomial, dict[Monomial, "int | Fraction"]]
 
 
 class GeneratorSet:
@@ -49,7 +55,7 @@ class GeneratorSet:
         return self._index[name]
 
     def degree_of(self, mono: Monomial) -> int:
-        return sum(e * d for e, d in zip(mono, self.degrees))
+        return sum(map(mul, mono, self.degrees))
 
     def unit(self) -> Monomial:
         return (0,) * len(self.names)
@@ -97,8 +103,9 @@ def monomials_of_degree(gens: GeneratorSet, degree: int) -> list[Monomial]:
     return list(out)
 
 
-def _mul_mono(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(m1, m2))
+def _exact(q: Fraction) -> int | Fraction:
+    """Integral values as int: rational loops then run mostly on integers."""
+    return q.numerator if q.denominator == 1 else q
 
 
 class GradedPoly:
@@ -216,13 +223,7 @@ class GradedPoly:
 
     def __mul__(self, other) -> "GradedPoly":
         if isinstance(other, (int, Fraction, Scalar)):
-            s = Scalar.coerce(other)
-            if not s:
-                return GradedPoly(self.gens)
-            out = GradedPoly.__new__(GradedPoly)
-            out.gens = self.gens
-            out._terms = {m: c * s for m, c in self._terms.items()}
-            return out
+            other = GradedPoly.constant(self.gens, other)
         return self.mul_truncated(other, None)
 
     __rmul__ = __mul__
@@ -244,25 +245,7 @@ class GradedPoly:
         """Product with monomials above max_degree dropped during expansion;
         None drops none."""
         self._check(other)
-        degree_of = self.gens.degree_of
-        cap = inf if max_degree is None else max_degree
-        right = [(m2, c2, degree_of(m2)) for m2, c2 in other._terms.items()]
-        terms: dict[Monomial, Scalar] = {}
-        for m1, c1 in self._terms.items():
-            room = cap - degree_of(m1)
-            for m2, c2, d2 in right:
-                if d2 > room:
-                    continue
-                m = _mul_mono(m1, m2)
-                new = terms.get(m, ZERO) + c1 * c2
-                if new:
-                    terms[m] = new
-                else:
-                    terms.pop(m, None)
-        out = GradedPoly.__new__(GradedPoly)
-        out.gens = self.gens
-        out._terms = terms
-        return out
+        return _from_slices(self.gens, _mul_into({}, self, other, max_degree))
 
     def rename(self, target: GeneratorSet,
                mapping: Mapping[str, str] | None = None) -> "GradedPoly":
@@ -361,6 +344,55 @@ class GradedPoly:
                 mono[gens.index(name)] = int(e)
             terms[tuple(mono)] = Scalar.from_json(entry["coeff"])
         return cls(gens, terms)
+
+
+def _mul_into(out: Slices, p: GradedPoly, q: GradedPoly,
+              max_degree: int | None) -> Slices:
+    """out += p * q with monomials above max_degree dropped (None drops
+    none): one rational product per pair of slices, the constant monomials
+    merged once per pair."""
+    degree_of = p.gens.degree_of
+    cap = inf if max_degree is None else max_degree
+    right = [(k2, [(m2, c2, degree_of(m2)) for m2, c2 in terms.items()])
+             for k2, terms in _to_slices(q).items()]
+    for k1, left_terms in _to_slices(p).items():
+        left = [(m1, c1, cap - degree_of(m1)) for m1, c1 in left_terms.items()]
+        for k2, right_terms in right:
+            terms = out.setdefault(_merge_monomials(k1, k2), {})
+            for m1, c1, room in left:
+                for m2, c2, d2 in right_terms:
+                    if d2 > room:
+                        continue
+                    m = tuple(map(add, m1, m2))
+                    new = terms.get(m, 0) + c1 * c2
+                    if new:
+                        terms[m] = new
+                    else:
+                        del terms[m]
+    return out
+
+
+def _to_slices(poly: GradedPoly) -> Slices:
+    out: Slices = {}
+    for m, c in poly._terms.items():
+        for k, q in c._terms.items():
+            out.setdefault(k, {})[m] = _exact(q)
+    return out
+
+
+def _from_slices(gens: GeneratorSet, slices: Slices) -> GradedPoly:
+    """The polynomial sum_k k * slices[k]; the slices hold no zeros."""
+    grouped: dict[Monomial, dict[ConstMonomial, Fraction]] = {}
+    for k, terms in slices.items():
+        for m, q in terms.items():
+            grouped.setdefault(m, {})[k] = q if type(q) is Fraction else Fraction(q)
+    out = GradedPoly.__new__(GradedPoly)
+    out.gens = gens
+    out._terms = terms = {}
+    for m, coeffs in grouped.items():
+        terms[m] = c = Scalar.__new__(Scalar)
+        c._terms = coeffs
+    return out
 
 
 def apply_series_as_polynomial(series: FormalSeries,

@@ -17,8 +17,8 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable, Iterator, Sequence
 
-from .scalars import Scalar, ZERO
-from .graded import GeneratorSet, GradedPoly, Monomial, monomials_of_degree
+from .graded import (GeneratorSet, GradedPoly, Monomial, Slices, _exact,
+                     _from_slices, monomials_of_degree)
 
 
 class ReductionError(ValueError):
@@ -112,17 +112,13 @@ def _order_key(mono: Monomial) -> Monomial:
     return mono[::-1]
 
 
-def _exact(q: Fraction) -> int | Fraction:
-    """Integral values as int: the division then runs mostly on integers."""
-    return q.numerator if q.denominator == 1 else q
-
-
 class QuotientRing:
     """Graded quotient reduced by division by its relation components.
 
     A monomial m = t * lead(s) is rewritten to t * (lead(s) - s) / lc(s) by
     the first component s whose lead divides it.  The normal form and
-    cofactors of each monomial are computed on first use and kept.
+    cofactors of each monomial are computed on first use and kept;
+    ``division_steps`` counts the rewrites.
     """
 
     def __init__(self, presentation: RingPresentation, track_witnesses: bool = True):
@@ -156,6 +152,7 @@ class QuotientRing:
                         "are not coprime")
         self._basis: dict[int, list[Monomial]] = {}
         self._reduced: dict[Monomial, tuple[dict, dict | None]] = {}
+        self.division_steps = 0
 
     def slot_poly(self, relation_index: int, component_degree: int) -> GradedPoly:
         return self.slots[self._slot_lookup[(relation_index, component_degree)]].poly
@@ -201,6 +198,7 @@ class QuotientRing:
             if si is None:
                 _axpy(nf, c, {m: 1})
                 continue
+            self.division_steps += 1
             _, lead, inv_lc, tail = self._rules[si]
             t = tuple(a - b for a, b in zip(m, lead))
             if cof is not None:
@@ -248,20 +246,23 @@ class QuotientRing:
         if poly.gens != self.gens:
             raise ReductionError("polynomial over wrong generator set")
         self._check_degree(poly.max_degree())
-        nf: dict[Monomial, Scalar] = {}
-        cof: dict[int, dict[Monomial, Scalar]] = {}
-        # Smallest monomials first: the larger ones' divisions then reuse them.
+        nf: Slices = {}
+        cof: dict[int, Slices] = {}
+        # One pass, smallest monomials first: the larger ones' divisions then
+        # reuse them, whichever slices their coefficients touch.
         for mono, coeff in sorted(poly.items(), reverse=True,
                                   key=lambda mc: _order_key(mc[0])):
             mono_nf, mono_cof = self._reduce_monomial(mono)
-            _axpy(nf, coeff, mono_nf)
-            if with_cofactors:
-                for si, terms in mono_cof.items():
-                    _axpy(cof.setdefault(si, {}), coeff, terms)
+            for k, q in coeff._terms.items():
+                q = _exact(q)
+                _axpy(nf.setdefault(k, {}), q, mono_nf)
+                if with_cofactors:
+                    for si, terms in mono_cof.items():
+                        _axpy(cof.setdefault(si, {}).setdefault(k, {}), q, terms)
         keys = [(s.relation_index, s.component_degree) for s in self.slots]
-        cofactors = {keys[si]: GradedPoly(self.gens, terms)
-                     for si, terms in sorted(cof.items()) if terms}
-        return GradedPoly(self.gens, nf), cofactors
+        cofactors = {keys[si]: p for si, slices in sorted(cof.items())
+                     if (p := _from_slices(self.gens, slices))}
+        return _from_slices(self.gens, nf), cofactors
 
     # -- witnesses -----------------------------------------------------------
 
@@ -377,11 +378,11 @@ class QuotientRing:
                 "degrees": degrees}
 
 
-def _axpy(target: dict, factor, source: dict[Monomial, int | Fraction]):
-    """target += factor * source, for rational or Scalar values."""
-    zero = ZERO if isinstance(factor, Scalar) else 0
+def _axpy(target: dict, factor: int | Fraction,
+          source: dict[Monomial, int | Fraction]):
+    """target += factor * source, over the rationals."""
     for m, v in source.items():
-        new = target.get(m, zero) + factor * v
+        new = target.get(m, 0) + factor * v
         if new:
             target[m] = new
         else:

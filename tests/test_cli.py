@@ -125,6 +125,20 @@ def test_hmap_check_reports_match_recorded(capsys):
     assert "".join(out) == recorded.read_text()
 
 
+def test_critical_reports_match_recorded(capsys):
+    # The recorded text reports pin r_d, phi and phi (witness basis) of
+    # c1-power and the height polynomial of height-poly, each with and
+    # without --invert2, for d = 2..7.
+    recorded = Path(__file__).parent / "data" / "critical_d2_d7.txt"
+    out = []
+    for d in range(2, 8):
+        for command in ("c1-power", "height-poly"):
+            for flags in ([], ["--invert2"]):
+                assert main([command, "--d", str(d), *flags]) == 0
+                out.append(capsys.readouterr().out)
+    assert "".join(out) == recorded.read_text()
+
+
 def test_verify_subset(capsys):
     assert main(["verify", "--only", "bernoulli-zeta,cauchy"]) == 0
     out = capsys.readouterr().out

@@ -1,0 +1,144 @@
+"""Products and reductions run on rational slices, one per constant monomial
+(rationals, L, Z, h and their products).  The term-by-term Scalar loops they
+replaced are kept here as the reference."""
+
+import random
+from fractions import Fraction
+from math import inf
+
+from tautcalc.scalars import Scalar, ZERO
+from tautcalc.graded import GeneratorSet, GradedPoly, monomials_of_degree
+from tautcalc.quotient import QuotientRing
+from tautcalc.arakelov import AbelianTautRing, LagrangianArithRing
+
+L, Z1, Z3 = Scalar.symbol("L"), Scalar.symbol("Z1"), Scalar.symbol("Z3")
+H1, H3 = Scalar.symbol("h1"), Scalar.symbol("h3")
+ATOMS = [Scalar.coerce(1), L, Z1, Z3, H1, H3, L * Z1, H1 * H3, L * L, Z1 * H3]
+
+
+def reference_mul_truncated(p, q, max_degree):
+    degree_of = p.gens.degree_of
+    cap = inf if max_degree is None else max_degree
+    terms = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            if degree_of(m1) + degree_of(m2) > cap:
+                continue
+            m = tuple(a + b for a, b in zip(m1, m2))
+            terms[m] = terms.get(m, ZERO) + c1 * c2
+    return GradedPoly(p.gens, terms)
+
+
+def reference_scale(p, s):
+    return GradedPoly(p.gens, {m: c * s for m, c in p.items()})
+
+
+def reference_reduce(ring, poly):
+    """Normal form and cofactors {slot key: poly}, accumulated in Scalars
+    from the ring's per-monomial rational divisions."""
+    nf, cof = {}, {}
+    for mono, coeff in poly.items():
+        mono_nf, mono_cof = ring._reduce_monomial(mono)
+        for m, v in mono_nf.items():
+            nf[m] = nf.get(m, ZERO) + coeff * v
+        for si, terms in (mono_cof or {}).items():
+            slot = cof.setdefault(si, {})
+            for m, v in terms.items():
+                slot[m] = slot.get(m, ZERO) + coeff * v
+    keys = [(s.relation_index, s.component_degree) for s in ring.slots]
+    cofactors = {keys[si]: GradedPoly(ring.gens, t) for si, t in sorted(cof.items())}
+    return (GradedPoly(ring.gens, nf),
+            {key: p for key, p in cofactors.items() if p})
+
+
+def random_scalar(rng):
+    """A Fraction combination of one to three constant monomials."""
+    out = ZERO
+    for atom in rng.sample(ATOMS, rng.randrange(1, 4)):
+        out = out + atom * Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+    return out
+
+
+def random_poly(rng, gens, max_degree, n_terms):
+    terms = {}
+    for _ in range(n_terms):
+        mono = rng.choice(monomials_of_degree(gens, rng.randrange(max_degree + 1)))
+        terms[mono] = random_scalar(rng)
+    return GradedPoly(gens, terms)
+
+
+def test_mul_truncated_matches_scalar_loop():
+    rng = random.Random(2026)
+    gens = GeneratorSet([(f"u{j}", j) for j in range(1, 5)])
+    for _ in range(40):
+        p, q = random_poly(rng, gens, 5, 4), random_poly(rng, gens, 5, 4)
+        for cap in [None, *range(-1, 11)]:
+            assert p.mul_truncated(q, cap) == reference_mul_truncated(p, q, cap)
+        assert p * q == reference_mul_truncated(p, q, None)
+        s = random_scalar(rng)
+        for factor in (s, Fraction(-3, 7), 2, 0, ZERO):
+            assert p * factor == reference_scale(p, Scalar.coerce(factor))
+
+
+def test_mul_truncated_slices_cancel_to_zero():
+    gens = GeneratorSet([("u1", 1), ("u2", 2)])
+    u1 = GradedPoly.generator(gens, "u1")
+    one = GradedPoly.constant(gens, 1)
+    # (1 + L) u1 * (1 - L) u1 = (1 - L^2) u1^2: the L slice cancels.
+    p, q = u1 * (one * L + 1), u1 * (1 - one * L)
+    prod = p * q
+    assert prod == reference_mul_truncated(p, q, None)
+    assert prod.coefficient((2, 0)) == 1 - L * L
+    # Every slice cancels: L u1 * Z1 u1 - Z1 u1 * L u1.
+    assert (u1 * L * (u1 * Z1) - u1 * Z1 * (u1 * L)).is_zero()
+    assert (p * (one * L - one * L)).is_zero()
+
+
+def test_reductions_match_scalar_loop():
+    rng = random.Random(7)
+    for d in range(2, 7):
+        for ring in (AbelianTautRing(d), LagrangianArithRing(d, "formal")):
+            zq, aq = ring.zq, ring.aq
+            # Symbolic multiples of relation components: every slice of the
+            # normal form cancels to zero, the cofactors stay.
+            multiples = []
+            for slot in zq.slots[:3]:
+                mult = rng.choice(monomials_of_degree(
+                    ring.zgens, rng.randrange(ring.cap - slot.component_degree + 1)))
+                multiples.append(slot.poly * GradedPoly.monomial(ring.zgens, mult)
+                                 * (L + Z1 * Fraction(2, 3) - H1 * H3))
+            for poly in multiples:
+                assert zq.normal_form(poly).is_zero()
+            for poly in multiples + [random_poly(rng, ring.zgens, ring.cap, 6)
+                                     for _ in range(6)]:
+                nf, cof = zq.reduce_with_cofactors(poly)
+                assert (nf, cof) == reference_reduce(zq, poly)
+                assert zq.normal_form(poly) == nf
+                # The form contributions sum their products on slices.
+                ref_a = ref_g = GradedPoly.zero(ring.agens)
+                for (ri, _), c in cof.items():
+                    rel, w = ring.relations[ri], ring.omega(c)
+                    ref_a = ref_a + reference_mul_truncated(w, rel.apart, ring.cap - 1)
+                    ref_g = ref_g + reference_mul_truncated(
+                        w, rel.gpart, ring.cap - (ring.gamma_degree or 0))
+                assert ring._form_contributions(cof) == (ref_a, ref_g)
+            for _ in range(6):
+                poly = random_poly(rng, ring.agens, aq.top_degree, 6)
+                assert aq.normal_form(poly) == reference_reduce(aq, poly)[0]
+
+
+def test_division_steps_one_pass_over_slices():
+    # Over C1..C4 the division of C1^7 passes through C1^5*C2, and that of
+    # C1^4*C3 through C1^2*C2*C3.  Each symbolic slice holds the larger
+    # monomial of one pair and the smaller of the other, so a pass per slice
+    # would divide one of the smaller monomials a second time.
+    pres = AbelianTautRing(4).zq.presentation
+    coeffs = {(7, 0, 0, 0): L, (2, 1, 1, 0): L * 3,
+              (5, 1, 0, 0): Z1, (4, 0, 1, 0): Z1 + Fraction(2, 3)}
+    poly = GradedPoly(pres.gens, coeffs)
+    shadow = GradedPoly(pres.gens, {m: 1 for m in coeffs})
+    for method in ("normal_form", "reduce_with_cofactors"):
+        ring, fresh = QuotientRing(pres), QuotientRing(pres)
+        getattr(ring, method)(poly)
+        getattr(fresh, method)(shadow)
+        assert ring.division_steps == fresh.division_steps > 0
