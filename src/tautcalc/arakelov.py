@@ -24,8 +24,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Mapping
 
-from .scalars import (Scalar, ZERO, LOG2, harmonic, harmonic_symbol,
-                      zeta_negative_odd, zeta_prime_symbol)
+from .scalars import Scalar, ZERO, bracket, harmonic, harmonic_symbol
 from .graded import (GeneratorSet, GradedPoly, Monomial, Slices,
                      _from_slices, _mul_into)
 from .quotient import QuotientRing, ReductionError, RingPresentation, _axpy
@@ -388,14 +387,6 @@ class ArithRing:
         return {f"u{j}": f"c{j}" for j in range(1, len(self.agens) + 1)}
 
 
-def _bracket(k: int) -> Scalar:
-    """2 Z(2k-1)/zeta(1-2k) + H(2k-1) - 2 log2 / (1 - 4^-k), exact."""
-    z = zeta_negative_odd(k)
-    return (zeta_prime_symbol(k) * (Fraction(2) / z)
-            + Scalar.from_rational(harmonic(2 * k - 1))
-            - LOG2 * Fraction(2 * 4**k, 4**k - 1))
-
-
 class AbelianTautRing(ArithRing):
     """Arithmetic tautological ring of the rank-d Hodge bundle.
 
@@ -414,7 +405,7 @@ class AbelianTautRing(ArithRing):
         if cap is None:
             cap = arithmetic_dimension(d)
         self._setup(d, d, cap, gamma_degree=d,
-                    coefficient=lambda k: _bracket(k) * Fraction((-1) ** k))
+                    coefficient=lambda k: bracket(k) * (-1) ** k)
 
 
 class LagrangianArithRing(ArithRing):
@@ -503,7 +494,7 @@ def harmonic_substitution(d: int) -> dict[str, Scalar]:
     """h(2k-1) -> -2 Z(2k-1)/zeta(1-2k) - H(2k-1) + 2 log2/(1-4^-k)."""
     out = {}
     for k in range(1, d * (d - 1) // 4 + 2):
-        out[f"h{2 * k - 1}"] = -_bracket(k)
+        out[f"h{2 * k - 1}"] = -bracket(k)
     return out
 
 

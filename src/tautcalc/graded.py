@@ -76,31 +76,38 @@ def monomial_sort_key(gens: GeneratorSet, mono: Monomial):
     return (gens.degree_of(mono), tuple(-e for e in mono))
 
 
-_MONOMIAL_CACHE: dict[tuple[GeneratorSet, int], list[Monomial]] = {}
-
-
-def monomials_of_degree(gens: GeneratorSet, degree: int) -> list[Monomial]:
-    """All monomials of the given degree, deterministically ordered."""
+def monomials_of_degree(gens: GeneratorSet, degree: int,
+                        leads: Iterable[Monomial] = ()) -> list[Monomial]:
+    """The monomials of the given degree that no monomial in leads divides
+    (the staircase of the lead ideal), in monomial_sort_key order."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    cached = _MONOMIAL_CACHE.get((gens, degree))
-    if cached is not None:
-        return list(cached)
+    # Each lead is tested once its last nonzero exponent is placed.
+    tests: list[list[list[tuple[int, int]]]] = [[] for _ in gens.degrees]
+    for lead in leads:
+        support = [(i, e) for i, e in enumerate(lead) if e]
+        if not support:
+            return []
+        tests[support[-1][0]].append(support)
     out: list[Monomial] = []
+    acc: list[int] = []
 
-    def rec(pos: int, remaining: int, acc: list[int]):
+    def rec(pos: int, remaining: int):
         if pos == len(gens.degrees):
             if remaining == 0:
                 out.append(tuple(acc))
             return
-        d = gens.degrees[pos]
-        for e in range(remaining // d + 1):
-            rec(pos + 1, remaining - e * d, acc + [e])
+        d, checks = gens.degrees[pos], tests[pos]
+        # Exponents from high to low list the monomials in order.
+        for e in range(remaining // d, -1, -1):
+            acc.append(e)
+            if not (checks and any(all(acc[i] >= f for i, f in s)
+                                   for s in checks)):
+                rec(pos + 1, remaining - e * d)
+            acc.pop()
 
-    rec(0, degree, [])
-    out.sort(key=lambda m: monomial_sort_key(gens, m))
-    _MONOMIAL_CACHE[(gens, degree)] = out
-    return list(out)
+    rec(0, degree)
+    return out
 
 
 def _exact(q: Fraction) -> int | Fraction:

@@ -217,8 +217,8 @@ class QuotientRing:
     def _standard_monomials(self, degree: int) -> list[Monomial]:
         basis = self._basis.get(degree)
         if basis is None:
-            basis = [m for m in monomials_of_degree(self.gens, degree)
-                     if self._rule_for(m) is None]
+            basis = monomials_of_degree(
+                self.gens, degree, [rule[1] for rule in self._rules])
             self._basis[degree] = basis
         return basis
 

@@ -351,6 +351,14 @@ def harmonic(n: int) -> Fraction:
     return sum((Fraction(1, j) for j in range(1, n + 1)), Fraction(0))
 
 
+def bracket(k: int) -> Scalar:
+    """2 Z(2k-1)/zeta(1-2k) + H(2k-1) - 2 log2/(1-4^-k), exact: the bracket
+    of the arithmetic Riemann-Roch theorem (Gillet-Soule) in degree 2k-1."""
+    return (zeta_prime_symbol(k) * (2 / zeta_negative_odd(k))
+            + Scalar.from_rational(harmonic(2 * k - 1))
+            - LOG2 * Fraction(2 * 4**k, 4**k - 1))
+
+
 # ---------------------------------------------------------------------------
 # Truncated formal power series over Scalar
 # ---------------------------------------------------------------------------
@@ -589,11 +597,7 @@ def ch_even_defect_series(order: int, var: str = "x") -> FormalSeries:
     for m in range(1, order + 1):
         fact *= m
         if m % 2 == 1:
-            k = (m + 1) // 2
-            bracket = (zeta_prime_symbol(k) / zeta_negative_odd(k)
-                       + Scalar.from_rational(harmonic(m) / 2)
-                       - LOG2 * Fraction(4**k, 4**k - 1))
-            coeffs[m] = bracket / fact
+            coeffs[m] = bracket((m + 1) // 2) / (2 * fact)
     return FormalSeries(var, order, coeffs)
 
 
@@ -607,11 +611,7 @@ def rodd_series(order: int, var: str = "x") -> FormalSeries:
         fact *= m
         if m % 2 == 1:
             k = (m + 1) // 2
-            z = zeta_negative_odd(k)
-            bracket = (zeta_prime_symbol(k) * (2 * (4**k - 1))
-                       + Scalar.from_rational((4**k - 1) * z * harmonic(m))
-                       - LOG2 * (2 * 4**k * z))
-            coeffs[m] = bracket / fact
+            coeffs[m] = bracket(k) * (zeta_negative_odd(k) * (4**k - 1) / fact)
     return FormalSeries(var, order, coeffs)
 
 
@@ -631,7 +631,8 @@ _BUILTIN_SERIES = {
 
 
 def builtin_series(name: str, order: int) -> FormalSeries:
-    """Named series constructors used by the ring builders and the CLI."""
+    """The series above by name, for library callers; the ring builders and
+    the CLI call their constructors directly or not at all."""
     if order < 1:
         raise ValueError("order must be at least 1")
     try:

@@ -83,6 +83,17 @@ R7_ELIMINATION = (
     " + 12719520/4199*zeta'(-9) - 318890880/223193*zeta'(-11)")
 
 
+# r_10 where c1-power and the height route agree and the socle coordinate
+# is lagrangian_degree(10), with working degree arithmetic_dimension(10).
+R10_TWO_ROUTES = (
+    "-29700810208831/58133475400"
+    " + 2107928039048647956872/4647659902484897025*log2 + 25944/19*zeta'(-1)"
+    " - 684480/323*zeta'(-3) + 1537200/323*zeta'(-5) - 1891680/323*zeta'(-7)"
+    " + 6597888/1615*zeta'(-9) - 11720724288/6472597*zeta'(-11)"
+    " + 806600368/1451885*zeta'(-13) - 7772636096/61781977*zeta'(-15)"
+    " + 878828832/39436433*zeta'(-17)")
+
+
 def test_d7_critical_power_two_routes():
     result = c1_critical_power(7)
     assert result.r.render() == R7_ELIMINATION
@@ -142,8 +153,8 @@ def test_relations_from_odd_power_sums():
                                            lagrangian_coefficient(mode))
 
 
-def test_critical_power_two_routes_d8_d9():
-    for d in (8, 9):
+def test_critical_power_two_routes_d8_d10():
+    for d in (8, 9, 10):
         cap = d * (d - 1) // 2 + 1
         abelian = AbelianTautRing(d, cap)
         lagrangian = LagrangianArithRing(d, "formal", cap)
@@ -154,6 +165,8 @@ def test_critical_power_two_routes_d8_d9():
         assert result.r == height.substituted, d
         assert result.socle_coordinate == lagrangian_degree(d)
         assert height.socle_coordinate == lagrangian_degree(d)
+        if d == 10:
+            assert result.r.render() == R10_TWO_ROUTES
 
 
 def test_d4_intermediate_witness_combination():

@@ -6,7 +6,8 @@ import pytest
 
 from tautcalc.scalars import FormalSeries, zeta_prime_symbol
 from tautcalc.graded import (GeneratorSet, GradedPoly,
-                             apply_series_as_polynomial, monomials_of_degree)
+                             apply_series_as_polynomial, monomial_sort_key,
+                             monomials_of_degree)
 
 
 def gens_u(d):
@@ -42,6 +43,37 @@ def test_monomials_of_degree_enumeration_oracle():
                             brute += 1
                             assert (e1, e2, e3, e4) in listed
         assert len(listed) == brute
+        # Listed in order, with no sort after the enumeration.
+        assert listed == sorted(listed, key=lambda m: monomial_sort_key(g, m))
+
+
+def divides(lead, mono):
+    return all(a <= b for a, b in zip(lead, mono))
+
+
+def test_monomials_pruned_by_leads_match_filter():
+    rng = random.Random(7)
+    for trial in range(60):
+        n = rng.choice((3, 4))
+        g = GeneratorSet([(f"v{j}", rng.randrange(1, 4)) for j in range(n)])
+        leads = []
+        for _ in range(rng.randrange(1, 4)):
+            shape = rng.choice(("power", "mixed", "mixed", "single"))
+            lead = [0] * n
+            if shape == "power":
+                lead[rng.randrange(n)] = rng.randrange(2, 4)
+            elif shape == "single":
+                lead[rng.randrange(n)] = 1
+            else:
+                for i in rng.sample(range(n), rng.randrange(2, n + 1)):
+                    lead[i] = rng.randrange(1, 3)
+            leads.append(tuple(lead))
+        if trial % 10 == 0:
+            leads.append((0,) * n)
+        for k in range(13):
+            kept = [m for m in monomials_of_degree(g, k)
+                    if not any(divides(lead, m) for lead in leads)]
+            assert monomials_of_degree(g, k, leads) == kept, (g, leads, k)
 
 
 def test_monomial_count_generating_function():

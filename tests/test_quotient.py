@@ -9,7 +9,8 @@ from tautcalc.scalars import Scalar, zeta_prime_symbol
 from tautcalc.graded import GeneratorSet, GradedPoly, monomial_sort_key
 from tautcalc.quotient import (QuotientRing, ReductionError, RingPresentation)
 from tautcalc.arakelov import (AbelianTautRing, LagrangianArithRing,
-                               tautological_ring, lagrangian_degree)
+                               arithmetic_dimension, lagrangian_degree,
+                               tautological_ring)
 
 
 def u(ring_or_gens, name):
@@ -256,12 +257,21 @@ def assert_squarefree_basis(ring, count):
 
 def test_standard_monomials_are_squarefree():
     # The generators of degree < d span; u_d (C_d) is itself a relation.
-    for d in range(2, 8):
+    for d in range(2, 10):
         assert_squarefree_basis(tautological_ring(d), d - 1)
-    for d in range(2, 7):
-        for ring in (AbelianTautRing(d), LagrangianArithRing(d, "formal")):
+    for d in range(2, 10):
+        cap = arithmetic_dimension(d) if d > 7 else None
+        for ring in (AbelianTautRing(d, cap), LagrangianArithRing(d, "formal", cap)):
             assert_squarefree_basis(ring.zq, d - 1)
             assert_squarefree_basis(ring.aq, d - 1)
+
+
+def test_constant_relation_leaves_no_standard_monomials():
+    gens = GeneratorSet([("u1", 1), ("u2", 2), ("u3", 3)])
+    ring = QuotientRing(RingPresentation(
+        gens, [u(gens, "u1") * u(gens, "u2"), GradedPoly.constant(gens, 3)], 6))
+    for k in range(7):
+        assert ring.monomial_basis(k) == []
 
 
 def test_reduction_does_not_depend_on_query_order():
