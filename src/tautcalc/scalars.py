@@ -631,8 +631,8 @@ _BUILTIN_SERIES = {
 
 
 def builtin_series(name: str, order: int) -> FormalSeries:
-    """The series above by name, for library callers; the ring builders and
-    the CLI call their constructors directly or not at all."""
+    """One of the series above by name, for library callers (the ring
+    builders call the constructors directly)."""
     if order < 1:
         raise ValueError("order must be at least 1")
     try:
