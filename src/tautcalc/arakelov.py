@@ -25,8 +25,8 @@ from math import factorial
 from typing import Callable, Mapping
 
 from .scalars import Scalar, ZERO, bracket, harmonic, harmonic_symbol
-from .graded import (GeneratorSet, GradedPoly, Monomial, Slices,
-                     _from_slices, _mul_into)
+from .graded import (GeneratorSet, GradedPoly, Monomial, _from_slices,
+                     _mul_into, _to_slices)
 from .quotient import QuotientRing, ReductionError, RingPresentation, _axpy
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 
@@ -130,11 +130,16 @@ class ArithClass:
         ring = self.ring
         z = self.z.mul_truncated(other.z, ring.cap)
         w1, w2 = ring.omega(self.z), ring.omega(other.z)
-        a = (w1.mul_truncated(other.a, ring.cap - 1)
-             + w2.mul_truncated(self.a, ring.cap - 1))
+
+        def cross(x: GradedPoly, y: GradedPoly, cap: int) -> GradedPoly:
+            """w1 * y + w2 * x, summed in one slice set."""
+            slices = _mul_into(_mul_into({}, w1, y, cap), w2, x, cap)
+            return _from_slices(ring.agens, slices)
+
+        a = cross(self.a, other.a, ring.cap - 1)
         g_cap = ring.cap - ring.gamma_degree if ring.gamma_degree else -1
-        g = (w1.mul_truncated(other.g, g_cap) + w2.mul_truncated(self.g, g_cap)
-             if g_cap >= 0 else GradedPoly.zero(ring.agens))
+        g = (cross(self.g, other.g, g_cap) if g_cap >= 0
+             else GradedPoly.zero(ring.agens))
         return ArithClass(ring, z, a, g)
 
     __rmul__ = __mul__
@@ -252,7 +257,6 @@ class ArithRing:
         self.aq = QuotientRing(
             RingPresentation(self.agens, a_rels, max(cap - 1, n_gens)),
             track_witnesses=False)
-        self._omega_map = {f"C{j}": f"u{j}" for j in range(1, n_gens + 1)}
 
         top_k = min(n_gens, cap // 2)
         sums = ch_from_c(ClassVector.standard(self.agens, list(self.agens.names)),
@@ -308,16 +312,19 @@ class ArithRing:
     # -- structure -----------------------------------------------------------
 
     def omega(self, poly: GradedPoly) -> GradedPoly:
-        """Forget the arithmetic lift: rename C_j to u_j."""
-        return poly.rename(self.agens, self._omega_map)
+        """Forget the arithmetic lift: rename C_j to u_j.  Both sit at index
+        j - 1 with degree j, so the result shares poly's terms (neither
+        polynomial is ever changed in place)."""
+        out = GradedPoly.__new__(GradedPoly)
+        out.gens = self.agens
+        out._terms = poly._terms
+        return out
 
     def dual_a(self, poly: GradedPoly) -> GradedPoly:
         """Dualize a form polynomial: each form-degree-f monomial gains (-1)^f."""
-        out = GradedPoly.zero(self.agens)
-        for mono, coeff in poly.items():
-            sign = Fraction((-1) ** self.agens.degree_of(mono))
-            out = out + GradedPoly.monomial(self.agens, mono, coeff * sign)
-        return out
+        degree_of = self.agens.degree_of
+        return GradedPoly(self.agens, {m: -c if degree_of(m) % 2 else c
+                                       for m, c in poly.items()})
 
     def z_power_sums(self, up_to: int) -> list[GradedPoly]:
         classes = ClassVector.standard(self.zgens, list(self.zgens.names))
@@ -331,25 +338,23 @@ class ArithRing:
             raise ValueError("class from another ring")
         z = x.z.truncate(self.cap)
         nf, cof = self.zq.reduce_with_cofactors(z)
-        raw_a, raw_g = self._form_contributions(cof)
-        raw_a = raw_a + x.a
-        raw_g = raw_g + x.g
+        raw_a, raw_g = self._form_contributions(cof, x.a, x.g)
         a, g = self._form_normal_forms(raw_a, raw_g)
         return ArithClass(self, nf, a, g), raw_a, raw_g
 
     def reduce(self, x: ArithClass) -> ArithClass:
         return self.reduce_detailed(x)[0]
 
-    def _form_contributions(self, cofactors: Mapping[tuple[int, int], GradedPoly]):
-        a: Slices = {}
-        g: Slices = {}
+    def _form_contributions(self, cofactors: Mapping[tuple[int, int], GradedPoly],
+                            a: GradedPoly, g: GradedPoly):
+        """The form part a and gamma coefficient g plus what the cofactors
+        push into them: omega(cofactor) times each relation's form side."""
+        a, g = _to_slices(a), _to_slices(g)
         for (ri, _), cof in cofactors.items():
             rel = self.relations[ri]
             w = self.omega(cof)
-            if not rel.apart.is_zero():
-                _mul_into(a, w, rel.apart, self.cap - 1)
-            if not rel.gpart.is_zero():
-                _mul_into(g, w, rel.gpart, self.cap - (self.gamma_degree or 0))
+            _mul_into(a, w, rel.apart, self.cap - 1)
+            _mul_into(g, w, rel.gpart, self.cap - (self.gamma_degree or 0))
         return _from_slices(self.agens, a), _from_slices(self.agens, g)
 
     def _form_normal_forms(self, a: GradedPoly, g: GradedPoly):
@@ -369,8 +374,8 @@ class ArithRing:
         witnesses = self.zq.alternative_witnesses(z, count)
         out = []
         for w in witnesses:
-            raw_a, raw_g = self._form_contributions(w.cofactors)
-            a, g = self._form_normal_forms(raw_a + x.a, raw_g + x.g)
+            raw_a, raw_g = self._form_contributions(w.cofactors, x.a, x.g)
+            a, g = self._form_normal_forms(raw_a, raw_g)
             out.append(ArithClass(self, GradedPoly.zero(self.zgens), a, g))
         return out
 

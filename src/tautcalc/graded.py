@@ -7,7 +7,7 @@ tuples ordered graded-lexicographically in the declared generator order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 from operator import add, mul
 from typing import Callable, Iterable, Mapping
 
@@ -16,9 +16,10 @@ from .scalars import (ConstMonomial, Scalar, ZERO, FormalSeries,
 
 Monomial = tuple[int, ...]
 
-# A polynomial split by constant monomial: {constant monomial: {monomial:
-# rational}}.  Q-linear work runs on these rational slices.
-Slices = dict[ConstMonomial, dict[Monomial, "int | Fraction"]]
+# A polynomial split by constant monomial: {constant monomial: (denominator,
+# {monomial: numerator})}.  Q-linear work runs on these integer slices; a
+# numerator may be 0 until _from_slices drops it.
+Slices = dict[ConstMonomial, tuple[int, dict[Monomial, int]]]
 
 
 class GeneratorSet:
@@ -108,11 +109,6 @@ def monomials_of_degree(gens: GeneratorSet, degree: int,
 
     rec(0, degree)
     return out
-
-
-def _exact(q: Fraction) -> int | Fraction:
-    """Integral values as int: rational loops then run mostly on integers."""
-    return q.numerator if q.denominator == 1 else q
 
 
 class GradedPoly:
@@ -356,43 +352,64 @@ class GradedPoly:
 def _mul_into(out: Slices, p: GradedPoly, q: GradedPoly,
               max_degree: int | None) -> Slices:
     """out += p * q with monomials above max_degree dropped (None drops
-    none): one rational product per pair of slices, the constant monomials
-    merged once per pair."""
+    none): one integer product per pair of slices, the constant monomials
+    merged and the denominators multiplied once per pair."""
+    if not (p and q):
+        return out
     degree_of = p.gens.degree_of
     cap = inf if max_degree is None else max_degree
-    right = [(k2, [(m2, c2, degree_of(m2)) for m2, c2 in terms.items()])
-             for k2, terms in _to_slices(q).items()]
-    for k1, left_terms in _to_slices(p).items():
-        left = [(m1, c1, cap - degree_of(m1)) for m1, c1 in left_terms.items()]
-        for k2, right_terms in right:
-            terms = out.setdefault(_merge_monomials(k1, k2), {})
-            for m1, c1, room in left:
-                for m2, c2, d2 in right_terms:
-                    if d2 > room:
-                        continue
-                    m = tuple(map(add, m1, m2))
-                    new = terms.get(m, 0) + c1 * c2
-                    if new:
-                        terms[m] = new
-                    else:
-                        del terms[m]
+    right = [(k2, d2, [(m2, n2, degree_of(m2)) for m2, n2 in terms.items()])
+             for k2, (d2, terms) in _to_slices(q).items()]
+    for k1, (d1, left_terms) in _to_slices(p).items():
+        left = [(m1, n1, cap - degree_of(m1)) for m1, n1 in left_terms.items()]
+        for k2, d2, right_terms in right:
+            k, den = _merge_monomials(k1, k2), d1 * d2
+            old, terms = out.setdefault(k, (den, {}))
+            if old % den:
+                # Bring the target slice to a common denominator.
+                new = lcm(old, den)
+                for m in terms:
+                    terms[m] *= new // old
+                out[k] = (new, terms)
+                old = new
+            scale = old // den
+            for m1, n1, room in left:
+                n1 *= scale
+                for m2, n2, deg2 in right_terms:
+                    if deg2 <= room:
+                        m = tuple(map(add, m1, m2))
+                        terms[m] = terms.get(m, 0) + n1 * n2
     return out
 
 
+def _denominators(poly: GradedPoly) -> dict[ConstMonomial, int]:
+    """Per constant monomial, the lcm of its coefficients' denominators."""
+    dens: dict[ConstMonomial, int] = {}
+    for c in poly._terms.values():
+        for k, q in c._terms.items():
+            dens[k] = lcm(dens.get(k, 1), q.denominator)
+    return dens
+
+
 def _to_slices(poly: GradedPoly) -> Slices:
-    out: Slices = {}
+    out: Slices = {k: (den, {}) for k, den in _denominators(poly).items()}
     for m, c in poly._terms.items():
         for k, q in c._terms.items():
-            out.setdefault(k, {})[m] = _exact(q)
+            den, terms = out[k]
+            terms[m] = q.numerator * (den // q.denominator)
     return out
 
 
 def _from_slices(gens: GeneratorSet, slices: Slices) -> GradedPoly:
-    """The polynomial sum_k k * slices[k]; the slices hold no zeros."""
+    """The polynomial sum_k k * slices[k], zero numerators dropped.  Consumes
+    slices one at a time, so only one slice's numerators are alive next to
+    the new Fractions."""
     grouped: dict[Monomial, dict[ConstMonomial, Fraction]] = {}
-    for k, terms in slices.items():
-        for m, q in terms.items():
-            grouped.setdefault(m, {})[k] = q if type(q) is Fraction else Fraction(q)
+    while slices:
+        k, (den, terms) = slices.popitem()
+        for m, n in terms.items():
+            if n:
+                grouped.setdefault(m, {})[k] = Fraction(n, den)
     out = GradedPoly.__new__(GradedPoly)
     out.gens = gens
     out._terms = terms = {}

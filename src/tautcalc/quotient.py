@@ -17,7 +17,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable, Iterator, Sequence
 
-from .graded import (GeneratorSet, GradedPoly, Monomial, Slices, _exact,
+from .graded import (GeneratorSet, GradedPoly, Monomial, Slices, _denominators,
                      _from_slices, monomials_of_degree)
 
 
@@ -105,6 +105,12 @@ class DimensionReport:
     total: int
     socle_degree: int
     socle_dim: int
+
+
+def _exact(q: Fraction) -> int | Fraction:
+    """Integral values as int: with leading coefficients +-1, as in every
+    ring built here, the kept divisions hold ints only."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def _order_key(mono: Monomial) -> Monomial:
@@ -246,19 +252,26 @@ class QuotientRing:
         if poly.gens != self.gens:
             raise ReductionError("polynomial over wrong generator set")
         self._check_degree(poly.max_degree())
-        nf: Slices = {}
-        cof: dict[int, Slices] = {}
         # One pass, smallest monomials first: the larger ones' divisions then
-        # reuse them, whichever slices their coefficients touch.
-        for mono, coeff in sorted(poly.items(), reverse=True,
-                                  key=lambda mc: _order_key(mc[0])):
+        # reuse them, whichever slices their coefficients touch.  A leading
+        # coefficient other than +-1 makes the kept divisions, and so the
+        # numerators, Fractions; _from_slices divides them all the same.
+        terms = sorted(poly._terms.items(), reverse=True,
+                       key=lambda mc: _order_key(mc[0]))
+        nf: Slices = {k: (den, {}) for k, den in _denominators(poly).items()}
+        cof: dict[int, Slices] = {}
+        for mono, coeff in terms:
             mono_nf, mono_cof = self._reduce_monomial(mono)
             for k, q in coeff._terms.items():
-                q = _exact(q)
-                _axpy(nf.setdefault(k, {}), q, mono_nf)
+                den, target = nf[k]
+                n = q.numerator * (den // q.denominator)
+                _axpy(target, n, mono_nf)
                 if with_cofactors:
-                    for si, terms in mono_cof.items():
-                        _axpy(cof.setdefault(si, {}).setdefault(k, {}), q, terms)
+                    for si, source in mono_cof.items():
+                        slices = cof.setdefault(si, {})
+                        if k not in slices:
+                            slices[k] = (den, {})
+                        _axpy(slices[k][1], n, source)
         keys = [(s.relation_index, s.component_degree) for s in self.slots]
         cofactors = {keys[si]: p for si, slices in sorted(cof.items())
                      if (p := _from_slices(self.gens, slices))}

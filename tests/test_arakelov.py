@@ -93,6 +93,16 @@ R10_TWO_ROUTES = (
     " + 806600368/1451885*zeta'(-13) - 7772636096/61781977*zeta'(-15)"
     " + 878828832/39436433*zeta'(-17)")
 
+# r_11, pinned the same way as r_10.
+R11_TWO_ROUTES = (
+    "-918682002559271/1289317436550"
+    " + 7060723056875821427816917792/11526526128054010302046125*log2"
+    " + 1824*zeta'(-1) - 1106880/437*zeta'(-3) + 8616384/1615*zeta'(-5)"
+    " - 47979904/7429*zeta'(-7) + 4816587776/1077205*zeta'(-9)"
+    " - 9083468913792/4614961661*zeta'(-11) + 1175349056/1964315*zeta'(-13)"
+    " - 189722041088/1420985471*zeta'(-15) + 4525540992/197182165*zeta'(-17)"
+    " - 11502191360/3610431647*zeta'(-19)")
+
 
 def test_d7_critical_power_two_routes():
     result = c1_critical_power(7)
@@ -153,8 +163,9 @@ def test_relations_from_odd_power_sums():
                                            lagrangian_coefficient(mode))
 
 
-def test_critical_power_two_routes_d8_d10():
-    for d in (8, 9, 10):
+def test_critical_power_two_routes_d8_d11():
+    pinned = {10: R10_TWO_ROUTES, 11: R11_TWO_ROUTES}
+    for d in (8, 9, 10, 11):
         cap = d * (d - 1) // 2 + 1
         abelian = AbelianTautRing(d, cap)
         lagrangian = LagrangianArithRing(d, "formal", cap)
@@ -165,8 +176,8 @@ def test_critical_power_two_routes_d8_d10():
         assert result.r == height.substituted, d
         assert result.socle_coordinate == lagrangian_degree(d)
         assert height.socle_coordinate == lagrangian_degree(d)
-        if d == 10:
-            assert result.r.render() == R10_TWO_ROUTES
+        if d in pinned:
+            assert result.r.render() == pinned[d]
 
 
 def test_d4_intermediate_witness_combination():

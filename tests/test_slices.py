@@ -1,6 +1,7 @@
-"""Products and reductions run on rational slices, one per constant monomial
-(rationals, L, Z, h and their products).  The term-by-term Scalar loops they
-replaced are kept here as the reference."""
+"""Products and reductions run on integer slices, one per constant monomial
+(rationals, L, Z, h and their products), each a map of integer numerators
+over one denominator.  The term-by-term Scalar loops they replaced are kept
+here as the reference."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from math import inf
 
 from tautcalc.scalars import Scalar, ZERO
 from tautcalc.graded import GeneratorSet, GradedPoly, monomials_of_degree
-from tautcalc.quotient import QuotientRing
+from tautcalc.quotient import QuotientRing, RingPresentation
 from tautcalc.arakelov import AbelianTautRing, LagrangianArithRing
 
 L, Z1, Z3 = Scalar.symbol("L"), Scalar.symbol("Z1"), Scalar.symbol("Z3")
@@ -94,6 +95,61 @@ def test_mul_truncated_slices_cancel_to_zero():
     assert (p * (one * L - one * L)).is_zero()
 
 
+def test_mixed_denominators_in_one_slice():
+    # L*Z1 forms from both factor orders, over denominators 2 and 3 (and 7
+    # on the right), so the target slice is brought to a common denominator.
+    gens = GeneratorSet([("u1", 1), ("u2", 2)])
+    u1, u2 = GradedPoly.generator(gens, "u1"), GradedPoly.generator(gens, "u2")
+    p = u1 * (L * Fraction(1, 2) + Z1 * Fraction(1, 3) + Fraction(1, 5)) + u2 * Z1
+    q = u1 * (Z1 + L * Fraction(3, 7)) + u2 * Fraction(-2, 9)
+    for cap in (None, 1, 2, 3, 4):
+        assert p.mul_truncated(q, cap) == reference_mul_truncated(p, q, cap)
+    assert (p * q).coefficient((2, 0)) == (
+        L * Z1 * Fraction(9, 14) + L * L * Fraction(3, 14) + Z1 * Z1 / 3
+        + Z1 / 5 + L * Fraction(3, 35))
+
+    ring = AbelianTautRing(3)
+    C1 = GradedPoly.generator(ring.zgens, "C1")
+    one_z = GradedPoly.constant(ring.zgens, 1)
+    u1 = GradedPoly.generator(ring.agens, "u1")
+    one_a = GradedPoly.constant(ring.agens, 1)
+    # Keys (relation index, degree): p_1(C), p_2(C) and C_3 -> a(gamma).
+    cofactors = {(0, 2): C1 * (L * Fraction(1, 2) + Z1 * Fraction(1, 3)),
+                 (1, 4): one_z * (Z1 * Fraction(2, 5) - L),
+                 (2, 3): one_z * L * Fraction(1, 2)}
+    a = u1 * u1 * (L * Z1 * Fraction(1, 5)) + u1 * Fraction(1, 7)
+    g = one_a * (Z1 * Fraction(1, 3) + L * Fraction(1, 5))
+    ref_a, ref_g = a, g
+    for (ri, _), c in cofactors.items():
+        rel, w = ring.relations[ri], ring.omega(c)
+        ref_a = ref_a + reference_mul_truncated(w, rel.apart, ring.cap - 1)
+        ref_g = ref_g + reference_mul_truncated(
+            w, rel.gpart, ring.cap - ring.gamma_degree)
+    assert ring._form_contributions(cofactors, a, g) == (ref_a, ref_g)
+    assert ref_a.coefficient((2, 0, 0)).coefficient((("L", 1), ("Z1", 1)))
+
+
+def test_reduce_with_non_unit_leads_matches_scalar_loop():
+    # Leads 2*u1^2 and 3*u2^2: the kept divisions hold Fractions, so the
+    # slice numerators are Fractions as well and must stay exact.
+    gens = GeneratorSet([("u1", 1), ("u2", 2), ("u3", 3)])
+    u1, u2, u3 = (GradedPoly.generator(gens, n) for n in gens.names)
+    ring = QuotientRing(RingPresentation(
+        gens, [u1 * u1 * 2 - u2, u2 * u2 * 3 - u1 * u3], 8))
+    rng = random.Random(11)
+    for _ in range(20):
+        poly = random_poly(rng, gens, 8, 6)
+        nf, cof = ring.reduce_with_cofactors(poly)
+        assert (nf, cof) == reference_reduce(ring, poly)
+        assert ring.normal_form(poly) == nf
+        expanded = nf
+        for (ri, cd), c in cof.items():
+            expanded = expanded + c * ring.slot_poly(ri, cd)
+        assert expanded == poly
+    assert any(type(v) is Fraction
+               for nf, _ in ring._reduced.values() for v in nf.values())
+
+
 def test_reductions_match_scalar_loop():
     rng = random.Random(7)
     for d in range(2, 7):
@@ -121,7 +177,8 @@ def test_reductions_match_scalar_loop():
                     ref_a = ref_a + reference_mul_truncated(w, rel.apart, ring.cap - 1)
                     ref_g = ref_g + reference_mul_truncated(
                         w, rel.gpart, ring.cap - (ring.gamma_degree or 0))
-                assert ring._form_contributions(cof) == (ref_a, ref_g)
+                zero = GradedPoly.zero(ring.agens)
+                assert ring._form_contributions(cof, zero, zero) == (ref_a, ref_g)
             for _ in range(6):
                 poly = random_poly(rng, ring.agens, aq.top_degree, 6)
                 assert aq.normal_form(poly) == reference_reduce(aq, poly)[0]
