@@ -25,8 +25,7 @@ from math import factorial
 from typing import Callable, Mapping
 
 from .scalars import Scalar, ZERO, bracket, harmonic, harmonic_symbol
-from .graded import (GeneratorSet, GradedPoly, Monomial, _from_slices,
-                     _mul_into, _to_slices)
+from .graded import GeneratorSet, GradedPoly, Monomial, sum_of_products
 from .quotient import QuotientRing, ReductionError, RingPresentation, _axpy
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 
@@ -130,16 +129,10 @@ class ArithClass:
         ring = self.ring
         z = self.z.mul_truncated(other.z, ring.cap)
         w1, w2 = ring.omega(self.z), ring.omega(other.z)
-
-        def cross(x: GradedPoly, y: GradedPoly, cap: int) -> GradedPoly:
-            """w1 * y + w2 * x, summed in one slice set."""
-            slices = _mul_into(_mul_into({}, w1, y, cap), w2, x, cap)
-            return _from_slices(ring.agens, slices)
-
-        a = cross(self.a, other.a, ring.cap - 1)
+        a = sum_of_products(ring.agens, [(w1, other.a), (w2, self.a)],
+                            ring.cap - 1)
         g_cap = ring.cap - ring.gamma_degree if ring.gamma_degree else -1
-        g = (cross(self.g, other.g, g_cap) if g_cap >= 0
-             else GradedPoly.zero(ring.agens))
+        g = sum_of_products(ring.agens, [(w1, other.g), (w2, self.g)], g_cap)
         return ArithClass(ring, z, a, g)
 
     __rmul__ = __mul__
@@ -313,11 +306,11 @@ class ArithRing:
 
     def omega(self, poly: GradedPoly) -> GradedPoly:
         """Forget the arithmetic lift: rename C_j to u_j.  Both sit at index
-        j - 1 with degree j, so the result shares poly's terms (neither
+        j - 1 with degree j, so the result shares poly's slices (neither
         polynomial is ever changed in place)."""
         out = GradedPoly.__new__(GradedPoly)
         out.gens = self.agens
-        out._terms = poly._terms
+        out._slices = poly._slices
         return out
 
     def dual_a(self, poly: GradedPoly) -> GradedPoly:
@@ -349,13 +342,13 @@ class ArithRing:
                             a: GradedPoly, g: GradedPoly):
         """The form part a and gamma coefficient g plus what the cofactors
         push into them: omega(cofactor) times each relation's form side."""
-        a, g = _to_slices(a), _to_slices(g)
-        for (ri, _), cof in cofactors.items():
-            rel = self.relations[ri]
-            w = self.omega(cof)
-            _mul_into(a, w, rel.apart, self.cap - 1)
-            _mul_into(g, w, rel.gpart, self.cap - (self.gamma_degree or 0))
-        return _from_slices(self.agens, a), _from_slices(self.agens, g)
+        pairs = [(self.omega(cof), self.relations[ri])
+                 for (ri, _), cof in cofactors.items()]
+        a = sum_of_products(self.agens, [(w, rel.apart) for w, rel in pairs],
+                            self.cap - 1, start=a)
+        g = sum_of_products(self.agens, [(w, rel.gpart) for w, rel in pairs],
+                            self.cap - (self.gamma_degree or 0), start=g)
+        return a, g
 
     def _form_normal_forms(self, a: GradedPoly, g: GradedPoly):
         """Normal forms of a form part and a gamma coefficient, each

@@ -7,18 +7,18 @@ tuples ordered graded-lexicographically in the declared generator order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, lcm
+from math import gcd, inf, lcm
 from operator import add, mul
 from typing import Callable, Iterable, Mapping
 
-from .scalars import (ConstMonomial, Scalar, ZERO, FormalSeries,
-                      _merge_monomials)
+from .scalars import ConstMonomial, Scalar, FormalSeries, _merge_monomials
 
 Monomial = tuple[int, ...]
 
 # A polynomial split by constant monomial: {constant monomial: (denominator,
-# {monomial: numerator})}.  Q-linear work runs on these integer slices; a
-# numerator may be 0 until _from_slices drops it.
+# {monomial: numerator})}, the layout GradedPoly stores, each slice in lowest
+# terms (int numerators, none 0, with the denominator coprime to their gcd).
+# Stored slices are never changed in place, so polynomials may share them.
 Slices = dict[ConstMonomial, tuple[int, dict[Monomial, int]]]
 
 
@@ -112,20 +112,24 @@ def monomials_of_degree(gens: GeneratorSet, degree: int,
 
 
 class GradedPoly:
-    """Polynomial with Scalar coefficients over a fixed GeneratorSet."""
+    """Polynomial with Scalar coefficients over a fixed GeneratorSet, stored
+    as its integer slices; Scalars are built where a coefficient is read."""
 
-    __slots__ = ("gens", "_terms")
+    __slots__ = ("gens", "_slices")
 
     def __init__(self, gens: GeneratorSet,
                  terms: Mapping[Monomial, Scalar | Fraction | int] | None = None):
         self.gens = gens
-        clean: dict[Monomial, Scalar] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                s = Scalar.coerce(coeff)
-                if s:
-                    clean[tuple(mono)] = s
-        self._terms = clean
+        grouped: dict[ConstMonomial, dict[Monomial, Fraction]] = {}
+        for mono, coeff in (terms or {}).items():
+            for k, q in Scalar.coerce(coeff)._terms.items():
+                grouped.setdefault(k, {})[tuple(mono)] = q
+        # Over the lcm of its denominators a slice is in lowest terms.
+        self._slices: Slices = {}
+        for k, qs in grouped.items():
+            den = lcm(*(q.denominator for q in qs.values()))
+            self._slices[k] = den, {m: q.numerator * (den // q.denominator)
+                                    for m, q in qs.items()}
 
     # -- constructors --------------------------------------------------------
 
@@ -145,46 +149,60 @@ class GradedPoly:
     def monomial(cls, gens: GeneratorSet, mono: Monomial, coeff=1) -> "GradedPoly":
         return cls(gens, {tuple(mono): Scalar.coerce(coeff)})
 
+    @classmethod
+    def from_slices(cls, gens: GeneratorSet, slices: Mapping) -> "GradedPoly":
+        """sum_k k * terms / den over slices {k: (den, terms)}, brought to
+        lowest terms; numerators may be 0 or Fractions."""
+        out = cls.__new__(cls)
+        out.gens = gens
+        out._slices = {k: s for k, (den, terms) in slices.items()
+                       if (s := _lowest(den, terms))}
+        return out
+
     # -- inspection ----------------------------------------------------------
 
     def items(self) -> list[tuple[Monomial, Scalar]]:
-        return sorted(self._terms.items(),
-                      key=lambda kv: monomial_sort_key(self.gens, kv[0]))
+        return [(m, self.coefficient(m)) for m in
+                sorted(self.monomials(), key=lambda m: monomial_sort_key(self.gens, m))]
 
     def coefficient(self, mono: Monomial) -> Scalar:
-        return self._terms.get(tuple(mono), ZERO)
+        return Scalar({k: Fraction(n, den) for k, (den, terms) in self._slices.items()
+                       if (n := terms.get(tuple(mono)))})
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._slices
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._slices)
+
+    def monomials(self) -> set[Monomial]:
+        """The monomials with a nonzero coefficient."""
+        return set().union(*(terms for _, terms in self._slices.values()))
 
     def max_degree(self) -> int:
-        return max((self.gens.degree_of(m) for m in self._terms), default=0)
+        return max(map(self.gens.degree_of, self.monomials()), default=0)
 
     def is_homogeneous(self) -> bool:
-        degs = {self.gens.degree_of(m) for m in self._terms}
-        return len(degs) <= 1
+        return len(set(map(self.gens.degree_of, self.monomials()))) <= 1
 
     def degree_components(self) -> dict[int, "GradedPoly"]:
-        comps: dict[int, dict[Monomial, Scalar]] = {}
-        for m, c in self._terms.items():
-            comps.setdefault(self.gens.degree_of(m), {})[m] = c
-        return {k: GradedPoly(self.gens, t) for k, t in sorted(comps.items())}
+        degrees = sorted(set(map(self.gens.degree_of, self.monomials())))
+        return {k: self.graded_component(k) for k in degrees}
 
     def graded_component(self, degree: int) -> "GradedPoly":
-        terms = {m: c for m, c in self._terms.items()
-                 if self.gens.degree_of(m) == degree}
-        return GradedPoly(self.gens, terms)
+        return self._select(lambda k: k == degree)
 
     def truncate(self, max_degree: int) -> "GradedPoly":
-        terms = {m: c for m, c in self._terms.items()
-                 if self.gens.degree_of(m) <= max_degree}
-        return GradedPoly(self.gens, terms)
+        return self._select(lambda k: k <= max_degree)
+
+    def _select(self, keep: Callable[[int], bool]) -> "GradedPoly":
+        degree_of = self.gens.degree_of
+        return GradedPoly.from_slices(self.gens, {
+            k: (den, {m: n for m, n in terms.items() if keep(degree_of(m))})
+            for k, (den, terms) in self._slices.items()})
 
     def symbol_degree(self) -> int:
-        return max((c.symbol_degree() for c in self._terms.values()), default=0)
+        return max((sum(e for _, e in k) for k in self._slices), default=0)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -196,25 +214,23 @@ class GradedPoly:
         if isinstance(other, (int, Fraction, Scalar)):
             other = GradedPoly.constant(self.gens, other)
         self._check(other)
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            new = terms.get(m, ZERO) + c
-            if new:
-                terms[m] = new
-            else:
-                terms.pop(m, None)
-        out = GradedPoly.__new__(GradedPoly)
-        out.gens = self.gens
-        out._terms = terms
-        return out
+        out = dict(self._slices)
+        for k, (d2, t2) in other._slices.items():
+            d1, t1 = out.get(k, (d2, {}))
+            den = lcm(d1, d2)
+            s1, s2 = den // d1, den // d2
+            terms = {m: n * s1 for m, n in t1.items()}
+            for m, n in t2.items():
+                terms[m] = terms.get(m, 0) + n * s2
+            out[k] = den, terms
+        return GradedPoly.from_slices(self.gens, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GradedPoly":
-        out = GradedPoly.__new__(GradedPoly)
-        out.gens = self.gens
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return GradedPoly.from_slices(self.gens, {
+            k: (den, {m: -n for m, n in terms.items()})
+            for k, (den, terms) in self._slices.items()})
 
     def __sub__(self, other) -> "GradedPoly":
         if isinstance(other, (int, Fraction, Scalar)):
@@ -247,51 +263,51 @@ class GradedPoly:
                       max_degree: int | None) -> "GradedPoly":
         """Product with monomials above max_degree dropped during expansion;
         None drops none."""
-        self._check(other)
-        return _from_slices(self.gens, _mul_into({}, self, other, max_degree))
+        return sum_of_products(self.gens, [(self, other)], max_degree)
 
     def rename(self, target: GeneratorSet,
                mapping: Mapping[str, str] | None = None) -> "GradedPoly":
         """Carry the polynomial to another generator set by renaming
         generators (name-to-name by default)."""
-        terms: dict[Monomial, Scalar] = {}
-        for m, c in self._terms.items():
+        def carry(m: Monomial) -> Monomial:
             out = [0] * len(target)
             for i, e in enumerate(m):
                 if e:
                     name = self.gens.names[i]
                     out[target.index(mapping.get(name, name) if mapping else name)] = e
-            terms[tuple(out)] = c
-        return GradedPoly(target, terms)
+            return tuple(out)
+
+        return GradedPoly.from_slices(target, {
+            k: (den, {carry(m): n for m, n in terms.items()})
+            for k, (den, terms) in self._slices.items()})
 
     def map_coefficients(self, fn: Callable[[Scalar], Scalar]) -> "GradedPoly":
-        return GradedPoly(self.gens, {m: fn(c) for m, c in self._terms.items()})
+        return GradedPoly(self.gens, {m: fn(c) for m, c in self.items()})
 
     def partial(self, name: str) -> "GradedPoly":
         """Formal partial derivative with respect to a generator."""
         i = self.gens.index(name)
-        terms: dict[Monomial, Scalar] = {}
-        for m, c in self._terms.items():
-            if m[i]:
-                lowered = m[:i] + (m[i] - 1,) + m[i + 1:]
-                terms[lowered] = terms.get(lowered, ZERO) + c * m[i]
-        return GradedPoly(self.gens, terms)
+        return GradedPoly.from_slices(self.gens, {
+            k: (den, {m[:i] + (m[i] - 1,) + m[i + 1:]: n * m[i]
+                      for m, n in terms.items() if m[i]})
+            for k, (den, terms) in self._slices.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, Scalar)):
             other = GradedPoly.constant(self.gens, other)
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return self.gens == other.gens and self._terms == other._terms
+        return self.gens == other.gens and self._slices == other._slices
 
     def __hash__(self) -> int:
-        return hash((self.gens, frozenset(self._terms.items())))
+        return hash((self.gens, frozenset((k, den, frozenset(terms.items()))
+                                          for k, (den, terms) in self._slices.items())))
 
     # -- rendering -----------------------------------------------------------
 
     def render(self, latex: bool = False,
                names: Mapping[str, str] | None = None) -> str:
-        if not self._terms:
+        if not self._slices:
             return "0"
         parts = []
         for mono, coeff in self.items():
@@ -349,74 +365,63 @@ class GradedPoly:
         return cls(gens, terms)
 
 
-def _mul_into(out: Slices, p: GradedPoly, q: GradedPoly,
-              max_degree: int | None) -> Slices:
-    """out += p * q with monomials above max_degree dropped (None drops
-    none): one integer product per pair of slices, the constant monomials
-    merged and the denominators multiplied once per pair."""
-    if not (p and q):
-        return out
-    degree_of = p.gens.degree_of
+def _lowest(den: int, terms: Mapping[Monomial, int | Fraction]):
+    """The slice (den, terms) in lowest terms, or None if every numerator
+    is 0.  Fraction numerators, from a non-unit leading coefficient, are
+    cleared first."""
+    terms = {m: n for m, n in terms.items() if n}
+    if not terms:
+        return None
+    try:
+        g = gcd(den, *terms.values())
+    except TypeError:
+        scale = lcm(*(n.denominator for n in terms.values()))
+        den *= scale
+        terms = {m: int(n * scale) for m, n in terms.items()}
+        g = gcd(den, *terms.values())
+    if g != 1:
+        den //= g
+        terms = {m: n // g for m, n in terms.items()}
+    return den, terms
+
+
+def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, GradedPoly]],
+                    max_degree: int | None, start: GradedPoly | None = None) -> GradedPoly:
+    """start + the sum of p * q over the pairs, with monomials above
+    max_degree dropped during expansion (None drops none).  One integer
+    product per pair of slices: the constant monomials are merged and the
+    denominators multiplied once per pair."""
+    degree_of = gens.degree_of
     cap = inf if max_degree is None else max_degree
-    right = [(k2, d2, [(m2, n2, degree_of(m2)) for m2, n2 in terms.items()])
-             for k2, (d2, terms) in _to_slices(q).items()]
-    for k1, (d1, left_terms) in _to_slices(p).items():
-        left = [(m1, n1, cap - degree_of(m1)) for m1, n1 in left_terms.items()]
-        for k2, d2, right_terms in right:
-            k, den = _merge_monomials(k1, k2), d1 * d2
-            old, terms = out.setdefault(k, (den, {}))
-            if old % den:
-                # Bring the target slice to a common denominator.
-                new = lcm(old, den)
-                for m in terms:
-                    terms[m] *= new // old
-                out[k] = (new, terms)
-                old = new
-            scale = old // den
-            for m1, n1, room in left:
-                n1 *= scale
-                for m2, n2, deg2 in right_terms:
-                    if deg2 <= room:
-                        m = tuple(map(add, m1, m2))
-                        terms[m] = terms.get(m, 0) + n1 * n2
-    return out
-
-
-def _denominators(poly: GradedPoly) -> dict[ConstMonomial, int]:
-    """Per constant monomial, the lcm of its coefficients' denominators."""
-    dens: dict[ConstMonomial, int] = {}
-    for c in poly._terms.values():
-        for k, q in c._terms.items():
-            dens[k] = lcm(dens.get(k, 1), q.denominator)
-    return dens
-
-
-def _to_slices(poly: GradedPoly) -> Slices:
-    out: Slices = {k: (den, {}) for k, den in _denominators(poly).items()}
-    for m, c in poly._terms.items():
-        for k, q in c._terms.items():
-            den, terms = out[k]
-            terms[m] = q.numerator * (den // q.denominator)
-    return out
-
-
-def _from_slices(gens: GeneratorSet, slices: Slices) -> GradedPoly:
-    """The polynomial sum_k k * slices[k], zero numerators dropped.  Consumes
-    slices one at a time, so only one slice's numerators are alive next to
-    the new Fractions."""
-    grouped: dict[Monomial, dict[ConstMonomial, Fraction]] = {}
-    while slices:
-        k, (den, terms) = slices.popitem()
-        for m, n in terms.items():
-            if n:
-                grouped.setdefault(m, {})[k] = Fraction(n, den)
-    out = GradedPoly.__new__(GradedPoly)
-    out.gens = gens
-    out._terms = terms = {}
-    for m, coeffs in grouped.items():
-        terms[m] = c = Scalar.__new__(Scalar)
-        c._terms = coeffs
-    return out
+    if start is not None and start.gens != gens:
+        raise ValueError("generator-set mismatch")
+    # A copy: stored slices are never changed in place.
+    out = {k: (den, dict(terms)) for k, (den, terms) in start._slices.items()} if start else {}
+    for p, q in pairs:
+        if not p.gens == q.gens == gens:
+            raise ValueError("generator-set mismatch")
+        right = [(k2, d2, [(m2, n2, degree_of(m2)) for m2, n2 in terms.items()])
+                 for k2, (d2, terms) in q._slices.items()]
+        for k1, (d1, left_terms) in p._slices.items():
+            left = [(m1, n1, cap - degree_of(m1)) for m1, n1 in left_terms.items()]
+            for k2, d2, right_terms in right:
+                k, den = _merge_monomials(k1, k2), d1 * d2
+                old, terms = out.setdefault(k, (den, {}))
+                if old % den:
+                    # Bring the target slice to a common denominator.
+                    new = lcm(old, den)
+                    for m in terms:
+                        terms[m] *= new // old
+                    out[k] = (new, terms)
+                    old = new
+                scale = old // den
+                for m1, n1, room in left:
+                    n1 *= scale
+                    for m2, n2, deg2 in right_terms:
+                        if deg2 <= room:
+                            m = tuple(map(add, m1, m2))
+                            terms[m] = terms.get(m, 0) + n1 * n2
+    return GradedPoly.from_slices(gens, out)
 
 
 def apply_series_as_polynomial(series: FormalSeries,

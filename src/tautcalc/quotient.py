@@ -17,8 +17,8 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable, Iterator, Sequence
 
-from .graded import (GeneratorSet, GradedPoly, Monomial, Slices, _denominators,
-                     _from_slices, monomials_of_degree)
+from .graded import (GeneratorSet, GradedPoly, Monomial, Slices,
+                     monomials_of_degree)
 
 
 class ReductionError(ValueError):
@@ -46,9 +46,8 @@ class RingPresentation:
                 raise ValueError("zero relation")
             if r.gens != gens:
                 raise ValueError("relation over wrong generator set")
-            for _, c in r.items():
-                if not c.is_rational():
-                    raise ValueError("relation coefficients must be rational")
+            if r.symbol_degree():
+                raise ValueError("relation coefficients must be rational")
         if rels and top_degree < max(gens.degrees):
             raise ValueError("top degree below maximal generator degree")
         object.__setattr__(self, "gens", gens)
@@ -252,30 +251,28 @@ class QuotientRing:
         if poly.gens != self.gens:
             raise ReductionError("polynomial over wrong generator set")
         self._check_degree(poly.max_degree())
-        # One pass, smallest monomials first: the larger ones' divisions then
-        # reuse them, whichever slices their coefficients touch.  A leading
-        # coefficient other than +-1 makes the kept divisions, and so the
-        # numerators, Fractions; _from_slices divides them all the same.
-        terms = sorted(poly._terms.items(), reverse=True,
-                       key=lambda mc: _order_key(mc[0]))
-        nf: Slices = {k: (den, {}) for k, den in _denominators(poly).items()}
+        # One division pass, smallest monomials first: the larger ones'
+        # divisions then reuse them, whichever slices hold them.  Each slice
+        # of the results is over its input slice's denominator; a leading
+        # coefficient other than +-1 makes its numerators Fractions.
+        reduced = {m: self._reduce_monomial(m) for m in
+                   sorted(poly.monomials(), key=_order_key, reverse=True)}
+        nf: Slices = {}
         cof: dict[int, Slices] = {}
-        for mono, coeff in terms:
-            mono_nf, mono_cof = self._reduce_monomial(mono)
-            for k, q in coeff._terms.items():
-                den, target = nf[k]
-                n = q.numerator * (den // q.denominator)
+        for k, (den, terms) in poly._slices.items():
+            target = {}
+            nf[k] = (den, target)
+            for mono, n in terms.items():
+                mono_nf, mono_cof = reduced[mono]
                 _axpy(target, n, mono_nf)
                 if with_cofactors:
                     for si, source in mono_cof.items():
-                        slices = cof.setdefault(si, {})
-                        if k not in slices:
-                            slices[k] = (den, {})
-                        _axpy(slices[k][1], n, source)
+                        cof_k = cof.setdefault(si, {}).setdefault(k, (den, {}))
+                        _axpy(cof_k[1], n, source)
         keys = [(s.relation_index, s.component_degree) for s in self.slots]
-        cofactors = {keys[si]: p for si, slices in sorted(cof.items())
-                     if (p := _from_slices(self.gens, slices))}
-        return _from_slices(self.gens, nf), cofactors
+        cofactors = {keys[si]: p for si, cof_slices in sorted(cof.items())
+                     if (p := GradedPoly.from_slices(self.gens, cof_slices))}
+        return GradedPoly.from_slices(self.gens, nf), cofactors
 
     # -- witnesses -----------------------------------------------------------
 

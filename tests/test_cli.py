@@ -139,6 +139,22 @@ def test_critical_reports_match_recorded(capsys):
     assert "".join(out) == recorded.read_text()
 
 
+def test_pontrjagin_reports_match_recorded(capsys):
+    # The recorded reports pin pontrjagin --d 1..7 --k 1..d in text, each
+    # with and without --invert2, and --d 6 --k 1..6 in JSON.
+    recorded = Path(__file__).parent / "data" / "pontrjagin_d1_d7.txt"
+    out = []
+    for d in range(1, 8):
+        for k in range(1, d + 1):
+            for flags in ([], ["--invert2"]):
+                assert main(["pontrjagin", "--d", str(d), "--k", str(k), *flags]) == 0
+                out.append(capsys.readouterr().out)
+    for k in range(1, 7):
+        assert main(["--format", "json", "pontrjagin", "--d", "6", "--k", str(k)]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == recorded.read_text()
+
+
 def test_verify_subset(capsys):
     assert main(["verify", "--only", "bernoulli-zeta,cauchy"]) == 0
     out = capsys.readouterr().out

@@ -1,14 +1,16 @@
-"""Products and reductions run on integer slices, one per constant monomial
+"""GradedPoly stores its integer slices, one per constant monomial
 (rationals, L, Z, h and their products), each a map of integer numerators
-over one denominator.  The term-by-term Scalar loops they replaced are kept
-here as the reference."""
+over one denominator in lowest terms; products and reductions run on them.
+The term-by-term Scalar loops they replaced, built on items(), are kept here
+as the reference."""
 
 import random
 from fractions import Fraction
 from math import inf
 
 from tautcalc.scalars import Scalar, ZERO
-from tautcalc.graded import GeneratorSet, GradedPoly, monomials_of_degree
+from tautcalc.graded import (GeneratorSet, GradedPoly, monomials_of_degree,
+                             sum_of_products)
 from tautcalc.quotient import QuotientRing, RingPresentation
 from tautcalc.arakelov import AbelianTautRing, LagrangianArithRing
 
@@ -32,6 +34,46 @@ def reference_mul_truncated(p, q, max_degree):
 
 def reference_scale(p, s):
     return GradedPoly(p.gens, {m: c * s for m, c in p.items()})
+
+
+def reference_add(p, q):
+    terms = dict(p.items())
+    for m, c in q.items():
+        terms[m] = terms.get(m, ZERO) + c
+    return GradedPoly(p.gens, terms)
+
+
+def reference_select(p, keep):
+    return GradedPoly(p.gens, {m: c for m, c in p.items()
+                               if keep(p.gens.degree_of(m))})
+
+
+def reference_rename(p, target, mapping=None):
+    terms = {}
+    for m, c in p.items():
+        out = [0] * len(target)
+        for name, e in zip(p.gens.names, m):
+            if e:
+                out[target.index(mapping.get(name, name) if mapping else name)] = e
+        terms[tuple(out)] = c
+    return GradedPoly(target, terms)
+
+
+def reference_partial(p, name):
+    i = p.gens.index(name)
+    terms = {}
+    for m, c in p.items():
+        if m[i]:
+            lowered = m[:i] + (m[i] - 1,) + m[i + 1:]
+            terms[lowered] = terms.get(lowered, ZERO) + c * m[i]
+    return GradedPoly(p.gens, terms)
+
+
+def assert_same(x, y):
+    """Equal, with equal hashes: the slices reached by different routes are
+    in the same lowest terms."""
+    assert x == y
+    assert hash(x) == hash(y)
 
 
 def reference_reduce(ring, poly):
@@ -199,3 +241,83 @@ def test_division_steps_one_pass_over_slices():
         getattr(ring, method)(poly)
         getattr(fresh, method)(shadow)
         assert ring.division_steps == fresh.division_steps > 0
+
+
+def test_linear_operations_match_scalar_loop():
+    rng = random.Random(909)
+    gens = GeneratorSet([(f"u{j}", j) for j in range(1, 5)])
+    wider = GeneratorSet([("u5", 5), *((f"u{j}", j) for j in range(1, 5))])
+    mapping = {f"u{j}": f"w{j}" for j in range(1, 5)}
+    renamed = GeneratorSet([(f"w{j}", j) for j in range(1, 7)])
+    probes = monomials_of_degree(gens, 3) + monomials_of_degree(gens, 6)
+    for _ in range(40):
+        p, q = random_poly(rng, gens, 5, 5), random_poly(rng, gens, 5, 5)
+        assert_same(p + q, reference_add(p, q))
+        assert_same(p - q, reference_add(p, reference_scale(q, Scalar.coerce(-1))))
+        assert_same(-p, reference_scale(p, Scalar.coerce(-1)))
+        for k in range(-1, 8):
+            assert_same(p.truncate(k), reference_select(p, lambda e: e <= k))
+            assert_same(p.graded_component(k), reference_select(p, lambda e: e == k))
+        components = p.degree_components()
+        assert list(components) == sorted({gens.degree_of(m) for m, _ in p.items()})
+        for k, component in components.items():
+            assert_same(component, reference_select(p, lambda e: e == k))
+        assert_same(p.rename(wider), reference_rename(p, wider))
+        assert_same(p.rename(renamed, mapping), reference_rename(p, renamed, mapping))
+        for name in gens.names:
+            assert_same(p.partial(name), reference_partial(p, name))
+        for fn in (lambda c: c * L + Fraction(1, 6), lambda c: c * 4, lambda c: c - c):
+            assert_same(p.map_coefficients(fn),
+                        GradedPoly(gens, {m: fn(c) for m, c in p.items()}))
+        terms = dict(p.items())
+        for mono in probes + list(terms):
+            assert p.coefficient(mono) == terms.get(mono, ZERO)
+        assert p.max_degree() == max((gens.degree_of(m) for m in terms), default=0)
+        assert p.symbol_degree() == max((c.symbol_degree() for c in terms.values()),
+                                        default=0)
+
+
+def test_routes_to_one_polynomial_agree_with_hash():
+    rng = random.Random(404)
+    gens = GeneratorSet([(f"u{j}", j) for j in range(1, 4)])
+    for _ in range(30):
+        p, q = random_poly(rng, gens, 4, 5), random_poly(rng, gens, 4, 5)
+        assert_same((p * Fraction(3, 2)) * Fraction(2, 3), p)
+        assert_same((p + q) - q, p)
+        assert_same(p.mul_truncated(q, 3) + p.mul_truncated(q, None).truncate(3) * -1,
+                    GradedPoly.zero(gens))
+    # Over denominator 2, u1 cancels and leaves the even numerator 2 in both
+    # slices; over 6, the rational slice sums to 6 and 6 and the L slice
+    # leaves 3.  Each must drop to lowest terms.
+    u1, u2 = GradedPoly.generator(gens, "u1"), GradedPoly.generator(gens, "u2")
+    x, y = (u1 + u2) * ((1 + L) / 2), (u2 - u1) * ((1 + L) / 2)
+    assert_same(x + y, u2 * (1 + L))
+    x = u1 * (Fraction(1, 2) + L / 6) + u2 * Fraction(1, 3)
+    y = u1 * (Fraction(1, 2) - L / 6) + u2 * (Fraction(2, 3) + L / 2)
+    expected = GradedPoly(gens, {(1, 0, 0): 1, (0, 1, 0): 1 + L / 2})
+    assert_same(x + y, expected)
+    assert_same(x * 2 + y * 2 - u2 * L - u1 * 2, u2 * 2)
+    assert len({x + y, expected, y + x}) == 1
+
+
+def test_sum_of_products_copies_what_it_starts_from():
+    # omega shares a class's slices, so neither + nor sum_of_products may
+    # change the slices of their arguments in place.
+    rng = random.Random(5)
+    gens = GeneratorSet([(f"u{j}", j) for j in range(1, 4)])
+    for _ in range(20):
+        p, q, r = (random_poly(rng, gens, 4, 5) for _ in range(3))
+        before = [x.items() for x in (p, q, r)]
+        total = sum_of_products(gens, [(p, q), (q, r)], 5, start=r)
+        assert_same(total, reference_add(
+            r, reference_add(reference_mul_truncated(p, q, 5),
+                             reference_mul_truncated(q, r, 5))))
+        p + q, q - r, -r, p * q
+        assert [x.items() for x in (p, q, r)] == before
+    ring = AbelianTautRing(3)
+    x = ring.lifted(1) + ring.from_a(GradedPoly.generator(ring.agens, "u1") * L)
+    shared = ring.omega(x.z)
+    snapshot = x.z.items()
+    (x * x) * L, ring.reduce(x * x + x)
+    sum_of_products(ring.agens, [(shared, shared)], None, start=shared)
+    assert x.z.items() == snapshot == [((1, 0, 0), Scalar.coerce(1))]
