@@ -23,9 +23,10 @@ Slices = dict[ConstMonomial, tuple[int, dict[Monomial, int]]]
 
 
 class GeneratorSet:
-    """Ordered list of named generators with degrees >= 1."""
+    """Ordered list of named generators with degrees >= 1.  Each monomial's
+    degree is kept once computed; the memo takes no part in == or hash."""
 
-    __slots__ = ("names", "degrees", "_index")
+    __slots__ = ("names", "degrees", "_index", "_degree")
 
     def __init__(self, generators: Iterable[tuple[str, int]]):
         names = []
@@ -40,6 +41,7 @@ class GeneratorSet:
         self.names = tuple(names)
         self.degrees = tuple(degrees)
         self._index = {n: i for i, n in enumerate(names)}
+        self._degree: dict[Monomial, int] = {}
 
     def __len__(self) -> int:
         return len(self.names)
@@ -56,7 +58,11 @@ class GeneratorSet:
         return self._index[name]
 
     def degree_of(self, mono: Monomial) -> int:
-        return sum(map(mul, mono, self.degrees))
+        try:
+            return self._degree[mono]
+        except KeyError:
+            degree = self._degree[mono] = sum(map(mul, mono, self.degrees))
+            return degree
 
     def unit(self) -> Monomial:
         return (0,) * len(self.names)
@@ -152,7 +158,9 @@ class GradedPoly:
     @classmethod
     def from_slices(cls, gens: GeneratorSet, slices: Mapping) -> "GradedPoly":
         """sum_k k * terms / den over slices {k: (den, terms)}, brought to
-        lowest terms; numerators may be 0 or Fractions."""
+        lowest terms; numerators may be 0 or Fractions.  A terms dict that is
+        already in lowest terms is stored as it is, so the caller hands it
+        over and must never change it afterwards."""
         out = cls.__new__(cls)
         out.gens = gens
         out._slices = {k: s for k, (den, terms) in slices.items()
@@ -196,7 +204,10 @@ class GradedPoly:
         return self._select(lambda k: k <= max_degree)
 
     def _select(self, keep: Callable[[int], bool]) -> "GradedPoly":
+        """The monomials whose degree passes keep; self if that is all."""
         degree_of = self.gens.degree_of
+        if all(keep(degree_of(m)) for _, terms in self._slices.values() for m in terms):
+            return self
         return GradedPoly.from_slices(self.gens, {
             k: (den, {m: n for m, n in terms.items() if keep(degree_of(m))})
             for k, (den, terms) in self._slices.items()})
@@ -300,6 +311,11 @@ class GradedPoly:
         return self.gens == other.gens and self._slices == other._slices
 
     def __hash__(self) -> int:
+        # A constant equals its coefficient (and an int or Fraction), so it
+        # hashes alike.
+        unit = self.gens.unit()
+        if self.monomials() <= {unit}:
+            return hash(self.coefficient(unit))
         return hash((self.gens, frozenset((k, den, frozenset(terms.items()))
                                           for k, (den, terms) in self._slices.items())))
 
@@ -368,8 +384,9 @@ class GradedPoly:
 def _lowest(den: int, terms: Mapping[Monomial, int | Fraction]):
     """The slice (den, terms) in lowest terms, or None if every numerator
     is 0.  Fraction numerators, from a non-unit leading coefficient, are
-    cleared first."""
-    terms = {m: n for m, n in terms.items() if n}
+    cleared first.  terms itself is kept when it needs no change."""
+    if not all(terms.values()):
+        terms = {m: n for m, n in terms.items() if n}
     if not terms:
         return None
     try:

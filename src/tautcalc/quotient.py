@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 from .graded import (GeneratorSet, GradedPoly, Monomial, Slices,
@@ -205,11 +206,11 @@ class QuotientRing:
                 continue
             self.division_steps += 1
             _, lead, inv_lc, tail = self._rules[si]
-            t = tuple(a - b for a, b in zip(m, lead))
+            t = tuple(map(sub, m, lead))
             if cof is not None:
                 _axpy(cof.setdefault(si, {}), c, {t: inv_lc})
             for tm, tc in tail:
-                n = tuple(a + b for a, b in zip(t, tm))
+                n = tuple(map(add, t, tm))
                 old = coeffs.get(n)
                 if old is None:
                     coeffs[n] = c * tc

@@ -168,6 +168,9 @@ class Scalar:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # A rational value equals its Fraction (and int), so it hashes alike.
+        if self._terms.keys() <= {()}:
+            return hash(self._terms.get((), 0))
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:
@@ -259,6 +262,10 @@ def _monomial_key(mono: ConstMonomial):
 
 
 def _merge_monomials(m1: ConstMonomial, m2: ConstMonomial) -> ConstMonomial:
+    if not m1:
+        return m2
+    if not m2:
+        return m1
     exps: dict[str, int] = dict(m1)
     for name, e in m2:
         exps[name] = exps.get(name, 0) + e

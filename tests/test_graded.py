@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tautcalc.scalars import FormalSeries, zeta_prime_symbol
+from tautcalc.scalars import FormalSeries, Scalar, zeta_prime_symbol
 from tautcalc.graded import (GeneratorSet, GradedPoly,
                              apply_series_as_polynomial, monomial_sort_key,
                              monomials_of_degree)
@@ -19,6 +19,44 @@ def test_generator_set_validation():
         GeneratorSet([("a", 0)])
     with pytest.raises(ValueError):
         GeneratorSet([("a", 1), ("a", 2)])
+
+
+def test_degree_memo_matches_weighted_sum():
+    rng = random.Random(31)
+    for _ in range(20):
+        weights = [rng.randrange(1, 6) for _ in range(rng.randrange(1, 6))]
+        g = GeneratorSet([(f"v{j}", w) for j, w in enumerate(weights)])
+        monos = [tuple(rng.randrange(4) for _ in weights) for _ in range(30)]
+        # Each monomial with its reverse: a degree kept under the wrong key
+        # shows on the second pass.
+        monos += [m[::-1] for m in monos]
+        for _ in range(2):
+            for m in monos:
+                assert g.degree_of(m) == sum(e * w for e, w in zip(m, weights))
+        fresh = GeneratorSet(zip(g.names, g.degrees))
+        assert fresh.degree_of(monos[0]) == g.degree_of(monos[0])
+        # The memo takes no part in equality or hashing.
+        assert fresh == g and hash(fresh) == hash(g)
+        assert fresh != GeneratorSet(zip(g.names, [w + 1 for w in weights]))
+
+
+def test_hash_agrees_with_equality_for_constants():
+    g = gens_u(2)
+    for value in (2, Fraction(-3, 4), 0, Fraction(0), 1):
+        equal = [value, Fraction(value), Scalar.coerce(value),
+                 GradedPoly.constant(g, value), GradedPoly.constant(gens_u(3), value)]
+        for x in equal:
+            assert x == value and hash(x) == hash(value), x
+        assert len(set(equal)) == 1
+    assert len({GradedPoly.constant(g, 2), Scalar.coerce(2), 2}) == 1
+    assert len({GradedPoly.zero(g), Scalar.coerce(0), 0}) == 1
+    u1 = GradedPoly.generator(g, "u1")
+    L = Scalar.symbol("L")
+    # A constant equals its symbolic coefficient too; u1 and 2*u1 are not
+    # constants.
+    assert len({u1, u1 * 2, 2, GradedPoly.constant(g, L), L, Scalar.coerce(1)}) == 5
+    assert hash(GradedPoly.constant(g, L)) == hash(L)
+    assert hash(u1 - u1) == hash(0)
 
 
 def test_monomials_of_degree_examples():

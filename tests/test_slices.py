@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 from math import inf
 
-from tautcalc.scalars import Scalar, ZERO
+from tautcalc.scalars import Scalar, ZERO, _merge_monomials, symbol_sort_key
 from tautcalc.graded import (GeneratorSet, GradedPoly, monomials_of_degree,
                              sum_of_products)
 from tautcalc.quotient import QuotientRing, RingPresentation
@@ -277,6 +277,37 @@ def test_linear_operations_match_scalar_loop():
                                         default=0)
 
 
+def test_selections_that_drop_nothing_return_self():
+    rng = random.Random(77)
+    gens = GeneratorSet([(f"u{j}", j) for j in range(1, 5)])
+    for _ in range(40):
+        p = random_poly(rng, gens, 6, rng.randrange(0, 6))
+        degrees = {gens.degree_of(m) for m, _ in p.items()}
+        for k in range(-1, 9):
+            for selected, keep in ((p.truncate(k), lambda e: e <= k),
+                                   (p.graded_component(k), lambda e: e == k)):
+                if all(map(keep, degrees)):
+                    assert selected is p
+                else:
+                    assert selected is not p
+                    assert_same(selected, reference_select(p, keep))
+
+
+def reference_merge(m1, m2):
+    exps = {}
+    for name, e in m1 + m2:
+        exps[name] = exps.get(name, 0) + e
+    return tuple(sorted(exps.items(), key=lambda p: symbol_sort_key(p[0])))
+
+
+def test_merge_with_the_empty_monomial():
+    for atom in ATOMS + [L * Z1 * H3, Z3 * Z3 * H1]:
+        for mono in atom._terms:
+            for m1, m2 in ((mono, ()), ((), mono), (mono, mono)):
+                assert _merge_monomials(m1, m2) == reference_merge(m1, m2)
+    assert _merge_monomials((), ()) == ()
+
+
 def test_routes_to_one_polynomial_agree_with_hash():
     rng = random.Random(404)
     gens = GeneratorSet([(f"u{j}", j) for j in range(1, 4)])
@@ -313,7 +344,23 @@ def test_sum_of_products_copies_what_it_starts_from():
             r, reference_add(reference_mul_truncated(p, q, 5),
                              reference_mul_truncated(q, r, 5))))
         p + q, q - r, -r, p * q
+        for k in range(-1, 6):
+            p.truncate(k) + q, p.graded_component(k) - r
+            sum_of_products(gens, [(q, r)], k, start=p.truncate(k))
+            sum_of_products(gens, [(r, q)], k, start=p.graded_component(k))
         assert [x.items() for x in (p, q, r)] == before
+        # from_slices keeps the dicts it is handed; operations on the result
+        # leave them as they were.
+        slices = {k: (den, dict(terms)) for k, (den, terms) in (p + r)._slices.items()}
+        snapshot = {k: (den, dict(terms)) for k, (den, terms) in slices.items()}
+        built = GradedPoly.from_slices(gens, slices)
+        assert_same(built, p + r)
+        built + q, built - q, -built, built * q, built.truncate(3) + q
+        sum_of_products(gens, [(built, q)], 5, start=built)
+        sum_of_products(gens, [(q, q)], 5, start=built.truncate(2))
+        sum_of_products(gens, [(q, q)], None, start=built.graded_component(3))
+        assert slices == snapshot
+        assert_same(built, p + r)
     ring = AbelianTautRing(3)
     x = ring.lifted(1) + ring.from_a(GradedPoly.generator(ring.agens, "u1") * L)
     shared = ring.omega(x.z)
