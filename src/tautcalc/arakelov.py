@@ -30,10 +30,6 @@ from .quotient import QuotientRing, ReductionError, RingPresentation, _axpy
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 
 
-# Rings with d above this need an explicit working degree.
-MAX_DEFAULT_D = 7
-
-
 def arithmetic_dimension(d: int) -> int:
     """d(d-1)/2 + 1, the default working degree: every arithmetic class
     vanishes above it, and C1 to this power is the critical power."""
@@ -397,9 +393,6 @@ class AbelianTautRing(ArithRing):
     def __init__(self, d: int, cap: int | None = None):
         if d < 1:
             raise ValueError("d must be positive")
-        if d > MAX_DEFAULT_D and cap is None:
-            raise ValueError(f"d > {MAX_DEFAULT_D} needs an explicit "
-                             "working-degree override")
         if cap is None:
             cap = arithmetic_dimension(d)
         self._setup(d, d, cap, gamma_degree=d,

@@ -15,31 +15,11 @@ from dataclasses import dataclass, field
 
 from .scalars import Scalar
 from .graded import GradedPoly
-from .arakelov import (MAX_DEFAULT_D, AbelianTautRing, ArithClass,
-                       LagrangianArithRing, arithmetic_dimension,
-                       c1_critical_power, harmonic_substitution,
-                       height_polynomial, lagrangian_degree,
-                       proportionality_map_check, tautological_ring)
+from .arakelov import (AbelianTautRing, ArithClass, c1_critical_power,
+                       harmonic_substitution, height_polynomial,
+                       lagrangian_degree, proportionality_map_check,
+                       tautological_ring)
 from .verify import run_checks
-
-
-def minimum_working_degree(command: str, d: int, k: int = 0) -> int | None:
-    """Smallest --max-degree with which a command computes its true answer,
-    or None for commands without a working degree.
-
-    Every ring needs its generators (degrees 1..d) within the cap.  Every
-    class vanishes above the arithmetic dimension d(d-1)/2 + 1, so
-    pontrjagin needs p_k (degree 2k) in range only up to it, and c1-power
-    and height-poly need the critical power C1^(1 + d(d-1)/2) in range.
-    """
-    dimension = arithmetic_dimension(d)
-    if command == "pontrjagin":
-        return max(d, min(2 * k, dimension))
-    if command in ("c1-power", "height-poly"):
-        return dimension
-    if command == "ring-info":
-        return d
-    return None
 
 
 @dataclass
@@ -48,7 +28,6 @@ class RunConfig:
     command: str
     fmt: str = "text"
     invert2: bool = False
-    max_degree: int | None = None
     selection: list[str] | None = None
     audit: bool = False
     extra_k: int = 0
@@ -122,26 +101,21 @@ def _class_renderings(x: ArithClass, invert2: bool) -> tuple[str, str, dict]:
 
 
 def cmd_pontrjagin(config: RunConfig) -> Report:
-    ring = AbelianTautRing(config.d, config.max_degree)
+    ring = AbelianTautRing(config.d)
     k = config.extra_k
     report = Report("pontrjagin", {"d": config.d, "k": k,
                                    "invert2": config.invert2})
     from .charclasses import ClassVector, pontrjagin_from_c
     classes = ClassVector.standard(ring.zgens, list(ring.zgens.names))
     poly = pontrjagin_from_c(classes, k)[k - 1]
-    if poly.max_degree() > ring.cap:
-        # main() admits this only for a cap at or above the dimension.
-        value = ring.zero()
-    else:
-        value = ring.reduce(ring.from_z(poly))
+    value = ring.reduce(ring.from_z(poly))
     text, latex, payload = _class_renderings(value, config.invert2)
     report.add(f"p^_{k}(E)", text, f"\\hat p_{{{k}}}(\\bar E) = {latex}", payload)
     return report
 
 
 def cmd_c1_power(config: RunConfig) -> Report:
-    result = c1_critical_power(config.d, AbelianTautRing(config.d,
-                                                         config.max_degree))
+    result = c1_critical_power(config.d)
     report = Report("c1-power", {"d": config.d, "invert2": config.invert2})
     text, latex, payload = _class_renderings(result.reduced, config.invert2)
     exp = result.exponent
@@ -161,7 +135,7 @@ def cmd_c1_power(config: RunConfig) -> Report:
 
 
 def cmd_ring_info(config: RunConfig) -> Report:
-    ring = tautological_ring(config.d, config.max_degree)
+    ring = tautological_ring(config.d)
     rep = ring.dimension_report()
     report = Report("ring-info", {"d": config.d})
     report.add("dimensions", str(rep.dims), str(rep.dims), rep.dims)
@@ -176,8 +150,7 @@ def cmd_ring_info(config: RunConfig) -> Report:
 
 
 def cmd_height_poly(config: RunConfig) -> Report:
-    result = height_polynomial(config.d, LagrangianArithRing(
-        config.d, "formal", config.max_degree))
+    result = height_polynomial(config.d)
     report = Report("height-poly", {"d": config.d, "invert2": config.invert2})
     report.add("height polynomial", result.height.render(),
                result.height.render(True), result.height.to_json())
@@ -255,12 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_k=False, working_degree=True):
+    def common(p, need_k=False):
         p.add_argument("--d", type=int, required=True)
-        if working_degree:
-            p.add_argument("--max-degree", type=int, default=None,
-                           help="working-degree override (required for "
-                                f"d > {MAX_DEFAULT_D})")
         if need_k:
             p.add_argument("--k", type=int, required=True)
 
@@ -283,10 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--invert2", action="store_true")
 
     p = sub.add_parser("hmap-check", help="proportionality map residues")
-    common(p, working_degree=False)
+    common(p)
 
     p = sub.add_parser("degree", help="degree of the Lagrangian Grassmannian")
-    common(p, working_degree=False)
+    common(p)
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--only", type=str, default=None,
@@ -311,8 +280,7 @@ def main(argv: list[str] | None = None) -> int:
 
     config = RunConfig(d=getattr(args, "d", 0), command=args.command,
                        fmt=args.format,
-                       invert2=getattr(args, "invert2", False),
-                       max_degree=getattr(args, "max_degree", None))
+                       invert2=getattr(args, "invert2", False))
     config.audit = getattr(args, "audit", False)
     config.extra_k = getattr(args, "k", 0)
     if args.command == "verify":
@@ -324,23 +292,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{args.command} needs --d >= 2")
         if args.command == "pontrjagin" and not 1 <= config.extra_k <= config.d:
             parser.error("--k must satisfy 1 <= k <= d")
-        minimum = minimum_working_degree(args.command, config.d,
-                                         config.extra_k)
-        if minimum is None:
-            if args.command == "hmap-check" and config.d > MAX_DEFAULT_D:
-                parser.error(f"hmap-check needs --d <= {MAX_DEFAULT_D}")
-        elif config.max_degree is None:
-            if config.d > MAX_DEFAULT_D:
-                parser.error(f"--d {config.d} exceeds the default cap "
-                             f"{MAX_DEFAULT_D}; pass --max-degree "
-                             f"(at least {minimum}) to override")
-        elif config.max_degree < minimum:
-            parser.error(f"--max-degree {config.max_degree} is below the "
-                         f"minimum working degree {minimum} of "
-                         f"{args.command} at --d {config.d}")
-        if minimum is not None and config.d > MAX_DEFAULT_D:
-            print(f"warning: d={config.d} is above the default cap "
-                  f"{MAX_DEFAULT_D}; expect long runtimes", file=sys.stderr)
 
     start = time.monotonic()
     try:

@@ -166,9 +166,8 @@ def test_relations_from_odd_power_sums():
 def test_critical_power_two_routes_d8_d11():
     pinned = {10: R10_TWO_ROUTES, 11: R11_TWO_ROUTES}
     for d in (8, 9, 10, 11):
-        cap = d * (d - 1) // 2 + 1
-        abelian = AbelianTautRing(d, cap)
-        lagrangian = LagrangianArithRing(d, "formal", cap)
+        abelian = AbelianTautRing(d)
+        lagrangian = LagrangianArithRing(d, "formal")
         assert_relations_from_odd_sums(abelian, abelian_coefficient)
         assert_relations_from_odd_sums(lagrangian, lagrangian_coefficient("formal"))
         result = c1_critical_power(d, abelian)
@@ -178,6 +177,20 @@ def test_critical_power_two_routes_d8_d11():
         assert height.socle_coordinate == lagrangian_degree(d)
         if d in pinned:
             assert result.r.render() == pinned[d]
+
+
+def test_critical_power_one_degree_at_a_time():
+    # A third route for r_d: multiply by C1 and reduce, one degree at a
+    # time.  It never divides C1^(1 + d(d-1)/2) with cofactors, so agreeing
+    # with c1_critical_power checks that reduce is a homomorphism up to the
+    # critical degree.
+    for d in range(2, 11):
+        ring = AbelianTautRing(d)
+        c1 = ring.lifted(1)
+        x = c1
+        for _ in range(d * (d - 1) // 2):
+            x = ring.reduce(x * c1)
+        assert x == c1_critical_power(d, ring).reduced, d
 
 
 def test_d4_intermediate_witness_combination():
@@ -498,9 +511,9 @@ def test_render_display_style():
 def test_builder_ranges():
     with pytest.raises(ValueError):
         AbelianTautRing(0)
-    with pytest.raises(ValueError):
-        AbelianTautRing(8)  # needs an explicit cap override
-    ring = AbelianTautRing(8, cap=9)  # override allowed, truncated work
+    # the default working degree is the arithmetic dimension at every d
+    assert AbelianTautRing(8).cap == 29
+    ring = AbelianTautRing(8, cap=9)  # truncated work
     assert ring.cap == 9
 
 

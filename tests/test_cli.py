@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from tautcalc import cli
 from tautcalc.cli import main
 from tautcalc.scalars import Scalar
 from tautcalc.graded import GradedPoly
-from tautcalc.arakelov import AbelianTautRing, ArithClass
+from tautcalc.arakelov import (AbelianTautRing, ArithClass, c1_critical_power,
+                               proportionality_map_check,
+                               verify_map_certificate)
 
 
 def run_cli(args):
@@ -165,15 +166,16 @@ def test_verify_unknown_check(capsys):
     assert main(["verify", "--only", "nope"]) == 2
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     code, _, err = run_cli(["pontrjagin", "--d", "2", "--k", "3"])
     assert code == 2
     code, _, _ = run_cli(["c1-power"])
     assert code == 2
-    code, _, _ = run_cli(["c1-power", "--d", "9"])
-    assert code == 2  # d beyond default cap without --max-degree
     code, _, _ = run_cli(["height-poly", "--d", "1"])
     assert code == 2
+    # every command works at the arithmetic dimension; none takes a cap
+    err = usage_error(capsys, ["c1-power", "--d", "9", "--max-degree", "37"])
+    assert "unrecognized arguments: --max-degree 37" in err
 
 
 def usage_error(capsys, argv):
@@ -184,69 +186,43 @@ def usage_error(capsys, argv):
 
 
 def test_pontrjagin_cap_below_class_degree(capsys):
-    # p_3 has degree 6: a cap of 5 used to print "p^_3(E): 0" and exit 0
-    err = usage_error(capsys, ["pontrjagin", "--d", "4", "--k", "3",
-                               "--max-degree", "5"])
-    assert "minimum working degree 6" in err
-    assert main(["pontrjagin", "--d", "4", "--k", "3", "--max-degree", "6"]) == 0
+    # p_3 has degree 6, within the dimension 7: a cap of 5 would print
+    # "p^_3(E): 0"
+    assert main(["pontrjagin", "--d", "4", "--k", "3"]) == 0
     out = capsys.readouterr().out
     assert "a((-137/60 + 128/63*log2 + 504*zeta'(-5))*c2*c3)" in out
 
 
-def test_pontrjagin_cap_below_generator_degree(capsys):
-    err = usage_error(capsys, ["pontrjagin", "--d", "4", "--k", "1",
-                               "--max-degree", "2"])
-    assert "minimum working degree 4" in err
-    assert "top degree below" not in err
-
-
 def test_pontrjagin_above_dimension_is_zero(capsys):
-    # p_3 at d = 3 has degree 6, above the dimension 4: zero at the default cap
-    assert main(["pontrjagin", "--d", "3", "--k", "3", "--max-degree", "4"]) == 0
+    # p_3 at d = 3 has degree 6, above the dimension 4: reduction truncates
+    # it to zero
+    assert main(["pontrjagin", "--d", "3", "--k", "3"]) == 0
     assert "p^_3(E): 0" in capsys.readouterr().out
-
-
-def test_c1_power_cap_below_generator_degree(capsys):
-    err = usage_error(capsys, ["c1-power", "--d", "3", "--max-degree", "2"])
-    assert "minimum working degree 4" in err
-    assert "top degree below" not in err
-
-
-def test_c1_power_cap_below_critical_degree(capsys):
-    err = usage_error(capsys, ["c1-power", "--d", "4", "--max-degree", "5"])
-    assert "minimum working degree 7" in err
-    assert "exceeds working degree" not in err
-
-
-def test_ring_info_cap_below_generator_degree(capsys):
-    err = usage_error(capsys, ["ring-info", "--d", "4", "--max-degree", "3"])
-    assert "minimum working degree 4" in err
-    assert "top degree below" not in err
-
-
-def test_height_poly_uses_max_degree(capsys, monkeypatch):
-    err = usage_error(capsys, ["height-poly", "--d", "3", "--max-degree", "3"])
-    assert "minimum working degree 4" in err
-    caps = []
-    ring_cls = cli.LagrangianArithRing
-
-    def spy(d, mode, cap=None):
-        caps.append(cap)
-        return ring_cls(d, mode, cap)
-
-    monkeypatch.setattr(cli, "LagrangianArithRing", spy)
-    assert main(["height-poly", "--d", "3", "--max-degree", "6"]) == 0
-    wide = capsys.readouterr().out
-    assert main(["height-poly", "--d", "3"]) == 0
-    assert capsys.readouterr().out == wide
-    assert caps == [6, None]
 
 
 def test_hmap_check_has_no_max_degree(capsys):
     err = usage_error(capsys, ["hmap-check", "--d", "3", "--max-degree", "9"])
     assert "unrecognized arguments: --max-degree 9" in err
-    err = usage_error(capsys, ["hmap-check", "--d", "8"])
-    assert "hmap-check needs --d <= 7" in err
+
+
+def test_hmap_check_d8_certificate(capsys):
+    # d = 8 runs like any other d: no map exists, and the exit code comes
+    # from the failing residues next to a certificate that verifies
+    assert main(["hmap-check", "--d", "8"]) == 1
+    captured = capsys.readouterr()
+    assert "\ncertificate y: y[" in captured.out
+    assert "[FAIL] construction" in captured.out
+    assert "usage" not in captured.err
+    ring = AbelianTautRing(8)
+    cert = proportionality_map_check(8, ring).certificate
+    assert verify_map_certificate(cert, ring)
+    assert f"certificate y^T b: {cert.value.render()}\n" in captured.out
+
+
+def test_c1_power_d8_matches_library(capsys):
+    assert main(["c1-power", "--d", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"r_d: {c1_critical_power(8).r.render()}" in lines
 
 
 def test_reports_are_deterministic():
