@@ -54,16 +54,15 @@ def dual_square_relation(gens: GeneratorSet) -> GradedPoly:
 
 def tautological_presentation(d: int, top_degree: int | None = None) -> RingPresentation:
     """Presentation of the rank-d tautological ring: generators u1..ud with
-    the dual-square relation and u_d = 0."""
+    the homogeneous components of the dual-square relation, in degree order,
+    and u_d = 0."""
     if d < 1:
         raise ValueError("d must be positive")
     gens = GeneratorSet([(f"u{j}", j) for j in range(1, d + 1)])
     if top_degree is None:
         top_degree = arithmetic_dimension(d)
-    relations = [GradedPoly.generator(gens, f"u{d}")]
-    rel = dual_square_relation(gens)
-    if not rel.is_zero():
-        relations.insert(0, rel)
+    relations = [*dual_square_relation(gens).degree_components().values(),
+                 GradedPoly.generator(gens, f"u{d}")]
     return RingPresentation(gens, relations, top_degree)
 
 
@@ -228,19 +227,16 @@ class ArithRing:
 
     def _setup(self, d: int, n_gens: int, cap: int, gamma_degree: int | None,
                coefficient: Callable[[int], Scalar | Fraction]):
-        """Build both quotients.  Form relations: the dual square, and
-        u_n = 0 when the ring has gamma.  Lifted relations: p_k(C) rewrites
-        to a(coefficient(k) * s_{2k-1}(u)) for k <= min(n, cap // 2), and
-        C_n to a(gamma) when the ring has gamma."""
+        """Build both quotients.  Form relations: the components of the dual
+        square, and u_n = 0 when the ring has gamma.  Lifted relations: p_k(C)
+        rewrites to a(coefficient(k) * s_{2k-1}(u)) for k <= min(n, cap // 2),
+        and C_n to a(gamma) when the ring has gamma."""
         self.d = d
         self.cap = cap
         self.gamma_degree = gamma_degree
         self.zgens = GeneratorSet([(f"C{j}", j) for j in range(1, n_gens + 1)])
         self.agens = GeneratorSet([(f"u{j}", j) for j in range(1, n_gens + 1)])
-        a_rels: list[GradedPoly] = []
-        rel = dual_square_relation(self.agens)
-        if not rel.is_zero():
-            a_rels.append(rel)
+        a_rels = list(dual_square_relation(self.agens).degree_components().values())
         if gamma_degree is not None:
             a_rels.append(GradedPoly.generator(self.agens, f"u{n_gens}"))
         self.aq = QuotientRing(
@@ -334,12 +330,12 @@ class ArithRing:
     def reduce(self, x: ArithClass) -> ArithClass:
         return self.reduce_detailed(x)[0]
 
-    def _form_contributions(self, cofactors: Mapping[tuple[int, int], GradedPoly],
+    def _form_contributions(self, cofactors: Mapping[int, GradedPoly],
                             a: GradedPoly, g: GradedPoly):
         """The form part a and gamma coefficient g plus what the cofactors
         push into them: omega(cofactor) times each relation's form side."""
         pairs = [(self.omega(cof), self.relations[ri])
-                 for (ri, _), cof in cofactors.items()]
+                 for ri, cof in cofactors.items()]
         a = sum_of_products(self.agens, [(w, rel.apart) for w, rel in pairs],
                             self.cap - 1, start=a)
         g = sum_of_products(self.agens, [(w, rel.gpart) for w, rel in pairs],
@@ -358,7 +354,8 @@ class ArithRing:
 
     def reduce_variants(self, x: ArithClass, count: int = 3) -> list[ArithClass]:
         """Reductions of a class whose polynomial part lies in the relation
-        ideal, computed from distinct witness solutions."""
+        ideal, one per distinct witness: the division's cofactors and those
+        cofactors moved by Koszul syzygies of the lifted relations."""
         z = x.z.truncate(self.cap)
         witnesses = self.zq.alternative_witnesses(z, count)
         out = []
@@ -828,8 +825,8 @@ def proportionality_map_check(d: int,
     the abelian ring modulo (a(gamma)) and push every relation through it.
 
     The generator images are re-verified by an independent sweep: each
-    relation component of the source is evaluated at the images and reduced;
-    success means every residue is exactly zero.
+    lifted relation of the source, and its whole dual square, is evaluated at
+    the images and reduced; success means every residue is exactly zero.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -869,9 +866,8 @@ def proportionality_map_check(d: int,
             A.dual_a(rel.apart.rename(A.agens)) * unit)
         red = A.reduce(image).drop_gamma()
         residues.append((f"lifted relation {idx + 1}", red))
-    for idx, rel in enumerate(R.aq.presentation.relations):
-        image = A.from_a(A.dual_a(rel.rename(A.agens)) * unit)
-        red = A.reduce(image).drop_gamma()
-        residues.append((f"form relation {idx + 1}", red))
+    form_relation = dual_square_relation(R.agens).rename(A.agens)
+    image = A.from_a(A.dual_a(form_relation) * unit)
+    residues.append(("form relation 1", A.reduce(image).drop_gamma()))
     return ProportionalityReport(d, constructed, diagnosis, e0, images,
                                  residues, certificate)

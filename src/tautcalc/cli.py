@@ -23,17 +23,6 @@ from .verify import run_checks
 
 
 @dataclass
-class RunConfig:
-    d: int
-    command: str
-    fmt: str = "text"
-    invert2: bool = False
-    selection: list[str] | None = None
-    audit: bool = False
-    extra_k: int = 0
-
-
-@dataclass
 class Report:
     command: str
     params: dict
@@ -100,28 +89,27 @@ def _class_renderings(x: ArithClass, invert2: bool) -> tuple[str, str, dict]:
     return x.render(False), x.render(True), x.to_json()
 
 
-def cmd_pontrjagin(config: RunConfig) -> Report:
-    ring = AbelianTautRing(config.d)
-    k = config.extra_k
-    report = Report("pontrjagin", {"d": config.d, "k": k,
-                                   "invert2": config.invert2})
+def cmd_pontrjagin(args: argparse.Namespace) -> Report:
+    ring = AbelianTautRing(args.d)
+    k = args.k
+    report = Report("pontrjagin", {"d": args.d, "k": k, "invert2": args.invert2})
     from .charclasses import ClassVector, pontrjagin_from_c
     classes = ClassVector.standard(ring.zgens, list(ring.zgens.names))
     poly = pontrjagin_from_c(classes, k)[k - 1]
     value = ring.reduce(ring.from_z(poly))
-    text, latex, payload = _class_renderings(value, config.invert2)
+    text, latex, payload = _class_renderings(value, args.invert2)
     report.add(f"p^_{k}(E)", text, f"\\hat p_{{{k}}}(\\bar E) = {latex}", payload)
     return report
 
 
-def cmd_c1_power(config: RunConfig) -> Report:
-    result = c1_critical_power(config.d)
-    report = Report("c1-power", {"d": config.d, "invert2": config.invert2})
-    text, latex, payload = _class_renderings(result.reduced, config.invert2)
+def cmd_c1_power(args: argparse.Namespace) -> Report:
+    result = c1_critical_power(args.d)
+    report = Report("c1-power", {"d": args.d, "invert2": args.invert2})
+    text, latex, payload = _class_renderings(result.reduced, args.invert2)
     exp = result.exponent
     report.add(f"c^1^{exp}(E)", text,
                f"\\hat c_1^{{{exp}}}(\\bar E) = {latex}", payload)
-    r = _strip_log2(result.r) if config.invert2 else result.r
+    r = _strip_log2(result.r) if args.invert2 else result.r
     report.add("r_d", r.render(), r.render(True), r.to_json())
     anames = result.reduced.ring.display_anames(False)
     report.add("phi", result.phi.render(names=anames),
@@ -134,30 +122,30 @@ def cmd_c1_power(config: RunConfig) -> Report:
     return report
 
 
-def cmd_ring_info(config: RunConfig) -> Report:
-    ring = tautological_ring(config.d)
+def cmd_ring_info(args: argparse.Namespace) -> Report:
+    ring = tautological_ring(args.d)
     rep = ring.dimension_report()
-    report = Report("ring-info", {"d": config.d})
+    report = Report("ring-info", {"d": args.d})
     report.add("dimensions", str(rep.dims), str(rep.dims), rep.dims)
     report.add("total", str(rep.total), str(rep.total), rep.total)
     report.add("socle degree", str(rep.socle_degree), str(rep.socle_degree),
                rep.socle_degree)
     report.add("socle dimension", str(rep.socle_dim), str(rep.socle_dim),
                rep.socle_dim)
-    if config.audit:
+    if args.audit:
         report.add("audit", "(json only)", "(json only)", ring.audit_dump())
     return report
 
 
-def cmd_height_poly(config: RunConfig) -> Report:
-    result = height_polynomial(config.d)
-    report = Report("height-poly", {"d": config.d, "invert2": config.invert2})
+def cmd_height_poly(args: argparse.Namespace) -> Report:
+    result = height_polynomial(args.d)
+    report = Report("height-poly", {"d": args.d, "invert2": args.invert2})
     report.add("height polynomial", result.height.render(),
                result.height.render(True), result.height.to_json())
-    sub = _strip_log2(result.substituted) if config.invert2 else result.substituted
+    sub = _strip_log2(result.substituted) if args.invert2 else result.substituted
     report.add("after substitution (= r_d)", sub.render(), sub.render(True),
                sub.to_json())
-    bindings = harmonic_substitution(config.d)
+    bindings = harmonic_substitution(args.d)
     report.add("substitution",
                "; ".join(f"{k} -> {v.render()}" for k, v in sorted(
                    bindings.items(), key=lambda kv: int(kv[0][1:]))
@@ -166,10 +154,10 @@ def cmd_height_poly(config: RunConfig) -> Report:
     return report
 
 
-def cmd_hmap_check(config: RunConfig) -> Report:
-    ring = AbelianTautRing(config.d)
-    rep = proportionality_map_check(config.d, ring)
-    report = Report("hmap-check", {"d": config.d})
+def cmd_hmap_check(args: argparse.Namespace) -> Report:
+    ring = AbelianTautRing(args.d)
+    rep = proportionality_map_check(args.d, ring)
+    report = Report("hmap-check", {"d": args.d})
     if rep.form_unit is not None:
         report.add("constant form scale", rep.form_unit.render(),
                    rep.form_unit.render(True), rep.form_unit.to_json())
@@ -203,16 +191,17 @@ def cmd_hmap_check(config: RunConfig) -> Report:
     return report
 
 
-def cmd_degree(config: RunConfig) -> Report:
-    value = lagrangian_degree(config.d)
-    report = Report("degree", {"d": config.d})
-    report.add(f"deg B_{config.d - 1}", str(value), str(value), value)
+def cmd_degree(args: argparse.Namespace) -> Report:
+    value = lagrangian_degree(args.d)
+    report = Report("degree", {"d": args.d})
+    report.add(f"deg B_{args.d - 1}", str(value), str(value), value)
     return report
 
 
-def cmd_verify(config: RunConfig) -> Report:
-    results = run_checks(config.selection)
-    report = Report("verify", {"only": config.selection or "all"})
+def cmd_verify(args: argparse.Namespace) -> Report:
+    selection = args.only.split(",") if args.only else None
+    results = run_checks(selection)
+    report = Report("verify", {"only": selection or "all"})
     for res in results:
         report.checks.append({"name": res.name, "source": res.source,
                               "ok": res.ok, "detail": res.detail})
@@ -278,28 +267,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    config = RunConfig(d=getattr(args, "d", 0), command=args.command,
-                       fmt=args.format,
-                       invert2=getattr(args, "invert2", False))
-    config.audit = getattr(args, "audit", False)
-    config.extra_k = getattr(args, "k", 0)
-    if args.command == "verify":
-        config.selection = (args.only.split(",") if args.only else None)
-    else:
-        if config.d < 1:
+    if args.command != "verify":
+        if args.d < 1:
             parser.error("--d must be positive")
-        if args.command in ("height-poly", "hmap-check", "degree") and config.d < 2:
+        if args.command in ("height-poly", "hmap-check", "degree") and args.d < 2:
             parser.error(f"{args.command} needs --d >= 2")
-        if args.command == "pontrjagin" and not 1 <= config.extra_k <= config.d:
+        if args.command == "pontrjagin" and not 1 <= args.k <= args.d:
             parser.error("--k must satisfy 1 <= k <= d")
 
     start = time.monotonic()
     try:
-        report = COMMANDS[args.command](config)
+        report = COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(report.render(config.fmt))
+    sys.stdout.write(report.render(args.format))
     print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
     if report.checks and not all(c["ok"] for c in report.checks):
         return 1

@@ -1,9 +1,9 @@
 """Finite graded quotient rings by division by a coprime-lead Groebner basis.
 
-Relations are split into homogeneous components, ordered by weighted graded
-reverse-lex: degree first, then the monomial with the smaller exponent of the
-last differing generator is the larger.  Any two components must have coprime
-leading monomials or both be monomials; by Buchberger's first criterion
+Relations are homogeneous, ordered by weighted graded reverse-lex: degree
+first, then the monomial with the smaller exponent of the last differing
+generator is the larger.  Any two relations must have coprime leading
+monomials or both be monomials; by Buchberger's first criterion
 (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 sec. 9) they
 are then a Groebner basis, so multivariate division gives normal forms on the
 standard monomials together with cofactors (membership witnesses).  Other
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import add, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .graded import (GeneratorSet, GradedPoly, Monomial, Slices,
                      monomials_of_degree)
@@ -28,11 +28,11 @@ class ReductionError(ValueError):
 
 @dataclass(frozen=True)
 class RingPresentation:
-    """Generators, relations and a mandatory working-degree cap.
+    """Generators, homogeneous relations and a mandatory working-degree cap.
 
-    Relations may be mixed-degree; they are split into homogeneous components
-    (each component is a relation of the graded ring).  Relation coefficients
-    must be rational.
+    Each relation is one division rule; a mixed-degree relation of the graded
+    ring is passed as its homogeneous components.  Relation coefficients must
+    be rational.
     """
 
     gens: GeneratorSet
@@ -49,6 +49,9 @@ class RingPresentation:
                 raise ValueError("relation over wrong generator set")
             if r.symbol_degree():
                 raise ValueError("relation coefficients must be rational")
+            if not r.is_homogeneous():
+                raise ValueError("relation is not homogeneous; "
+                                 "pass its degree components")
         if rels and top_degree < max(gens.degrees):
             raise ValueError("top degree below maximal generator degree")
         object.__setattr__(self, "gens", gens)
@@ -56,47 +59,24 @@ class RingPresentation:
         object.__setattr__(self, "top_degree", top_degree)
 
 
-@dataclass(frozen=True)
-class RelationSlot:
-    """Homogeneous component of a presentation relation."""
-    relation_index: int
-    component_degree: int
-    poly: GradedPoly
-
-
 @dataclass
 class Witness:
-    """Certificate target = sum_slots cofactor * component + residue.
-
-    Cofactors are keyed by (relation index, component degree); for
-    homogeneous relations this is just the relation index with its degree.
-    """
+    """Certificate target = sum_i cofactors[i] * relation i."""
 
     target: GradedPoly
-    cofactors: dict[tuple[int, int], GradedPoly]
-    residue: GradedPoly
-    _ring: "QuotientRing" = field(repr=False, default=None)
+    cofactors: dict[int, GradedPoly]
+    _ring: "QuotientRing" = field(repr=False)
 
     def expand(self) -> GradedPoly:
         """Re-expand the certificate in the free ring."""
+        relations = self._ring.presentation.relations
         acc = GradedPoly.zero(self.target.gens)
-        for (ri, cd), cof in self.cofactors.items():
-            acc = acc + cof * self._ring.slot_poly(ri, cd)
-        return acc + self.residue
+        for ri, cof in self.cofactors.items():
+            acc = acc + cof * relations[ri]
+        return acc
 
     def verify(self) -> bool:
         return self.expand() == self.target
-
-    def by_relation(self) -> dict[int, GradedPoly]:
-        """Cofactors keyed by relation index; requires each used relation to
-        be homogeneous (single component)."""
-        out: dict[int, GradedPoly] = {}
-        for (ri, _), cof in self.cofactors.items():
-            if ri in out:
-                raise ValueError("relation has several components; "
-                                 "use slot-keyed cofactors")
-            out[ri] = cof
-        return out
 
 
 @dataclass
@@ -119,10 +99,10 @@ def _order_key(mono: Monomial) -> Monomial:
 
 
 class QuotientRing:
-    """Graded quotient reduced by division by its relation components.
+    """Graded quotient reduced by division by its relations.
 
     A monomial m = t * lead(s) is rewritten to t * (lead(s) - s) / lc(s) by
-    the first component s whose lead divides it.  The normal form and
+    the first relation s whose lead divides it.  The normal form and
     cofactors of each monomial are computed on first use and kept;
     ``division_steps`` counts the rewrites.
     """
@@ -132,49 +112,37 @@ class QuotientRing:
         self.gens = presentation.gens
         self.top_degree = presentation.top_degree
         self.track_witnesses = track_witnesses
-        self.slots: list[RelationSlot] = []
-        self._slot_lookup: dict[tuple[int, int], int] = {}
-        # Per slot: lead support [(generator, exponent)], lead, 1/lc and the
-        # rewrite tail [(monomial, -c/lc)].
+        # Per relation: lead support [(generator, exponent)], lead, 1/lc and
+        # the rewrite tail [(monomial, -c/lc)].
         self._rules: list[tuple[list, Monomial, int | Fraction, list]] = []
-        for ri, rel in enumerate(presentation.relations):
-            for deg, comp in rel.degree_components().items():
-                self._slot_lookup[(ri, deg)] = len(self.slots)
-                self.slots.append(RelationSlot(ri, deg, comp))
-                terms = [(m, c.rational_part()) for m, c in comp.items()]
-                lead, lc = min(terms, key=lambda mc: _order_key(mc[0]))
-                support = [(i, e) for i, e in enumerate(lead) if e]
-                tail = [(m, _exact(-c / lc)) for m, c in terms if m != lead]
-                self._rules.append((support, lead, _exact(1 / lc), tail))
+        for rel in presentation.relations:
+            terms = [(m, c.rational_part()) for m, c in rel.items()]
+            lead, lc = min(terms, key=lambda mc: _order_key(mc[0]))
+            support = [(i, e) for i, e in enumerate(lead) if e]
+            tail = [(m, _exact(-c / lc)) for m, c in terms if m != lead]
+            self._rules.append((support, lead, _exact(1 / lc), tail))
         for i, (_, lead_i, _, tail_i) in enumerate(self._rules):
             for j, (_, lead_j, _, tail_j) in enumerate(self._rules[:i]):
                 # The S-polynomial of two monomials is 0.
                 if (tail_i or tail_j) and any(a and b for a, b in zip(lead_i, lead_j)):
-                    a, b = self.slots[j], self.slots[i]
-                    raise ValueError(
-                        "leading monomials of relation components "
-                        f"({a.relation_index}, {a.component_degree}) and "
-                        f"({b.relation_index}, {b.component_degree}) "
-                        "are not coprime")
+                    raise ValueError(f"leading monomials of relations {j} and "
+                                     f"{i} are not coprime")
         self._basis: dict[int, list[Monomial]] = {}
         self._reduced: dict[Monomial, tuple[dict, dict | None]] = {}
         self.division_steps = 0
 
-    def slot_poly(self, relation_index: int, component_degree: int) -> GradedPoly:
-        return self.slots[self._slot_lookup[(relation_index, component_degree)]].poly
-
     # -- division ------------------------------------------------------------
 
     def _rule_for(self, mono: Monomial) -> int | None:
-        """Index of the first component whose lead divides mono."""
-        for si, rule in enumerate(self._rules):
+        """Index of the first relation whose lead divides mono."""
+        for ri, rule in enumerate(self._rules):
             if all(mono[i] >= e for i, e in rule[0]):
-                return si
+                return ri
         return None
 
     def _reduce_monomial(self, mono: Monomial) -> tuple[dict, dict | None]:
         """Normal form {standard monomial: coefficient} of mono and, when
-        tracked, its cofactors {slot: {multiplier: coefficient}}.
+        tracked, its cofactors {relation: {multiplier: coefficient}}.
 
         Terms are rewritten largest first, so each coefficient is final when
         its term is rewritten, and the result is linear in the per-monomial
@@ -197,18 +165,18 @@ class QuotientRing:
             if hit is not None:
                 _axpy(nf, c, hit[0])
                 if cof is not None:
-                    for si, terms in hit[1].items():
-                        _axpy(cof.setdefault(si, {}), c, terms)
+                    for ri, terms in hit[1].items():
+                        _axpy(cof.setdefault(ri, {}), c, terms)
                 continue
-            si = self._rule_for(m)
-            if si is None:
+            ri = self._rule_for(m)
+            if ri is None:
                 _axpy(nf, c, {m: 1})
                 continue
             self.division_steps += 1
-            _, lead, inv_lc, tail = self._rules[si]
+            _, lead, inv_lc, tail = self._rules[ri]
             t = tuple(map(sub, m, lead))
             if cof is not None:
-                _axpy(cof.setdefault(si, {}), c, {t: inv_lc})
+                _axpy(cof.setdefault(ri, {}), c, {t: inv_lc})
             for tm, tc in tail:
                 n = tuple(map(add, t, tm))
                 old = coeffs.get(n)
@@ -243,7 +211,7 @@ class QuotientRing:
         nf, _ = self._reduce(poly, with_cofactors=False)
         return nf
 
-    def reduce_with_cofactors(self, poly: GradedPoly) -> tuple[GradedPoly, dict[tuple[int, int], GradedPoly]]:
+    def reduce_with_cofactors(self, poly: GradedPoly) -> tuple[GradedPoly, dict[int, GradedPoly]]:
         if not self.track_witnesses:
             raise ReductionError("ring built without witness tracking")
         return self._reduce(poly, with_cofactors=True)
@@ -267,82 +235,57 @@ class QuotientRing:
                 mono_nf, mono_cof = reduced[mono]
                 _axpy(target, n, mono_nf)
                 if with_cofactors:
-                    for si, source in mono_cof.items():
-                        cof_k = cof.setdefault(si, {}).setdefault(k, (den, {}))
+                    for ri, source in mono_cof.items():
+                        cof_k = cof.setdefault(ri, {}).setdefault(k, (den, {}))
                         _axpy(cof_k[1], n, source)
-        keys = [(s.relation_index, s.component_degree) for s in self.slots]
-        cofactors = {keys[si]: p for si, cof_slices in sorted(cof.items())
+        cofactors = {ri: p for ri, cof_slices in sorted(cof.items())
                      if (p := GradedPoly.from_slices(self.gens, cof_slices))}
         return GradedPoly.from_slices(self.gens, nf), cofactors
 
     # -- witnesses -----------------------------------------------------------
 
-    def membership_witness(self, poly: GradedPoly,
-                           relation_indices: Sequence[int] | None = None) -> Witness:
-        """Express poly in the ideal generated by the chosen relations.
-
-        The cofactors are those of the division.  Raises if poly is not in
-        the ideal of the chosen subset.
-        """
-        ring, relabel = self._subset_ring(relation_indices)
-        nf, cof = ring.reduce_with_cofactors(poly)
+    def membership_witness(self, poly: GradedPoly) -> Witness:
+        """Express poly in the relation ideal by the cofactors of its
+        division.  Raises if poly is not in the ideal."""
+        nf, cof = self.reduce_with_cofactors(poly)
         if not nf.is_zero():
             raise ReductionError("not in ideal: nonzero residue "
                                  f"{nf.render()}")
-        if relabel is not None:
-            cof = {(relabel[ri], cd): p for (ri, cd), p in cof.items()}
-        witness = Witness(poly, cof, nf, self)
+        witness = Witness(poly, cof, self)
         # Every produced certificate is machine-checked by re-expansion.
         if not witness.verify():
             raise ReductionError("witness failed to re-expand to its target")
         return witness
 
-    def _subset_ring(self, relation_indices: Sequence[int] | None):
-        """Ring of the chosen relations (a subset of a coprime-lead basis is
-        again one) and the map back to this ring's relation indices."""
-        everything = set(range(len(self.presentation.relations)))
-        if relation_indices is None or set(relation_indices) == everything:
-            return self, None
-        chosen = sorted(set(relation_indices))
-        pres = RingPresentation(
-            self.gens, [self.presentation.relations[i] for i in chosen],
-            self.top_degree)
-        return QuotientRing(pres, track_witnesses=True), dict(enumerate(chosen))
-
-    def alternative_witnesses(self, poly: GradedPoly, count: int = 3,
-                              relation_indices: Sequence[int] | None = None) -> list[Witness]:
+    def alternative_witnesses(self, poly: GradedPoly, count: int = 3) -> list[Witness]:
         """Distinct witnesses for poly: the division witness perturbed by
-        Koszul syzygies (s_j e_i - s_i e_j) * m of the chosen relation
-        components, scaled 1, 2, ...  Returns as many distinct witnesses as
-        exist, up to count."""
-        base = self.membership_witness(poly, relation_indices)
-        slots = [s for s in self.slots if relation_indices is None
-                 or s.relation_index in relation_indices]
+        Koszul syzygies (s_j e_i - s_i e_j) * m of the relations, scaled
+        1, 2, ...  Returns as many distinct witnesses as exist, up to count."""
+        base = self.membership_witness(poly)
         degrees = sorted(poly.degree_components())
         out = [base]
         for scale in range(1, count):
-            for syzygy in self._koszul_syzygies(slots, degrees):
+            for syzygy in self._koszul_syzygies(degrees):
                 if len(out) == count:
                     return out
                 cofactors = dict(base.cofactors)
-                for key, p in syzygy.items():
-                    cofactors[key] = (cofactors.get(key, GradedPoly.zero(self.gens))
-                                      + p * scale)
-                cofactors = {key: p for key, p in cofactors.items() if p}
+                for ri, p in syzygy.items():
+                    cofactors[ri] = (cofactors.get(ri, GradedPoly.zero(self.gens))
+                                     + p * scale)
+                cofactors = {ri: p for ri, p in cofactors.items() if p}
                 if all(cofactors != w.cofactors for w in out):
-                    out.append(Witness(poly, cofactors, base.residue, self))
+                    out.append(Witness(poly, cofactors, self))
         return out
 
-    def _koszul_syzygies(self, slots: list[RelationSlot],
-                         degrees: list[int]) -> Iterator[dict[tuple[int, int], GradedPoly]]:
+    def _koszul_syzygies(self, degrees: list[int]) -> Iterator[dict[int, GradedPoly]]:
+        relations = self.presentation.relations
         for k in degrees:
-            for i, si in enumerate(slots):
-                for sj in slots[i + 1:]:
-                    rem = k - si.component_degree - sj.component_degree
+            for i, si in enumerate(relations):
+                for j, sj in enumerate(relations[i + 1:], i + 1):
+                    rem = k - si.max_degree() - sj.max_degree()
                     for mult in monomials_of_degree(self.gens, rem) if rem >= 0 else ():
                         m = GradedPoly.monomial(self.gens, mult)
-                        yield {(si.relation_index, si.component_degree): sj.poly * m,
-                               (sj.relation_index, sj.component_degree): -(si.poly * m)}
+                        yield {i: sj * m, j: -(si * m)}
 
     # -- reports -------------------------------------------------------------
 

@@ -199,7 +199,7 @@ def check_witness_independence() -> CheckResult:
         if any(v.a != first.a or v.g != first.g for v in variants):
             failures.append(f"d={d} disagree")
         if d >= 4 and len(variants) < 3:
-            failures.append(f"d={d} underdetermined system expected")
+            failures.append(f"d={d} fewer than 3 witnesses")
     return CheckResult("witness-independence", "derived", not failures,
                        ", ".join(failures) or "d=2..5: all solutions "
                        "reduce identically")

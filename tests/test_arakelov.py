@@ -328,6 +328,23 @@ def test_height_polynomial_matches_abelian_route():
         assert hp.substituted == rd.r, d
 
 
+def test_height_polynomial_sum_identities():
+    # With N = d(d-1)/2, the height polynomial sum_k beta_k h(2k-1) takes
+    # the value (d-1)(N+1)/2 at h(m) = 1: a derivation D with D(p_k) = rho_k
+    # at h = 1 splits the square-zero extension, and C1^(N+1) goes to
+    # (N+1) u1^N D(C1) with D(C1) = (d-1)/2.  At h(m) = m it takes d-1
+    # times that, which is observed, not proved.
+    for d in range(2, 11):
+        height = height_polynomial(d).height
+        names = [f"h{2 * k - 1}" for k in range(1, d)]
+        assert height.symbols() == set(names), d
+        expected = Fraction((d - 1) * (d * (d - 1) // 2 + 1), 2)
+        at_one = height.substitute({h: Scalar.coerce(1) for h in names})
+        at_m = height.substitute({h: Scalar.coerce(int(h[1:])) for h in names})
+        assert at_one == Scalar.from_rational(expected), d
+        assert at_m == Scalar.from_rational((d - 1) * expected), d
+
+
 def test_harmonic_substitution_values():
     bindings = harmonic_substitution(2)
     assert bindings["h1"] == Z1 * 24 - 1 + LOG2 * Fraction(8, 3)

@@ -126,6 +126,18 @@ def test_hmap_check_reports_match_recorded(capsys):
     assert "".join(out) == recorded.read_text()
 
 
+def test_ring_info_audit_matches_recorded(capsys):
+    # The recorded JSON reports of ring-info --audit for d = 2..5, one after
+    # the other, pin the basis and every reduction row of the classical ring
+    # in each degree.
+    recorded = Path(__file__).parent / "data" / "ring_info_audit_d2_d5.json"
+    out = []
+    for d in range(2, 6):
+        assert main(["--format", "json", "ring-info", "--d", str(d), "--audit"]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == recorded.read_text()
+
+
 def test_critical_reports_match_recorded(capsys):
     # The recorded text reports pin r_d, phi and phi (witness basis) of
     # c1-power and the height polynomial of height-poly, each with and

@@ -85,10 +85,8 @@ def test_membership_witness_d2_explicit():
     target = u(gens, "u1") * u(gens, "u1")
     w = ring.membership_witness(target)
     assert w.verify()
-    assert w.residue.is_zero()
-    by_rel = w.by_relation()
-    assert by_rel[0] == GradedPoly.constant(gens, 1)
-    assert by_rel[1] == GradedPoly.constant(gens, 2)
+    assert w.cofactors == {0: GradedPoly.constant(gens, 1),
+                           1: GradedPoly.constant(gens, 2)}
 
 
 def test_membership_witness_d3_cofactors():
@@ -103,34 +101,21 @@ def test_membership_witness_d3_cofactors():
     assert w.verify()
     classical = tautological_ring(3)
     reduce = classical.normal_form
-    by_rel = w.by_relation()
-    assert reduce(by_rel[0]) == reduce(u1 * u1 * 2)
-    assert reduce(by_rel[1]) == GradedPoly.constant(gens, 4)
-    assert reduce(by_rel.get(2, GradedPoly.zero(gens))) == reduce(u1 * 8)
+    cof = w.cofactors
+    assert reduce(cof[0]) == reduce(u1 * u1 * 2)
+    assert reduce(cof[1]) == GradedPoly.constant(gens, 4)
+    assert reduce(cof.get(2, GradedPoly.zero(gens))) == reduce(u1 * 8)
 
 
 def test_membership_witness_zero_and_failure():
     ring = tautological_ring(3, track_witnesses=True)
     w = ring.membership_witness(GradedPoly.zero(ring.gens))
-    assert not w.cofactors and w.residue.is_zero()
+    assert not w.cofactors and w.verify()
     u1 = u(ring, "u1")
     with pytest.raises(ReductionError):
         ring.membership_witness(u1)  # nonzero normal form
     with pytest.raises(ReductionError):
         tautological_ring(3).reduce_with_cofactors(u1)  # witness-free build
-
-
-def test_membership_witness_subset():
-    # u1^2 is not in the ideal generated by u3 alone
-    gens = GeneratorSet([(f"u{j}", j) for j in range(1, 4)])
-    u1, u2, u3 = (u(gens, f"u{j}") for j in (1, 2, 3))
-    p1 = u1 * u1 - u2 * 2
-    ring = QuotientRing(RingPresentation(gens, [p1, u3], 4))
-    with pytest.raises(ReductionError):
-        ring.membership_witness(u1 * u1, relation_indices=[1])
-    w = ring.membership_witness(p1 * u1, relation_indices=[0])
-    assert w.verify()
-    assert set(ri for ri, _ in w.cofactors) == {0}
 
 
 def test_dimension_reports():
@@ -188,21 +173,23 @@ def test_scalar_coefficients_reduce():
 
 
 def test_mixed_degree_relation_components():
-    # one mixed relation: its homogeneous parts act independently
+    # a mixed relation is rejected; its homogeneous parts, passed as separate
+    # relations, act independently
     gens = GeneratorSet([("u1", 1), ("u2", 2)])
     u1, u2 = u(gens, "u1"), u(gens, "u2")
     mixed = u1 * u1 - u2 * 2 + u2 * u2
-    ring = QuotientRing(RingPresentation(gens, [mixed], 4))
+    with pytest.raises(ValueError, match="homogeneous"):
+        RingPresentation(gens, [mixed], 4)
+    ring = QuotientRing(RingPresentation(
+        gens, mixed.degree_components().values(), 4))
     assert ring.normal_form(u1 * u1) == u2 * 2
     assert ring.normal_form(u2 * u2).is_zero()
     w = ring.membership_witness(u2 * u2)
     assert w.verify()
-    assert (0, 4) in w.cofactors
+    assert w.cofactors == {1: GradedPoly.constant(gens, 1)}
     both = ring.membership_witness(mixed)
     assert both.verify()
-    assert {(0, 2), (0, 4)} <= set(both.cofactors)
-    with pytest.raises(ValueError):
-        both.by_relation()  # two components of the same relation were used
+    assert set(both.cofactors) == {0, 1}
 
 
 def test_rejects_irrational_relations():
@@ -291,20 +278,6 @@ def test_reduction_does_not_depend_on_query_order():
     assert forward == backward[::-1]
     for p, (nf, cof) in zip(polys, forward):
         expanded = nf
-        for (ri, cd), c in cof.items():
-            expanded = expanded + c * ring.slot_poly(ri, cd)
+        for ri, c in cof.items():
+            expanded = expanded + c * ring.presentation.relations[ri]
         assert expanded == p
-
-
-def test_alternative_witnesses_respect_relation_subset():
-    gens = GeneratorSet([(f"u{j}", j) for j in range(1, 4)])
-    u1, u2, u3 = (u(gens, f"u{j}") for j in (1, 2, 3))
-    p1 = u1 * u1 - u2 * 2
-    p2 = u2 * u2 - u1 * u3 * 2
-    ring = QuotientRing(RingPresentation(gens, [p1, p2, u3], 6))
-    target = p1 * u1 * u3 + p2 * u2
-    witnesses = ring.alternative_witnesses(target, 4, relation_indices=[0, 1])
-    assert len(witnesses) == 4
-    for w in witnesses:
-        assert w.verify()
-        assert {ri for ri, _ in w.cofactors} <= {0, 1}

@@ -77,21 +77,20 @@ def assert_same(x, y):
 
 
 def reference_reduce(ring, poly):
-    """Normal form and cofactors {slot key: poly}, accumulated in Scalars
+    """Normal form and cofactors {relation index: poly}, accumulated in Scalars
     from the ring's per-monomial rational divisions."""
     nf, cof = {}, {}
     for mono, coeff in poly.items():
         mono_nf, mono_cof = ring._reduce_monomial(mono)
         for m, v in mono_nf.items():
             nf[m] = nf.get(m, ZERO) + coeff * v
-        for si, terms in (mono_cof or {}).items():
-            slot = cof.setdefault(si, {})
+        for ri, terms in (mono_cof or {}).items():
+            rel_cof = cof.setdefault(ri, {})
             for m, v in terms.items():
-                slot[m] = slot.get(m, ZERO) + coeff * v
-    keys = [(s.relation_index, s.component_degree) for s in ring.slots]
-    cofactors = {keys[si]: GradedPoly(ring.gens, t) for si, t in sorted(cof.items())}
+                rel_cof[m] = rel_cof.get(m, ZERO) + coeff * v
+    cofactors = {ri: GradedPoly(ring.gens, t) for ri, t in sorted(cof.items())}
     return (GradedPoly(ring.gens, nf),
-            {key: p for key, p in cofactors.items() if p})
+            {ri: p for ri, p in cofactors.items() if p})
 
 
 def random_scalar(rng):
@@ -155,14 +154,14 @@ def test_mixed_denominators_in_one_slice():
     one_z = GradedPoly.constant(ring.zgens, 1)
     u1 = GradedPoly.generator(ring.agens, "u1")
     one_a = GradedPoly.constant(ring.agens, 1)
-    # Keys (relation index, degree): p_1(C), p_2(C) and C_3 -> a(gamma).
-    cofactors = {(0, 2): C1 * (L * Fraction(1, 2) + Z1 * Fraction(1, 3)),
-                 (1, 4): one_z * (Z1 * Fraction(2, 5) - L),
-                 (2, 3): one_z * L * Fraction(1, 2)}
+    # Keys are relation indices: p_1(C), p_2(C) and C_3 -> a(gamma).
+    cofactors = {0: C1 * (L * Fraction(1, 2) + Z1 * Fraction(1, 3)),
+                 1: one_z * (Z1 * Fraction(2, 5) - L),
+                 2: one_z * L * Fraction(1, 2)}
     a = u1 * u1 * (L * Z1 * Fraction(1, 5)) + u1 * Fraction(1, 7)
     g = one_a * (Z1 * Fraction(1, 3) + L * Fraction(1, 5))
     ref_a, ref_g = a, g
-    for (ri, _), c in cofactors.items():
+    for ri, c in cofactors.items():
         rel, w = ring.relations[ri], ring.omega(c)
         ref_a = ref_a + reference_mul_truncated(w, rel.apart, ring.cap - 1)
         ref_g = ref_g + reference_mul_truncated(
@@ -185,8 +184,8 @@ def test_reduce_with_non_unit_leads_matches_scalar_loop():
         assert (nf, cof) == reference_reduce(ring, poly)
         assert ring.normal_form(poly) == nf
         expanded = nf
-        for (ri, cd), c in cof.items():
-            expanded = expanded + c * ring.slot_poly(ri, cd)
+        for ri, c in cof.items():
+            expanded = expanded + c * ring.presentation.relations[ri]
         assert expanded == poly
     assert any(type(v) is Fraction
                for nf, _ in ring._reduced.values() for v in nf.values())
@@ -197,13 +196,13 @@ def test_reductions_match_scalar_loop():
     for d in range(2, 7):
         for ring in (AbelianTautRing(d), LagrangianArithRing(d, "formal")):
             zq, aq = ring.zq, ring.aq
-            # Symbolic multiples of relation components: every slice of the
-            # normal form cancels to zero, the cofactors stay.
+            # Symbolic multiples of relations: every slice of the normal
+            # form cancels to zero, the cofactors stay.
             multiples = []
-            for slot in zq.slots[:3]:
+            for rel in zq.presentation.relations[:3]:
                 mult = rng.choice(monomials_of_degree(
-                    ring.zgens, rng.randrange(ring.cap - slot.component_degree + 1)))
-                multiples.append(slot.poly * GradedPoly.monomial(ring.zgens, mult)
+                    ring.zgens, rng.randrange(ring.cap - rel.max_degree() + 1)))
+                multiples.append(rel * GradedPoly.monomial(ring.zgens, mult)
                                  * (L + Z1 * Fraction(2, 3) - H1 * H3))
             for poly in multiples:
                 assert zq.normal_form(poly).is_zero()
@@ -214,7 +213,7 @@ def test_reductions_match_scalar_loop():
                 assert zq.normal_form(poly) == nf
                 # The form contributions sum their products on slices.
                 ref_a = ref_g = GradedPoly.zero(ring.agens)
-                for (ri, _), c in cof.items():
+                for ri, c in cof.items():
                     rel, w = ring.relations[ri], ring.omega(c)
                     ref_a = ref_a + reference_mul_truncated(w, rel.apart, ring.cap - 1)
                     ref_g = ref_g + reference_mul_truncated(
