@@ -5,11 +5,10 @@ All arithmetic is exact: rationals plus the formal constants log 2,
 zeta'(1-2k) and odd harmonic placeholders.
 """
 
-from .scalars import (Rational, Scalar, FormalSeries, bernoulli, builtin_series,
-                      harmonic, harmonic_symbol, zeta_negative_odd,
-                      zeta_prime_symbol, LOG2)
-from .graded import (GeneratorSet, GradedPoly, apply_series_as_polynomial,
-                     monomials_of_degree)
+from .scalars import (Rational, Scalar, FormalSeries, bernoulli, harmonic,
+                      harmonic_symbol, zeta_negative_odd, zeta_prime_symbol,
+                      LOG2)
+from .graded import GeneratorSet, GradedPoly, monomials_of_degree
 from .quotient import (DimensionReport, QuotientRing, ReductionError,
                        RingPresentation, Witness)
 from .charclasses import (ClassVector, additive_class, c_from_ch,
@@ -30,12 +29,11 @@ __all__ = [
     "DimensionReport", "FormalSeries", "GeneratorSet", "GradedPoly",
     "LOG2", "LagrangianArithRing", "MapCertificate", "QuotientRing",
     "Rational", "ReductionError", "RingPresentation", "Scalar", "Witness",
-    "additive_class", "apply_series_as_polynomial", "bernoulli",
-    "builtin_series", "c1_critical_power", "c_from_ch", "cauchy_single_class",
-    "ch_even_check", "ch_from_c", "harmonic", "harmonic_substitution",
-    "harmonic_symbol", "height_polynomial", "lagrangian_degree",
-    "monomials_of_degree", "multiplicative_class", "pontrjagin_from_c",
-    "proportionality_map_check", "run_checks", "tautological_presentation",
-    "tautological_ring", "verify_map_certificate", "zeta_negative_odd",
-    "zeta_prime_symbol",
+    "additive_class", "bernoulli", "c1_critical_power", "c_from_ch",
+    "cauchy_single_class", "ch_even_check", "ch_from_c", "harmonic",
+    "harmonic_substitution", "harmonic_symbol", "height_polynomial",
+    "lagrangian_degree", "monomials_of_degree", "multiplicative_class",
+    "pontrjagin_from_c", "proportionality_map_check", "run_checks",
+    "tautological_presentation", "tautological_ring",
+    "verify_map_certificate", "zeta_negative_odd", "zeta_prime_symbol",
 ]

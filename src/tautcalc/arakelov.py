@@ -52,23 +52,20 @@ def dual_square_relation(gens: GeneratorSet) -> GradedPoly:
     return total * alternating - GradedPoly.constant(gens, 1)
 
 
-def tautological_presentation(d: int, top_degree: int | None = None) -> RingPresentation:
+def tautological_presentation(d: int) -> RingPresentation:
     """Presentation of the rank-d tautological ring: generators u1..ud with
     the homogeneous components of the dual-square relation, in degree order,
-    and u_d = 0."""
+    and u_d = 0, up to the arithmetic dimension."""
     if d < 1:
         raise ValueError("d must be positive")
     gens = GeneratorSet([(f"u{j}", j) for j in range(1, d + 1)])
-    if top_degree is None:
-        top_degree = arithmetic_dimension(d)
     relations = [*dual_square_relation(gens).degree_components().values(),
                  GradedPoly.generator(gens, f"u{d}")]
-    return RingPresentation(gens, relations, top_degree)
+    return RingPresentation(gens, relations, arithmetic_dimension(d))
 
 
-def tautological_ring(d: int, top_degree: int | None = None,
-                      track_witnesses: bool = False) -> QuotientRing:
-    return QuotientRing(tautological_presentation(d, top_degree), track_witnesses)
+def tautological_ring(d: int, track_witnesses: bool = False) -> QuotientRing:
+    return QuotientRing(tautological_presentation(d), track_witnesses)
 
 
 def lagrangian_degree(d: int) -> int:
@@ -194,13 +191,6 @@ class ArithClass:
     def to_json(self) -> dict:
         return {"zpart": self.z.to_json(), "apart": self.a.to_json(),
                 "gamma_part": self.g.to_json()}
-
-    @classmethod
-    def from_json(cls, ring: "ArithRing", data: Mapping) -> "ArithClass":
-        return cls(ring,
-                   GradedPoly.from_json(ring.zgens, data["zpart"]),
-                   GradedPoly.from_json(ring.agens, data["apart"]),
-                   GradedPoly.from_json(ring.agens, data["gamma_part"]))
 
 
 @dataclass(frozen=True)
@@ -352,12 +342,13 @@ class ArithRing:
             return a, g
         return a, self.aq.normal_form(g.truncate(self.cap - self.gamma_degree))
 
-    def reduce_variants(self, x: ArithClass, count: int = 3) -> list[ArithClass]:
+    def reduce_variants(self, x: ArithClass) -> list[ArithClass]:
         """Reductions of a class whose polynomial part lies in the relation
-        ideal, one per distinct witness: the division's cofactors and those
-        cofactors moved by Koszul syzygies of the lifted relations."""
+        ideal, one per witness of alternative_witnesses: the division's
+        cofactors and those cofactors moved by Koszul syzygies of the lifted
+        relations."""
         z = x.z.truncate(self.cap)
-        witnesses = self.zq.alternative_witnesses(z, count)
+        witnesses = self.zq.alternative_witnesses(z)
         out = []
         for w in witnesses:
             raw_a, raw_g = self._form_contributions(w.cofactors, x.a, x.g)
@@ -819,8 +810,7 @@ def verify_map_certificate(cert: MapCertificate,
 
 
 def proportionality_map_check(d: int,
-                              abelian: AbelianTautRing | None = None,
-                              lagrangian: LagrangianArithRing | None = None) -> ProportionalityReport:
+                              abelian: AbelianTautRing | None = None) -> ProportionalityReport:
     """Construct the proportionality map from the exact Lagrangian ring to
     the abelian ring modulo (a(gamma)) and push every relation through it.
 
@@ -831,7 +821,7 @@ def proportionality_map_check(d: int,
     if d < 2:
         raise ValueError("d must be at least 2")
     A = abelian or AbelianTautRing(d)
-    R = lagrangian or LagrangianArithRing(d, "exact")
+    R = LagrangianArithRing(d, "exact")
 
     solved, diagnosis, certificate = _MapSolver(A).solve()
     if solved is None:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .scalars import FormalSeries, Scalar
-from .graded import GeneratorSet, GradedPoly, apply_series_as_polynomial
+from .graded import GeneratorSet, GradedPoly
 
 
 class ClassVector:
@@ -109,15 +109,12 @@ def additive_class(series: FormalSeries, classes: ClassVector,
     """sum_k f_k k! ch^[k] for a series f with zero constant term."""
     if series.coefficient(0):
         raise ValueError("additive class needs zero constant term")
-    top = min(series.order, max_degree)
-    sums = ch_from_c(classes, top)
-
-    def image(j: int) -> GradedPoly:
-        if j > top:
-            return GradedPoly.zero(classes.gens)
-        return sums[j - 1]
-
-    return apply_series_as_polynomial(series, image, classes.gens, max_degree)
+    result = GradedPoly.zero(classes.gens)
+    for j, s in enumerate(ch_from_c(classes, min(series.order, max_degree)), start=1):
+        coeff = series.coefficient(j)
+        if coeff:
+            result = result + s * coeff
+    return result
 
 
 def multiplicative_class(series: FormalSeries, classes: ClassVector,
@@ -153,36 +150,22 @@ def cauchy_single_class(series: FormalSeries) -> FormalSeries:
     return qm * (z * inv).derivative()
 
 
-def single_class_slots(series: FormalSeries, up_to: int,
-                       slot_name: str = "p") -> GradedPoly:
+def single_class_slots(series: FormalSeries, up_to: int) -> GradedPoly:
     """Reference route for the single-class coefficients: compute the full
     multiplicative class on formal classes p_1..p_N (one slot per Pontrjagin
-    class, z^2 -> slot weight 1) and keep only the linear-in-slot part by
-    reducing in the ring where all slot products vanish.
+    class, z^2 -> slot weight 1) and keep only its constant and linear terms,
+    the part that survives when all slot products vanish.
 
     Returns a polynomial in the slot generators whose p_k coefficient should
     match cauchy_single_class(series) at z^k.
     """
-    from .quotient import RingPresentation, QuotientRing
-
     if not series.is_even():
         raise ValueError("even series required")
-    gens = GeneratorSet([(f"{slot_name}{k}", k) for k in range(1, up_to + 1)])
+    gens = GeneratorSet([(f"p{k}", k) for k in range(1, up_to + 1)])
     # Q(x) = S(x^2) with S = compose_even twisted back to +: the slot classes
     # play the elementary symmetric functions of the squared Chern roots.
     s_pos = FormalSeries(series.var, series.order // 2,
                          {k: c * Fraction((-1) ** k)
                           for k, c in series.compose_even().coefficients().items()})
-    slots = ClassVector.standard(gens, list(gens.names))
-    full = multiplicative_class(s_pos, slots, up_to)
-    relations = []
-    for i in range(1, up_to + 1):
-        for j in range(i, up_to + 1):
-            if i + j <= up_to:
-                relations.append(GradedPoly.generator(gens, f"{slot_name}{i}")
-                                 * GradedPoly.generator(gens, f"{slot_name}{j}"))
-    if relations:
-        ring = QuotientRing(RingPresentation(gens, relations, up_to),
-                            track_witnesses=False)
-        return ring.normal_form(full)
-    return full
+    full = multiplicative_class(s_pos, ClassVector.standard(gens, gens.names), up_to)
+    return GradedPoly(gens, {m: c for m, c in full.items() if sum(m) <= 1})

@@ -11,7 +11,7 @@ from math import gcd, inf, lcm
 from operator import add, mul
 from typing import Callable, Iterable, Mapping
 
-from .scalars import ConstMonomial, Scalar, FormalSeries, _merge_monomials
+from .scalars import ConstMonomial, Scalar, _merge_monomials
 
 Monomial = tuple[int, ...]
 
@@ -47,6 +47,8 @@ class GeneratorSet:
         return len(self.names)
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, GeneratorSet):
             return NotImplemented
         return self.names == other.names and self.degrees == other.degrees
@@ -276,16 +278,14 @@ class GradedPoly:
         None drops none."""
         return sum_of_products(self.gens, [(self, other)], max_degree)
 
-    def rename(self, target: GeneratorSet,
-               mapping: Mapping[str, str] | None = None) -> "GradedPoly":
-        """Carry the polynomial to another generator set by renaming
-        generators (name-to-name by default)."""
+    def rename(self, target: GeneratorSet) -> "GradedPoly":
+        """Carry the polynomial to another generator set that has each of
+        its generators under the same name."""
         def carry(m: Monomial) -> Monomial:
             out = [0] * len(target)
             for i, e in enumerate(m):
                 if e:
-                    name = self.gens.names[i]
-                    out[target.index(mapping.get(name, name) if mapping else name)] = e
+                    out[target.index(self.gens.names[i])] = e
             return tuple(out)
 
         return GradedPoly.from_slices(target, {
@@ -294,14 +294,6 @@ class GradedPoly:
 
     def map_coefficients(self, fn: Callable[[Scalar], Scalar]) -> "GradedPoly":
         return GradedPoly(self.gens, {m: fn(c) for m, c in self.items()})
-
-    def partial(self, name: str) -> "GradedPoly":
-        """Formal partial derivative with respect to a generator."""
-        i = self.gens.index(name)
-        return GradedPoly.from_slices(self.gens, {
-            k: (den, {m[:i] + (m[i] - 1,) + m[i + 1:]: n * m[i]
-                      for m, n in terms.items() if m[i]})
-            for k, (den, terms) in self._slices.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, Scalar)):
@@ -370,16 +362,6 @@ class GradedPoly:
             terms.append({"monomial": named, "coeff": coeff.to_json()})
         return {"terms": terms}
 
-    @classmethod
-    def from_json(cls, gens: GeneratorSet, data: Mapping) -> "GradedPoly":
-        terms: dict[Monomial, Scalar] = {}
-        for entry in data["terms"]:
-            mono = [0] * len(gens)
-            for name, e in entry["monomial"].items():
-                mono[gens.index(name)] = int(e)
-            terms[tuple(mono)] = Scalar.from_json(entry["coeff"])
-        return cls(gens, terms)
-
 
 def _lowest(den: int, terms: Mapping[Monomial, int | Fraction]):
     """The slice (den, terms) in lowest terms, or None if every numerator
@@ -439,38 +421,3 @@ def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, Graded
                             m = tuple(map(add, m1, m2))
                             terms[m] = terms.get(m, 0) + n1 * n2
     return GradedPoly.from_slices(gens, out)
-
-
-def apply_series_as_polynomial(series: FormalSeries,
-                               power_image: Callable[[int], GradedPoly],
-                               gens: GeneratorSet,
-                               max_degree: int) -> GradedPoly:
-    """Substitute ring elements for the powers of the series variable:
-    sum_j S_j * power_image(j), truncated at max_degree.
-
-    Every image must be homogeneous, with degree j * w for a fixed weight w
-    inferred from the first nonzero image; inconsistent degrees are rejected.
-    """
-    result = GradedPoly.zero(gens)
-    weight = None
-    for j in sorted(series.coefficients()):
-        coeff = series.coefficient(j)
-        if not coeff:
-            continue
-        if j == 0:
-            result = result + GradedPoly.constant(gens, coeff)
-            continue
-        image = power_image(j)
-        if image.is_zero():
-            continue
-        if not image.is_homogeneous():
-            raise ValueError(f"image of power {j} is not homogeneous")
-        if weight is None:
-            weight, rem = divmod(image.max_degree(), j)
-            if rem:
-                raise ValueError(f"image of power {j} has degree not divisible by {j}")
-        if image.max_degree() != j * weight:
-            raise ValueError(f"image of power {j} breaks the degree pattern")
-        if j * weight <= max_degree:
-            result = result + image * coeff
-    return result.truncate(max_degree)

@@ -257,16 +257,16 @@ class QuotientRing:
             raise ReductionError("witness failed to re-expand to its target")
         return witness
 
-    def alternative_witnesses(self, poly: GradedPoly, count: int = 3) -> list[Witness]:
-        """Distinct witnesses for poly: the division witness perturbed by
-        Koszul syzygies (s_j e_i - s_i e_j) * m of the relations, scaled
-        1, 2, ...  Returns as many distinct witnesses as exist, up to count."""
+    def alternative_witnesses(self, poly: GradedPoly) -> list[Witness]:
+        """Up to three distinct witnesses for poly: the division witness and
+        that witness perturbed by Koszul syzygies (s_j e_i - s_i e_j) * m of
+        the relations, scaled 1, 2.  Fewer when fewer exist."""
         base = self.membership_witness(poly)
         degrees = sorted(poly.degree_components())
         out = [base]
-        for scale in range(1, count):
+        for scale in range(1, 3):
             for syzygy in self._koszul_syzygies(degrees):
-                if len(out) == count:
+                if len(out) == 3:
                     return out
                 cofactors = dict(base.cofactors)
                 for ri, p in syzygy.items():

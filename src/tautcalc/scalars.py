@@ -241,21 +241,6 @@ class Scalar:
             out["terms"] = extra
         return out
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "Scalar":
-        terms: dict[ConstMonomial, Fraction] = {}
-        for key, value in data.items():
-            if key == "terms":
-                for entry in value:
-                    mono = tuple(sorted(((n, int(e)) for n, e in entry["monomial"].items()),
-                                        key=lambda p: symbol_sort_key(p[0])))
-                    terms[mono] = Fraction(entry["coeff"])
-            elif key == "rat":
-                terms[()] = Fraction(value)
-            else:
-                terms[((key, 1),)] = Fraction(value)
-        return cls(terms)
-
 
 def _monomial_key(mono: ConstMonomial):
     return (sum(e for _, e in mono), tuple((symbol_sort_key(n), e) for n, e in mono))
@@ -525,14 +510,14 @@ class FormalSeries:
                 coeffs[k] = val
         return FormalSeries(self.var, self.order, coeffs)
 
-    def compose_even(self, new_var: str | None = None) -> "FormalSeries":
+    def compose_even(self) -> "FormalSeries":
         """Substitute z^2 -> -z in an even series: the result has coefficient
         (-1)^k * [z^(2k)] self at z^k.  Rejects series with odd terms."""
         if not self.is_even():
             raise ValueError("compose_even needs an even series")
         coeffs = {k // 2: c * Fraction((-1) ** (k // 2))
                   for k, c in self._coeffs.items()}
-        return FormalSeries(new_var or self.var, self.order // 2, coeffs)
+        return FormalSeries(self.var, self.order // 2, coeffs)
 
     def render(self, latex: bool = False) -> str:
         if not self._coeffs:
@@ -580,7 +565,7 @@ def tanh_series(var: str, order: int) -> FormalSeries:
     return FormalSeries(var, order, coeffs)
 
 
-def sech_squared_half(order: int, var: str = "z") -> FormalSeries:
+def sech_squared_half(order: int) -> FormalSeries:
     """The even series 1/cosh^2(z/2), computed by squaring and inverting cosh."""
     cosh: dict[int, Fraction] = {}
     fact = 1
@@ -589,11 +574,11 @@ def sech_squared_half(order: int, var: str = "z") -> FormalSeries:
             fact *= m
         if m % 2 == 0:
             cosh[m] = Fraction(1, fact * 2**m)
-    c = FormalSeries(var, order, cosh)
+    c = FormalSeries("z", order, cosh)
     return (c * c).inverse()
 
 
-def ch_even_defect_series(order: int, var: str = "x") -> FormalSeries:
+def ch_even_defect_series(order: int) -> FormalSeries:
     """Odd additive series with x^(2k-1) coefficient
     (Z(2k-1)/zeta(1-2k) + H(2k-1)/2 - L/(1-4^-k)) / (2k-1)!.
 
@@ -605,46 +590,4 @@ def ch_even_defect_series(order: int, var: str = "x") -> FormalSeries:
         fact *= m
         if m % 2 == 1:
             coeffs[m] = bracket((m + 1) // 2) / (2 * fact)
-    return FormalSeries(var, order, coeffs)
-
-
-def rodd_series(order: int, var: str = "x") -> FormalSeries:
-    """Odd part R(-1, x) - R(-1, -x) of the equivariant R-series at -1:
-    the x^(2k-1)/(2k-1)! coefficient is
-    (4^k - 1)(2 Z(2k-1) + zeta(1-2k) H(2k-1)) - 2 L 4^k zeta(1-2k)."""
-    coeffs: dict[int, Scalar] = {}
-    fact = Fraction(1)
-    for m in range(1, order + 1):
-        fact *= m
-        if m % 2 == 1:
-            k = (m + 1) // 2
-            coeffs[m] = bracket(k) * (zeta_negative_odd(k) * (4**k - 1) / fact)
-    return FormalSeries(var, order, coeffs)
-
-
-def harmonic_symbol_series(order: int, var: str = "x") -> FormalSeries:
-    """sum_k h(2k-1) x^(2k-1): applying it as an additive class yields
-    sum_k h(2k-1) (2k-1)! ch^[2k-1], the harmonic correction term."""
-    coeffs = {m: harmonic_symbol((m + 1) // 2) for m in range(1, order + 1, 2)}
-    return FormalSeries(var, order, coeffs)
-
-
-_BUILTIN_SERIES = {
-    "qtilde": sech_squared_half,
-    "ch-even-defect": ch_even_defect_series,
-    "rodd": rodd_series,
-    "harmonic-odd": harmonic_symbol_series,
-}
-
-
-def builtin_series(name: str, order: int) -> FormalSeries:
-    """One of the series above by name, for library callers (the ring
-    builders call the constructors directly)."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    try:
-        builder = _BUILTIN_SERIES[name]
-    except KeyError:
-        raise ValueError(f"unknown builtin series {name!r}; "
-                         f"choose from {sorted(_BUILTIN_SERIES)}") from None
-    return builder(order)
+    return FormalSeries("x", order, coeffs)

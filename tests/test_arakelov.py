@@ -503,7 +503,7 @@ def test_witness_independence_variants():
     for d in (4, 5):
         ring = AbelianTautRing(d)
         top = d * (d - 1) // 2
-        variants = ring.reduce_variants(c1_power_class(ring, top + 1), 3)
+        variants = ring.reduce_variants(c1_power_class(ring, top + 1))
         assert len(variants) >= 3
         assert all(v.a == variants[0].a and v.g == variants[0].g
                    for v in variants)
@@ -513,8 +513,8 @@ def test_arith_class_json_round_trip():
     ring = AbelianTautRing(3)
     reduced = ring.reduce(c1_power_class(ring, 4))
     doc = json.loads(json.dumps(reduced.to_json()))
-    assert ArithClass.from_json(ring, doc) == reduced
-    assert set(doc) == {"zpart", "apart", "gamma_part"}
+    assert doc == {"zpart": {"terms": []}, "apart": reduced.a.to_json(),
+                   "gamma_part": reduced.g.to_json()}
 
 
 def test_render_display_style():

@@ -1,12 +1,10 @@
-import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from tautcalc.scalars import FormalSeries, Scalar, zeta_prime_symbol
-from tautcalc.graded import (GeneratorSet, GradedPoly,
-                             apply_series_as_polynomial, monomial_sort_key,
+from tautcalc.scalars import Scalar
+from tautcalc.graded import (GeneratorSet, GradedPoly, monomial_sort_key,
                              monomials_of_degree)
 
 
@@ -190,49 +188,6 @@ def test_generator_set_mismatch():
         a + b
 
 
-def test_apply_series_examples():
-    g = GeneratorSet([(f"p{k}", 2 * k) for k in (1, 2)])
-    series = FormalSeries("z", 4, {0: 1, 1: Fraction(-1, 4), 2: Fraction(-1, 48)})
-
-    def image(j):
-        return GradedPoly.generator(g, f"p{j}")
-
-    result = apply_series_as_polynomial(series, image, g, 4)
-    expected = (GradedPoly.constant(g, 1)
-                + GradedPoly.generator(g, "p1") * Fraction(-1, 4)
-                + GradedPoly.generator(g, "p2") * Fraction(-1, 48))
-    assert result == expected
-
-    zero = apply_series_as_polynomial(FormalSeries.zero("z", 3), image, g, 4)
-    assert zero.is_zero()
-
-    gu = gens_u(2)
-    ident = apply_series_as_polynomial(
-        FormalSeries.identity("z", 3),
-        lambda j: GradedPoly.generator(gu, "u1") if j == 1
-        else GradedPoly.zero(gu), gu, 2)
-    assert ident == GradedPoly.generator(gu, "u1")
-
-
-def test_apply_series_degree_consistency():
-    g = gens_u(2)
-    series = FormalSeries("z", 3, {1: 1, 2: 1})
-
-    def bad(j):
-        return GradedPoly.generator(g, "u1")  # degree 1 for every power
-
-    with pytest.raises(ValueError):
-        apply_series_as_polynomial(series, bad, g, 3)
-
-
-def test_partial_derivative():
-    g = gens_u(2)
-    u1, u2 = GradedPoly.generator(g, "u1"), GradedPoly.generator(g, "u2")
-    p = u1 * u1 * u2 * 3 + u2 * 5
-    assert p.partial("u1") == u1 * u2 * 6
-    assert p.partial("u2") == u1 * u1 * 3 + 5
-
-
 def test_render_style():
     g = gens_u(3)
     u1, u3 = GradedPoly.generator(g, "u1"), GradedPoly.generator(g, "u3")
@@ -241,11 +196,3 @@ def test_render_style():
     assert poly.render(names={"u3": "g"}) == "-17/3*u1^3 + 8*g"
     latex = poly.render(latex=True, names={"u1": "c_1"})
     assert "c_1^{3}" in latex
-
-
-def test_json_round_trip():
-    g = gens_u(3)
-    poly = (GradedPoly.generator(g, "u1") * zeta_prime_symbol(1) * 24
-            + GradedPoly.monomial(g, (2, 1, 0), Fraction(1, 3)))
-    doc = json.loads(json.dumps(poly.to_json()))
-    assert GradedPoly.from_json(g, doc) == poly

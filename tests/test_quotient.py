@@ -148,7 +148,7 @@ def test_socle_coordinate_is_lagrangian_degree():
 def test_alternative_witnesses_reexpand():
     ring = tautological_ring(4, track_witnesses=True)
     u1 = u(ring, "u1")
-    witnesses = ring.alternative_witnesses(u1 ** 7, 3)
+    witnesses = ring.alternative_witnesses(u1 ** 7)
     assert len(witnesses) >= 3
     seen = set()
     for w in witnesses:

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -150,9 +151,9 @@ def test_scalar_json_round_trip():
     assert doc["Z1"] == "24"
     assert doc["L"] == "8/3"
     assert doc["h1"] == "5"
-    assert any(entry["monomial"] == {"Z1": 1, "Z3": 1}
-               for entry in doc["terms"])
-    assert Scalar.from_json(doc) == value
+    assert doc["terms"] == [{"monomial": {"Z1": 1, "Z3": 1}, "coeff": "1/7"}]
+    assert set(doc) == {"rat", "Z1", "L", "h1", "terms"}
+    assert json.loads(json.dumps(doc)) == doc
 
 
 def test_scalar_rendering():

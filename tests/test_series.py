@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from tautcalc.scalars import (FormalSeries, LOG2, Scalar, builtin_series,
-                              harmonic, harmonic_symbol, sech_squared_half,
-                              tanh_series, zeta_negative_odd,
-                              zeta_prime_symbol)
+from tautcalc.scalars import (FormalSeries, LOG2, Scalar,
+                              ch_even_defect_series, harmonic,
+                              sech_squared_half, tanh_series,
+                              zeta_negative_odd, zeta_prime_symbol)
 
 
 def test_sech_squared_from_tanh_route():
@@ -78,23 +78,8 @@ def test_truncation_is_exact():
     assert (a * b).coefficient(1) == Scalar.coerce(1)
 
 
-def test_rodd_coefficients():
-    r = builtin_series("rodd", 7)
-    Z1 = zeta_prime_symbol(1)
-    assert r.coefficient(1) == Z1 * 6 - Fraction(1, 4) + LOG2 * Fraction(2, 3)
-    # displayed formula at every odd index
-    from math import factorial
-    for k in (1, 2, 3):
-        z = zeta_negative_odd(k)
-        bracket = (zeta_prime_symbol(k) * (2 * (4 ** k - 1))
-                   + Scalar.from_rational((4 ** k - 1) * z * harmonic(2 * k - 1))
-                   - LOG2 * (2 * 4 ** k * z))
-        assert r.coefficient(2 * k - 1) == bracket / factorial(2 * k - 1)
-    assert all(not r.coefficient(m) for m in range(0, 8, 2))
-
-
 def test_ch_even_defect_coefficients():
-    u = builtin_series("ch-even-defect", 5)
+    u = ch_even_defect_series(5)
     Z1 = zeta_prime_symbol(1)
     assert u.coefficient(1) == Z1 * (-12) + Fraction(1, 2) - LOG2 * Fraction(4, 3)
     from math import factorial
@@ -103,36 +88,3 @@ def test_ch_even_defect_coefficients():
                + Scalar.from_rational(harmonic(3) / 2)
                - LOG2 * Fraction(16, 15))
     assert u.coefficient(3) == bracket / factorial(3)
-
-
-def test_harmonic_symbol_series():
-    h = builtin_series("harmonic-odd", 6)
-    assert h.coefficient(1) == harmonic_symbol(1)
-    assert h.coefficient(5) == harmonic_symbol(3)
-    assert not h.coefficient(2)
-
-
-def test_builtin_qtilde_constant_term():
-    q = builtin_series("qtilde", 4)
-    assert q.coefficient(0) == Scalar.coerce(1)
-
-
-def test_builtin_unknown_name():
-    with pytest.raises(ValueError):
-        builtin_series("nope", 4)
-    with pytest.raises(ValueError):
-        builtin_series("qtilde", 0)
-
-
-def test_rodd_matches_pontrjagin_bracket():
-    # The rodd coefficient equals -(4^k-1)(-1)^(k+1) zeta(1-2k) times the
-    # bracket that multiplies the odd power sum in the Pontrjagin values.
-    from math import factorial
-    for k in (1, 2, 3):
-        z = zeta_negative_odd(k)
-        bracket = (zeta_prime_symbol(k) * (Fraction(2) / z)
-                   + Scalar.from_rational(harmonic(2 * k - 1))
-                   - LOG2 * Fraction(2 * 4 ** k, 4 ** k - 1))
-        lhs = bracket * (Fraction((4 ** k - 1) * (-1) ** (k + 1)) * z) * Fraction((-1) ** k)
-        rodd = builtin_series("rodd", 2 * k)
-        assert rodd.coefficient(2 * k - 1) * factorial(2 * k - 1) == -lhs

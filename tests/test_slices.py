@@ -48,25 +48,15 @@ def reference_select(p, keep):
                                if keep(p.gens.degree_of(m))})
 
 
-def reference_rename(p, target, mapping=None):
+def reference_rename(p, target):
     terms = {}
     for m, c in p.items():
         out = [0] * len(target)
         for name, e in zip(p.gens.names, m):
             if e:
-                out[target.index(mapping.get(name, name) if mapping else name)] = e
+                out[target.index(name)] = e
         terms[tuple(out)] = c
     return GradedPoly(target, terms)
-
-
-def reference_partial(p, name):
-    i = p.gens.index(name)
-    terms = {}
-    for m, c in p.items():
-        if m[i]:
-            lowered = m[:i] + (m[i] - 1,) + m[i + 1:]
-            terms[lowered] = terms.get(lowered, ZERO) + c * m[i]
-    return GradedPoly(p.gens, terms)
 
 
 def assert_same(x, y):
@@ -246,8 +236,6 @@ def test_linear_operations_match_scalar_loop():
     rng = random.Random(909)
     gens = GeneratorSet([(f"u{j}", j) for j in range(1, 5)])
     wider = GeneratorSet([("u5", 5), *((f"u{j}", j) for j in range(1, 5))])
-    mapping = {f"u{j}": f"w{j}" for j in range(1, 5)}
-    renamed = GeneratorSet([(f"w{j}", j) for j in range(1, 7)])
     probes = monomials_of_degree(gens, 3) + monomials_of_degree(gens, 6)
     for _ in range(40):
         p, q = random_poly(rng, gens, 5, 5), random_poly(rng, gens, 5, 5)
@@ -262,9 +250,6 @@ def test_linear_operations_match_scalar_loop():
         for k, component in components.items():
             assert_same(component, reference_select(p, lambda e: e == k))
         assert_same(p.rename(wider), reference_rename(p, wider))
-        assert_same(p.rename(renamed, mapping), reference_rename(p, renamed, mapping))
-        for name in gens.names:
-            assert_same(p.partial(name), reference_partial(p, name))
         for fn in (lambda c: c * L + Fraction(1, 6), lambda c: c * 4, lambda c: c - c):
             assert_same(p.map_coefficients(fn),
                         GradedPoly(gens, {m: fn(c) for m, c in p.items()}))
