@@ -20,7 +20,6 @@ from .arakelov import (AbelianTautRing, ArithClass, LagrangianArithRing,
                        lagrangian_degree, proportionality_map_check,
                        tautological_presentation, tautological_ring,
                        verify_map_certificate)
-from .verify import CHECKS, CheckResult, run_checks
 
 __version__ = "0.1.0"
 
@@ -37,3 +36,12 @@ __all__ = [
     "tautological_presentation", "tautological_ring",
     "verify_map_certificate", "zeta_negative_odd", "zeta_prime_symbol",
 ]
+
+
+def __getattr__(name: str):
+    # The verification suite loads on first use (PEP 562), so importing the
+    # CLI for one command does not load every check.
+    if name in ("CHECKS", "CheckResult", "run_checks"):
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

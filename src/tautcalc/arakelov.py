@@ -19,10 +19,9 @@ each eliminated relation occurrence into the form part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .scalars import Scalar, ZERO, bracket, harmonic, harmonic_symbol
 from .graded import GeneratorSet, GradedPoly, Monomial, sum_of_products
@@ -91,14 +90,17 @@ def lagrangian_degree(d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ArithClass:
     """Element z + a(alpha + phi*gamma) of an arithmetic tautological ring."""
 
-    ring: "ArithRing"
-    z: GradedPoly
-    a: GradedPoly
-    g: GradedPoly
+    __slots__ = ("ring", "z", "a", "g")
+
+    def __init__(self, ring: "ArithRing", z: GradedPoly, a: GradedPoly,
+                 g: GradedPoly):
+        self.ring = ring
+        self.z = z
+        self.a = a
+        self.g = g
 
     def __add__(self, other: "ArithClass") -> "ArithClass":
         self._check(other)
@@ -155,6 +157,9 @@ class ArithClass:
         return (self.ring is other.ring and self.z == other.z
                 and self.a == other.a and self.g == other.g)
 
+    def __hash__(self) -> int:
+        return hash((self.ring, self.z, self.a, self.g))
+
     def drop_gamma(self) -> "ArithClass":
         return ArithClass(self.ring, self.z, self.a,
                           GradedPoly.zero(self.ring.agens))
@@ -193,8 +198,7 @@ class ArithClass:
                 "gamma_part": self.g.to_json()}
 
 
-@dataclass(frozen=True)
-class ArithRelation:
+class ArithRelation(NamedTuple):
     """Rewriting rule zpoly = a(apart + gpart * gamma)."""
     zpoly: GradedPoly
     apart: GradedPoly
@@ -418,8 +422,7 @@ class LagrangianArithRing(ArithRing):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CriticalPowerResult:
+class CriticalPowerResult(NamedTuple):
     d: int
     exponent: int
     reduced: ArithClass
@@ -477,8 +480,7 @@ def harmonic_substitution(d: int) -> dict[str, Scalar]:
     return out
 
 
-@dataclass
-class HeightPolynomialResult:
+class HeightPolynomialResult(NamedTuple):
     d: int
     height: Scalar               # linear form in the h symbols
     substituted: Scalar          # equals the abelian-route r_d
@@ -502,8 +504,7 @@ def height_polynomial(d: int, ring: LagrangianArithRing | None = None) -> Height
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ChEvenReport:
+class ChEvenReport(NamedTuple):
     d: int
     degrees: list[int]
     matches: list[bool]
@@ -555,8 +556,7 @@ def ch_even_check(d: int, ring: AbelianTautRing | None = None) -> ChEvenReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MapCertificate:
+class MapCertificate(NamedTuple):
     """Fredholm-alternative certificate that no proportionality map exists.
 
     The map's conditions c(x) are affine in its unknowns x (the odd
@@ -572,8 +572,7 @@ class MapCertificate:
     value: Scalar
 
 
-@dataclass
-class ProportionalityReport:
+class ProportionalityReport(NamedTuple):
     d: int
     constructed: bool                     # a compatible map was found
     diagnosis: str                        # why construction failed, if it did

@@ -8,10 +8,8 @@ byte-identical across runs (timing goes to stderr).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .scalars import Scalar
 from .graded import GradedPoly
@@ -19,17 +17,23 @@ from .arakelov import (AbelianTautRing, ArithClass, c1_critical_power,
                        harmonic_substitution, height_polynomial,
                        lagrangian_degree, proportionality_map_check,
                        tautological_ring)
-from .verify import run_checks
 
 
-@dataclass
 class Report:
-    command: str
-    params: dict
-    lines: list[tuple[str, str, str]] = field(default_factory=list)
-    # (label, text rendering, latex rendering)
-    data: dict = field(default_factory=dict)
-    checks: list[dict] = field(default_factory=list)
+    def __init__(self, command: str, params: dict,
+                 lines: list[tuple[str, str, str]] | None = None,
+                 data: dict | None = None, checks: list[dict] | None = None):
+        self.command = command
+        self.params = params
+        # (label, text rendering, latex rendering)
+        self.lines = [] if lines is None else lines
+        self.data = {} if data is None else data
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Report):
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def add(self, label: str, text: str, latex: str | None = None,
             payload=None):
@@ -59,6 +63,8 @@ class Report:
         return "\n".join(out) + "\n"
 
     def to_json(self) -> str:
+        import json
+
         doc = {"command": self.command, "params": self.params,
                "results": {label: self.data.get(label, text)
                            for label, text, _ in self.lines},
@@ -199,6 +205,8 @@ def cmd_degree(args: argparse.Namespace) -> Report:
 
 
 def cmd_verify(args: argparse.Namespace) -> Report:
+    from .verify import run_checks
+
     selection = args.only.split(",") if args.only else None
     results = run_checks(selection)
     report = Report("verify", {"only": selection or "all"})

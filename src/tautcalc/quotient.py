@@ -12,11 +12,10 @@ witnesses differ from these by Koszul syzygies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import add, sub
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .graded import (GeneratorSet, GradedPoly, Monomial, Slices,
                      monomials_of_degree)
@@ -26,7 +25,6 @@ class ReductionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class RingPresentation:
     """Generators, homogeneous relations and a mandatory working-degree cap.
 
@@ -35,9 +33,7 @@ class RingPresentation:
     be rational.
     """
 
-    gens: GeneratorSet
-    relations: tuple[GradedPoly, ...]
-    top_degree: int
+    __slots__ = ("gens", "relations", "top_degree")
 
     def __init__(self, gens: GeneratorSet, relations: Iterable[GradedPoly],
                  top_degree: int):
@@ -54,18 +50,36 @@ class RingPresentation:
                                  "pass its degree components")
         if rels and top_degree < max(gens.degrees):
             raise ValueError("top degree below maximal generator degree")
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "relations", rels)
-        object.__setattr__(self, "top_degree", top_degree)
+        self.gens = gens
+        self.relations = rels
+        self.top_degree = top_degree
+
+    def _key(self):
+        return self.gens, self.relations, self.top_degree
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RingPresentation):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass
 class Witness:
     """Certificate target = sum_i cofactors[i] * relation i."""
 
-    target: GradedPoly
-    cofactors: dict[int, GradedPoly]
-    _ring: "QuotientRing" = field(repr=False)
+    def __init__(self, target: GradedPoly, cofactors: dict[int, GradedPoly],
+                 ring: "QuotientRing"):
+        self.target = target
+        self.cofactors = cofactors
+        self._ring = ring
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Witness):
+            return NotImplemented
+        return ((self.target, self.cofactors, self._ring)
+                == (other.target, other.cofactors, other._ring))
 
     def expand(self) -> GradedPoly:
         """Re-expand the certificate in the free ring."""
@@ -79,8 +93,7 @@ class Witness:
         return self.expand() == self.target
 
 
-@dataclass
-class DimensionReport:
+class DimensionReport(NamedTuple):
     dims: list[int]
     total: int
     socle_degree: int

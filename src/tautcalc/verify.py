@@ -2,14 +2,16 @@
 
 Each check recomputes its target quantities and compares exactly; random
 inputs come from a fixed seed so reports are reproducible byte for byte.
+A check takes the abelian ring of rank d from ``abelian(d)``; ``run_checks``
+passes one that builds each d once per call.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Callable, NamedTuple
 
 from .scalars import (Scalar, LOG2, bernoulli, harmonic,
                       zeta_negative_odd, zeta_prime_symbol,
@@ -23,12 +25,14 @@ from .arakelov import (AbelianTautRing, c1_critical_power, ch_even_check,
                        verify_map_certificate)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     source: str
     ok: bool
     detail: str
+
+
+RingOf = Callable[[int], AbelianTautRing]
 
 
 def _published_r_values() -> dict[int, Scalar]:
@@ -42,15 +46,16 @@ def _published_r_values() -> dict[int, Scalar]:
     }
 
 
-def check_examples() -> CheckResult:
+def check_examples(abelian: RingOf = AbelianTautRing) -> CheckResult:
     """Critical powers of the first lifted Chern class for d = 1..4."""
     failures = []
-    res1 = c1_critical_power(1)
+    res1 = c1_critical_power(1, abelian(1))
     if not (res1.reduced.z.is_zero() and res1.reduced.a.is_zero()
             and res1.phi == GradedPoly.constant(res1.reduced.ring.agens, 1)):
         failures.append("d=1")
     published = _published_r_values()
-    r2, r3, r4 = results = [c1_critical_power(d) for d in published]
+    r2, r3, r4 = results = [c1_critical_power(d, abelian(d))
+                            for d in published]
     for res in results:
         if res.r != published[res.d]:
             failures.append(f"d={res.d} scalar")
@@ -67,11 +72,11 @@ def check_examples() -> CheckResult:
                        not failures, ", ".join(failures) or "d=1..4 exact")
 
 
-def check_witness_form() -> CheckResult:
+def check_witness_form(abelian: RingOf = AbelianTautRing) -> CheckResult:
     """The d=4 intermediate witness combination reduces to the same form
     part as the critical power.  All three cofactors enter positively; the
     exact d=4 values force the signs (see the README)."""
-    ring = AbelianTautRing(4)
+    ring = abelian(4)
     res = c1_critical_power(4, ring)
     g = ring.agens
     u1, u2, u3 = (GradedPoly.generator(g, n) for n in ("u1", "u2", "u3"))
@@ -85,7 +90,7 @@ def check_witness_form() -> CheckResult:
                        else "d=4 witness mismatch")
 
 
-def check_dimensions() -> CheckResult:
+def check_dimensions(abelian: RingOf = AbelianTautRing) -> CheckResult:
     failures = []
     for d in range(2, 8):
         ring = tautological_ring(d)
@@ -107,21 +112,21 @@ def check_dimensions() -> CheckResult:
                        "socle d(d-1)/2, u1^top matches the degree formula")
 
 
-def check_two_route() -> CheckResult:
+def check_two_route(abelian: RingOf = AbelianTautRing) -> CheckResult:
     failures = []
     for d in range(2, 6):
         hp = height_polynomial(d)
-        rd = c1_critical_power(d)
+        rd = c1_critical_power(d, abelian(d))
         if hp.substituted != rd.r:
             failures.append(f"d={d}")
     return CheckResult("two-route", "derived", not failures,
                        ", ".join(failures) or "d=2..5 agree exactly")
 
 
-def check_hmap() -> CheckResult:
+def check_hmap(abelian: RingOf = AbelianTautRing) -> CheckResult:
     failures = []
     for d in range(2, 6):
-        ring = AbelianTautRing(d)
+        ring = abelian(d)
         rep = proportionality_map_check(d, ring)
         if rep.certificate is not None:
             verdict = ("verified" if verify_map_certificate(rep.certificate, ring)
@@ -133,10 +138,10 @@ def check_hmap() -> CheckResult:
                        "; ".join(failures) or "d=2..5: all residues zero")
 
 
-def check_ch_even() -> CheckResult:
+def check_ch_even(abelian: RingOf = AbelianTautRing) -> CheckResult:
     failures = []
     for d in range(1, 7):
-        rep = ch_even_check(d)
+        rep = ch_even_check(d, abelian(d))
         if not rep.ok:
             failures.append(f"d={d}")
     return CheckResult("ch-even", "derived", not failures,
@@ -144,7 +149,7 @@ def check_ch_even() -> CheckResult:
                        "in every even degree")
 
 
-def check_newton() -> CheckResult:
+def check_newton(abelian: RingOf = AbelianTautRing) -> CheckResult:
     rng = random.Random(20260808)
     failures = 0
     for _ in range(120):
@@ -163,7 +168,7 @@ def check_newton() -> CheckResult:
                        f"120 round-trips, {failures} failures")
 
 
-def check_cauchy() -> CheckResult:
+def check_cauchy(abelian: RingOf = AbelianTautRing) -> CheckResult:
     series = sech_squared_half(26)
     extracted = cauchy_single_class(series)
     failures = []
@@ -183,10 +188,10 @@ def check_cauchy() -> CheckResult:
                        "route matches through degree 12")
 
 
-def check_witness_independence() -> CheckResult:
+def check_witness_independence(abelian: RingOf = AbelianTautRing) -> CheckResult:
     failures = []
     for d in range(2, 6):
-        ring = AbelianTautRing(d)
+        ring = abelian(d)
         top = d * (d - 1) // 2
         power = GradedPoly.monomial(ring.zgens, ring.zgens.single("C1", top + 1))
         witnesses = ring.zq.alternative_witnesses(power)
@@ -203,7 +208,7 @@ def check_witness_independence() -> CheckResult:
                        "reduce identically")
 
 
-def check_bernoulli() -> CheckResult:
+def check_bernoulli(abelian: RingOf = AbelianTautRing) -> CheckResult:
     failures = []
     for k in range(1, 21):
         if zeta_negative_odd(k) != -bernoulli(2 * k) / (2 * k):
@@ -239,4 +244,11 @@ def run_checks(selection: list[str] | None = None) -> list[CheckResult]:
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}; "
                          f"available: {', '.join(CHECKS)}")
-    return [CHECKS[name]() for name in names]
+    rings: dict[int, AbelianTautRing] = {}
+
+    def abelian(d: int) -> AbelianTautRing:
+        if d not in rings:
+            rings[d] = AbelianTautRing(d)
+        return rings[d]
+
+    return [CHECKS[name](abelian) for name in names]

@@ -517,6 +517,18 @@ def test_arith_class_json_round_trip():
                    "gamma_part": reduced.g.to_json()}
 
 
+def test_arith_class_value_semantics():
+    ring = AbelianTautRing(3)
+    x = ring.lifted(1) + ring.from_a(gen(ring, "u1"))
+    y = ring.lifted(2) + ring.from_gamma()
+    assert x * y == y * x
+    assert hash(x * y) == hash(y * x)
+    assert len({x * y, y * x, x * y * 1}) == 1
+    # classes of two rings differ even with equal parts
+    other = AbelianTautRing(3)
+    assert other.lifted(1) != ring.lifted(1)
+
+
 def test_render_display_style():
     ring = AbelianTautRing(2)
     reduced = ring.reduce(ring.lifted(1) * ring.lifted(1))

@@ -10,6 +10,7 @@ from tautcalc.graded import GradedPoly
 from tautcalc.arakelov import (AbelianTautRing, c1_critical_power,
                                proportionality_map_check,
                                verify_map_certificate)
+from tautcalc.verify import run_checks
 
 
 def run_cli(args):
@@ -176,6 +177,20 @@ def test_verify_subset(capsys):
     assert main(["verify", "--only", "bernoulli-zeta,cauchy"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 2
+
+
+def test_verify_builds_one_abelian_ring_per_d(monkeypatch):
+    built = []
+    init = AbelianTautRing.__init__
+
+    def counting_init(self, d, cap=None):
+        built.append(d)
+        init(self, d, cap)
+
+    monkeypatch.setattr(AbelianTautRing, "__init__", counting_init)
+    results = run_checks(["examples", "witness-form", "two-route"])
+    assert all(res.ok for res in results)
+    assert sorted(built) == [1, 2, 3, 4, 5]
 
 
 def test_verify_unknown_check(capsys):

@@ -10,7 +10,7 @@ from tautcalc.graded import GeneratorSet, GradedPoly, monomial_sort_key
 from tautcalc.quotient import (QuotientRing, ReductionError, RingPresentation)
 from tautcalc.arakelov import (AbelianTautRing, LagrangianArithRing,
                                arithmetic_dimension, lagrangian_degree,
-                               tautological_ring)
+                               tautological_presentation, tautological_ring)
 
 
 def u(ring_or_gens, name):
@@ -197,6 +197,14 @@ def test_rejects_irrational_relations():
     bad = u(gens, "u1") * zeta_prime_symbol(1)
     with pytest.raises(ValueError):
         RingPresentation(gens, [bad], 2)
+
+
+def test_presentation_value_semantics():
+    first, second = tautological_presentation(4), tautological_presentation(4)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+    assert first != tautological_presentation(5)
 
 
 def test_audit_dump_serializable():
