@@ -2,16 +2,17 @@
 
 Each check recomputes its target quantities and compares exactly; random
 inputs come from a fixed seed so reports are reproducible byte for byte.
-A check takes the abelian ring of rank d from ``abelian(d)``; ``run_checks``
-passes one that builds each d once per call.
+The checks share one abelian ring per d through ``_abelian``, whose cache
+lives for one ``run_checks`` call.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from math import factorial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .scalars import (Scalar, LOG2, bernoulli, harmonic,
                       zeta_negative_odd, zeta_prime_symbol,
@@ -32,7 +33,7 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-RingOf = Callable[[int], AbelianTautRing]
+_abelian = functools.cache(AbelianTautRing)
 
 
 def _published_r_values() -> dict[int, Scalar]:
@@ -46,15 +47,15 @@ def _published_r_values() -> dict[int, Scalar]:
     }
 
 
-def check_examples(abelian: RingOf = AbelianTautRing) -> CheckResult:
+def check_examples() -> CheckResult:
     """Critical powers of the first lifted Chern class for d = 1..4."""
     failures = []
-    res1 = c1_critical_power(1, abelian(1))
+    res1 = c1_critical_power(1, _abelian(1))
     if not (res1.reduced.z.is_zero() and res1.reduced.a.is_zero()
             and res1.phi == GradedPoly.constant(res1.reduced.ring.agens, 1)):
         failures.append("d=1")
     published = _published_r_values()
-    r2, r3, r4 = results = [c1_critical_power(d, abelian(d))
+    r2, r3, r4 = results = [c1_critical_power(d, _abelian(d))
                             for d in published]
     for res in results:
         if res.r != published[res.d]:
@@ -72,11 +73,11 @@ def check_examples(abelian: RingOf = AbelianTautRing) -> CheckResult:
                        not failures, ", ".join(failures) or "d=1..4 exact")
 
 
-def check_witness_form(abelian: RingOf = AbelianTautRing) -> CheckResult:
+def check_witness_form() -> CheckResult:
     """The d=4 intermediate witness combination reduces to the same form
     part as the critical power.  All three cofactors enter positively; the
     exact d=4 values force the signs (see the README)."""
-    ring = abelian(4)
+    ring = _abelian(4)
     res = c1_critical_power(4, ring)
     g = ring.agens
     u1, u2, u3 = (GradedPoly.generator(g, n) for n in ("u1", "u2", "u3"))
@@ -90,7 +91,7 @@ def check_witness_form(abelian: RingOf = AbelianTautRing) -> CheckResult:
                        else "d=4 witness mismatch")
 
 
-def check_dimensions(abelian: RingOf = AbelianTautRing) -> CheckResult:
+def check_dimensions() -> CheckResult:
     failures = []
     for d in range(2, 8):
         ring = tautological_ring(d)
@@ -112,21 +113,21 @@ def check_dimensions(abelian: RingOf = AbelianTautRing) -> CheckResult:
                        "socle d(d-1)/2, u1^top matches the degree formula")
 
 
-def check_two_route(abelian: RingOf = AbelianTautRing) -> CheckResult:
+def check_two_route() -> CheckResult:
     failures = []
     for d in range(2, 6):
         hp = height_polynomial(d)
-        rd = c1_critical_power(d, abelian(d))
+        rd = c1_critical_power(d, _abelian(d))
         if hp.substituted != rd.r:
             failures.append(f"d={d}")
     return CheckResult("two-route", "derived", not failures,
                        ", ".join(failures) or "d=2..5 agree exactly")
 
 
-def check_hmap(abelian: RingOf = AbelianTautRing) -> CheckResult:
+def check_hmap() -> CheckResult:
     failures = []
     for d in range(2, 6):
-        ring = abelian(d)
+        ring = _abelian(d)
         rep = proportionality_map_check(d, ring)
         if rep.certificate is not None:
             verdict = ("verified" if verify_map_certificate(rep.certificate, ring)
@@ -138,10 +139,10 @@ def check_hmap(abelian: RingOf = AbelianTautRing) -> CheckResult:
                        "; ".join(failures) or "d=2..5: all residues zero")
 
 
-def check_ch_even(abelian: RingOf = AbelianTautRing) -> CheckResult:
+def check_ch_even() -> CheckResult:
     failures = []
     for d in range(1, 7):
-        rep = ch_even_check(d, abelian(d))
+        rep = ch_even_check(d, _abelian(d))
         if not rep.ok:
             failures.append(f"d={d}")
     return CheckResult("ch-even", "derived", not failures,
@@ -149,7 +150,7 @@ def check_ch_even(abelian: RingOf = AbelianTautRing) -> CheckResult:
                        "in every even degree")
 
 
-def check_newton(abelian: RingOf = AbelianTautRing) -> CheckResult:
+def check_newton() -> CheckResult:
     rng = random.Random(20260808)
     failures = 0
     for _ in range(120):
@@ -168,7 +169,7 @@ def check_newton(abelian: RingOf = AbelianTautRing) -> CheckResult:
                        f"120 round-trips, {failures} failures")
 
 
-def check_cauchy(abelian: RingOf = AbelianTautRing) -> CheckResult:
+def check_cauchy() -> CheckResult:
     series = sech_squared_half(26)
     extracted = cauchy_single_class(series)
     failures = []
@@ -188,10 +189,10 @@ def check_cauchy(abelian: RingOf = AbelianTautRing) -> CheckResult:
                        "route matches through degree 12")
 
 
-def check_witness_independence(abelian: RingOf = AbelianTautRing) -> CheckResult:
+def check_witness_independence() -> CheckResult:
     failures = []
     for d in range(2, 6):
-        ring = abelian(d)
+        ring = _abelian(d)
         top = d * (d - 1) // 2
         power = GradedPoly.monomial(ring.zgens, ring.zgens.single("C1", top + 1))
         witnesses = ring.zq.alternative_witnesses(power)
@@ -208,7 +209,7 @@ def check_witness_independence(abelian: RingOf = AbelianTautRing) -> CheckResult
                        "reduce identically")
 
 
-def check_bernoulli(abelian: RingOf = AbelianTautRing) -> CheckResult:
+def check_bernoulli() -> CheckResult:
     failures = []
     for k in range(1, 21):
         if zeta_negative_odd(k) != -bernoulli(2 * k) / (2 * k):
@@ -244,11 +245,7 @@ def run_checks(selection: list[str] | None = None) -> list[CheckResult]:
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}; "
                          f"available: {', '.join(CHECKS)}")
-    rings: dict[int, AbelianTautRing] = {}
-
-    def abelian(d: int) -> AbelianTautRing:
-        if d not in rings:
-            rings[d] = AbelianTautRing(d)
-        return rings[d]
-
-    return [CHECKS[name](abelian) for name in names]
+    try:
+        return [CHECKS[name]() for name in names]
+    finally:
+        _abelian.cache_clear()
