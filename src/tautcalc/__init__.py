@@ -5,9 +5,8 @@ All arithmetic is exact: rationals plus the formal constants log 2,
 zeta'(1-2k) and odd harmonic placeholders.
 """
 
-from .scalars import (Rational, Scalar, FormalSeries, bernoulli, harmonic,
-                      harmonic_symbol, zeta_negative_odd, zeta_prime_symbol,
-                      LOG2)
+from .scalars import (Rational, Scalar, bernoulli, harmonic, harmonic_symbol,
+                      zeta_negative_odd, zeta_prime_symbol, LOG2)
 from .graded import GeneratorSet, GradedPoly, monomials_of_degree
 from .quotient import (DimensionReport, QuotientRing, ReductionError,
                        RingPresentation, Witness)
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianTautRing", "ArithClass", "CHECKS", "CheckResult", "ClassVector",
-    "DimensionReport", "FormalSeries", "GeneratorSet", "GradedPoly",
+    "DimensionReport", "GeneratorSet", "GradedPoly",
     "LOG2", "LagrangianArithRing", "MapCertificate", "QuotientRing",
     "Rational", "ReductionError", "RingPresentation", "Scalar", "Witness",
     "additive_class", "bernoulli", "c1_critical_power", "c_from_ch",

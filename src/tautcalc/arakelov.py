@@ -23,7 +23,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Mapping, NamedTuple
 
-from .scalars import Scalar, ZERO, bracket, harmonic, harmonic_symbol
+from .scalars import (Scalar, ZERO, bracket, ch_even_defect_series, harmonic,
+                      harmonic_symbol)
 from .graded import GeneratorSet, GradedPoly, Monomial, sum_of_products
 from .quotient import QuotientRing, ReductionError, RingPresentation, _axpy
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
@@ -63,8 +64,8 @@ def tautological_presentation(d: int) -> RingPresentation:
     return RingPresentation(gens, relations, arithmetic_dimension(d))
 
 
-def tautological_ring(d: int, track_witnesses: bool = False) -> QuotientRing:
-    return QuotientRing(tautological_presentation(d), track_witnesses)
+def tautological_ring(d: int) -> QuotientRing:
+    return QuotientRing(tautological_presentation(d), track_witnesses=False)
 
 
 def lagrangian_degree(d: int) -> int:
@@ -521,8 +522,6 @@ def ch_even_check(d: int, ring: AbelianTautRing | None = None) -> ChEvenReport:
     the form classes, and with the single-Pontrjagin shortcut.  The form
     side is computed modulo the form relations, from the power sums of the
     form classes reduced step by step."""
-    from .scalars import ch_even_defect_series
-
     ring = ring or AbelianTautRing(d)
     cap = ring.cap
     z_sums = ring.z_power_sums(cap) if cap >= 1 else []
@@ -530,7 +529,7 @@ def ch_even_check(d: int, ring: AbelianTautRing | None = None) -> ChEvenReport:
     a_classes = ClassVector.standard(ring.agens, list(ring.agens.names))
     expected_total = GradedPoly.zero(ring.agens)
     for j, s in enumerate(ch_from_c(a_classes, cap - 1, ring.aq.normal_form), 1):
-        expected_total = expected_total - s * defect.coefficient(j)
+        expected_total = expected_total - s * defect[j]
 
     zc = ClassVector.standard(ring.zgens, list(ring.zgens.names))
     pontrjagin = pontrjagin_from_c(zc, cap // 2) if cap >= 2 else []

@@ -13,6 +13,7 @@ import time
 
 from .scalars import Scalar
 from .graded import GradedPoly
+from .charclasses import ClassVector, pontrjagin_from_c
 from .arakelov import (AbelianTautRing, ArithClass, c1_critical_power,
                        harmonic_substitution, height_polynomial,
                        lagrangian_degree, proportionality_map_check,
@@ -29,11 +30,6 @@ class Report:
         self.lines = [] if lines is None else lines
         self.data = {} if data is None else data
         self.checks = [] if checks is None else checks
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Report):
-            return NotImplemented
-        return vars(self) == vars(other)
 
     def add(self, label: str, text: str, latex: str | None = None,
             payload=None):
@@ -99,7 +95,6 @@ def cmd_pontrjagin(args: argparse.Namespace) -> Report:
     ring = AbelianTautRing(args.d)
     k = args.k
     report = Report("pontrjagin", {"d": args.d, "k": k, "invert2": args.invert2})
-    from .charclasses import ClassVector, pontrjagin_from_c
     classes = ClassVector.standard(ring.zgens, list(ring.zgens.names))
     poly = pontrjagin_from_c(classes, k)[k - 1]
     value = ring.reduce(ring.from_z(poly))
@@ -155,7 +150,7 @@ def cmd_height_poly(args: argparse.Namespace) -> Report:
     report.add("substitution",
                "; ".join(f"{k} -> {v.render()}" for k, v in sorted(
                    bindings.items(), key=lambda kv: int(kv[0][1:]))
-                   if Scalar.symbol(k).symbols() & result.height.symbols()),
+                   if k in result.height.symbols()),
                "", {k: v.to_json() for k, v in bindings.items()})
     return report
 

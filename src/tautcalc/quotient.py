@@ -75,12 +75,6 @@ class Witness:
         self.cofactors = cofactors
         self._ring = ring
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Witness):
-            return NotImplemented
-        return ((self.target, self.cofactors, self._ring)
-                == (other.target, other.cofactors, other._ring))
-
     def expand(self) -> GradedPoly:
         """Re-expand the certificate in the free ring."""
         relations = self._ring.presentation.relations

@@ -352,198 +352,94 @@ def bracket(k: int) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Truncated formal power series over Scalar
+# Truncated power series over Scalar: a series known to order N is the list
+# of its N + 1 coefficients, so nothing past the order can be read.
 # ---------------------------------------------------------------------------
 
+Series = list[Scalar]
 
-class FormalSeries:
-    """One-variable power series with exact Scalar coefficients, truncated at
-    a fixed order N (coefficients of z^0 .. z^N are kept and exact)."""
 
-    __slots__ = ("var", "order", "_coeffs")
+def series(order: int, coeffs: Mapping[int, Scalar | Fraction | int]) -> Series:
+    """The series of the given order with coefficient coeffs[k] at z^k and
+    zero elsewhere; every exponent must lie in 0..order."""
+    if order < 0:
+        raise ValueError("truncation order must be non-negative")
+    out = [ZERO] * (order + 1)
+    for k, c in coeffs.items():
+        if not 0 <= k <= order:
+            raise ValueError(f"exponent {k} outside 0..{order}")
+        out[k] = Scalar.coerce(c)
+    return out
 
-    def __init__(self, var: str, order: int,
-                 coeffs: Mapping[int, Scalar | Fraction | int] | None = None):
-        if order < 0:
-            raise ValueError("truncation order must be non-negative")
-        self.var = var
-        self.order = order
-        clean: dict[int, Scalar] = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if k < 0:
-                    raise ValueError("negative exponent in series")
-                if k > order:
-                    continue
-                s = Scalar.coerce(c)
-                if s:
-                    clean[k] = s
-        self._coeffs = clean
 
-    @classmethod
-    def zero(cls, var: str, order: int) -> "FormalSeries":
-        return cls(var, order)
+def series_mul(f: Series, g: Series) -> Series:
+    """Product, truncated at the lower of the two orders."""
+    n = min(len(f), len(g))
+    out = [ZERO] * n
+    for i in range(n):
+        if f[i]:
+            for j in range(n - i):
+                if g[j]:
+                    out[i + j] = out[i + j] + f[i] * g[j]
+    return out
 
-    @classmethod
-    def one(cls, var: str, order: int) -> "FormalSeries":
-        return cls(var, order, {0: 1})
 
-    @classmethod
-    def identity(cls, var: str, order: int) -> "FormalSeries":
-        return cls(var, order, {1: 1})
+def series_derivative(f: Series) -> Series:
+    """d/dz, one order lower (a constant stays at order 0)."""
+    return [c * k for k, c in enumerate(f) if k] or [ZERO]
 
-    def coefficient(self, k: int) -> Scalar:
-        return self._coeffs.get(k, ZERO)
 
-    def coefficients(self) -> dict[int, Scalar]:
-        return dict(self._coeffs)
+def series_inverse(f: Series) -> Series:
+    """Multiplicative inverse; the constant term must be invertible (rational, nonzero)."""
+    if not f[0].is_rational() or f[0].is_zero():
+        raise ValueError("series inverse needs a nonzero rational constant term")
+    inv0 = Fraction(1) / f[0].rational_part()
+    out = [Scalar.from_rational(inv0)]
+    for k in range(1, len(f)):
+        acc = ZERO
+        for j in range(1, k + 1):
+            if f[j]:
+                acc = acc + f[j] * out[k - j]
+        out.append(-acc * inv0)
+    return out
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
-    def is_even(self) -> bool:
-        return all(k % 2 == 0 for k in self._coeffs)
+def series_exp(f: Series) -> Series:
+    """exp of a series with constant term 0."""
+    if f[0]:
+        raise ValueError("exp needs constant term 0")
+    # e' = f' e  gives  k e_k = sum_{j=1..k} j f_j e_{k-j}
+    out = [ONE]
+    for k in range(1, len(f)):
+        acc = ZERO
+        for j in range(1, k + 1):
+            if f[j]:
+                acc = acc + f[j] * j * out[k - j]
+        out.append(acc / k)
+    return out
 
-    def _common_order(self, other: "FormalSeries") -> int:
-        if self.var != other.var:
-            raise ValueError("series variable mismatch")
-        return min(self.order, other.order)
 
-    def __add__(self, other) -> "FormalSeries":
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = FormalSeries(self.var, self.order, {0: Scalar.coerce(other)})
-        n = self._common_order(other)
-        coeffs: dict[int, Scalar] = {}
-        for k in set(self._coeffs) | set(other._coeffs):
-            if k <= n:
-                coeffs[k] = self.coefficient(k) + other.coefficient(k)
-        return FormalSeries(self.var, n, coeffs)
+def series_log(f: Series) -> Series:
+    """log of a series with constant term 1."""
+    if f[0] != ONE:
+        raise ValueError("log needs constant term 1")
+    # l' = f'/f  gives  l_k = f_k - (1/k) sum_{j<k} j l_j f_{k-j}
+    out = [ZERO]
+    for k in range(1, len(f)):
+        acc = ZERO
+        for j in range(1, k):
+            if out[j] and f[k - j]:
+                acc = acc + out[j] * j * f[k - j]
+        out.append(f[k] - acc / k)
+    return out
 
-    __radd__ = __add__
 
-    def __neg__(self) -> "FormalSeries":
-        return FormalSeries(self.var, self.order, {k: -c for k, c in self._coeffs.items()})
-
-    def __sub__(self, other) -> "FormalSeries":
-        return self + (-other if isinstance(other, FormalSeries)
-                       else FormalSeries(self.var, self.order, {0: -Scalar.coerce(other)}))
-
-    def __mul__(self, other) -> "FormalSeries":
-        if isinstance(other, (int, Fraction, Scalar)):
-            s = Scalar.coerce(other)
-            return FormalSeries(self.var, self.order,
-                                {k: c * s for k, c in self._coeffs.items()})
-        n = self._common_order(other)
-        coeffs: dict[int, Scalar] = {}
-        for i, ci in self._coeffs.items():
-            for j, cj in other._coeffs.items():
-                k = i + j
-                if k <= n:
-                    coeffs[k] = coeffs.get(k, ZERO) + ci * cj
-        return FormalSeries(self.var, n, coeffs)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FormalSeries):
-            return NotImplemented
-        return (self.var == other.var and self.order == other.order
-                and self._coeffs == other._coeffs)
-
-    def derivative(self) -> "FormalSeries":
-        if self.order == 0:
-            return FormalSeries(self.var, 0)
-        return FormalSeries(self.var, self.order - 1,
-                            {k - 1: c * k for k, c in self._coeffs.items() if k >= 1})
-
-    def inverse(self) -> "FormalSeries":
-        """Multiplicative inverse; the constant term must be invertible (rational, nonzero)."""
-        c0 = self.coefficient(0)
-        if not c0.is_rational() or c0.is_zero():
-            raise ValueError("series inverse needs a nonzero rational constant term")
-        inv0 = Fraction(1) / c0.rational_part()
-        coeffs: dict[int, Scalar] = {0: Scalar.from_rational(inv0)}
-        for k in range(1, self.order + 1):
-            acc = ZERO
-            for j in range(1, k + 1):
-                cj = self.coefficient(j)
-                if cj:
-                    acc = acc + cj * coeffs.get(k - j, ZERO)
-            val = -acc * inv0
-            if val:
-                coeffs[k] = val
-        return FormalSeries(self.var, self.order, coeffs)
-
-    def exp(self) -> "FormalSeries":
-        """exp of a series with zero constant term."""
-        if self.coefficient(0):
-            raise ValueError("exp needs constant term 0")
-        # e' = f' e  gives  k e_k = sum_{j=1..k} j f_j e_{k-j}
-        coeffs: dict[int, Scalar] = {0: ONE}
-        for k in range(1, self.order + 1):
-            acc = ZERO
-            for j in range(1, k + 1):
-                fj = self.coefficient(j)
-                if fj:
-                    acc = acc + fj * j * coeffs.get(k - j, ZERO)
-            val = acc / k
-            if val:
-                coeffs[k] = val
-        return FormalSeries(self.var, self.order, coeffs)
-
-    def log(self) -> "FormalSeries":
-        """log of a series with constant term 1."""
-        if self.coefficient(0) != ONE:
-            raise ValueError("log needs constant term 1")
-        # l' = f'/f  gives  l_k = f_k - (1/k) sum_{j<k} j l_j f_{k-j}
-        coeffs: dict[int, Scalar] = {}
-        for k in range(1, self.order + 1):
-            acc = ZERO
-            for j in range(1, k):
-                lj = coeffs.get(j)
-                if lj:
-                    fkj = self.coefficient(k - j)
-                    if fkj:
-                        acc = acc + lj * j * fkj
-            val = self.coefficient(k) - acc / k
-            if val:
-                coeffs[k] = val
-        return FormalSeries(self.var, self.order, coeffs)
-
-    def compose_even(self) -> "FormalSeries":
-        """Substitute z^2 -> -z in an even series: the result has coefficient
-        (-1)^k * [z^(2k)] self at z^k.  Rejects series with odd terms."""
-        if not self.is_even():
-            raise ValueError("compose_even needs an even series")
-        coeffs = {k // 2: c * Fraction((-1) ** (k // 2))
-                  for k, c in self._coeffs.items()}
-        return FormalSeries(self.var, self.order // 2, coeffs)
-
-    def render(self, latex: bool = False) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self._coeffs):
-            cs = self._coeffs[k].render(latex)
-            if k == 0:
-                parts.append(cs)
-                continue
-            body = self.var if k == 1 else f"{self.var}^{k}"
-            if cs == "1":
-                parts.append(body)
-            elif cs == "-1":
-                parts.append("-" + body)
-            elif " " in cs:
-                parts.append(f"({cs})*{body}")
-            else:
-                parts.append(f"{cs}*{body}")
-        out = parts[0]
-        for part in parts[1:]:
-            out += " - " + part[1:] if part.startswith("-") else " + " + part
-        return out
-
-    def __repr__(self) -> str:
-        return f"FormalSeries({self.var!r}, N={self.order}: {self.render()})"
+def compose_even(f: Series) -> Series:
+    """Substitute z^2 -> -z in an even series: the result has coefficient
+    (-1)^k * [z^(2k)] f at z^k.  Rejects series with odd terms."""
+    if any(f[1::2]):
+        raise ValueError("compose_even needs an even series")
+    return [c * (-1) ** k for k, c in enumerate(f[::2])]
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +447,7 @@ class FormalSeries:
 # ---------------------------------------------------------------------------
 
 
-def tanh_series(var: str, order: int) -> FormalSeries:
+def tanh_series(order: int) -> Series:
     """tanh x from Bernoulli numbers: sum 4^k (4^k - 1) B_{2k} x^{2k-1} / (2k)!."""
     coeffs: dict[int, Fraction] = {}
     fact = 1
@@ -559,13 +455,11 @@ def tanh_series(var: str, order: int) -> FormalSeries:
         fact *= m  # running m!
         if m % 2 == 0:
             k = m // 2
-            e = 2 * k - 1
-            if e <= order:
-                coeffs[e] = Fraction(4**k * (4**k - 1)) * bernoulli(2 * k) / fact
-    return FormalSeries(var, order, coeffs)
+            coeffs[m - 1] = Fraction(4**k * (4**k - 1)) * bernoulli(2 * k) / fact
+    return series(order, coeffs)
 
 
-def sech_squared_half(order: int) -> FormalSeries:
+def sech_squared_half(order: int) -> Series:
     """The even series 1/cosh^2(z/2), computed by squaring and inverting cosh."""
     cosh: dict[int, Fraction] = {}
     fact = 1
@@ -574,11 +468,11 @@ def sech_squared_half(order: int) -> FormalSeries:
             fact *= m
         if m % 2 == 0:
             cosh[m] = Fraction(1, fact * 2**m)
-    c = FormalSeries("z", order, cosh)
-    return (c * c).inverse()
+    c = series(order, cosh)
+    return series_inverse(series_mul(c, c))
 
 
-def ch_even_defect_series(order: int) -> FormalSeries:
+def ch_even_defect_series(order: int) -> Series:
     """Odd additive series with x^(2k-1) coefficient
     (Z(2k-1)/zeta(1-2k) + H(2k-1)/2 - L/(1-4^-k)) / (2k-1)!.
 
@@ -590,4 +484,4 @@ def ch_even_defect_series(order: int) -> FormalSeries:
         fact *= m
         if m % 2 == 1:
             coeffs[m] = bracket((m + 1) // 2) / (2 * fact)
-    return FormalSeries("x", order, coeffs)
+    return series(order, coeffs)

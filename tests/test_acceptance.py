@@ -154,14 +154,14 @@ def test_criterion_7_series_identities():
     for k in range(1, 7):
         closed = (Fraction((4 ** k - 1) * (-1) ** (k + 1))
                   * zeta_negative_odd(k) / factorial(2 * k - 1))
-        ok &= extracted.coefficient(k) == Scalar.from_rational(closed)
-    ok &= extracted.coefficient(1) == Scalar.from_rational(Fraction(-1, 4))
-    ok &= extracted.coefficient(2) == Scalar.from_rational(Fraction(-1, 48))
-    ok &= extracted.coefficient(3) == Scalar.from_rational(Fraction(-1, 480))
+        ok &= extracted[k] == Scalar.from_rational(closed)
+    ok &= extracted[1] == Scalar.from_rational(Fraction(-1, 4))
+    ok &= extracted[2] == Scalar.from_rational(Fraction(-1, 48))
+    ok &= extracted[3] == Scalar.from_rational(Fraction(-1, 480))
     slots = single_class_slots(series, 12)
     for k in range(1, 13):
         ok &= (slots.coefficient(slots.gens.single(f"p{k}"))
-               == extracted.coefficient(k))
+               == extracted[k])
     crit.finish(ok)
 
 

@@ -173,6 +173,17 @@ def test_pontrjagin_reports_match_recorded(capsys):
     assert "".join(out) == recorded.read_text()
 
 
+def test_verify_reports_match_recorded(capsys):
+    # The recorded text and JSON reports of verify pin every check's name,
+    # source, verdict and detail, and the exit code 1 from hmap alone.
+    recorded = Path(__file__).parent / "data" / "verify_text_json.txt"
+    out = []
+    for fmt in ("text", "json"):
+        assert main(["--format", fmt, "verify"]) == 1
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == recorded.read_text()
+
+
 def test_verify_subset(capsys):
     assert main(["verify", "--only", "bernoulli-zeta,cauchy"]) == 0
     out = capsys.readouterr().out

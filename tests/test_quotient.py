@@ -108,7 +108,7 @@ def test_membership_witness_d3_cofactors():
 
 
 def test_membership_witness_zero_and_failure():
-    ring = tautological_ring(3, track_witnesses=True)
+    ring = QuotientRing(tautological_presentation(3))
     w = ring.membership_witness(GradedPoly.zero(ring.gens))
     assert not w.cofactors and w.verify()
     u1 = u(ring, "u1")
@@ -146,7 +146,7 @@ def test_socle_coordinate_is_lagrangian_degree():
 
 
 def test_alternative_witnesses_reexpand():
-    ring = tautological_ring(4, track_witnesses=True)
+    ring = QuotientRing(tautological_presentation(4))
     u1 = u(ring, "u1")
     witnesses = ring.alternative_witnesses(u1 ** 7)
     assert len(witnesses) >= 3
@@ -270,7 +270,7 @@ def test_constant_relation_leaves_no_standard_monomials():
 
 
 def test_reduction_does_not_depend_on_query_order():
-    ring = tautological_ring(5, track_witnesses=True)
+    ring = QuotientRing(tautological_presentation(5))
     rng = random.Random(11)
     polys = []
     for _ in range(12):
@@ -281,7 +281,7 @@ def test_reduction_does_not_depend_on_query_order():
                 terms[mono] = Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
         polys.append(GradedPoly(ring.gens, terms))
     forward = [ring.reduce_with_cofactors(p) for p in polys]
-    fresh = tautological_ring(5, track_witnesses=True)
+    fresh = QuotientRing(tautological_presentation(5))
     backward = [fresh.reduce_with_cofactors(p) for p in reversed(polys)]
     assert forward == backward[::-1]
     for p, (nf, cof) in zip(polys, forward):
