@@ -23,8 +23,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Mapping, NamedTuple
 
-from .scalars import (Scalar, ZERO, bracket, ch_even_defect_series, harmonic,
-                      harmonic_symbol)
+from .scalars import (ONE, Scalar, ZERO, bracket, ch_even_defect_series,
+                      harmonic, harmonic_symbol)
 from .graded import GeneratorSet, GradedPoly, Monomial, sum_of_products
 from .quotient import QuotientRing, ReductionError, RingPresentation, _axpy
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
@@ -587,12 +587,13 @@ class ProportionalityReport(NamedTuple):
 
 
 def _solve_rational_system(rows: list[tuple[dict[int, Fraction], Scalar]],
-                           n_vars: int) -> tuple[list[Scalar] | None,
-                                                 list[Fraction] | None]:
+                           start: list[Scalar]) -> tuple[list[Scalar] | None,
+                                                         list[Fraction] | None]:
     """Solve a rational linear system A x = b with Scalar right-hand sides;
-    free variables are set to zero.  Returns (solution, None), or, when the
-    system is inconsistent, (None, y) with yᵀA = 0 and yᵀb != 0: y is the
-    combination of input rows that eliminated to 0 = nonzero."""
+    free variables keep their value in ``start``.  Returns (solution, None),
+    or, when the system is inconsistent, (None, y) with yᵀA = 0 and
+    yᵀb != 0: y is the combination of input rows that eliminated to
+    0 = nonzero."""
     pivots: dict[int, tuple[dict[int, Fraction], Scalar, dict[int, Fraction]]] = {}
     for index, (entries, rhs) in enumerate(rows):
         entries = dict(entries)
@@ -615,7 +616,7 @@ def _solve_rational_system(rows: list[tuple[dict[int, Fraction], Scalar]],
         else:
             if rhs:
                 return None, [combo.get(r, Fraction(0)) for r in range(len(rows))]
-    solution = [ZERO] * n_vars
+    solution = list(start)
     for lead in sorted(pivots, reverse=True):
         row, rhs, _ = pivots[lead]
         acc = rhs
@@ -634,6 +635,8 @@ class _MapSolver:
     forced by the even relation components below d; the remaining relation
     components give an exact linear system for the odd correction forms B
     and e0 (the form ideal has square zero, so everything stays linear).
+    One build with a formal constant per unknown reads off that system, one
+    elimination solves it, and one numeric build checks the solution.
     """
 
     def __init__(self, ring: AbelianTautRing):
@@ -659,23 +662,27 @@ class _MapSolver:
         s = self.ring.odd_sums[degree // 2]
         return self.ring.from_a(s * (harmonic(degree - 1) * e0))
 
-    def _build(self, assign, e0: Scalar):
+    def _build(self, x: list[Scalar]):
+        """Images {k: class} and conditions [(degree, class)] at the values
+        ``x`` of the unknowns, in ``self.unknowns`` order."""
         ring, d = self.ring, self.d
+        values = dict(zip(self.unknowns, x))
+        e0 = values["e0"]
         X: dict[int, ArithClass] = {0: ring.one()}
         for k in range(1, d):
             if k % 2 == 1:
                 z = GradedPoly.generator(ring.zgens, f"C{k}") * Fraction(-1)
-                terms = {m: assign(k, m) for m in ring.aq.monomial_basis(k - 1)}
-                x = ArithClass(ring, z,
-                               GradedPoly(ring.agens, terms),
-                               GradedPoly.zero(ring.agens))
+                terms = {m: values[(k, m)] for m in ring.aq.monomial_basis(k - 1)}
+                image = ArithClass(ring, z,
+                                   GradedPoly(ring.agens, terms),
+                                   GradedPoly.zero(ring.agens))
             else:
                 half = k // 2
-                x = self._harmonic_rhs(k, e0) - (X[half] * X[half]) * Fraction((-1) ** half)
+                image = self._harmonic_rhs(k, e0) - (X[half] * X[half]) * Fraction((-1) ** half)
                 for i in range(1, half):
-                    x = x - (X[i] * X[k - i]) * Fraction(2 * (-1) ** i)
-                x = x * Fraction(1, 2)
-            X[k] = ring.reduce(x).drop_gamma()
+                    image = image - (X[i] * X[k - i]) * Fraction(2 * (-1) ** i)
+                image = image * Fraction(1, 2)
+            X[k] = ring.reduce(image).drop_gamma()
         conditions = []
         for degree in self.condition_degrees:
             half = degree // 2
@@ -688,83 +695,64 @@ class _MapSolver:
         return X, conditions
 
     def linearize(self):
-        """Evaluate _build at zero, then with each unknown in turn set to 1.
-        Returns the images and conditions {degree: class} at zero and, per
-        row, the change {unknown index: rational} of its coefficient along
-        each unknown.  Raises ReductionError unless _build consumes exactly
-        the map's unknowns, and ValueError on a change that is not rational."""
-        def evaluate(unknown):
-            asked = []
-
-            def assign(k, m):
-                asked.append((k, m))
-                return Fraction(1) if (k, m) == unknown else ZERO
-
-            images, conditions = self._build(
-                assign, Scalar.coerce(1) if unknown == "e0" else ZERO)
-            if asked != self.unknowns[:-1]:
+        """Build the map once with the j-th unknown as the formal constant xj.
+        Returns the images {k: class}, the conditions {degree: class}, and
+        per row the pair ({j: M[row][j]}, c(0)[row]) of the affine conditions
+        c(x) = c(0) + M x.  Raises ReductionError unless each unknown (k, m)
+        appears as its own symbol in the form part of image k at m, and
+        ValueError on a term that is not rational in the unknowns."""
+        images, conditions = self._build(
+            [Scalar.symbol(f"x{j}") for j in range(len(self.unknowns))])
+        for j, (k, m) in enumerate(self.unknowns[:-1]):
+            if images[k].a.coefficient(m).coefficient(((f"x{j}", 1),)) != 1:
                 raise ReductionError("the map's conditions do not consume "
                                      "exactly its unknowns")
-            return images, dict(conditions)
-
-        images, conditions = evaluate(None)
-        matrix = {row: {} for row in self.rows}
-        for j, unknown in enumerate(self.unknowns):
-            probe = evaluate(unknown)[1]
-            for ri, (degree, mono) in enumerate(self.rows):
-                delta = (probe[degree].a.coefficient(mono)
-                         - conditions[degree].a.coefficient(mono))
-                if delta:
-                    if not delta.is_rational():
-                        raise ValueError(
-                            f"proportionality map: coefficient of unknown {j} "
-                            f"in row {ri} is not rational ({delta.render()})")
-                    matrix[(degree, mono)][j] = delta.rational_part()
-        return images, conditions, matrix
+        conditions = dict(conditions)
+        system = {}
+        for ri, (degree, mono) in enumerate(self.rows):
+            entries, constant = {}, {}
+            for term, coeff in conditions[degree].a.coefficient(mono).items():
+                if not any(name[0] == "x" for name, _ in term):
+                    constant[term] = coeff
+                elif len(term) == 1 and term[0][1] == 1:
+                    entries[int(term[0][0][1:])] = coeff
+                else:
+                    raise ValueError(
+                        f"proportionality map: term {Scalar({term: coeff})} "
+                        f"of row {ri} is not rational in the unknowns")
+            system[(degree, mono)] = (entries, Scalar(constant))
+        return images, conditions, system
 
     def solve(self):
         """Returns ((images, e0), "", None) or (None, diagnosis, certificate);
         the certificate is set only when the linear system is inconsistent."""
-        base_x, base_c, matrix = self.linearize()
-        for degree, cond in base_c.items():
+        images, conditions, system = self.linearize()
+        for degree, cond in conditions.items():
             if not cond.z.is_zero():
                 return None, (f"polynomial part of the degree-{degree} "
                               "condition does not vanish"), None
         for k in range(2, self.d, 2):
             expected = GradedPoly.generator(self.ring.zgens, f"C{k}")
-            if base_x[k].z != expected:
+            if images[k].z != expected:
                 return None, (f"forced image of C{k} has a mixed polynomial "
                               "part"), None
 
-        # The system is M x = b with b = -c(0).  Pinning e0 = 1 moves its
-        # column, the last, to the right-hand side.
-        n_vars = len(self.unknowns)
-        free_rows = []
-        pinned_rows = []
-        for (degree, mono), entries in matrix.items():
-            rhs = -base_c[degree].a.coefficient(mono)
-            free_rows.append((entries, rhs))
-            pinned = dict(entries)
-            pinned_rows.append((pinned, rhs - pinned.pop(n_vars - 1, 0)))
-
-        solution, _ = _solve_rational_system(pinned_rows, n_vars)
-        if solution is not None:
-            e0: Scalar = Scalar.coerce(1)
-        else:
-            # A certificate must come from the free system: one for the
-            # pinned system would rule out only e0 = 1.
-            solution, y = _solve_rational_system(free_rows, n_vars)
-            if solution is None:
-                value = sum((rhs * w for (_, rhs), w in zip(free_rows, y)), ZERO)
-                return None, ("no correction forms make every relation "
-                              "component vanish: the linear system is "
-                              "inconsistent over the exact scalars"), \
-                    MapCertificate(self.d, dict(zip(self.rows, y)), value)
-            e0 = solution[-1]
-            if not e0:
-                return None, "only the degenerate map with e0 = 0 survives", None
-        values = dict(zip(self.unknowns, solution))
-        images, conditions = self._build(lambda k, m: values[(k, m)], e0)
+        # The system is M x = b with b = -c(0).  Free unknowns start at 0
+        # and e0, the last, at 1: if e0 is free it stays 1, else its value
+        # is forced.  A certificate from this system rules out every e0.
+        rows = [(entries, -constant) for entries, constant in system.values()]
+        start = [ZERO] * (len(self.unknowns) - 1) + [ONE]
+        solution, y = _solve_rational_system(rows, start)
+        if solution is None:
+            value = sum((rhs * w for (_, rhs), w in zip(rows, y)), ZERO)
+            return None, ("no correction forms make every relation "
+                          "component vanish: the linear system is "
+                          "inconsistent over the exact scalars"), \
+                MapCertificate(self.d, dict(zip(self.rows, y)), value)
+        e0 = solution[-1]
+        if not e0:
+            return None, "only the degenerate map with e0 = 0 survives", None
+        images, conditions = self._build(solution)
         for degree, cond in conditions:
             if not cond.is_zero():
                 return None, f"residual condition at degree {degree}", None
@@ -775,25 +763,26 @@ def condition_pairing(y: Mapping[tuple[int, Monomial], Fraction],
                       ring: AbelianTautRing) -> Scalar | None:
     """yᵀc for weights y on the map's condition coefficients, labelled by
     (condition degree, form monomial), if it does not depend on the map's
-    unknowns; else None.  Uses no elimination.
+    unknowns; else None.  Evaluates the conditions in one symbolic build
+    and uses no elimination.
 
     The conditions are affine in the unknowns, c(x) = c(0) + M x, so yᵀc is
     constant exactly when yᵀM = 0, and is then yᵀc(0).  The unknowns the
     conditions consume must be exactly the map's shape: a basis of R^(k-1)
     for each odd k < d, plus the constant-form scale e0.
     """
-    solver = _MapSolver(ring)
     try:
-        _, conditions, matrix = solver.linearize()
+        system = _MapSolver(ring).linearize()[2]
     except ReductionError:
         return None
     y_m: dict[int, Fraction] = {}
     value = ZERO
-    for (degree, mono), weight in y.items():
-        if degree not in conditions:
+    for label, weight in y.items():
+        if label not in system:
             return None
-        _axpy(y_m, weight, matrix.get((degree, mono), {}))
-        value = value + conditions[degree].a.coefficient(mono) * weight
+        entries, constant = system[label]
+        _axpy(y_m, weight, entries)
+        value = value + constant * weight
     return None if y_m else value
 
 

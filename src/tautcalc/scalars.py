@@ -1,10 +1,11 @@
 """Exact scalar arithmetic: rationals, Bernoulli/zeta/harmonic values, the
-formal-constant ring Q[L, Z1, Z3, ..., h1, h3, ...], and truncated power series.
+formal-constant ring Q[L, Z1, Z3, ..., h1, h3, ..., x0, x1, ...], and
+truncated power series.
 
-The symbol L stands for log 2, Z(2k-1) for the zeta derivative at 1-2k, and
-h(2k-1) for a formal odd harmonic coefficient.  All three are treated as
-independent commuting indeterminates; zeta(1-2k) itself is the exact rational
--B(2k)/(2k) and never a symbol.
+The symbol L stands for log 2, Z(2k-1) for the zeta derivative at 1-2k,
+h(2k-1) for a formal odd harmonic coefficient and xj for the j-th unknown of
+a linear system.  All are independent commuting indeterminates; zeta(1-2k)
+itself is the exact rational -B(2k)/(2k) and never a symbol.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ Rational = Fraction
 # Monomial in the formal constants: sorted tuple of (symbol, exponent) pairs.
 ConstMonomial = tuple[tuple[str, int], ...]
 
-_SYMBOL_KIND_ORDER = {"L": 0, "Z": 1, "h": 2}
+_SYMBOL_KIND_ORDER = {"L": 0, "Z": 1, "h": 2, "x": 3}
 
 
 def symbol_sort_key(name: str) -> tuple[int, int]:
-    """Deterministic symbol order: L, then Z1 < Z3 < ..., then h1 < h3 < ..."""
+    """Deterministic symbol order: L, Z1 < Z3 < ..., h1 < h3 < ..., x0 < x1 < ..."""
     if name == "L":
         return (0, 0)
     kind, index = name[0], name[1:]
@@ -40,7 +41,7 @@ def _as_fraction(value) -> Fraction:
 
 
 class Scalar:
-    """Element of Q[L, Z1, Z3, ..., h1, h3, ...], stored as a sparse monomial map.
+    """Element of the formal-constant ring, stored as a sparse monomial map.
 
     Immutable; all arithmetic returns new values.  No zero coefficients are
     ever stored and monomials are kept sorted, so equal values compare equal.
@@ -262,7 +263,7 @@ def _symbol_display(name: str, latex: bool) -> str:
         return "\\log 2" if latex else "log2"
     if name.startswith("Z"):
         return ("\\zeta'(-%s)" if latex else "zeta'(-%s)") % name[1:]
-    return ("h_{%s}" if latex else "h%s") % name[1:]
+    return "%s_{%s}" % (name[0], name[1:]) if latex else name
 
 
 def _exp_display(exp: int, latex: bool) -> str:

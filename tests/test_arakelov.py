@@ -9,6 +9,7 @@ from tautcalc.scalars import (LOG2, Scalar, ZERO, harmonic, harmonic_symbol,
 from tautcalc.graded import GradedPoly, monomials_of_degree
 from tautcalc.charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 from tautcalc.quotient import ReductionError
+from tautcalc import arakelov
 from tautcalc.arakelov import (AbelianTautRing, ArithClass,
                                LagrangianArithRing, c1_critical_power,
                                ch_even_check, harmonic_substitution,
@@ -457,12 +458,19 @@ def test_certificate_rejected_when_build_skips_an_unknown(monkeypatch):
     ring = AbelianTautRing(5)
     cert = proportionality_map_check(5, ring).certificate
     assert verify_map_certificate(cert, ring)
-    skipped = (1, ring.aq.monomial_basis(0)[0])
+    skipped = _MapSolver(ring).unknowns.index((1, ring.aq.monomial_basis(0)[0]))
     build = _MapSolver._build
-    monkeypatch.setattr(_MapSolver, "_build", lambda self, assign, e0: build(
-        self, lambda k, m: ZERO if (k, m) == skipped else assign(k, m), e0))
+    monkeypatch.setattr(_MapSolver, "_build", lambda self, x: build(
+        self, [ZERO if j == skipped else v for j, v in enumerate(x)]))
     assert condition_pairing(cert.y, ring) is None
     assert not verify_map_certificate(cert, ring)
+
+
+def test_certificate_rejected_below_the_working_degree():
+    # The d = 5 conditions reach form degree 7, above this ring's 6: the
+    # certificate does not verify there, and checking it does not raise.
+    cert = proportionality_map_check(5).certificate
+    assert not verify_map_certificate(cert, AbelianTautRing(5, cap=7))
 
 
 def test_rational_system_certificate():
@@ -471,15 +479,89 @@ def test_rational_system_certificate():
     rows = [({0: Fraction(1), 1: Fraction(1)}, Scalar.coerce(1)),
             ({0: Fraction(1), 1: Fraction(-1)}, LOG2),
             ({0: Fraction(2)}, ZERO)]
-    solution, y = _solve_rational_system(rows, 2)
+    solution, y = _solve_rational_system(rows, [ZERO, ZERO])
     assert solution is None
     for col in range(2):
         assert sum(w * entries.get(col, 0)
                    for w, (entries, _) in zip(y, rows)) == 0
     assert sum((rhs * w for w, (_, rhs) in zip(y, rows)), ZERO) != 0
-    solution, y = _solve_rational_system(rows[:2], 2)
+    solution, y = _solve_rational_system(rows[:2], [ZERO, ZERO])
     assert y is None
     assert solution == [(LOG2 + 1) * Fraction(1, 2), (1 - LOG2) * Fraction(1, 2)]
+    # The last variable plays e0, started at 1: while it is free it keeps
+    # its start value, and once a row pins it, it takes the forced value.
+    one = Scalar.coerce(1)
+    free = [({0: Fraction(1), 1: Fraction(2)}, LOG2)]
+    assert _solve_rational_system(free, [ZERO, one]) == ([LOG2 - 2, one], None)
+    forced = free + [({1: Fraction(3)}, Scalar.coerce(6))]
+    assert _solve_rational_system(forced, [ZERO, one]) == ([LOG2 - 4, 2], None)
+
+
+def test_symbolic_linearize_matches_unit_probes():
+    # The route the symbolic build replaced is the oracle: c(0) is the
+    # conditions at the zero vector, and column j of M is their change at
+    # the j-th unit vector.
+    for d in range(2, 9):
+        solver = _MapSolver(AbelianTautRing(d))
+        n = len(solver.unknowns)
+        _, _, system = solver.linearize()
+        assert list(system) == solver.rows
+
+        def probe(j):
+            x = [ZERO] * n
+            if j is not None:
+                x[j] = Scalar.coerce(1)
+            return dict(solver._build(x)[1])
+
+        base = probe(None)
+        probes = [probe(j) for j in range(n)]
+        for degree, mono in solver.rows:
+            c0 = base[degree].a.coefficient(mono)
+            column = {j: probes[j][degree].a.coefficient(mono) - c0
+                      for j in range(n)}
+            assert all(v.is_rational() for v in column.values()), d
+            entries, constant = system[(degree, mono)]
+            assert constant == c0, (d, degree, mono)
+            assert entries == {j: v.rational_part()
+                               for j, v in column.items() if v}, (d, degree, mono)
+
+
+def test_solve_builds_twice_and_eliminates_once(monkeypatch):
+    calls = []
+    build = _MapSolver._build
+    monkeypatch.setattr(_MapSolver, "_build",
+                        lambda self, x: calls.append("build") or build(self, x))
+    monkeypatch.setattr(arakelov, "_solve_rational_system",
+                        lambda rows, start: calls.append("solve")
+                        or _solve_rational_system(rows, start))
+    solved, _, _ = _MapSolver(AbelianTautRing(4)).solve()
+    assert solved is not None
+    assert calls == ["build", "solve", "build"]
+    # An inconsistent system stops after the elimination.
+    calls.clear()
+    solved, _, certificate = _MapSolver(AbelianTautRing(5)).solve()
+    assert solved is None and certificate is not None
+    assert calls == ["build", "solve"]
+
+
+def test_map_report_has_no_unknown_symbols():
+    # The formal unknowns of the symbolic build must not reach a report.
+    def leaks(value):
+        return any(name[0] == "x" for name in Scalar.coerce(value).symbols())
+
+    def class_leaks(cls):
+        return any(leaks(c) for poly in (cls.z, cls.a, cls.g)
+                   for _, c in poly.items())
+
+    for d in range(2, 9):
+        rep = proportionality_map_check(d)
+        assert not any(class_leaks(image)
+                       for image in rep.generator_images.values()), d
+        assert not any(class_leaks(res) for _, res in rep.relation_residues), d
+        if rep.form_unit is not None:
+            assert not leaks(rep.form_unit), d
+        if rep.certificate is not None:
+            assert not leaks(rep.certificate.value), d
 
 
 def test_ch_even_small_d():

@@ -162,6 +162,10 @@ def test_scalar_rendering():
     assert value.render() == "-1 + 8/3*log2 + 24*zeta'(-1)"
     assert "\\zeta'(-1)" in value.render(latex=True)
     assert str(ZERO) == "0"
+    # A formal unknown renders as itself, never as a harmonic symbol.
+    unknowns = harmonic_symbol(2) + Scalar.symbol("x3") * 2
+    assert unknowns.render() == "h3 + 2*x3"
+    assert unknowns.render(latex=True) == "h_{3} + 2x_{3}"
 
 
 def test_symbol_validation():
