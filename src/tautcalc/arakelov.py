@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import add
 from typing import Callable, Mapping, NamedTuple
 
-from .scalars import (ONE, Scalar, ZERO, bracket, ch_even_defect_series,
-                      harmonic, harmonic_symbol)
-from .graded import GeneratorSet, GradedPoly, Monomial, sum_of_products
+from .scalars import (ONE, Scalar, ZERO, _merge_monomials, bracket,
+                      ch_even_defect_series, harmonic, harmonic_symbol)
+from .graded import (GeneratorSet, GradedPoly, Monomial, sum_of_products,
+                     sum_of_slices)
 from .quotient import QuotientRing, ReductionError, RingPresentation, _axpy
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 
@@ -256,6 +258,17 @@ class ArithRing:
         self.zq = QuotientRing(
             RingPresentation(self.zgens, [r.zpoly for r in self.relations], cap),
             track_witnesses=True)
+        # Per relation: its form parts (side, 0 for the form part and 1 for
+        # the gamma coefficient; degree; a primitive integer polynomial P;
+        # its Scalar factor, see GradedPoly.rational_parts), and the memo
+        # {t: step image of (r, t)}, which holds nf(u^t * P) per form part.
+        # Each image is a normal form, so it does not depend on the queries.
+        self._form_parts = [[(side, form.max_degree(), poly, scalar)
+                             for side, form in enumerate(rel[1:])
+                             for poly, scalar in form.rational_parts()]
+                            for rel in self.relations]
+        self._step_images: list[dict[Monomial, list[tuple]]] = [
+            {} for _ in self.relations]
 
     # -- constructors of elements -------------------------------------------
 
@@ -312,40 +325,76 @@ class ArithRing:
 
     # -- reduction -----------------------------------------------------------
 
-    def reduce_detailed(self, x: ArithClass):
-        """Canonical form plus the raw (pre-reduction) form contributions."""
+    def reduce(self, x: ArithClass) -> ArithClass:
         if x.ring is not self:
             raise ValueError("class from another ring")
-        z = x.z.truncate(self.cap)
-        nf, cof = self.zq.reduce_with_cofactors(z)
-        raw_a, raw_g = self._form_contributions(cof, x.a, x.g)
-        a, g = self._form_normal_forms(raw_a, raw_g)
-        return ArithClass(self, nf, a, g), raw_a, raw_g
-
-    def reduce(self, x: ArithClass) -> ArithClass:
-        return self.reduce_detailed(x)[0]
+        nf, cofactors = self.zq.reduce_with_cofactors(x.z.truncate(self.cap))
+        return ArithClass(self, nf, *self._form_contributions(cofactors, x.a, x.g))
 
     def _form_contributions(self, cofactors: Mapping[int, GradedPoly],
                             a: GradedPoly, g: GradedPoly):
-        """The form part a and gamma coefficient g plus what the cofactors
-        push into them: omega(cofactor) times each relation's form side."""
-        pairs = [(self.omega(cof), self.relations[ri])
-                 for ri, cof in cofactors.items()]
-        a = sum_of_products(self.agens, [(w, rel.apart) for w, rel in pairs],
-                            self.cap - 1, start=a)
-        g = sum_of_products(self.agens, [(w, rel.gpart) for w, rel in pairs],
-                            self.cap - (self.gamma_degree or 0), start=g)
-        return a, g
-
-    def _form_normal_forms(self, a: GradedPoly, g: GradedPoly):
-        """Normal forms of a form part and a gamma coefficient, each
-        truncated to the ring's working degree."""
-        a = self.aq.normal_form(a.truncate(self.cap - 1))
+        """Normal forms of the form part a and the gamma coefficient g plus
+        what the cofactors push into them, each truncated to the working
+        degree.  A cofactor term c*C^t of relation r pushes c times the step
+        image of (r, t): the normal forms of u^t times r's form sides."""
+        self._add_step_images(cofactors)
+        images = self._step_images
+        pushed: tuple[list, list] = ([], [])
+        for ri, cof in cofactors.items():
+            relation_images = images[ri]
+            for j, (side, _, _, scalar) in enumerate(self._form_parts[ri]):
+                for k1, (d1, terms) in cof._slices.items():
+                    acc: dict[Monomial, int | Fraction] = {}
+                    for t, n in terms.items():
+                        for m, v in relation_images[t][j]:
+                            acc[m] = acc.get(m, 0) + n * v
+                    pushed[side].extend((_merge_monomials(k1, k2), num, d1 * den, acc)
+                                        for k2, num, den in scalar)
+        a = sum_of_slices(self.agens, pushed[0],
+                          self.aq.normal_form(a.truncate(self.cap - 1)))
         if self.gamma_degree is None:
             if not g.is_zero():
                 raise ReductionError("gamma part in a ring without gamma")
             return a, g
-        return a, self.aq.normal_form(g.truncate(self.cap - self.gamma_degree))
+        g = sum_of_slices(self.agens, pushed[1], self.aq.normal_form(
+            g.truncate(self.cap - self.gamma_degree)))
+        return a, g
+
+    def _add_step_images(self, cofactors: Mapping[int, GradedPoly]):
+        """Keep the step images that the cofactor terms need and the memo
+        lacks: per form part, the normal form as a tuple of (monomial,
+        coefficient).  Their product monomials are divided in one pass,
+        smallest first."""
+        degree_of = self.agens.degree_of
+        caps = (self.cap - 1, self.cap - (self.gamma_degree or 0))
+        products: dict[Monomial, Monomial] = {}   # one tuple per monomial
+        fresh: dict[int, dict[Monomial, list[tuple]]] = {}
+        pending = []
+        for ri, cof in cofactors.items():
+            known, parts = self._step_images[ri], self._form_parts[ri]
+            new = fresh[ri] = {}
+            for _, terms in cof._slices.values():
+                for t in terms:
+                    if t in known or t in new:
+                        continue
+                    image = new[t] = [()] * len(parts)
+                    t_degree = degree_of(t)
+                    for j, (side, degree, poly, _) in enumerate(parts):
+                        # A form side is homogeneous: its image is kept or
+                        # dropped whole.
+                        if t_degree + degree <= caps[side]:
+                            shifted = [tuple(map(add, t, m)) for m in poly]
+                            pending.append((image, j, poly, [
+                                products.setdefault(p, p) for p in shifted]))
+        reduced = self.aq.monomial_reductions(products) if products else {}
+        for image, j, poly, shifted in pending:
+            acc: dict[Monomial, int | Fraction] = {}
+            for product, n in zip(shifted, poly.values()):
+                for m, v in reduced[product][0].items():
+                    acc[m] = acc.get(m, 0) + n * v
+            image[j] = tuple(acc.items())
+        for ri, new in fresh.items():
+            self._step_images[ri].update(new)
 
     def reduce_variants(self, x: ArithClass) -> list[ArithClass]:
         """Reductions of a class whose polynomial part lies in the relation
@@ -356,8 +405,7 @@ class ArithRing:
         witnesses = self.zq.alternative_witnesses(z)
         out = []
         for w in witnesses:
-            raw_a, raw_g = self._form_contributions(w.cofactors, x.a, x.g)
-            a, g = self._form_normal_forms(raw_a, raw_g)
+            a, g = self._form_contributions(w.cofactors, x.a, x.g)
             out.append(ArithClass(self, GradedPoly.zero(self.zgens), a, g))
         return out
 
@@ -441,7 +489,13 @@ def _critical_split(ring: ArithRing):
     against u1^top, the socle coordinate lam of u1^top)."""
     top = ring.d * (ring.d - 1) // 2
     power = GradedPoly.monomial(ring.zgens, ring.zgens.single("C1", top + 1))
-    reduced, _, raw_g = ring.reduce_detailed(ring.from_z(power))
+    nf, cofactors = ring.zq.reduce_with_cofactors(power.truncate(ring.cap))
+    zero = GradedPoly.zero(ring.agens)
+    reduced = ArithClass(ring, nf, *ring._form_contributions(cofactors, zero, zero))
+    raw_g = zero
+    for ri, cof in cofactors.items():
+        if ring.relations[ri].gpart:    # C_d -> a(gamma), gamma side 1
+            raw_g = ring.omega(cof).truncate(ring.cap - ring.gamma_degree)
     if not reduced.z.is_zero():
         raise ReductionError("critical power kept a polynomial part; "
                              "shape of the reduction is violated")

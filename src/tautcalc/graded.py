@@ -214,6 +214,20 @@ class GradedPoly:
             k: (den, {m: n for m, n in terms.items() if keep(degree_of(m))})
             for k, (den, terms) in self._slices.items()})
 
+    def rational_parts(self) -> list[tuple[dict[Monomial, int],
+                                           list[tuple[ConstMonomial, int, int]]]]:
+        """The polynomial as a sum of sigma * P: pairs (P, sigma), P a
+        primitive integer polynomial {monomial: numerator} with a positive
+        first coefficient in monomial order, sigma the Scalar sum of
+        k * num / den over [(k, num, den)], one pair per distinct P."""
+        parts: dict[frozenset, tuple[dict, list]] = {}
+        for k, (den, terms) in self._slices.items():
+            first = min(terms, key=lambda m: monomial_sort_key(self.gens, m))
+            g = gcd(*terms.values()) * (1 if terms[first] > 0 else -1)
+            poly = {m: n // g for m, n in terms.items()}
+            parts.setdefault(frozenset(poly.items()), (poly, []))[1].append((k, g, den))
+        return list(parts.values())
+
     def symbol_degree(self) -> int:
         return max((sum(e for _, e in k) for k in self._slices), default=0)
 
@@ -394,8 +408,7 @@ def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, Graded
     cap = inf if max_degree is None else max_degree
     if start is not None and start.gens != gens:
         raise ValueError("generator-set mismatch")
-    # A copy: stored slices are never changed in place.
-    out = {k: (den, dict(terms)) for k, (den, terms) in start._slices.items()} if start else {}
+    out = _copy_slices(start)
     for p, q in pairs:
         if not p.gens == q.gens == gens:
             raise ValueError("generator-set mismatch")
@@ -404,16 +417,7 @@ def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, Graded
         for k1, (d1, left_terms) in p._slices.items():
             left = [(m1, n1, cap - degree_of(m1)) for m1, n1 in left_terms.items()]
             for k2, d2, right_terms in right:
-                k, den = _merge_monomials(k1, k2), d1 * d2
-                old, terms = out.setdefault(k, (den, {}))
-                if old % den:
-                    # Bring the target slice to a common denominator.
-                    new = lcm(old, den)
-                    for m in terms:
-                        terms[m] *= new // old
-                    out[k] = (new, terms)
-                    old = new
-                scale = old // den
+                terms, scale = _target_slice(out, _merge_monomials(k1, k2), d1 * d2)
                 for m1, n1, room in left:
                     n1 *= scale
                     for m2, n2, deg2 in right_terms:
@@ -421,3 +425,40 @@ def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, Graded
                             m = tuple(map(add, m1, m2))
                             terms[m] = terms.get(m, 0) + n1 * n2
     return GradedPoly.from_slices(gens, out)
+
+
+def sum_of_slices(gens: GeneratorSet,
+                  parts: Iterable[tuple[ConstMonomial, int, int,
+                                        Mapping[Monomial, int | Fraction]]],
+                  start: GradedPoly | None = None) -> GradedPoly:
+    """start + the sum of k * num * terms / den over the parts
+    (k, num, den, terms)."""
+    if start is not None and start.gens != gens:
+        raise ValueError("generator-set mismatch")
+    out = _copy_slices(start)
+    for k, num, den, source in parts:
+        terms, scale = _target_slice(out, k, den)
+        scale *= num
+        for m, n in source.items():
+            terms[m] = terms.get(m, 0) + n * scale
+    return GradedPoly.from_slices(gens, out)
+
+
+def _copy_slices(poly: GradedPoly | None) -> dict:
+    # A copy: stored slices are never changed in place.
+    if poly is None:
+        return {}
+    return {k: (den, dict(terms)) for k, (den, terms) in poly._slices.items()}
+
+
+def _target_slice(out: dict, k: ConstMonomial, den: int) -> tuple[dict, int]:
+    """The terms of out's slice k, brought to a common denominator with
+    den, and the factor that takes a numerator over den to it."""
+    old, terms = out.setdefault(k, (den, {}))
+    if old % den:
+        new = lcm(old, den)
+        for m in terms:
+            terms[m] *= new // old
+        out[k] = (new, terms)
+        old = new
+    return terms, old // den

@@ -143,7 +143,10 @@ class QuotientRing:
     def _rule_for(self, mono: Monomial) -> int | None:
         """Index of the first relation whose lead divides mono."""
         for ri, rule in enumerate(self._rules):
-            if all(mono[i] >= e for i, e in rule[0]):
+            for i, e in rule[0]:
+                if mono[i] < e:
+                    break
+            else:
                 return ri
         return None
 
@@ -214,6 +217,16 @@ class QuotientRing:
             raise ReductionError(
                 f"degree {degree} exceeds working degree {self.top_degree}")
 
+    def monomial_reductions(self, monos: Iterable[Monomial]
+                            ) -> dict[Monomial, tuple[dict, dict | None]]:
+        """The kept normal form and cofactors of each monomial, as
+        _reduce_monomial gives them; the caller must not change them.  One
+        division pass, smallest monomials first: the larger ones' divisions
+        then reuse them."""
+        monos = sorted(monos, key=_order_key, reverse=True)
+        self._check_degree(max(map(self.gens.degree_of, monos), default=0))
+        return {m: self._reduce_monomial(m) for m in monos}
+
     def normal_form(self, poly: GradedPoly) -> GradedPoly:
         nf, _ = self._reduce(poly, with_cofactors=False)
         return nf
@@ -226,13 +239,9 @@ class QuotientRing:
     def _reduce(self, poly: GradedPoly, with_cofactors: bool):
         if poly.gens != self.gens:
             raise ReductionError("polynomial over wrong generator set")
-        self._check_degree(poly.max_degree())
-        # One division pass, smallest monomials first: the larger ones'
-        # divisions then reuse them, whichever slices hold them.  Each slice
-        # of the results is over its input slice's denominator; a leading
-        # coefficient other than +-1 makes its numerators Fractions.
-        reduced = {m: self._reduce_monomial(m) for m in
-                   sorted(poly.monomials(), key=_order_key, reverse=True)}
+        # Each slice of the results is over its input slice's denominator; a
+        # leading coefficient other than +-1 makes its numerators Fractions.
+        reduced = self.monomial_reductions(poly.monomials())
         nf: Slices = {}
         cof: dict[int, Slices] = {}
         for k, (den, terms) in poly._slices.items():

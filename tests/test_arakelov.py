@@ -180,6 +180,16 @@ def test_critical_power_two_routes_d8_d11():
             assert result.r.render() == pinned[d]
 
 
+def test_critical_power_division_steps():
+    # The form side divides the product monomials of every step image once,
+    # smallest first, so each larger division reuses the smaller ones.  The
+    # counts are those of dividing the expanded form part in one pass.
+    for d, (aq_steps, zq_steps) in {8: (740, 383), 9: (1779, 1068)}.items():
+        ring = AbelianTautRing(d)
+        c1_critical_power(d, ring)
+        assert (ring.aq.division_steps, ring.zq.division_steps) == (aq_steps, zq_steps)
+
+
 def test_critical_power_one_degree_at_a_time():
     # A third route for r_d: multiply by C1 and reduce, one degree at a
     # time.  It never divides C1^(1 + d(d-1)/2) with cofactors, so agreeing

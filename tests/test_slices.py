@@ -12,7 +12,7 @@ from tautcalc.scalars import Scalar, ZERO, _merge_monomials, symbol_sort_key
 from tautcalc.graded import (GeneratorSet, GradedPoly, monomials_of_degree,
                              sum_of_products)
 from tautcalc.quotient import QuotientRing, RingPresentation
-from tautcalc.arakelov import AbelianTautRing, LagrangianArithRing
+from tautcalc.arakelov import AbelianTautRing, ArithClass, LagrangianArithRing
 
 L, Z1, Z3 = Scalar.symbol("L"), Scalar.symbol("Z1"), Scalar.symbol("Z3")
 H1, H3 = Scalar.symbol("h1"), Scalar.symbol("h3")
@@ -83,6 +83,20 @@ def reference_reduce(ring, poly):
             {ri: p for ri, p in cofactors.items() if p})
 
 
+def reference_form_parts(ring, cofactors, a, g):
+    """The product route: a and g plus omega(cofactor) times each relation's
+    form sides, expanded term by term, truncated, then reduced in aq."""
+    for ri, c in cofactors.items():
+        rel, w = ring.relations[ri], ring.omega(c)
+        a = a + reference_mul_truncated(w, rel.apart, ring.cap - 1)
+        g = g + reference_mul_truncated(w, rel.gpart,
+                                        ring.cap - (ring.gamma_degree or 0))
+    a = ring.aq.normal_form(a.truncate(ring.cap - 1))
+    if ring.gamma_degree is None:
+        return a, g
+    return a, ring.aq.normal_form(g.truncate(ring.cap - ring.gamma_degree))
+
+
 def random_scalar(rng):
     """A Fraction combination of one to three constant monomials."""
     out = ZERO
@@ -144,10 +158,11 @@ def test_mixed_denominators_in_one_slice():
     one_z = GradedPoly.constant(ring.zgens, 1)
     u1 = GradedPoly.generator(ring.agens, "u1")
     one_a = GradedPoly.constant(ring.agens, 1)
-    # Keys are relation indices: p_1(C), p_2(C) and C_3 -> a(gamma).
-    cofactors = {0: C1 * (L * Fraction(1, 2) + Z1 * Fraction(1, 3)),
+    # Keys are relation indices: p_1(C), p_2(C) and C_3 -> a(gamma).  The
+    # C1^3 and C1^2 terms push forms above the working degree, which drop.
+    cofactors = {0: C1 * (L * Fraction(1, 2) + Z1 * Fraction(1, 3)) + C1 * C1 * C1 * Z1,
                  1: one_z * (Z1 * Fraction(2, 5) - L),
-                 2: one_z * L * Fraction(1, 2)}
+                 2: one_z * L * Fraction(1, 2) + C1 * C1 * L}
     a = u1 * u1 * (L * Z1 * Fraction(1, 5)) + u1 * Fraction(1, 7)
     g = one_a * (Z1 * Fraction(1, 3) + L * Fraction(1, 5))
     ref_a, ref_g = a, g
@@ -156,7 +171,10 @@ def test_mixed_denominators_in_one_slice():
         ref_a = ref_a + reference_mul_truncated(w, rel.apart, ring.cap - 1)
         ref_g = ref_g + reference_mul_truncated(
             w, rel.gpart, ring.cap - ring.gamma_degree)
-    assert ring._form_contributions(cofactors, a, g) == (ref_a, ref_g)
+    # The reduced parts: normal forms of the same products.
+    expected = (ring.aq.normal_form(ref_a.truncate(ring.cap - 1)),
+                ring.aq.normal_form(ref_g.truncate(ring.cap - ring.gamma_degree)))
+    assert ring._form_contributions(cofactors, a, g) == expected
     assert ref_a.coefficient((2, 0, 0)).coefficient((("L", 1), ("Z1", 1)))
 
 
@@ -201,18 +219,66 @@ def test_reductions_match_scalar_loop():
                 nf, cof = zq.reduce_with_cofactors(poly)
                 assert (nf, cof) == reference_reduce(zq, poly)
                 assert zq.normal_form(poly) == nf
-                # The form contributions sum their products on slices.
-                ref_a = ref_g = GradedPoly.zero(ring.agens)
-                for ri, c in cof.items():
-                    rel, w = ring.relations[ri], ring.omega(c)
-                    ref_a = ref_a + reference_mul_truncated(w, rel.apart, ring.cap - 1)
-                    ref_g = ref_g + reference_mul_truncated(
-                        w, rel.gpart, ring.cap - (ring.gamma_degree or 0))
+                # The form contributions are the normal forms of the
+                # cofactor products.
                 zero = GradedPoly.zero(ring.agens)
-                assert ring._form_contributions(cof, zero, zero) == (ref_a, ref_g)
+                assert (ring._form_contributions(cof, zero, zero)
+                        == reference_form_parts(ring, cof, zero, zero))
             for _ in range(6):
                 poly = random_poly(rng, ring.agens, aq.top_degree, 6)
                 assert aq.normal_form(poly) == reference_reduce(aq, poly)[0]
+
+
+def random_class(rng, ring):
+    """z, a and, in a ring with gamma, g with symbolic coefficients up to
+    the working degree, plus one term above it in z and a."""
+    z = random_poly(rng, ring.zgens, ring.cap, 5)
+    z = z + GradedPoly.monomial(ring.zgens, ring.zgens.single("C1", ring.cap + 1), L)
+    a = random_poly(rng, ring.agens, ring.cap - 1, 4)
+    a = a + GradedPoly.monomial(ring.agens, ring.agens.single("u1", ring.cap), Z1)
+    g = GradedPoly.zero(ring.agens)
+    if ring.gamma_degree is not None:
+        g = random_poly(rng, ring.agens, ring.cap - ring.gamma_degree, 3)
+    return ArithClass(ring, z, a, g)
+
+
+def reference_reduce_class(x):
+    ring = x.ring
+    nf, cof = ring.zq.reduce_with_cofactors(x.z.truncate(ring.cap))
+    return ArithClass(ring, nf, *reference_form_parts(ring, cof, x.a, x.g))
+
+
+def image_values(ring):
+    """The step-image memo with each form part as a dict: the order of its
+    terms may follow the order of the queries, its values may not."""
+    return [{t: [dict(part) for part in image] for t, image in memo.items()}
+            for memo in ring._step_images]
+
+
+def test_reduce_through_step_images_matches_product_route():
+    rng = random.Random(17)
+    for d in range(2, 7):
+        for make in (AbelianTautRing, lambda d: LagrangianArithRing(d, "formal")):
+            ring = make(d)
+            queries = [random_class(rng, ring) for _ in range(6)]
+            assert all(x.a for x in queries)
+            assert any(x.g for x in queries) == (ring.gamma_degree is not None)
+            # Multiples of the relations: only the cofactors are left.
+            c1 = GradedPoly.generator(ring.zgens, "C1") * L
+            queries += [ring.from_z(rel * c1) for rel in ring.zq.presentation.relations
+                        if rel.max_degree() < ring.cap]
+            expected = [reference_reduce_class(x) for x in queries]
+            assert not any(ring._step_images)
+            # A cold memo, then warm ones: each query once, then all again.
+            assert [ring.reduce(x) for x in queries] == expected
+            assert any(ring._step_images)
+            assert [ring.reduce(x) for x in queries] == expected
+            # The other order on a fresh ring fills the same memo.
+            other = make(d)
+            assert [other.reduce(ArithClass(other, x.z, x.a, x.g))
+                    for x in reversed(queries)] == [
+                        ArithClass(other, y.z, y.a, y.g) for y in reversed(expected)]
+            assert image_values(other) == image_values(ring)
 
 
 def test_division_steps_one_pass_over_slices():
