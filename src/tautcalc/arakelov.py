@@ -33,7 +33,7 @@ from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 
 
 def arithmetic_dimension(d: int) -> int:
-    """d(d-1)/2 + 1, the default working degree: every arithmetic class
+    """d(d-1)/2 + 1, every ring's working degree: every arithmetic class
     vanishes above it, and C1 to this power is the critical power."""
     return d * (d - 1) // 2 + 1
 
@@ -222,14 +222,15 @@ class ArithRing:
     zq: QuotientRing
     aq: QuotientRing
 
-    def _setup(self, d: int, n_gens: int, cap: int, gamma_degree: int | None,
+    def _setup(self, d: int, n_gens: int, gamma_degree: int | None,
                coefficient: Callable[[int], Scalar | Fraction]):
-        """Build both quotients.  Form relations: the components of the dual
-        square, and u_n = 0 when the ring has gamma.  Lifted relations: p_k(C)
+        """Build both quotients up to the working degree cap, the arithmetic
+        dimension of d.  Form relations: the components of the dual square,
+        and u_n = 0 when the ring has gamma.  Lifted relations: p_k(C)
         rewrites to a(coefficient(k) * s_{2k-1}(u)) for k <= min(n, cap // 2),
         and C_n to a(gamma) when the ring has gamma."""
         self.d = d
-        self.cap = cap
+        self.cap = cap = arithmetic_dimension(d)
         self.gamma_degree = gamma_degree
         self.zgens = GeneratorSet([(f"C{j}", j) for j in range(1, n_gens + 1)])
         self.agens = GeneratorSet([(f"u{j}", j) for j in range(1, n_gens + 1)])
@@ -251,7 +252,7 @@ class ArithRing:
         zero = GradedPoly.zero(self.agens)
         self.relations = [ArithRelation(p, self.rho[k], zero)
                           for k, p in enumerate(pontrjagin_from_c(zc, top_k), 1)]
-        if gamma_degree is not None and gamma_degree <= cap:
+        if gamma_degree is not None:
             self.relations.append(ArithRelation(
                 GradedPoly.generator(self.zgens, f"C{n_gens}"), zero,
                 GradedPoly.constant(self.agens, 1)))
@@ -431,12 +432,10 @@ class AbelianTautRing(ArithRing):
     Form relations are the classical ones: p_k(u) = 0, u_d = 0.
     """
 
-    def __init__(self, d: int, cap: int | None = None):
+    def __init__(self, d: int):
         if d < 1:
             raise ValueError("d must be positive")
-        if cap is None:
-            cap = arithmetic_dimension(d)
-        self._setup(d, d, cap, gamma_degree=d,
+        self._setup(d, d, gamma_degree=d,
                     coefficient=lambda k: bracket(k) * (-1) ** k)
 
 
@@ -449,26 +448,38 @@ class LagrangianArithRing(ArithRing):
     or a formal symbol.
     """
 
-    def __init__(self, d: int, harmonic_mode: str = "exact",
-                 cap: int | None = None):
+    def __init__(self, d: int, harmonic_mode: str = "exact"):
         if d < 2:
             raise ValueError("d must be at least 2")
         if harmonic_mode not in ("exact", "formal"):
             raise ValueError("harmonic_mode must be 'exact' or 'formal'")
-        if cap is None:
-            cap = arithmetic_dimension(d)
+        self.harmonic_mode = harmonic_mode
 
         def coefficient(k: int) -> Scalar | Fraction:
             h = (harmonic(2 * k - 1) if harmonic_mode == "exact"
                  else harmonic_symbol(k))
             return h * Fraction((-1) ** (k + 1))
 
-        self._setup(d, d - 1, cap, gamma_degree=None, coefficient=coefficient)
+        self._setup(d, d - 1, gamma_degree=None, coefficient=coefficient)
 
 
 # ---------------------------------------------------------------------------
 # Critical power and height operations
 # ---------------------------------------------------------------------------
+
+
+def _ring_for(d: int, ring: ArithRing | None, cls: type, *mode: str):
+    """The ring a quantity of d is computed in: cls(d, *mode) when ring is
+    None, else ring itself, which must be a cls of this d (and, for the
+    Lagrangian ring, of this harmonic mode)."""
+    if ring is None:
+        return cls(d, *mode)
+    if (not isinstance(ring, cls) or ring.d != d
+            or mode and ring.harmonic_mode != mode[0]):
+        wanted = ", ".join(map(repr, (d, *mode)))
+        raise ValueError(f"d = {d} needs {cls.__name__}({wanted}); "
+                         f"got {type(ring).__name__} with d = {ring.d}")
+    return ring
 
 
 class CriticalPowerResult(NamedTuple):
@@ -489,7 +500,7 @@ def _critical_split(ring: ArithRing):
     against u1^top, the socle coordinate lam of u1^top)."""
     top = ring.d * (ring.d - 1) // 2
     power = GradedPoly.monomial(ring.zgens, ring.zgens.single("C1", top + 1))
-    nf, cofactors = ring.zq.reduce_with_cofactors(power.truncate(ring.cap))
+    nf, cofactors = ring.zq.reduce_with_cofactors(power)
     zero = GradedPoly.zero(ring.agens)
     reduced = ArithClass(ring, nf, *ring._form_contributions(cofactors, zero, zero))
     raw_g = zero
@@ -517,7 +528,7 @@ def _critical_split(ring: ArithRing):
 def c1_critical_power(d: int, ring: AbelianTautRing | None = None) -> CriticalPowerResult:
     """Reduce C1^(1 + d(d-1)/2) and split the result as
     a(r * u1^(d(d-1)/2) + phi * gamma)."""
-    ring = ring or AbelianTautRing(d)
+    ring = _ring_for(d, ring, AbelianTautRing)
     reduced, raw_g, socle, r, lam = _critical_split(ring)
     phi = reduced.g
     expected_phi_degree = (d - 1) * (d - 2) // 2
@@ -546,9 +557,7 @@ def height_polynomial(d: int, ring: LagrangianArithRing | None = None) -> Height
     """Top form coefficient of C1^(1 + d(d-1)/2) in the formal-harmonic
     Lagrangian ring, normalized against u1^top; substituting the
     zeta-derivative brackets for the h symbols yields r_d."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    ring = ring or LagrangianArithRing(d, "formal")
+    ring = _ring_for(d, ring, LagrangianArithRing, "formal")
     _, _, _, height, lam = _critical_split(ring)
     substituted = height.substitute(harmonic_substitution(d))
     return HeightPolynomialResult(d, height, substituted, lam)
@@ -576,9 +585,9 @@ def ch_even_check(d: int, ring: AbelianTautRing | None = None) -> ChEvenReport:
     the form classes, and with the single-Pontrjagin shortcut.  The form
     side is computed modulo the form relations, from the power sums of the
     form classes reduced step by step."""
-    ring = ring or AbelianTautRing(d)
+    ring = _ring_for(d, ring, AbelianTautRing)
     cap = ring.cap
-    z_sums = ring.z_power_sums(cap) if cap >= 1 else []
+    z_sums = ring.z_power_sums(cap)
     defect = ch_even_defect_series(max(cap - 1, 1))
     a_classes = ClassVector.standard(ring.agens, list(ring.agens.names))
     expected_total = GradedPoly.zero(ring.agens)
@@ -586,7 +595,7 @@ def ch_even_check(d: int, ring: AbelianTautRing | None = None) -> ChEvenReport:
         expected_total = expected_total - s * defect[j]
 
     zc = ClassVector.standard(ring.zgens, list(ring.zgens.names))
-    pontrjagin = pontrjagin_from_c(zc, cap // 2) if cap >= 2 else []
+    pontrjagin = pontrjagin_from_c(zc, cap // 2)
 
     degrees, matches, inter = [], [], []
     for m in range(2, cap + 1, 2):
@@ -703,9 +712,8 @@ class _MapSolver:
             (k, mono) for k in range(1, self.d, 2)
             for mono in aq.monomial_basis(k - 1)]
         self.unknowns.append("e0")
-        # One row per (condition degree, form monomial).  monomial_basis
-        # raises ReductionError if the working degree is too small for the
-        # conditions, before _harmonic_rhs reads past ring.odd_sums.
+        # One row per (condition degree, form monomial), up to form degree
+        # 2d - 3 <= d(d-1)/2: within the working degree at every d >= 2.
         self.condition_degrees = range(self.d + (self.d % 2), 2 * (self.d - 1) + 1, 2)
         self.rows = [(degree, mono) for degree in self.condition_degrees
                      for mono in aq.monomial_basis(degree - 1)]
@@ -861,7 +869,7 @@ def proportionality_map_check(d: int,
     """
     if d < 2:
         raise ValueError("d must be at least 2")
-    A = abelian or AbelianTautRing(d)
+    A = _ring_for(d, abelian, AbelianTautRing)
     R = LagrangianArithRing(d, "exact")
 
     solved, diagnosis, certificate = _MapSolver(A).solve()

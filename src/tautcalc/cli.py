@@ -21,26 +21,20 @@ from .arakelov import (AbelianTautRing, ArithClass, c1_critical_power,
 
 
 class Report:
-    def __init__(self, command: str, params: dict,
-                 lines: list[tuple[str, str, str]] | None = None,
-                 data: dict | None = None, checks: list[dict] | None = None):
+    def __init__(self, command: str, params: dict):
         self.command = command
         self.params = params
-        # (label, text rendering, latex rendering)
-        self.lines = [] if lines is None else lines
-        self.data = {} if data is None else data
-        self.checks = [] if checks is None else checks
+        # (label, text rendering, latex rendering, JSON payload)
+        self.lines: list[tuple[str, str, str, object]] = []
+        self.checks: list[dict] = []
 
-    def add(self, label: str, text: str, latex: str | None = None,
-            payload=None):
-        self.lines.append((label, text, latex if latex is not None else text))
-        if payload is not None:
-            self.data[label] = payload
+    def add(self, label: str, text: str, latex: str, payload):
+        self.lines.append((label, text, latex, payload))
 
     def to_text(self) -> str:
         out = [f"# {self.command} " + " ".join(
             f"{k}={v}" for k, v in self.params.items())]
-        for label, text, _ in self.lines:
+        for label, text, _, _ in self.lines:
             out.append(f"{label}: {text}")
         for check in self.checks:
             status = "PASS" if check["ok"] else "FAIL"
@@ -50,7 +44,7 @@ class Report:
 
     def to_latex(self) -> str:
         out = ["% " + self.command]
-        for label, _, latex in self.lines:
+        for label, _, latex, _ in self.lines:
             out.append(f"% {label}")
             out.append(f"\\[ {latex} \\]")
         for check in self.checks:
@@ -62,8 +56,8 @@ class Report:
         import json
 
         doc = {"command": self.command, "params": self.params,
-               "results": {label: self.data.get(label, text)
-                           for label, text, _ in self.lines},
+               "results": {label: payload
+                           for label, _, _, payload in self.lines},
                "checks": self.checks}
         return json.dumps(doc, indent=2) + "\n"
 

@@ -6,12 +6,12 @@ import pytest
 
 from tautcalc.scalars import (LOG2, Scalar, ZERO, harmonic, harmonic_symbol,
                               zeta_negative_odd, zeta_prime_symbol)
-from tautcalc.graded import GradedPoly, monomials_of_degree
+from tautcalc.graded import GradedPoly
 from tautcalc.charclasses import ClassVector, ch_from_c, pontrjagin_from_c
-from tautcalc.quotient import ReductionError
 from tautcalc import arakelov
 from tautcalc.arakelov import (AbelianTautRing, ArithClass,
-                               LagrangianArithRing, c1_critical_power,
+                               LagrangianArithRing, arithmetic_dimension,
+                               c1_critical_power,
                                ch_even_check, harmonic_substitution,
                                MapCertificate, _MapSolver,
                                _solve_rational_system,
@@ -248,31 +248,6 @@ def test_pontrjagin_products_vanish():
             assert prod.is_zero(), (i, j)
 
 
-def test_truncated_ring_reduces_like_full_ring():
-    # Below the default working degree a ring keeps only the relations that
-    # fit; every lifted monomial up to the cap must still reduce to the
-    # full ring's reduction truncated to the cap.
-    checked = 0
-    for d in range(2, 6):
-        for make in (lambda cap: AbelianTautRing(d, cap),
-                     lambda cap: LagrangianArithRing(d, "formal", cap)):
-            full = make(None)
-            for cap in range(d, full.cap):
-                ring = make(cap)
-                for degree in range(cap + 1):
-                    for mono in monomials_of_degree(ring.zgens, degree):
-                        x = ring.reduce(ring.from_z(
-                            GradedPoly.monomial(ring.zgens, mono)))
-                        y = full.reduce(full.from_z(
-                            GradedPoly.monomial(full.zgens, mono)))
-                        assert x.z == y.z.truncate(cap), (d, cap, mono)
-                        assert x.a == y.a.truncate(cap - 1), (d, cap, mono)
-                        g_cap = cap - (ring.gamma_degree or 0)
-                        assert x.g == y.g.truncate(g_cap), (d, cap, mono)
-                        checked += 1
-    assert checked == 767
-
-
 def test_reduce_idempotent_and_homomorphic():
     ring = AbelianTautRing(3)
     rng = random.Random(17)
@@ -446,9 +421,10 @@ def test_proportionality_map_d5_obstruction_reported():
 
 
 def test_proportionality_map_needs_working_degree():
-    # The d = 5 conditions reach form degree 7, above this ring's 6.
-    with pytest.raises(ReductionError, match="exceeds working degree"):
-        proportionality_map_check(5, AbelianTautRing(5, cap=7))
+    # The ring of d = 4 has working degree 7, below d = 5's 11: the map of
+    # d = 5 is computed only in the ring of d = 5.
+    with pytest.raises(ValueError, match="AbelianTautRing"):
+        proportionality_map_check(5, AbelianTautRing(4))
 
 
 def test_map_solver_rejects_symbolic_matrix(monkeypatch):
@@ -477,10 +453,10 @@ def test_certificate_rejected_when_build_skips_an_unknown(monkeypatch):
 
 
 def test_certificate_rejected_below_the_working_degree():
-    # The d = 5 conditions reach form degree 7, above this ring's 6: the
-    # certificate does not verify there, and checking it does not raise.
+    # The d = 5 certificate does not verify in the ring of d = 4, whose
+    # working degree is 7, and checking it there does not raise.
     cert = proportionality_map_check(5).certificate
-    assert not verify_map_certificate(cert, AbelianTautRing(5, cap=7))
+    assert not verify_map_certificate(cert, AbelianTautRing(4))
 
 
 def test_rational_system_certificate():
@@ -632,10 +608,41 @@ def test_render_display_style():
 def test_builder_ranges():
     with pytest.raises(ValueError):
         AbelianTautRing(0)
-    # the default working degree is the arithmetic dimension at every d
+    # the working degree is the arithmetic dimension at every d
     assert AbelianTautRing(8).cap == 29
-    ring = AbelianTautRing(8, cap=9)  # truncated work
-    assert ring.cap == 9
+    for d in range(2, 8):
+        assert (AbelianTautRing(d).cap == LagrangianArithRing(d).cap
+                == arithmetic_dimension(d))
+    # d alone fixes a ring: neither constructor takes a working degree
+    with pytest.raises(TypeError):
+        AbelianTautRing(3, cap=3)
+    with pytest.raises(TypeError):
+        LagrangianArithRing(3, "formal", 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: height_polynomial(5, LagrangianArithRing(4, "formal")),
+    lambda: height_polynomial(4, AbelianTautRing(4)),
+    lambda: height_polynomial(4, LagrangianArithRing(4, "exact")),
+    lambda: c1_critical_power(4, LagrangianArithRing(4, "formal")),
+    lambda: c1_critical_power(2, AbelianTautRing(1)),
+    lambda: ch_even_check(5, AbelianTautRing(3)),
+    lambda: proportionality_map_check(4, AbelianTautRing(3)),
+], ids=["height-other-d", "height-abelian", "height-exact",
+        "critical-lagrangian", "critical-other-d", "ch-even-other-d",
+        "map-other-d"])
+def test_quantity_rejects_a_ring_it_is_not_defined_in(call):
+    # Each of these answered, before the ring check, for the ring it was
+    # handed under the caller's d (or raised KeyError).
+    with pytest.raises(ValueError, match="needs"):
+        call()
+
+
+def test_quantities_accept_the_rings_of_their_d():
+    r6 = c1_critical_power(6).r
+    assert c1_critical_power(6, AbelianTautRing(6)).r == r6 != 0
+    assert (height_polynomial(6, LagrangianArithRing(6, "formal")).substituted
+            == r6)
 
 
 def test_gamma_only_in_abelian():

@@ -122,10 +122,10 @@ def test_hmap_check_reports_certificate(capsys):
 
 def test_hmap_check_reports_match_recorded(capsys):
     # The recorded text reports pin the generator images, the constant form
-    # scale and the certificate weights of hmap-check --d 2..6.
-    recorded = Path(__file__).parent / "data" / "hmap_check_d2_d6.txt"
+    # scale and the certificate weights of hmap-check --d 2..8.
+    recorded = Path(__file__).parent / "data" / "hmap_check_d2_d8.txt"
     out = []
-    for d in range(2, 7):
+    for d in range(2, 9):
         assert main(["hmap-check", "--d", str(d)]) == (0 if d <= 4 else 1)
         out.append(capsys.readouterr().out)
     assert "".join(out) == recorded.read_text()
@@ -194,9 +194,9 @@ def test_verify_builds_one_abelian_ring_per_d(monkeypatch):
     built = []
     init = AbelianTautRing.__init__
 
-    def counting_init(self, d, cap=None):
+    def counting_init(self, d):
         built.append(d)
-        init(self, d, cap)
+        init(self, d)
 
     monkeypatch.setattr(AbelianTautRing, "__init__", counting_init)
     results = run_checks(["examples", "witness-form", "two-route"])

@@ -9,8 +9,8 @@ from tautcalc.scalars import Scalar, zeta_prime_symbol
 from tautcalc.graded import GeneratorSet, GradedPoly, monomial_sort_key
 from tautcalc.quotient import (QuotientRing, ReductionError, RingPresentation)
 from tautcalc.arakelov import (AbelianTautRing, LagrangianArithRing,
-                               arithmetic_dimension, lagrangian_degree,
-                               tautological_presentation, tautological_ring)
+                               lagrangian_degree, tautological_presentation,
+                               tautological_ring)
 
 
 def u(ring_or_gens, name):
@@ -255,8 +255,7 @@ def test_standard_monomials_are_squarefree():
     for d in range(2, 10):
         assert_squarefree_basis(tautological_ring(d), d - 1)
     for d in range(2, 10):
-        cap = arithmetic_dimension(d)
-        for ring in (AbelianTautRing(d, cap), LagrangianArithRing(d, "formal", cap)):
+        for ring in (AbelianTautRing(d), LagrangianArithRing(d, "formal")):
             assert_squarefree_basis(ring.zq, d - 1)
             assert_squarefree_basis(ring.aq, d - 1)
 
