@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 from .scalars import (ONE, ZERO, Series, compose_even, series_derivative,
                       series_inverse, series_log, series_mul)
-from .graded import GeneratorSet, GradedPoly
+from .graded import GeneratorSet, GradedPoly, sum_of_products
 
 
 class ClassVector:
@@ -56,30 +56,33 @@ class ClassVector:
 def ch_from_c(classes: ClassVector, up_to: int,
               reduce: Callable[[GradedPoly], GradedPoly] | None = None) -> list[GradedPoly]:
     """Power sums s_k = k! ch^[k] for k = 1..up_to, by Newton's identities:
-    s_k = sum_{i<k} (-1)^(i-1) c_i s_{k-i} + (-1)^(k-1) k c_k.
+    s_k = sum_{i<k} (-1)^(i-1) c_i s_{k-i} + (-1)^(k-1) k c_k, each step one
+    sum of products.
 
     With ``reduce`` (a normal form of a quotient ring) each s_k is reduced
     as soon as it is built, so the recursion runs on normal forms."""
+    signed = [c * (-1) ** (i - 1) for i, c in enumerate(classes.classes[:up_to], 1)]
     sums: list[GradedPoly] = []
     for k in range(1, up_to + 1):
-        acc = classes.chern(k) * Fraction((-1) ** (k - 1) * k)
-        for i in range(1, k):
-            ci = classes.chern(i)
-            if not ci.is_zero():
-                acc = acc + ci * sums[k - i - 1] * Fraction((-1) ** (i - 1))
+        pairs = [(c, sums[k - i - 1]) for i, c in enumerate(signed[:k - 1], 1) if c]
+        start = signed[k - 1] * k if k <= len(signed) else None
+        acc = sum_of_products(classes.gens, pairs, None, start)
         sums.append(reduce(acc) if reduce else acc)
     return sums
 
 
 def c_from_ch(power_sums: Sequence[GradedPoly], rank: int,
               gens: GeneratorSet) -> ClassVector:
-    """Invert Newton's identities: recover c_1..c_rank from s_1..s_rank."""
+    """Invert Newton's identities: recover c_1..c_rank from s_1..s_rank,
+    c_k = (-1)^(k-1)/k (s_k + sum_{i<k} (-1)^i c_i s_{k-i}), each step one
+    sum of products."""
     classes: list[GradedPoly] = []
+    signed: list[GradedPoly] = []
     for k in range(1, rank + 1):
-        acc = power_sums[k - 1]
-        for i in range(1, k):
-            acc = acc + classes[i - 1] * power_sums[k - i - 1] * Fraction((-1) ** i)
+        pairs = [(c, power_sums[k - i - 1]) for i, c in enumerate(signed, 1)]
+        acc = sum_of_products(gens, pairs, None, power_sums[k - 1])
         classes.append(acc * Fraction((-1) ** (k - 1), k))
+        signed.append(classes[-1] * (-1) ** k)
     return ClassVector(gens, classes)
 
 

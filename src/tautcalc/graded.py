@@ -11,7 +11,7 @@ from math import gcd, inf, lcm
 from operator import add, mul
 from typing import Callable, Iterable, Mapping
 
-from .scalars import ConstMonomial, Scalar, _merge_monomials
+from .scalars import _EXACT, ConstMonomial, Scalar, _merge_monomials
 
 Monomial = tuple[int, ...]
 
@@ -238,11 +238,15 @@ class GradedPoly:
             raise ValueError("generator-set mismatch")
 
     def __add__(self, other) -> "GradedPoly":
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = GradedPoly.constant(self.gens, other)
-        self._check(other)
+        if isinstance(other, _EXACT):
+            unit = self.gens.unit()
+            added = {k: (q.denominator, {unit: q.numerator})
+                     for k, q in _scalar_terms(other)}
+        else:
+            self._check(other)
+            added = other._slices
         out = dict(self._slices)
-        for k, (d2, t2) in other._slices.items():
+        for k, (d2, t2) in added.items():
             d1, t1 = out.get(k, (d2, {}))
             den = lcm(d1, d2)
             s1, s2 = den // d1, den // d2
@@ -260,16 +264,19 @@ class GradedPoly:
             for k, (den, terms) in self._slices.items()})
 
     def __sub__(self, other) -> "GradedPoly":
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = GradedPoly.constant(self.gens, other)
         return self + (-other)
 
     def __rsub__(self, other) -> "GradedPoly":
-        return GradedPoly.constant(self.gens, other) + (-self)
+        return -self + other
 
     def __mul__(self, other) -> "GradedPoly":
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = GradedPoly.constant(self.gens, other)
+        if isinstance(other, _EXACT):
+            # One target slice per merged constant monomial: k1 * k2 is
+            # reached from several pairs when the scalar has symbols.
+            return sum_of_slices(self.gens, (
+                (_merge_monomials(k1, k2), q.numerator, d1 * q.denominator, terms)
+                for k2, q in _scalar_terms(other)
+                for k1, (d1, terms) in self._slices.items()))
         return self.mul_truncated(other, None)
 
     __rmul__ = __mul__
@@ -310,7 +317,7 @@ class GradedPoly:
         return GradedPoly(self.gens, {m: fn(c) for m, c in self.items()})
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Scalar)):
+        if isinstance(other, _EXACT):
             other = GradedPoly.constant(self.gens, other)
         if not isinstance(other, GradedPoly):
             return NotImplemented
@@ -375,6 +382,14 @@ class GradedPoly:
             named = {self.gens.names[i]: e for i, e in enumerate(mono) if e}
             terms.append({"monomial": named, "coeff": coeff.to_json()})
         return {"terms": terms}
+
+
+def _scalar_terms(value) -> Iterable[tuple[ConstMonomial, int | Fraction]]:
+    """The nonzero (constant monomial, rational) terms of an int, Fraction
+    or Scalar."""
+    if isinstance(value, Scalar):
+        return value._terms.items()
+    return [((), value)] if value else []
 
 
 def _lowest(den: int, terms: Mapping[Monomial, int | Fraction]):

@@ -102,6 +102,8 @@ class Scalar:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Scalar":
+        if not isinstance(other, _EXACT):
+            return NotImplemented
         other = Scalar.coerce(other)
         terms = dict(self._terms)
         for mono, coeff in other._terms.items():
@@ -122,9 +124,13 @@ class Scalar:
         return out
 
     def __sub__(self, other) -> "Scalar":
+        if not isinstance(other, _EXACT):
+            return NotImplemented
         return self + (-Scalar.coerce(other))
 
     def __rsub__(self, other) -> "Scalar":
+        if not isinstance(other, _EXACT):
+            return NotImplemented
         return Scalar.coerce(other) + (-self)
 
     def __mul__(self, other) -> "Scalar":
@@ -135,7 +141,8 @@ class Scalar:
             out = Scalar.__new__(Scalar)
             out._terms = {m: c * q for m, c in self._terms.items()}
             return out
-        other = Scalar.coerce(other)
+        if not isinstance(other, Scalar):
+            return NotImplemented
         terms: dict[ConstMonomial, Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -152,6 +159,8 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Scalar":
+        if not isinstance(other, _EXACT):
+            return NotImplemented
         if isinstance(other, Scalar):
             if not other.is_rational():
                 raise ValueError("can only divide by a rational scalar")
@@ -241,6 +250,11 @@ class Scalar:
         if extra:
             out["terms"] = extra
         return out
+
+
+# The operands Scalar arithmetic takes; with any other, Python tries the
+# other operand's reflected method.
+_EXACT = (int, Fraction, Scalar)
 
 
 def _monomial_key(mono: ConstMonomial):

@@ -6,7 +6,8 @@ import pytest
 
 from tautcalc.scalars import (Scalar, sech_squared_half, series, series_mul,
                               zeta_negative_odd)
-from tautcalc.graded import GeneratorSet, GradedPoly
+from tautcalc.graded import GeneratorSet, GradedPoly, monomials_of_degree
+from tautcalc.arakelov import tautological_ring
 from tautcalc.charclasses import (ClassVector, additive_class, c_from_ch,
                                   cauchy_single_class, ch_from_c,
                                   multiplicative_class, pontrjagin_direct,
@@ -181,3 +182,68 @@ def test_class_vector_validation():
     gens = GeneratorSet([("c1", 1), ("c2", 2)])
     with pytest.raises(ValueError):
         ClassVector(gens, [GradedPoly.generator(gens, "c2")])
+
+
+def reference_ch_from_c(classes, up_to, reduce=None):
+    """Newton's identities term by term, one temporary product per term."""
+    sums = []
+    for k in range(1, up_to + 1):
+        acc = classes.chern(k) * Fraction((-1) ** (k - 1) * k)
+        for i in range(1, k):
+            ci = classes.chern(i)
+            if not ci.is_zero():
+                acc = acc + ci * sums[k - i - 1] * Fraction((-1) ** (i - 1))
+        sums.append(reduce(acc) if reduce else acc)
+    return sums
+
+
+def reference_c_from_ch(power_sums, rank, gens):
+    classes = []
+    for k in range(1, rank + 1):
+        acc = power_sums[k - 1]
+        for i in range(1, k):
+            acc = acc + classes[i - 1] * power_sums[k - i - 1] * Fraction((-1) ** i)
+        classes.append(acc * Fraction((-1) ** (k - 1), k))
+    return ClassVector(gens, classes)
+
+
+def random_classes(rng, gens, rank):
+    """Classes with symbolic coefficients, each zero with chance 1/4."""
+    atoms = [Scalar.coerce(1), Scalar.symbol("L"), Scalar.symbol("Z1"),
+             Scalar.symbol("h1") * Scalar.symbol("x0")]
+    classes = []
+    for j in range(1, rank + 1):
+        poly = GradedPoly.zero(gens)
+        if rng.randrange(4):
+            for mono in rng.sample(monomials_of_degree(gens, j), 2 if j > 1 else 1):
+                coeff = sum((a * Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+                             for a in rng.sample(atoms, 2)), Scalar())
+                poly = poly + GradedPoly.monomial(gens, mono, coeff)
+        classes.append(poly)
+    return ClassVector(gens, classes)
+
+
+def assert_same(x, y):
+    assert x == y and hash(x) == hash(y)
+
+
+def test_newton_steps_match_the_term_by_term_loop():
+    rng = random.Random(1907)
+    for rank in range(1, 8):
+        ring = tautological_ring(rank)
+        gens = ring.gens
+        zero = ClassVector(gens, [GradedPoly.zero(gens)] * rank)
+        for C in [zero, ClassVector.standard(gens, list(gens.names))] + [
+                random_classes(rng, gens, rank) for _ in range(3)]:
+            for reduce, up_to in ((None, rank + 2),
+                                  (ring.normal_form, ring.top_degree)):
+                sums = ch_from_c(C, up_to, reduce)
+                expected = reference_ch_from_c(C, up_to, reduce)
+                assert len(sums) == up_to
+                for s, e in zip(sums, expected):
+                    assert_same(s, e)
+            sums = ch_from_c(C, rank)
+            back, expected = c_from_ch(sums, rank, gens), reference_c_from_ch(sums, rank, gens)
+            for j in range(1, rank + 1):
+                assert_same(back.chern(j), expected.chern(j))
+                assert_same(back.chern(j), C.chern(j))

@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 from math import inf
 
+import pytest
+
 from tautcalc.scalars import Scalar, ZERO, _merge_monomials, symbol_sort_key
 from tautcalc.graded import (GeneratorSet, GradedPoly, monomials_of_degree,
                              sum_of_products)
@@ -418,3 +420,59 @@ def test_sum_of_products_copies_what_it_starts_from():
     (x * x) * L, ring.reduce(x * x + x)
     sum_of_products(ring.agens, [(shared, shared)], None, start=shared)
     assert x.z.items() == snapshot == [((1, 0, 0), Scalar.coerce(1))]
+
+
+X0 = Scalar.symbol("x0")
+SCALAR_OPERANDS = [
+    7, -2, 0, Fraction(-5, 6), Fraction(0), ZERO, Scalar.coerce(Fraction(4, 9)),
+    # Several symbols, a product monomial among them: slices k1 * k2 are
+    # reached from more than one pair and must merge.
+    L * Fraction(1, 2) + Z1 * Fraction(3, 4) + H1 / 3 + X0 * 2
+    + L * Z1 * Fraction(-5, 6) + Fraction(1, 10),
+    1 + L, L - 1, L * L * Fraction(2, 3) + H1 * X0,
+]
+
+
+def snapshot(p):
+    return {k: (den, dict(terms)) for k, (den, terms) in p._slices.items()}
+
+
+def test_scalar_operands_act_on_slices():
+    rng = random.Random(1919)
+    gens = GeneratorSet([(f"u{j}", j) for j in range(1, 5)])
+    u1, u2 = GradedPoly.generator(gens, "u1"), GradedPoly.generator(gens, "u2")
+    # Slices over the denominators 6, 35 and 1, and a constant term in two.
+    fixed = [u1 * (L / 2 + Fraction(1, 3)) + u2 * (Z1 * Fraction(2, 5) - L / 7)
+             + (1 + X0) + u1 * u2 * (L * Z1),
+             GradedPoly.constant(gens, L / 3), GradedPoly.zero(gens)]
+    polys = fixed + [random_poly(rng, gens, 5, rng.randrange(1, 7)) for _ in range(30)]
+    for p in polys:
+        for c in SCALAR_OPERANDS + [random_scalar(rng) for _ in range(3)]:
+            before = snapshot(p)
+            const = GradedPoly.constant(gens, c)
+            scaled = p.mul_truncated(const, None)
+            assert_same(p * c, scaled)
+            assert_same(c * p, scaled)
+            assert_same(p * c, reference_scale(p, Scalar.coerce(c)))
+            assert_same(p + c, reference_add(p, const))
+            assert_same(c + p, reference_add(p, const))
+            assert_same(p - c, reference_add(p, reference_scale(const, Scalar.coerce(-1))))
+            assert_same(c - p, reference_add(const, reference_scale(p, Scalar.coerce(-1))))
+            assert snapshot(p) == before
+
+
+def test_scalar_on_the_left_matches_the_right():
+    gens = GeneratorSet([(f"u{j}", j) for j in range(1, 4)])
+    u1, u2 = GradedPoly.generator(gens, "u1"), GradedPoly.generator(gens, "u2")
+    p = u1 * (L / 2 + 1) + u2 * (Z1 / 3)
+    ring = AbelianTautRing(3)
+    x = ring.lifted(1) * Fraction(1, 2) + ring.from_a(
+        GradedPoly.generator(ring.agens, "u1") * L)
+    for s in (L, Scalar.coerce(Fraction(-3, 4)), L * Z1 + H1 / 5, ZERO):
+        assert_same(s * p, p * s)
+        assert_same(s + p, p + s)
+        assert_same(s - p, -(p - s))
+        assert s * x == x * s
+    for bad in (lambda: L / p, lambda: L + "1", lambda: L * 1.5, lambda: L - None):
+        with pytest.raises(TypeError):
+            bad()
