@@ -433,7 +433,7 @@ SCALAR_OPERANDS = [
 ]
 
 
-def snapshot(p):
+def slices_of(p):
     return {k: (den, dict(terms)) for k, (den, terms) in p._slices.items()}
 
 
@@ -441,14 +441,15 @@ def test_scalar_operands_act_on_slices():
     rng = random.Random(1919)
     gens = GeneratorSet([(f"u{j}", j) for j in range(1, 5)])
     u1, u2 = GradedPoly.generator(gens, "u1"), GradedPoly.generator(gens, "u2")
-    # Slices over the denominators 6, 35 and 1, and a constant term in two.
+    # Slices over the denominators 3 (rational), 14 (L), 5 (Z1) and 1; the
+    # constant term 1 + x0 lies in two of them.
     fixed = [u1 * (L / 2 + Fraction(1, 3)) + u2 * (Z1 * Fraction(2, 5) - L / 7)
              + (1 + X0) + u1 * u2 * (L * Z1),
              GradedPoly.constant(gens, L / 3), GradedPoly.zero(gens)]
     polys = fixed + [random_poly(rng, gens, 5, rng.randrange(1, 7)) for _ in range(30)]
     for p in polys:
         for c in SCALAR_OPERANDS + [random_scalar(rng) for _ in range(3)]:
-            before = snapshot(p)
+            before = slices_of(p)
             const = GradedPoly.constant(gens, c)
             scaled = p.mul_truncated(const, None)
             assert_same(p * c, scaled)
@@ -458,7 +459,7 @@ def test_scalar_operands_act_on_slices():
             assert_same(c + p, reference_add(p, const))
             assert_same(p - c, reference_add(p, reference_scale(const, Scalar.coerce(-1))))
             assert_same(c - p, reference_add(const, reference_scale(p, Scalar.coerce(-1))))
-            assert snapshot(p) == before
+            assert slices_of(p) == before
 
 
 def test_scalar_on_the_left_matches_the_right():
