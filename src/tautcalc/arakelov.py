@@ -26,8 +26,8 @@ from typing import Callable, Mapping, NamedTuple
 
 from .scalars import (ONE, Scalar, ZERO, _merge_monomials, bracket,
                       ch_even_defect_series, harmonic, harmonic_symbol)
-from .graded import (GeneratorSet, GradedPoly, Monomial, sum_of_products,
-                     sum_of_slices)
+from .graded import (GeneratorSet, GradedPoly, Monomial, _add_slice,
+                     sum_of_products)
 from .quotient import QuotientRing, ReductionError, RingPresentation, _axpy
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 
@@ -94,12 +94,15 @@ def lagrangian_degree(d: int) -> int:
 
 
 class ArithClass:
-    """Element z + a(alpha + phi*gamma) of an arithmetic tautological ring."""
+    """Element z + a(alpha + phi*gamma) of an arithmetic tautological ring.
+    A ring without gamma rejects a nonzero gamma coefficient."""
 
     __slots__ = ("ring", "z", "a", "g")
 
     def __init__(self, ring: "ArithRing", z: GradedPoly, a: GradedPoly,
                  g: GradedPoly):
+        if ring.gamma_degree is None and g:
+            raise ValueError("gamma part in a ring without gamma")
         self.ring = ring
         self.z = z
         self.a = a
@@ -126,10 +129,11 @@ class ArithClass:
         ring = self.ring
         z = self.z.mul_truncated(other.z, ring.cap)
         w1, w2 = ring.omega(self.z), ring.omega(other.z)
-        a = sum_of_products(ring.agens, [(w1, other.a), (w2, self.a)],
-                            ring.cap - 1)
-        g_cap = ring.cap - ring.gamma_degree if ring.gamma_degree else -1
-        g = sum_of_products(ring.agens, [(w1, other.g), (w2, self.g)], g_cap)
+        a_cap, g_cap = ring.form_caps
+        a = sum_of_products(ring.agens, [(w1, other.a), (w2, self.a)], a_cap)
+        g = self.g
+        if g or other.g:
+            g = sum_of_products(ring.agens, [(w1, other.g), (w2, g)], g_cap)
         return ArithClass(ring, z, a, g)
 
     __rmul__ = __mul__
@@ -214,6 +218,7 @@ class ArithRing:
     d: int
     cap: int
     gamma_degree: int | None
+    form_caps: tuple[int, int]
     zgens: GeneratorSet
     agens: GeneratorSet
     relations: list[ArithRelation]
@@ -232,6 +237,8 @@ class ArithRing:
         self.d = d
         self.cap = cap = arithmetic_dimension(d)
         self.gamma_degree = gamma_degree
+        # Working degrees of the form part and of the gamma coefficient.
+        self.form_caps = (cap - 1, cap - (gamma_degree or 0))
         self.zgens = GeneratorSet([(f"C{j}", j) for j in range(1, n_gens + 1)])
         self.agens = GeneratorSet([(f"u{j}", j) for j in range(1, n_gens + 1)])
         a_rels = list(dual_square_relation(self.agens).degree_components().values())
@@ -335,12 +342,23 @@ class ArithRing:
     def _form_contributions(self, cofactors: Mapping[int, GradedPoly],
                             a: GradedPoly, g: GradedPoly):
         """Normal forms of the form part a and the gamma coefficient g plus
-        what the cofactors push into them, each truncated to the working
+        what the cofactors push into them, each truncated to its working
         degree.  A cofactor term c*C^t of relation r pushes c times the step
-        image of (r, t): the normal forms of u^t times r's form sides."""
+        image of (r, t): the normal forms of u^t times r's form sides.  Each
+        side is summed in one slice accumulator."""
         self._add_step_images(cofactors)
+        sides: tuple[dict, dict] = ({}, {})
+        for out, poly, cap in zip(sides, (a, g), self.form_caps):
+            slices = poly.truncate(cap)._slices
+            reduced = self.aq.monomial_reductions(
+                m for _, terms in slices.values() for m in terms)
+            for k, (den, terms) in slices.items():
+                acc: dict[Monomial, int | Fraction] = {}
+                for mono, n in terms.items():
+                    for m, v in reduced[mono][0].items():
+                        acc[m] = acc.get(m, 0) + n * v
+                _add_slice(out, k, 1, den, acc)
         images = self._step_images
-        pushed: tuple[list, list] = ([], [])
         for ri, cof in cofactors.items():
             relation_images = images[ri]
             for j, (side, _, _, scalar) in enumerate(self._form_parts[ri]):
@@ -349,17 +367,10 @@ class ArithRing:
                     for t, n in terms.items():
                         for m, v in relation_images[t][j]:
                             acc[m] = acc.get(m, 0) + n * v
-                    pushed[side].extend((_merge_monomials(k1, k2), num, d1 * den, acc)
-                                        for k2, num, den in scalar)
-        a = sum_of_slices(self.agens, pushed[0],
-                          self.aq.normal_form(a.truncate(self.cap - 1)))
-        if self.gamma_degree is None:
-            if not g.is_zero():
-                raise ReductionError("gamma part in a ring without gamma")
-            return a, g
-        g = sum_of_slices(self.agens, pushed[1], self.aq.normal_form(
-            g.truncate(self.cap - self.gamma_degree)))
-        return a, g
+                    for k2, num, den in scalar:
+                        _add_slice(sides[side], _merge_monomials(k1, k2),
+                                   num, d1 * den, acc)
+        return tuple(GradedPoly.from_slices(self.agens, out) for out in sides)
 
     def _add_step_images(self, cofactors: Mapping[int, GradedPoly]):
         """Keep the step images that the cofactor terms need and the memo
@@ -367,7 +378,7 @@ class ArithRing:
         coefficient).  Their product monomials are divided in one pass,
         smallest first."""
         degree_of = self.agens.degree_of
-        caps = (self.cap - 1, self.cap - (self.gamma_degree or 0))
+        caps = self.form_caps
         products: dict[Monomial, Monomial] = {}   # one tuple per monomial
         fresh: dict[int, dict[Monomial, list[tuple]]] = {}
         pending = []
@@ -506,7 +517,7 @@ def _critical_split(ring: ArithRing):
     raw_g = zero
     for ri, cof in cofactors.items():
         if ring.relations[ri].gpart:    # C_d -> a(gamma), gamma side 1
-            raw_g = ring.omega(cof).truncate(ring.cap - ring.gamma_degree)
+            raw_g = ring.omega(cof).truncate(ring.form_caps[1])
     if not reduced.z.is_zero():
         raise ReductionError("critical power kept a polynomial part; "
                              "shape of the reduction is violated")

@@ -200,16 +200,20 @@ class GradedPoly:
         return {k: self.graded_component(k) for k in degrees}
 
     def graded_component(self, degree: int) -> "GradedPoly":
+        """The monomials of the given degree; self if that is all."""
+        if set(map(self.gens.degree_of, self.monomials())) <= {degree}:
+            return self
         return self._select(lambda k: k == degree)
 
     def truncate(self, max_degree: int) -> "GradedPoly":
+        """The monomials of degree at most max_degree; self if that is all."""
+        if not self._slices or self.max_degree() <= max_degree:
+            return self
         return self._select(lambda k: k <= max_degree)
 
     def _select(self, keep: Callable[[int], bool]) -> "GradedPoly":
-        """The monomials whose degree passes keep; self if that is all."""
+        """The monomials whose degree passes keep."""
         degree_of = self.gens.degree_of
-        if all(keep(degree_of(m)) for _, terms in self._slices.values() for m in terms):
-            return self
         return GradedPoly.from_slices(self.gens, {
             k: (den, {m: n for m, n in terms.items() if keep(degree_of(m))})
             for k, (den, terms) in self._slices.items()})
@@ -444,19 +448,23 @@ def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, Graded
 
 def sum_of_slices(gens: GeneratorSet,
                   parts: Iterable[tuple[ConstMonomial, int, int,
-                                        Mapping[Monomial, int | Fraction]]],
-                  start: GradedPoly | None = None) -> GradedPoly:
-    """start + the sum of k * num * terms / den over the parts
-    (k, num, den, terms)."""
-    if start is not None and start.gens != gens:
-        raise ValueError("generator-set mismatch")
-    out = _copy_slices(start)
-    for k, num, den, source in parts:
-        terms, scale = _target_slice(out, k, den)
-        scale *= num
-        for m, n in source.items():
-            terms[m] = terms.get(m, 0) + n * scale
+                                        Mapping[Monomial, int | Fraction]]]
+                  ) -> GradedPoly:
+    """The sum of k * num * terms / den over the parts (k, num, den, terms)."""
+    out: Slices = {}
+    for part in parts:
+        _add_slice(out, *part)
     return GradedPoly.from_slices(gens, out)
+
+
+def _add_slice(out: dict, k: ConstMonomial, num: int, den: int,
+              source: Mapping[Monomial, int | Fraction]):
+    """out's slice k += num * source / den, in place; out is an accumulator
+    of slices that GradedPoly.from_slices then takes over."""
+    terms, scale = _target_slice(out, k, den)
+    scale *= num
+    for m, n in source.items():
+        terms[m] = terms.get(m, 0) + n * scale
 
 
 def _copy_slices(poly: GradedPoly | None) -> dict:

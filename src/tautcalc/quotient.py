@@ -220,12 +220,23 @@ class QuotientRing:
     def monomial_reductions(self, monos: Iterable[Monomial]
                             ) -> dict[Monomial, tuple[dict, dict | None]]:
         """The kept normal form and cofactors of each monomial, as
-        _reduce_monomial gives them; the caller must not change them.  One
-        division pass, smallest monomials first: the larger ones' divisions
-        then reuse them."""
-        monos = sorted(monos, key=_order_key, reverse=True)
-        self._check_degree(max(map(self.gens.degree_of, monos), default=0))
-        return {m: self._reduce_monomial(m) for m in monos}
+        _reduce_monomial gives them; the caller must not change them.  Kept
+        monomials are looked up first; the others are divided in one pass,
+        smallest first, so the larger ones' divisions reuse them."""
+        kept = self._reduced
+        out, missing = {}, []
+        for m in monos:
+            hit = kept.get(m)
+            if hit is None:
+                missing.append(m)
+            else:
+                out[m] = hit
+        if missing:
+            missing.sort(key=_order_key, reverse=True)
+            self._check_degree(max(map(self.gens.degree_of, missing)))
+            for m in missing:
+                out[m] = self._reduce_monomial(m)
+        return out
 
     def normal_form(self, poly: GradedPoly) -> GradedPoly:
         nf, _ = self._reduce(poly, with_cofactors=False)
@@ -241,7 +252,8 @@ class QuotientRing:
             raise ReductionError("polynomial over wrong generator set")
         # Each slice of the results is over its input slice's denominator; a
         # leading coefficient other than +-1 makes its numerators Fractions.
-        reduced = self.monomial_reductions(poly.monomials())
+        reduced = self.monomial_reductions(
+            m for _, terms in poly._slices.values() for m in terms)
         nf: Slices = {}
         cof: dict[int, Slices] = {}
         for k, (den, terms) in poly._slices.items():

@@ -649,3 +649,30 @@ def test_gamma_only_in_abelian():
     lag = LagrangianArithRing(3)
     with pytest.raises(ValueError):
         lag.from_gamma(1)
+
+
+def test_ring_without_gamma_rejects_a_gamma_part_where_the_class_is_made():
+    # Before, the class was made, reduce raised on it, and a product
+    # dropped its gamma part without an error: reduce was then no
+    # homomorphism.
+    ring = LagrangianArithRing(3, "formal")
+    c1, zero = gen(ring, "C1", "z"), GradedPoly.zero(ring.agens)
+    one = GradedPoly.constant(ring.agens, 1)
+    with pytest.raises(ValueError, match="gamma"):
+        ArithClass(ring, c1, zero, one)
+    # A class whose gamma part is set in place: each operation makes its
+    # result through the constructor, so it raises rather than drop it.
+    x = ring.lifted(1)
+    x.g = one
+    for op in (lambda: x * ring.lifted(1), lambda: ring.lifted(1) * x,
+               lambda: x + ring.lifted(1), lambda: x - ring.one()):
+        with pytest.raises(ValueError, match="gamma"):
+            op()
+    # The abelian ring keeps its gamma part through products and reduce.
+    ring = AbelianTautRing(3)
+    x = ArithClass(ring, gen(ring, "C1", "z"), GradedPoly.zero(ring.agens),
+                   GradedPoly.constant(ring.agens, 1))
+    y = ring.lifted(1)
+    assert (x * y).g == gen(ring, "u1")
+    assert ring.reduce(x * y) == ring.reduce(ring.reduce(x) * ring.reduce(y))
+    assert ring.reduce(x * y).g == gen(ring, "u1")

@@ -219,13 +219,16 @@ def test_reductions_match_scalar_loop():
             for poly in multiples + [random_poly(rng, ring.zgens, ring.cap, 6)
                                      for _ in range(6)]:
                 nf, cof = zq.reduce_with_cofactors(poly)
-                assert (nf, cof) == reference_reduce(zq, poly)
-                assert zq.normal_form(poly) == nf
+                ref_nf, ref_cof = reference_reduce(zq, poly)
+                assert cof == ref_cof
+                assert_same(nf, ref_nf)
+                assert_same(zq.normal_form(poly), nf)
                 # The form contributions are the normal forms of the
-                # cofactor products.
+                # cofactor products, in the same lowest terms.
                 zero = GradedPoly.zero(ring.agens)
-                assert (ring._form_contributions(cof, zero, zero)
-                        == reference_form_parts(ring, cof, zero, zero))
+                for got, want in zip(ring._form_contributions(cof, zero, zero),
+                                     reference_form_parts(ring, cof, zero, zero)):
+                    assert_same(got, want)
             for _ in range(6):
                 poly = random_poly(rng, ring.agens, aq.top_degree, 6)
                 assert aq.normal_form(poly) == reference_reduce(aq, poly)[0]
@@ -233,14 +236,16 @@ def test_reductions_match_scalar_loop():
 
 def random_class(rng, ring):
     """z, a and, in a ring with gamma, g with symbolic coefficients up to
-    the working degree, plus one term above it in z and a."""
+    the working degree of each, plus one term above it in each."""
     z = random_poly(rng, ring.zgens, ring.cap, 5)
     z = z + GradedPoly.monomial(ring.zgens, ring.zgens.single("C1", ring.cap + 1), L)
     a = random_poly(rng, ring.agens, ring.cap - 1, 4)
     a = a + GradedPoly.monomial(ring.agens, ring.agens.single("u1", ring.cap), Z1)
     g = GradedPoly.zero(ring.agens)
     if ring.gamma_degree is not None:
-        g = random_poly(rng, ring.agens, ring.cap - ring.gamma_degree, 3)
+        g_cap = ring.cap - ring.gamma_degree
+        g = random_poly(rng, ring.agens, g_cap, 3)
+        g = g + GradedPoly.monomial(ring.agens, ring.agens.single("u1", g_cap + 1), H1)
     return ArithClass(ring, z, a, g)
 
 
@@ -265,6 +270,10 @@ def test_reduce_through_step_images_matches_product_route():
             queries = [random_class(rng, ring) for _ in range(6)]
             assert all(x.a for x in queries)
             assert any(x.g for x in queries) == (ring.gamma_degree is not None)
+            # A zero form part, and in a ring with gamma a zero gamma part.
+            x = queries[0]
+            queries += [ArithClass(ring, x.z, GradedPoly.zero(ring.agens), x.g),
+                        x.drop_gamma()]
             # Multiples of the relations: only the cofactors are left.
             c1 = GradedPoly.generator(ring.zgens, "C1") * L
             queries += [ring.from_z(rel * c1) for rel in ring.zq.presentation.relations
@@ -272,9 +281,14 @@ def test_reduce_through_step_images_matches_product_route():
             expected = [reference_reduce_class(x) for x in queries]
             assert not any(ring._step_images)
             # A cold memo, then warm ones: each query once, then all again.
-            assert [ring.reduce(x) for x in queries] == expected
-            assert any(ring._step_images)
-            assert [ring.reduce(x) for x in queries] == expected
+            # Each part is in the lowest terms of the product route.
+            for _ in range(2):
+                for x, y in zip(queries, expected):
+                    reduced = ring.reduce(x)
+                    for got, want in ((reduced.z, y.z), (reduced.a, y.a),
+                                      (reduced.g, y.g)):
+                        assert_same(got, want)
+                assert any(ring._step_images)
             # The other order on a fresh ring fills the same memo.
             other = make(d)
             assert [other.reduce(ArithClass(other, x.z, x.a, x.g))
@@ -335,6 +349,14 @@ def test_selections_that_drop_nothing_return_self():
     for _ in range(40):
         p = random_poly(rng, gens, 6, rng.randrange(0, 6))
         degrees = {gens.degree_of(m) for m, _ in p.items()}
+        if degrees:
+            # At its top degree a truncation keeps everything; one below
+            # it drops the top monomials.
+            top = max(degrees)
+            assert p.truncate(top) is p
+            below = p.truncate(top - 1)
+            assert below is not p
+            assert_same(below, reference_select(p, lambda e: e < top))
         for k in range(-1, 9):
             for selected, keep in ((p.truncate(k), lambda e: e <= k),
                                    (p.graded_component(k), lambda e: e == k)):
