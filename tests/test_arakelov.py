@@ -652,9 +652,9 @@ def test_gamma_only_in_abelian():
 
 
 def test_ring_without_gamma_rejects_a_gamma_part_where_the_class_is_made():
-    # Before, the class was made, reduce raised on it, and a product
-    # dropped its gamma part without an error: reduce was then no
-    # homomorphism.
+    # Such a part cannot be reduced, and a product would drop it without
+    # an error, so reduce would be no homomorphism: the constructor
+    # rejects it.
     ring = LagrangianArithRing(3, "formal")
     c1, zero = gen(ring, "C1", "z"), GradedPoly.zero(ring.agens)
     one = GradedPoly.constant(ring.agens, 1)
