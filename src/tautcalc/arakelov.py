@@ -11,7 +11,7 @@ Two quotients are modelled:
   zeta-derivative/harmonic/log-2 multiples of the odd Chern character forms,
   and the top lifted Chern class reduces to a(gamma);
 * the Lagrangian-Grassmannian ring: the dual-square relation acquires odd
-  harmonic coefficients (exact rationals or formal h symbols).
+  harmonic coefficients, formal h symbols.
 
 Reduction tracks ideal-membership cofactors on the polynomial side and pushes
 each eliminated relation occurrence into the form part.
@@ -95,7 +95,9 @@ def lagrangian_degree(d: int) -> int:
 
 class ArithClass:
     """Element z + a(alpha + phi*gamma) of an arithmetic tautological ring.
-    A ring without gamma rejects a nonzero gamma coefficient."""
+    A ring without gamma rejects a nonzero gamma coefficient.  A class is
+    immutable: setting or deleting a part raises AttributeError, so the
+    constructor's check holds and the hash never changes."""
 
     __slots__ = ("ring", "z", "a", "g")
 
@@ -103,10 +105,16 @@ class ArithClass:
                  g: GradedPoly):
         if ring.gamma_degree is None and g:
             raise ValueError("gamma part in a ring without gamma")
-        self.ring = ring
-        self.z = z
-        self.a = a
-        self.g = g
+        _set_ring(self, ring)
+        _set_z(self, z)
+        _set_a(self, a)
+        _set_g(self, g)
+
+    def __setattr__(self, name: str, value):
+        raise AttributeError(f"ArithClass is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str):
+        raise AttributeError(f"ArithClass is immutable: cannot delete {name!r}")
 
     def __add__(self, other: "ArithClass") -> "ArithClass":
         self._check(other)
@@ -203,6 +211,12 @@ class ArithClass:
     def to_json(self) -> dict:
         return {"zpart": self.z.to_json(), "apart": self.a.to_json(),
                 "gamma_part": self.g.to_json()}
+
+
+# The slot setters, which only the constructor calls: they bypass the
+# __setattr__ that makes a class immutable.
+_set_ring, _set_z, _set_a, _set_g = (ArithClass.__dict__[name].__set__
+                                     for name in ArithClass.__slots__)
 
 
 class ArithRelation(NamedTuple):
@@ -320,12 +334,6 @@ class ArithRing:
         out.gens = self.agens
         out._slices = poly._slices
         return out
-
-    def dual_a(self, poly: GradedPoly) -> GradedPoly:
-        """Dualize a form polynomial: each form-degree-f monomial gains (-1)^f."""
-        degree_of = self.agens.degree_of
-        return GradedPoly(self.agens, {m: -c if degree_of(m) % 2 else c
-                                       for m, c in poly.items()})
 
     def z_power_sums(self, up_to: int) -> list[GradedPoly]:
         classes = ClassVector.standard(self.zgens, list(self.zgens.names))
@@ -455,23 +463,17 @@ class LagrangianArithRing(ArithRing):
 
     The dual-square relation on the lifted classes picks up odd harmonic
     coefficients on the form side: p_k(C) rewrites to
-    (-1)^(k+1) h(2k-1) s_{2k-1}(u), with h either the exact harmonic number
-    or a formal symbol.
+    (-1)^(k+1) h(2k-1) s_{2k-1}(u), with h(2k-1) the formal symbol h{2k-1}.
+    The second argument accepts only "formal", its one value.
     """
 
-    def __init__(self, d: int, harmonic_mode: str = "exact"):
+    def __init__(self, d: int, harmonic_mode: str = "formal"):
         if d < 2:
             raise ValueError("d must be at least 2")
-        if harmonic_mode not in ("exact", "formal"):
-            raise ValueError("harmonic_mode must be 'exact' or 'formal'")
-        self.harmonic_mode = harmonic_mode
-
-        def coefficient(k: int) -> Scalar | Fraction:
-            h = (harmonic(2 * k - 1) if harmonic_mode == "exact"
-                 else harmonic_symbol(k))
-            return h * Fraction((-1) ** (k + 1))
-
-        self._setup(d, d - 1, gamma_degree=None, coefficient=coefficient)
+        if harmonic_mode != "formal":
+            raise ValueError("harmonic_mode must be 'formal'")
+        self._setup(d, d - 1, gamma_degree=None,
+                    coefficient=lambda k: harmonic_symbol(k) * (-1) ** (k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -479,16 +481,13 @@ class LagrangianArithRing(ArithRing):
 # ---------------------------------------------------------------------------
 
 
-def _ring_for(d: int, ring: ArithRing | None, cls: type, *mode: str):
-    """The ring a quantity of d is computed in: cls(d, *mode) when ring is
-    None, else ring itself, which must be a cls of this d (and, for the
-    Lagrangian ring, of this harmonic mode)."""
+def _ring_for(d: int, ring: ArithRing | None, cls: type):
+    """The ring a quantity of d is computed in: cls(d) when ring is None,
+    else ring itself, which must be a cls of this d."""
     if ring is None:
-        return cls(d, *mode)
-    if (not isinstance(ring, cls) or ring.d != d
-            or mode and ring.harmonic_mode != mode[0]):
-        wanted = ", ".join(map(repr, (d, *mode)))
-        raise ValueError(f"d = {d} needs {cls.__name__}({wanted}); "
+        return cls(d)
+    if not isinstance(ring, cls) or ring.d != d:
+        raise ValueError(f"d = {d} needs {cls.__name__}({d}); "
                          f"got {type(ring).__name__} with d = {ring.d}")
     return ring
 
@@ -568,7 +567,7 @@ def height_polynomial(d: int, ring: LagrangianArithRing | None = None) -> Height
     """Top form coefficient of C1^(1 + d(d-1)/2) in the formal-harmonic
     Lagrangian ring, normalized against u1^top; substituting the
     zeta-derivative brackets for the h symbols yields r_d."""
-    ring = _ring_for(d, ring, LagrangianArithRing, "formal")
+    ring = _ring_for(d, ring, LagrangianArithRing)
     _, _, _, height, lam = _critical_split(ring)
     substituted = height.substitute(harmonic_substitution(d))
     return HeightPolynomialResult(d, height, substituted, lam)
@@ -871,17 +870,20 @@ def verify_map_certificate(cert: MapCertificate,
 
 def proportionality_map_check(d: int,
                               abelian: AbelianTautRing | None = None) -> ProportionalityReport:
-    """Construct the proportionality map from the exact Lagrangian ring to
-    the abelian ring modulo (a(gamma)) and push every relation through it.
+    """Construct the proportionality map from the Lagrangian ring with exact
+    harmonic coefficients to the abelian ring modulo (a(gamma)) and push
+    every relation through it.
 
     The generator images are re-verified by an independent sweep: each
-    lifted relation of the source, and its whole dual square, is evaluated at
-    the images and reduced; success means every residue is exactly zero.
+    relation of the source, written in the abelian ring, is evaluated at the
+    images and reduced; success means every residue is exactly zero.  The
+    lifted relations are p_k(C_1..C_{d-1}) = a(rho_k) with
+    rho_k = (-1)^(k+1) H(2k-1) s_{2k-1}(u), and the form relation is the
+    dual square; reduction in the abelian ring sends u_d to 0.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
     A = _ring_for(d, abelian, AbelianTautRing)
-    R = LagrangianArithRing(d, "exact")
 
     solved, diagnosis, certificate = _MapSolver(A).solve()
     if solved is None:
@@ -909,15 +911,14 @@ def proportionality_map_check(d: int,
 
     unit = e0 if e0 is not None else Scalar.coerce(1)
     residues: list[tuple[str, ArithClass]] = []
-    for idx, rel in enumerate(R.relations):
-        if rel.apart.symbol_degree() != 0:
-            raise ValueError("proportionality check needs the exact ring")
-        image = push_z(rel.zpoly) - A.from_a(
-            A.dual_a(rel.apart.rename(A.agens)) * unit)
-        red = A.reduce(image).drop_gamma()
-        residues.append((f"lifted relation {idx + 1}", red))
-    form_relation = dual_square_relation(R.agens).rename(A.agens)
-    image = A.from_a(A.dual_a(form_relation) * unit)
+    # The map sends a(f) to a(dual(f) * unit); rho_k has odd degree, so its
+    # dual is -rho_k, and the dual square is its own dual.
+    source = ClassVector.standard(A.zgens, A.zgens.names[:d - 1])
+    for k, p in enumerate(pontrjagin_from_c(source), 1):
+        rho = A.odd_sums[k] * (harmonic(2 * k - 1) * Fraction((-1) ** (k + 1)))
+        image = push_z(p) + A.from_a(rho * unit)
+        residues.append((f"lifted relation {k}", A.reduce(image).drop_gamma()))
+    image = A.from_a(dual_square_relation(A.agens) * unit)
     residues.append(("form relation 1", A.reduce(image).drop_gamma()))
     return ProportionalityReport(d, constructed, diagnosis, e0, images,
                                  residues, certificate)

@@ -303,20 +303,6 @@ class GradedPoly:
         None drops none."""
         return sum_of_products(self.gens, [(self, other)], max_degree)
 
-    def rename(self, target: GeneratorSet) -> "GradedPoly":
-        """Carry the polynomial to another generator set that has each of
-        its generators under the same name."""
-        def carry(m: Monomial) -> Monomial:
-            out = [0] * len(target)
-            for i, e in enumerate(m):
-                if e:
-                    out[target.index(self.gens.names[i])] = e
-            return tuple(out)
-
-        return GradedPoly.from_slices(target, {
-            k: (den, {carry(m): n for m, n in terms.items()})
-            for k, (den, terms) in self._slices.items()})
-
     def map_coefficients(self, fn: Callable[[Scalar], Scalar]) -> "GradedPoly":
         return GradedPoly(self.gens, {m: fn(c) for m, c in self.items()})
 

@@ -7,6 +7,7 @@ import pytest
 from tautcalc.scalars import (LOG2, Scalar, ZERO, harmonic, harmonic_symbol,
                               zeta_negative_odd, zeta_prime_symbol)
 from tautcalc.graded import GradedPoly
+from tautcalc.quotient import QuotientRing
 from tautcalc.charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 from tautcalc import arakelov
 from tautcalc.arakelov import (AbelianTautRing, ArithClass,
@@ -122,11 +123,8 @@ def abelian_coefficient(k):
     return bracket * (-1) ** k
 
 
-def lagrangian_coefficient(mode):
-    def coefficient(k):
-        h = harmonic(2 * k - 1) if mode == "exact" else harmonic_symbol(k)
-        return Scalar.coerce(h) * (-1) ** (k + 1)
-    return coefficient
+def lagrangian_coefficient(k):
+    return harmonic_symbol(k) * (-1) ** (k + 1)
 
 
 def assert_relations_from_odd_sums(ring, coefficient):
@@ -159,9 +157,8 @@ def assert_relations_from_odd_sums(ring, coefficient):
 def test_relations_from_odd_power_sums():
     for d in range(2, 8):
         assert_relations_from_odd_sums(AbelianTautRing(d), abelian_coefficient)
-        for mode in ("exact", "formal"):
-            assert_relations_from_odd_sums(LagrangianArithRing(d, mode),
-                                           lagrangian_coefficient(mode))
+        assert_relations_from_odd_sums(LagrangianArithRing(d),
+                                       lagrangian_coefficient)
 
 
 def test_critical_power_two_routes_d8_d11():
@@ -170,7 +167,7 @@ def test_critical_power_two_routes_d8_d11():
         abelian = AbelianTautRing(d)
         lagrangian = LagrangianArithRing(d, "formal")
         assert_relations_from_odd_sums(abelian, abelian_coefficient)
-        assert_relations_from_odd_sums(lagrangian, lagrangian_coefficient("formal"))
+        assert_relations_from_odd_sums(lagrangian, lagrangian_coefficient)
         result = c1_critical_power(d, abelian)
         height = height_polynomial(d, lagrangian)
         assert result.r == height.substituted, d
@@ -278,9 +275,6 @@ def test_lagrangian_d2_relations():
     formal = LagrangianArithRing(2, "formal")
     reduced = formal.reduce(c1_power_class(formal, 2))
     assert reduced.a == gen(formal, "u1") * harmonic_symbol(1)
-    exact = LagrangianArithRing(2, "exact")
-    reduced = exact.reduce(c1_power_class(exact, 2))
-    assert reduced.a == gen(exact, "u1")
 
 
 def test_lagrangian_odd_components_vanish():
@@ -297,8 +291,9 @@ def test_lagrangian_odd_components_vanish():
 def test_lagrangian_rejects_small_d_and_bad_mode():
     with pytest.raises(ValueError):
         LagrangianArithRing(1)
-    with pytest.raises(ValueError):
-        LagrangianArithRing(3, "numeric")
+    for mode in ("numeric", "exact"):
+        with pytest.raises(ValueError):
+            LagrangianArithRing(3, mode)
 
 
 def test_height_polynomial_d2():
@@ -370,6 +365,23 @@ def test_proportionality_map_small_d():
     assert image.z == gen(ring, "C1", "z") * Fraction(-1)
     assert image.a == GradedPoly.constant(ring.agens,
                                           Z1 * 12 + LOG2 * Fraction(4, 3))
+
+
+def test_proportionality_map_builds_no_ring_beyond_the_abelian_one(monkeypatch):
+    # The source relations are written in the abelian ring it is handed.
+    built = []
+    init = QuotientRing.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuotientRing, "__init__", counted_init)
+    for d in range(2, 7):
+        ring = AbelianTautRing(d)
+        built.clear()
+        proportionality_map_check(d, ring)
+        assert built == [], d
 
 
 def test_proportionality_map_d4_needs_scaled_unit():
@@ -623,12 +635,11 @@ def test_builder_ranges():
 @pytest.mark.parametrize("call", [
     lambda: height_polynomial(5, LagrangianArithRing(4, "formal")),
     lambda: height_polynomial(4, AbelianTautRing(4)),
-    lambda: height_polynomial(4, LagrangianArithRing(4, "exact")),
     lambda: c1_critical_power(4, LagrangianArithRing(4, "formal")),
     lambda: c1_critical_power(2, AbelianTautRing(1)),
     lambda: ch_even_check(5, AbelianTautRing(3)),
     lambda: proportionality_map_check(4, AbelianTautRing(3)),
-], ids=["height-other-d", "height-abelian", "height-exact",
+], ids=["height-other-d", "height-abelian",
         "critical-lagrangian", "critical-other-d", "ch-even-other-d",
         "map-other-d"])
 def test_quantity_rejects_a_ring_it_is_not_defined_in(call):
@@ -643,6 +654,9 @@ def test_quantities_accept_the_rings_of_their_d():
     assert c1_critical_power(6, AbelianTautRing(6)).r == r6 != 0
     assert (height_polynomial(6, LagrangianArithRing(6, "formal")).substituted
             == r6)
+    # The second argument's default is the one value it accepts.
+    assert (height_polynomial(4, LagrangianArithRing(4)).height
+            == height_polynomial(4).height)
 
 
 def test_gamma_only_in_abelian():
@@ -660,14 +674,16 @@ def test_ring_without_gamma_rejects_a_gamma_part_where_the_class_is_made():
     one = GradedPoly.constant(ring.agens, 1)
     with pytest.raises(ValueError, match="gamma"):
         ArithClass(ring, c1, zero, one)
-    # A class whose gamma part is set in place: each operation makes its
-    # result through the constructor, so it raises rather than drop it.
+    # Nor can a gamma part be set in place: a class is immutable.
     x = ring.lifted(1)
-    x.g = one
-    for op in (lambda: x * ring.lifted(1), lambda: ring.lifted(1) * x,
-               lambda: x + ring.lifted(1), lambda: x - ring.one()):
-        with pytest.raises(ValueError, match="gamma"):
-            op()
+    with pytest.raises(AttributeError):
+        x.g = one
+    for part in ("ring", "z", "a", "g"):
+        with pytest.raises(AttributeError):
+            setattr(x, part, getattr(x, part))
+        with pytest.raises(AttributeError):
+            delattr(x, part)
+    assert x == ring.lifted(1) and x.g.is_zero()
     # The abelian ring keeps its gamma part through products and reduce.
     ring = AbelianTautRing(3)
     x = ArithClass(ring, gen(ring, "C1", "z"), GradedPoly.zero(ring.agens),
