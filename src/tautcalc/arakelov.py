@@ -5,13 +5,14 @@ classes C1..Cd and a form part in the classical classes u1..ud plus the
 special degree-(d-1) form gamma.  The grading pairs ring degree k with form
 degree k-1; products of two form parts vanish.
 
-Two quotients are modelled:
+Each relation is written once, on the lifted side: p_k(C) rewrites to
+a((-1)^(k+1) b_k s_{2k-1}(u)) for a bracket sequence b, and C_d, where the
+ring has gamma, to a(gamma).  Forgetting the lift (omega, C_j -> u_j) gives
+the form relations.  Two quotients are modelled:
 
-* the abelian-scheme ring: lifted Pontrjagin classes reduce to explicit
-  zeta-derivative/harmonic/log-2 multiples of the odd Chern character forms,
-  and the top lifted Chern class reduces to a(gamma);
-* the Lagrangian-Grassmannian ring: the dual-square relation acquires odd
-  harmonic coefficients, formal h symbols.
+* the abelian-scheme ring: b_k is minus the Gillet-Soule bracket, and the
+  top lifted Chern class reduces to a(gamma);
+* the Lagrangian-Grassmannian ring: b_k is the formal symbol h(2k-1).
 
 Reduction tracks ideal-membership cofactors on the polynomial side and pushes
 each eliminated relation occurrence into the form part.
@@ -43,25 +44,15 @@ def arithmetic_dimension(d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def dual_square_relation(gens: GeneratorSet) -> GradedPoly:
-    """(1 + sum u_j)(1 + sum (-1)^j u_j) - 1 over the given generators."""
-    total = GradedPoly.constant(gens, 1)
-    alternating = GradedPoly.constant(gens, 1)
-    for name, degree in zip(gens.names, gens.degrees):
-        g = GradedPoly.generator(gens, name)
-        total = total + g
-        alternating = alternating + g * Fraction((-1) ** degree)
-    return total * alternating - GradedPoly.constant(gens, 1)
-
-
 def tautological_presentation(d: int) -> RingPresentation:
     """Presentation of the rank-d tautological ring: generators u1..ud with
-    the homogeneous components of the dual-square relation, in degree order,
-    and u_d = 0, up to the arithmetic dimension."""
+    the classical relations p_k(u) = 0 for k = 1..d (up to sign, the
+    homogeneous components of the dual square c(t)c(-t) = 1), in degree
+    order, and u_d = 0, up to the arithmetic dimension."""
     if d < 1:
         raise ValueError("d must be positive")
     gens = GeneratorSet([(f"u{j}", j) for j in range(1, d + 1)])
-    relations = [*dual_square_relation(gens).degree_components().values(),
+    relations = [*pontrjagin_from_c(ClassVector.standard(gens, gens.names)),
                  GradedPoly.generator(gens, f"u{d}")]
     return RingPresentation(gens, relations, arithmetic_dimension(d))
 
@@ -95,14 +86,18 @@ def lagrangian_degree(d: int) -> int:
 
 class ArithClass:
     """Element z + a(alpha + phi*gamma) of an arithmetic tautological ring.
-    A ring without gamma rejects a nonzero gamma coefficient.  A class is
-    immutable: setting or deleting a part raises AttributeError, so the
-    constructor's check holds and the hash never changes."""
+    The polynomial part must be over the ring's lifted generators and the
+    form parts over its form generators, and a ring without gamma rejects a
+    nonzero gamma coefficient.  A class is immutable: setting or deleting a
+    part raises AttributeError, so the constructor's checks hold and the
+    hash never changes."""
 
     __slots__ = ("ring", "z", "a", "g")
 
     def __init__(self, ring: "ArithRing", z: GradedPoly, a: GradedPoly,
                  g: GradedPoly):
+        if (z.gens, a.gens, g.gens) != (ring.zgens, ring.agens, ring.agens):
+            raise ValueError("part over the wrong generator set")
         if ring.gamma_degree is None and g:
             raise ValueError("gamma part in a ring without gamma")
         _set_ring(self, ring)
@@ -242,12 +237,13 @@ class ArithRing:
     aq: QuotientRing
 
     def _setup(self, d: int, n_gens: int, gamma_degree: int | None,
-               coefficient: Callable[[int], Scalar | Fraction]):
+               b: Callable[[int], Scalar | Fraction]):
         """Build both quotients up to the working degree cap, the arithmetic
-        dimension of d.  Form relations: the components of the dual square,
-        and u_n = 0 when the ring has gamma.  Lifted relations: p_k(C)
-        rewrites to a(coefficient(k) * s_{2k-1}(u)) for k <= min(n, cap // 2),
-        and C_n to a(gamma) when the ring has gamma."""
+        dimension of d.  zq's lifted relations: p_k(C) for k <= top_k =
+        min(n, cap // 2), rewriting to a((-1)^(k+1) b(k) s_{2k-1}(u)), and
+        C_n, rewriting to a(gamma), when the ring has gamma.  aq's form
+        relations are these with the lift forgotten; a p_k with k > top_k
+        would lie above both working degrees."""
         self.d = d
         self.cap = cap = arithmetic_dimension(d)
         self.gamma_degree = gamma_degree
@@ -255,31 +251,31 @@ class ArithRing:
         self.form_caps = (cap - 1, cap - (gamma_degree or 0))
         self.zgens = GeneratorSet([(f"C{j}", j) for j in range(1, n_gens + 1)])
         self.agens = GeneratorSet([(f"u{j}", j) for j in range(1, n_gens + 1)])
-        a_rels = list(dual_square_relation(self.agens).degree_components().values())
-        if gamma_degree is not None:
-            a_rels.append(GradedPoly.generator(self.agens, f"u{n_gens}"))
-        self.aq = QuotientRing(
-            RingPresentation(self.agens, a_rels, max(cap - 1, n_gens)),
-            track_witnesses=False)
-
         top_k = min(n_gens, cap // 2)
-        sums = ch_from_c(ClassVector.standard(self.agens, list(self.agens.names)),
+        lifted = pontrjagin_from_c(
+            ClassVector.standard(self.zgens, self.zgens.names), top_k)
+        if gamma_degree is not None:
+            lifted.append(GradedPoly.generator(self.zgens, f"C{n_gens}"))
+        self.aq = QuotientRing(
+            RingPresentation(self.agens, map(self.omega, lifted),
+                             max(cap - 1, n_gens)),
+            track_witnesses=False)
+        self.zq = QuotientRing(RingPresentation(self.zgens, lifted, cap),
+                               track_witnesses=True)
+
+        sums = ch_from_c(ClassVector.standard(self.agens, self.agens.names),
                          2 * top_k - 1, self.aq.normal_form)
         # odd_sums[k]: normal form of the odd power sum s_{2k-1}(u), of
         # degree at most cap - 1; the relations read no other power sum.
         self.odd_sums = {k: sums[2 * k - 2] for k in range(1, top_k + 1)}
-        self.rho = {k: s * coefficient(k) for k, s in self.odd_sums.items()}
-        zc = ClassVector.standard(self.zgens, list(self.zgens.names))
+        self.rho = {k: s * (b(k) * (-1) ** (k + 1))
+                    for k, s in self.odd_sums.items()}
         zero = GradedPoly.zero(self.agens)
         self.relations = [ArithRelation(p, self.rho[k], zero)
-                          for k, p in enumerate(pontrjagin_from_c(zc, top_k), 1)]
+                          for k, p in enumerate(lifted[:top_k], 1)]
         if gamma_degree is not None:
             self.relations.append(ArithRelation(
-                GradedPoly.generator(self.zgens, f"C{n_gens}"), zero,
-                GradedPoly.constant(self.agens, 1)))
-        self.zq = QuotientRing(
-            RingPresentation(self.zgens, [r.zpoly for r in self.relations], cap),
-            track_witnesses=True)
+                lifted[-1], zero, GradedPoly.constant(self.agens, 1)))
         # Per relation: its form parts (side, 0 for the form part and 1 for
         # the gamma coefficient; degree; a primitive integer polynomial P;
         # its Scalar factor, see GradedPoly.rational_parts), and the memo
@@ -445,26 +441,25 @@ class ArithRing:
 class AbelianTautRing(ArithRing):
     """Arithmetic tautological ring of the rank-d Hodge bundle.
 
-    Polynomial relations: every Pontrjagin polynomial p_k(C) rewrites to the
+    Lifted relations: every Pontrjagin polynomial p_k(C) rewrites to the
     form rho_k = (-1)^k (2 Z(2k-1)/zeta(1-2k) + H(2k-1) - 2 log2/(1-4^-k))
     times the odd power sum s_{2k-1}(u), and C_d rewrites to a(gamma).
-    Form relations are the classical ones: p_k(u) = 0, u_d = 0.
+    Form relations are these with the lift forgotten: p_k(u) = 0, u_d = 0.
     """
 
     def __init__(self, d: int):
         if d < 1:
             raise ValueError("d must be positive")
-        self._setup(d, d, gamma_degree=d,
-                    coefficient=lambda k: bracket(k) * (-1) ** k)
+        self._setup(d, d, gamma_degree=d, b=lambda k: -bracket(k))
 
 
 class LagrangianArithRing(ArithRing):
     """Arithmetic ring of the rank-(d-1) Lagrangian Grassmannian.
 
-    The dual-square relation on the lifted classes picks up odd harmonic
-    coefficients on the form side: p_k(C) rewrites to
-    (-1)^(k+1) h(2k-1) s_{2k-1}(u), with h(2k-1) the formal symbol h{2k-1}.
-    The second argument accepts only "formal", its one value.
+    The abelian ring without C_d and gamma, with the formal symbol h(2k-1)
+    as the bracket sequence: p_k(C) rewrites to (-1)^(k+1) h(2k-1)
+    s_{2k-1}(u), and the form relations are p_k(u) = 0.  The second
+    argument accepts only "formal", its one value.
     """
 
     def __init__(self, d: int, harmonic_mode: str = "formal"):
@@ -472,8 +467,7 @@ class LagrangianArithRing(ArithRing):
             raise ValueError("d must be at least 2")
         if harmonic_mode != "formal":
             raise ValueError("harmonic_mode must be 'formal'")
-        self._setup(d, d - 1, gamma_degree=None,
-                    coefficient=lambda k: harmonic_symbol(k) * (-1) ** (k + 1))
+        self._setup(d, d - 1, gamma_degree=None, b=harmonic_symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +735,19 @@ class _MapSolver:
         values = dict(zip(self.unknowns, x))
         e0 = values["e0"]
         X: dict[int, ArithClass] = {0: ring.one()}
+
+        def component(degree: int) -> ArithClass:
+            # The right-hand side minus sum (-1)^i X_i X_j over i + j = degree
+            # and 0 < i, j < d: the dual square's degree part but for 2 X_k,
+            # the part with i or j = 0, which solves for an even image.
+            half = degree // 2
+            acc = self._harmonic_rhs(degree, e0)
+            if half < d:
+                acc = acc - (X[half] * X[half]) * Fraction((-1) ** half)
+            for i in range(max(1, degree - d + 1), half):
+                acc = acc - (X[i] * X[degree - i]) * Fraction(2 * (-1) ** i)
+            return acc
+
         for k in range(1, d):
             if k % 2 == 1:
                 z = GradedPoly.generator(ring.zgens, f"C{k}") * Fraction(-1)
@@ -749,21 +756,10 @@ class _MapSolver:
                                    GradedPoly(ring.agens, terms),
                                    GradedPoly.zero(ring.agens))
             else:
-                half = k // 2
-                image = self._harmonic_rhs(k, e0) - (X[half] * X[half]) * Fraction((-1) ** half)
-                for i in range(1, half):
-                    image = image - (X[i] * X[k - i]) * Fraction(2 * (-1) ** i)
-                image = image * Fraction(1, 2)
+                image = component(k) * Fraction(1, 2)
             X[k] = ring.reduce(image).drop_gamma()
-        conditions = []
-        for degree in self.condition_degrees:
-            half = degree // 2
-            acc = self._harmonic_rhs(degree, e0)
-            if half < d:
-                acc = acc - (X[half] * X[half]) * Fraction((-1) ** half)
-            for i in range(max(1, degree - d + 1), half):
-                acc = acc - (X[i] * X[degree - i]) * Fraction(2 * (-1) ** i)
-            conditions.append((degree, ring.reduce(acc).drop_gamma()))
+        conditions = [(degree, ring.reduce(component(degree)).drop_gamma())
+                      for degree in self.condition_degrees]
         return X, conditions
 
     def linearize(self):
@@ -878,8 +874,9 @@ def proportionality_map_check(d: int,
     relation of the source, written in the abelian ring, is evaluated at the
     images and reduced; success means every residue is exactly zero.  The
     lifted relations are p_k(C_1..C_{d-1}) = a(rho_k) with
-    rho_k = (-1)^(k+1) H(2k-1) s_{2k-1}(u), and the form relation is the
-    dual square; reduction in the abelian ring sends u_d to 0.
+    rho_k = (-1)^(k+1) H(2k-1) s_{2k-1}(u), and the form relation is their
+    forgotten lifts' sum_k (-1)^k p_k(u), the dual square, whose residue is
+    zero by construction; reduction in the abelian ring sends u_d to 0.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -914,11 +911,13 @@ def proportionality_map_check(d: int,
     # The map sends a(f) to a(dual(f) * unit); rho_k has odd degree, so its
     # dual is -rho_k, and the dual square is its own dual.
     source = ClassVector.standard(A.zgens, A.zgens.names[:d - 1])
+    form = GradedPoly.zero(A.agens)
     for k, p in enumerate(pontrjagin_from_c(source), 1):
         rho = A.odd_sums[k] * (harmonic(2 * k - 1) * Fraction((-1) ** (k + 1)))
         image = push_z(p) + A.from_a(rho * unit)
         residues.append((f"lifted relation {k}", A.reduce(image).drop_gamma()))
-    image = A.from_a(dual_square_relation(A.agens) * unit)
+        form = form + A.omega(p) * (-1) ** k
+    image = A.from_a(form * unit)
     residues.append(("form relation 1", A.reduce(image).drop_gamma()))
     return ProportionalityReport(d, constructed, diagnosis, e0, images,
                                  residues, certificate)

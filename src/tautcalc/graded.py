@@ -130,6 +130,9 @@ class GradedPoly:
         self.gens = gens
         grouped: dict[ConstMonomial, dict[Monomial, Fraction]] = {}
         for mono, coeff in (terms or {}).items():
+            if len(mono) != len(gens) or min(mono, default=0) < 0:
+                raise ValueError(f"monomial {tuple(mono)} is not an exponent "
+                                 f"vector over {len(gens)} generators")
             for k, q in Scalar.coerce(coeff)._terms.items():
                 grouped.setdefault(k, {})[tuple(mono)] = q
         # Over the lcm of its denominators a slice is in lowest terms.

@@ -278,14 +278,26 @@ def test_lagrangian_d2_relations():
 
 
 def test_lagrangian_odd_components_vanish():
-    # the dual-square polynomial has no odd-degree components
+    # the dual square c(t)c(-t) - 1 has no odd-degree components: it is
+    # sum_k (-1)^k p_k, each p_k nonzero and homogeneous of degree 2k
     for d in (3, 4, 5):
         ring = LagrangianArithRing(d, "formal")
-        from tautcalc.arakelov import dual_square_relation
-        rel = dual_square_relation(ring.zgens)
-        for degree, comp in rel.degree_components().items():
-            assert degree % 2 == 0
-            assert not comp.is_zero()
+        zc = ClassVector.standard(ring.zgens, ring.zgens.names)
+        pontrjagin = pontrjagin_from_c(zc)
+        square = zc.total() * zc.dual().total() - 1
+        assert square == sum((p * (-1) ** k for k, p in enumerate(pontrjagin, 1)),
+                             GradedPoly.zero(ring.zgens))
+        for k, p in enumerate(pontrjagin, 1):
+            assert p.is_homogeneous() and p.max_degree() == 2 * k
+
+
+@pytest.mark.parametrize("cls, ds", [(AbelianTautRing, range(1, 9)),
+                                     (LagrangianArithRing, range(2, 9))])
+def test_form_relations_are_the_lifted_ones_with_the_lift_forgotten(cls, ds):
+    for d in ds:
+        ring = cls(d)
+        lifted = ring.zq.presentation.relations
+        assert ring.aq.presentation.relations == tuple(map(ring.omega, lifted))
 
 
 def test_lagrangian_rejects_small_d_and_bad_mode():
@@ -692,3 +704,19 @@ def test_ring_without_gamma_rejects_a_gamma_part_where_the_class_is_made():
     assert (x * y).g == gen(ring, "u1")
     assert ring.reduce(x * y) == ring.reduce(ring.reduce(x) * ring.reduce(y))
     assert ring.reduce(x * y).g == gen(ring, "u1")
+
+
+def test_class_rejects_a_part_over_the_wrong_generator_set():
+    # A lifted polynomial must not be read as a form, nor a form as a
+    # lifted polynomial.
+    for ring in (AbelianTautRing(3), LagrangianArithRing(3)):
+        c1, u1 = gen(ring, "C1", "z"), gen(ring, "u1")
+        zero_z, zero_a = GradedPoly.zero(ring.zgens), GradedPoly.zero(ring.agens)
+        for parts in ((zero_z, c1, zero_a), (u1, zero_a, zero_a),
+                      (zero_z, zero_a, c1), (zero_a, zero_a, zero_a)):
+            with pytest.raises(ValueError, match="generator set"):
+                ArithClass(ring, *parts)
+        other = AbelianTautRing(4)
+        with pytest.raises(ValueError, match="generator set"):
+            ArithClass(ring, zero_z, gen(other, "u1"), zero_a)
+        assert ArithClass(ring, c1, u1, zero_a) == ring.lifted(1) + ring.from_a(u1)

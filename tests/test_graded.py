@@ -19,6 +19,19 @@ def test_generator_set_validation():
         GeneratorSet([("a", 1), ("a", 2)])
 
 
+def test_malformed_monomials_rejected():
+    g = gens_u(3)
+    u1, u3 = GradedPoly.generator(g, "u1"), GradedPoly.generator(g, "u3")
+    for mono in ((1, 0), (1, 0, 0, 0), (-1, 1, 0), (0, 0, -2)):
+        with pytest.raises(ValueError, match="monomial"):
+            GradedPoly.monomial(g, mono)
+        with pytest.raises(ValueError, match="monomial"):
+            GradedPoly(g, {mono: 1, (0, 0, 0): 2})
+    # A well-formed monomial keeps every factor.
+    assert GradedPoly.monomial(g, (1, 0, 0)) * u3 != u1
+    assert GradedPoly.monomial(g, (1, 0, 1)) == u1 * u3
+
+
 def test_degree_memo_matches_weighted_sum():
     rng = random.Random(31)
     for _ in range(20):
