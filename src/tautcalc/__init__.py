@@ -10,15 +10,11 @@ from .scalars import (Rational, Scalar, bernoulli, harmonic, harmonic_symbol,
 from .graded import GeneratorSet, GradedPoly, monomials_of_degree
 from .quotient import (DimensionReport, QuotientRing, ReductionError,
                        RingPresentation, Witness)
-from .charclasses import (ClassVector, additive_class, c_from_ch,
-                          cauchy_single_class, ch_from_c, multiplicative_class,
-                          pontrjagin_from_c)
+from .charclasses import ClassVector, c_from_ch, ch_from_c, pontrjagin_from_c
 from .arakelov import (AbelianTautRing, ArithClass, LagrangianArithRing,
-                       MapCertificate, c1_critical_power, ch_even_check,
-                       harmonic_substitution, height_polynomial,
-                       lagrangian_degree, proportionality_map_check,
-                       tautological_presentation, tautological_ring,
-                       verify_map_certificate)
+                       c1_critical_power, harmonic_substitution,
+                       height_polynomial, lagrangian_degree,
+                       tautological_presentation, tautological_ring)
 
 __version__ = "0.1.0"
 
@@ -37,10 +33,24 @@ __all__ = [
 ]
 
 
+# Names whose modules load on first use (PEP 562), so importing the CLI for
+# one command loads neither the verification suite, nor the proportionality
+# map, nor the series code: name -> module.
+_LAZY = {
+    "CHECKS": "verify", "CheckResult": "verify", "run_checks": "verify",
+    "MapCertificate": "propmap", "proportionality_map_check": "propmap",
+    "verify_map_certificate": "propmap",
+    "additive_class": "series", "cauchy_single_class": "series",
+    "ch_even_check": "series", "multiplicative_class": "series",
+}
+
+
 def __getattr__(name: str):
-    # The verification suite loads on first use (PEP 562), so importing the
-    # CLI for one command does not load every check.
-    if name in ("CHECKS", "CheckResult", "run_checks"):
-        from . import verify
-        return getattr(verify, name)
+    if name in _LAZY:
+        from importlib import import_module
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -1,15 +1,12 @@
 """Characteristic-class calculus on graded polynomials: Newton's identities
-between Chern classes and power sums, Pontrjagin classes, additive and
-multiplicative classes of a power series, and the single-class extraction
-of an even series."""
+between Chern classes and power sums, and Pontrjagin classes.  The classes
+of a power series live in ``series``, which loads on first use."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .scalars import (ONE, ZERO, Series, compose_even, series_derivative,
-                      series_inverse, series_log, series_mul)
 from .graded import GeneratorSet, GradedPoly, sum_of_products
 
 
@@ -106,67 +103,3 @@ def pontrjagin_direct(classes: ClassVector, k: int) -> GradedPoly:
         term = classes.chern(l) * classes.chern(2 * k - l)
         acc = acc + term * Fraction(2 * (-1) ** (k + l))
     return acc
-
-
-def additive_class(series: Series, classes: ClassVector,
-                   max_degree: int) -> GradedPoly:
-    """sum_k f_k k! ch^[k] for k <= max_degree, for a series f with zero
-    constant term known at least to order max_degree."""
-    if series[0]:
-        raise ValueError("additive class needs zero constant term")
-    if max_degree >= len(series):
-        raise ValueError(f"series known to order {len(series) - 1}, "
-                         f"class asked to degree {max_degree}")
-    result = GradedPoly.zero(classes.gens)
-    for j, s in enumerate(ch_from_c(classes, max_degree), start=1):
-        if series[j]:
-            result = result + s * series[j]
-    return result
-
-
-def multiplicative_class(series: Series, classes: ClassVector,
-                         max_degree: int) -> GradedPoly:
-    """exp(additive class of log Q) for a series Q with Q(0) = 1; equals the
-    product of Q over the Chern roots."""
-    if series[0] != ONE:
-        raise ValueError("multiplicative class needs constant term 1")
-    exponent = additive_class(series_log(series), classes, max_degree)
-    result = GradedPoly.constant(classes.gens, 1)
-    term = GradedPoly.constant(classes.gens, 1)
-    n = 1
-    while True:
-        term = term.mul_truncated(exponent, max_degree) * Fraction(1, n)
-        if term.is_zero():
-            break
-        result = result + term
-        n += 1
-    return result
-
-
-def cauchy_single_class(series: Series) -> Series:
-    """For an even series Q with Q(0) = 1, the series whose z^k coefficient is
-    the coefficient of the single class p_k in the associated multiplicative
-    class: Q(sqrt(-z)) * d/dz [ z / Q(sqrt(-z)) ], known to the order of
-    Q(sqrt(-z))."""
-    if series[0] != ONE:
-        raise ValueError("single-class extraction needs constant term 1")
-    qm = compose_even(series)
-    # z / qm is known one order further than 1 / qm: shift in a zero.
-    return series_mul(qm, series_derivative([ZERO] + series_inverse(qm)))
-
-
-def single_class_slots(series: Series, up_to: int) -> GradedPoly:
-    """Reference route for the single-class coefficients: compute the full
-    multiplicative class on formal classes p_1..p_N (one slot per Pontrjagin
-    class, z^2 -> slot weight 1) and keep only its constant and linear terms,
-    the part that survives when all slot products vanish.
-
-    Returns a polynomial in the slot generators whose p_k coefficient should
-    match cauchy_single_class(series) at z^k.
-    """
-    gens = GeneratorSet([(f"p{k}", k) for k in range(1, up_to + 1)])
-    # Q(x) = S(x^2) with S = compose_even twisted back to +: the slot classes
-    # play the elementary symmetric functions of the squared Chern roots.
-    s_pos = [c * (-1) ** k for k, c in enumerate(compose_even(series))]
-    full = multiplicative_class(s_pos, ClassVector.standard(gens, gens.names), up_to)
-    return GradedPoly(gens, {m: c for m, c in full.items() if sum(m) <= 1})

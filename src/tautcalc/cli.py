@@ -16,8 +16,7 @@ from .graded import GradedPoly
 from .charclasses import ClassVector, pontrjagin_from_c
 from .arakelov import (AbelianTautRing, ArithClass, c1_critical_power,
                        harmonic_substitution, height_polynomial,
-                       lagrangian_degree, proportionality_map_check,
-                       tautological_ring)
+                       lagrangian_degree, tautological_ring)
 
 
 class Report:
@@ -150,6 +149,8 @@ def cmd_height_poly(args: argparse.Namespace) -> Report:
 
 
 def cmd_hmap_check(args: argparse.Namespace) -> Report:
+    from .propmap import proportionality_map_check
+
     ring = AbelianTautRing(args.d)
     rep = proportionality_map_check(args.d, ring)
     report = Report("hmap-check", {"d": args.d})
@@ -196,7 +197,9 @@ def cmd_degree(args: argparse.Namespace) -> Report:
 def cmd_verify(args: argparse.Namespace) -> Report:
     from .verify import run_checks
 
-    selection = args.only.split(",") if args.only else None
+    selection = None if args.only is None else args.only.split(",")
+    if selection is not None and not all(selection):
+        raise ValueError("--only needs check names, separated by commas")
     results = run_checks(selection)
     report = Report("verify", {"only": selection or "all"})
     for res in results:

@@ -1,6 +1,6 @@
-"""Exact scalar arithmetic: rationals, Bernoulli/zeta/harmonic values, the
-formal-constant ring Q[L, Z1, Z3, ..., h1, h3, ..., x0, x1, ...], and
-truncated power series.
+"""Exact scalar arithmetic: rationals, Bernoulli/zeta/harmonic values and
+the formal-constant ring Q[L, Z1, Z3, ..., h1, h3, ..., x0, x1, ...].
+Truncated power series over these scalars live in ``series``.
 
 The symbol L stands for log 2, Z(2k-1) for the zeta derivative at 1-2k,
 h(2k-1) for a formal odd harmonic coefficient and xj for the j-th unknown of
@@ -364,139 +364,3 @@ def bracket(k: int) -> Scalar:
     return (zeta_prime_symbol(k) * (2 / zeta_negative_odd(k))
             + Scalar.from_rational(harmonic(2 * k - 1))
             - LOG2 * Fraction(2 * 4**k, 4**k - 1))
-
-
-# ---------------------------------------------------------------------------
-# Truncated power series over Scalar: a series known to order N is the list
-# of its N + 1 coefficients, so nothing past the order can be read.
-# ---------------------------------------------------------------------------
-
-Series = list[Scalar]
-
-
-def series(order: int, coeffs: Mapping[int, Scalar | Fraction | int]) -> Series:
-    """The series of the given order with coefficient coeffs[k] at z^k and
-    zero elsewhere; every exponent must lie in 0..order."""
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
-    out = [ZERO] * (order + 1)
-    for k, c in coeffs.items():
-        if not 0 <= k <= order:
-            raise ValueError(f"exponent {k} outside 0..{order}")
-        out[k] = Scalar.coerce(c)
-    return out
-
-
-def series_mul(f: Series, g: Series) -> Series:
-    """Product, truncated at the lower of the two orders."""
-    n = min(len(f), len(g))
-    out = [ZERO] * n
-    for i in range(n):
-        if f[i]:
-            for j in range(n - i):
-                if g[j]:
-                    out[i + j] = out[i + j] + f[i] * g[j]
-    return out
-
-
-def series_derivative(f: Series) -> Series:
-    """d/dz, one order lower (a constant stays at order 0)."""
-    return [c * k for k, c in enumerate(f) if k] or [ZERO]
-
-
-def series_inverse(f: Series) -> Series:
-    """Multiplicative inverse; the constant term must be invertible (rational, nonzero)."""
-    if not f[0].is_rational() or f[0].is_zero():
-        raise ValueError("series inverse needs a nonzero rational constant term")
-    inv0 = Fraction(1) / f[0].rational_part()
-    out = [Scalar.from_rational(inv0)]
-    for k in range(1, len(f)):
-        acc = ZERO
-        for j in range(1, k + 1):
-            if f[j]:
-                acc = acc + f[j] * out[k - j]
-        out.append(-acc * inv0)
-    return out
-
-
-def series_exp(f: Series) -> Series:
-    """exp of a series with constant term 0."""
-    if f[0]:
-        raise ValueError("exp needs constant term 0")
-    # e' = f' e  gives  k e_k = sum_{j=1..k} j f_j e_{k-j}
-    out = [ONE]
-    for k in range(1, len(f)):
-        acc = ZERO
-        for j in range(1, k + 1):
-            if f[j]:
-                acc = acc + f[j] * j * out[k - j]
-        out.append(acc / k)
-    return out
-
-
-def series_log(f: Series) -> Series:
-    """log of a series with constant term 1."""
-    if f[0] != ONE:
-        raise ValueError("log needs constant term 1")
-    # l' = f'/f  gives  l_k = f_k - (1/k) sum_{j<k} j l_j f_{k-j}
-    out = [ZERO]
-    for k in range(1, len(f)):
-        acc = ZERO
-        for j in range(1, k):
-            if out[j] and f[k - j]:
-                acc = acc + out[j] * j * f[k - j]
-        out.append(f[k] - acc / k)
-    return out
-
-
-def compose_even(f: Series) -> Series:
-    """Substitute z^2 -> -z in an even series: the result has coefficient
-    (-1)^k * [z^(2k)] f at z^k.  Rejects series with odd terms."""
-    if any(f[1::2]):
-        raise ValueError("compose_even needs an even series")
-    return [c * (-1) ** k for k, c in enumerate(f[::2])]
-
-
-# ---------------------------------------------------------------------------
-# Built-in series
-# ---------------------------------------------------------------------------
-
-
-def tanh_series(order: int) -> Series:
-    """tanh x from Bernoulli numbers: sum 4^k (4^k - 1) B_{2k} x^{2k-1} / (2k)!."""
-    coeffs: dict[int, Fraction] = {}
-    fact = 1
-    for m in range(1, order + 2):
-        fact *= m  # running m!
-        if m % 2 == 0:
-            k = m // 2
-            coeffs[m - 1] = Fraction(4**k * (4**k - 1)) * bernoulli(2 * k) / fact
-    return series(order, coeffs)
-
-
-def sech_squared_half(order: int) -> Series:
-    """The even series 1/cosh^2(z/2), computed by squaring and inverting cosh."""
-    cosh: dict[int, Fraction] = {}
-    fact = 1
-    for m in range(0, order + 1):
-        if m > 0:
-            fact *= m
-        if m % 2 == 0:
-            cosh[m] = Fraction(1, fact * 2**m)
-    c = series(order, cosh)
-    return series_inverse(series_mul(c, c))
-
-
-def ch_even_defect_series(order: int) -> Series:
-    """Odd additive series with x^(2k-1) coefficient
-    (Z(2k-1)/zeta(1-2k) + H(2k-1)/2 - L/(1-4^-k)) / (2k-1)!.
-
-    Applying it as an additive class to the Hodge classes measures the defect
-    of the even part of the arithmetic Chern character from the rank."""
-    coeffs: dict[int, Scalar] = {}
-    fact = Fraction(1)
-    for m in range(1, order + 1):
-        fact *= m
-        if m % 2 == 1:
-            coeffs[m] = bracket((m + 1) // 2) / (2 * fact)
-    return series(order, coeffs)

@@ -15,15 +15,14 @@ from math import factorial
 from typing import NamedTuple
 
 from .scalars import (Scalar, LOG2, bernoulli, harmonic,
-                      zeta_negative_odd, zeta_prime_symbol,
-                      sech_squared_half)
+                      zeta_negative_odd, zeta_prime_symbol)
 from .graded import GeneratorSet, GradedPoly
-from .charclasses import (ClassVector, c_from_ch, cauchy_single_class,
-                          ch_from_c, single_class_slots)
-from .arakelov import (AbelianTautRing, c1_critical_power, ch_even_check,
-                       height_polynomial, lagrangian_degree,
-                       proportionality_map_check, tautological_ring,
-                       verify_map_certificate)
+from .charclasses import ClassVector, c_from_ch, ch_from_c
+from .arakelov import (AbelianTautRing, c1_critical_power, height_polynomial,
+                       lagrangian_degree, tautological_ring)
+from .series import (cauchy_single_class, ch_even_check, sech_squared_half,
+                     single_class_slots)
+from .propmap import proportionality_map_check, verify_map_certificate
 
 
 class CheckResult(NamedTuple):

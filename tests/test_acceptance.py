@@ -12,16 +12,15 @@ from fractions import Fraction
 from math import factorial
 
 from tautcalc.scalars import (LOG2, Scalar, bernoulli, harmonic,
-                              sech_squared_half, zeta_negative_odd,
-                              zeta_prime_symbol)
+                              zeta_negative_odd, zeta_prime_symbol)
 from tautcalc.graded import GeneratorSet, GradedPoly
-from tautcalc.charclasses import (ClassVector, c_from_ch, cauchy_single_class,
-                                  ch_from_c, pontrjagin_from_c,
-                                  single_class_slots)
+from tautcalc.charclasses import (ClassVector, c_from_ch, ch_from_c,
+                                  pontrjagin_from_c)
 from tautcalc.arakelov import (AbelianTautRing, c1_critical_power,
-                               ch_even_check, height_polynomial,
-                               proportionality_map_check, tautological_ring,
-                               verify_map_certificate)
+                               height_polynomial, tautological_ring)
+from tautcalc.series import (cauchy_single_class, ch_even_check,
+                             sech_squared_half, single_class_slots)
+from tautcalc.propmap import proportionality_map_check, verify_map_certificate
 
 Z1, Z3, Z5 = (zeta_prime_symbol(k) for k in (1, 2, 3))
 

@@ -9,16 +9,16 @@ from tautcalc.scalars import (LOG2, Scalar, ZERO, harmonic, harmonic_symbol,
 from tautcalc.graded import GradedPoly
 from tautcalc.quotient import QuotientRing
 from tautcalc.charclasses import ClassVector, ch_from_c, pontrjagin_from_c
-from tautcalc import arakelov
+from tautcalc import propmap
 from tautcalc.arakelov import (AbelianTautRing, ArithClass,
                                LagrangianArithRing, arithmetic_dimension,
-                               c1_critical_power,
-                               ch_even_check, harmonic_substitution,
-                               MapCertificate, _MapSolver,
-                               _solve_rational_system,
-                               condition_pairing, height_polynomial,
-                               lagrangian_degree, proportionality_map_check,
-                               verify_map_certificate)
+                               c1_critical_power, harmonic_substitution,
+                               height_polynomial, lagrangian_degree)
+from tautcalc.series import ch_even_check
+from tautcalc.propmap import (MapCertificate, _MapSolver,
+                              _solve_rational_system, condition_pairing,
+                              proportionality_map_check,
+                              verify_map_certificate)
 
 Z1, Z3, Z5 = (zeta_prime_symbol(k) for k in (1, 2, 3))
 
@@ -541,7 +541,7 @@ def test_solve_builds_twice_and_eliminates_once(monkeypatch):
     build = _MapSolver._build
     monkeypatch.setattr(_MapSolver, "_build",
                         lambda self, x: calls.append("build") or build(self, x))
-    monkeypatch.setattr(arakelov, "_solve_rational_system",
+    monkeypatch.setattr(propmap, "_solve_rational_system",
                         lambda rows, start: calls.append("solve")
                         or _solve_rational_system(rows, start))
     solved, _, _ = _MapSolver(AbelianTautRing(4)).solve()

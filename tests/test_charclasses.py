@@ -4,14 +4,14 @@ from math import factorial
 
 import pytest
 
-from tautcalc.scalars import (Scalar, sech_squared_half, series, series_mul,
-                              zeta_negative_odd)
+from tautcalc.scalars import Scalar, zeta_negative_odd
 from tautcalc.graded import GeneratorSet, GradedPoly, monomials_of_degree
 from tautcalc.arakelov import tautological_ring
-from tautcalc.charclasses import (ClassVector, additive_class, c_from_ch,
-                                  cauchy_single_class, ch_from_c,
-                                  multiplicative_class, pontrjagin_direct,
-                                  pontrjagin_from_c, single_class_slots)
+from tautcalc.charclasses import (ClassVector, c_from_ch, ch_from_c,
+                                  pontrjagin_direct, pontrjagin_from_c)
+from tautcalc.series import (additive_class, cauchy_single_class,
+                             multiplicative_class, sech_squared_half, series,
+                             series_mul, single_class_slots)
 
 
 def standard(rank):
@@ -101,7 +101,8 @@ def test_classes_need_the_series_to_their_degree():
 
 
 def test_additive_defect_degree_one():
-    from tautcalc.scalars import LOG2, ch_even_defect_series, zeta_prime_symbol
+    from tautcalc.scalars import LOG2, zeta_prime_symbol
+    from tautcalc.series import ch_even_defect_series
     gens, C = standard(3)
     poly = additive_class(ch_even_defect_series(5), C, 1)
     expected = GradedPoly.generator(gens, "c1") * (

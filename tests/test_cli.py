@@ -7,9 +7,8 @@ import pytest
 
 from tautcalc.cli import main
 from tautcalc.graded import GradedPoly
-from tautcalc.arakelov import (AbelianTautRing, c1_critical_power,
-                               proportionality_map_check,
-                               verify_map_certificate)
+from tautcalc.arakelov import AbelianTautRing, c1_critical_power
+from tautcalc.propmap import proportionality_map_check, verify_map_certificate
 from tautcalc.verify import run_checks
 
 
@@ -206,6 +205,15 @@ def test_verify_builds_one_abelian_ring_per_d(monkeypatch):
 
 def test_verify_unknown_check(capsys):
     assert main(["verify", "--only", "nope"]) == 2
+
+
+def test_verify_empty_selection(capsys):
+    # An empty --only selects no check: a usage error, not the whole suite.
+    for only in ("", ",", "cauchy,"):
+        assert main(["verify", "--only", only]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: --only needs check names" in err
 
 
 def test_usage_errors(capsys):

@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from tautcalc.scalars import (LOG2, Scalar, ch_even_defect_series,
-                              compose_even, harmonic, sech_squared_half,
-                              series, series_derivative, series_exp,
-                              series_inverse, series_log, series_mul,
-                              tanh_series, zeta_negative_odd,
+from tautcalc.scalars import (LOG2, Scalar, harmonic, zeta_negative_odd,
                               zeta_prime_symbol)
+from tautcalc.series import (ch_even_defect_series, compose_even,
+                             sech_squared_half, series, series_derivative,
+                             series_exp, series_inverse, series_log,
+                             series_mul, tanh_series)
 
 
 def test_sech_squared_from_tanh_route():
