@@ -4,7 +4,7 @@ extraction of an even series and its reference route, and the even Chern
 character check of an abelian ring.
 
 No ring command runs this module, so it loads on first use: ``verify``
-imports it, and so does the package's lazy table (``tautcalc.ch_even_check``
+imports it, and so do the package's lazy table (``tautcalc.ch_even_check``
 and the class functions) and ``arakelov.ch_even_check``.
 """
 
