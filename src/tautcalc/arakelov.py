@@ -114,11 +114,15 @@ class ArithClass:
         raise AttributeError(f"ArithClass is immutable: cannot delete {name!r}")
 
     def __add__(self, other: "ArithClass") -> "ArithClass":
+        if not isinstance(other, ArithClass):
+            return NotImplemented
         self._check(other)
         return ArithClass(self.ring, self.z + other.z, self.a + other.a,
                           self.g + other.g)
 
     def __sub__(self, other: "ArithClass") -> "ArithClass":
+        if not isinstance(other, ArithClass):
+            return NotImplemented
         self._check(other)
         return ArithClass(self.ring, self.z - other.z, self.a - other.a,
                           self.g - other.g)
@@ -130,6 +134,8 @@ class ArithClass:
         if isinstance(other, (int, Fraction, Scalar)):
             return ArithClass(self.ring, self.z * other, self.a * other,
                               self.g * other)
+        if not isinstance(other, ArithClass):
+            return NotImplemented
         self._check(other)
         ring = self.ring
         z = self.z.mul_truncated(other.z, ring.cap)
@@ -270,25 +276,26 @@ class ArithRing:
         # odd_sums[k]: normal form of the odd power sum s_{2k-1}(u), of
         # degree at most cap - 1; the relations read no other power sum.
         self.odd_sums = {k: sums[2 * k - 2] for k in range(1, top_k + 1)}
-        self.rho = {k: s * (b(k) * (-1) ** (k + 1))
-                    for k, s in self.odd_sums.items()}
-        zero = GradedPoly.zero(self.agens)
-        self.relations = [ArithRelation(p, self.rho[k], zero)
-                          for k, p in enumerate(lifted[:top_k], 1)]
+        # Each lifted relation rewrites to a(beta * poly) on one side, 0 for
+        # the form part and 1 for the gamma coefficient.  Per relation: its
+        # form record (side, degree, poly's integer terms, beta as [(constant
+        # monomial, numerator, denominator)]) and the memo {t: step image of
+        # (r, t)}, the normal form of u^t times those terms; an image is a
+        # normal form, so it does not depend on the queries.
+        forms = [(0, s, b(k) * (-1) ** (k + 1)) for k, s in self.odd_sums.items()]
         if gamma_degree is not None:
-            self.relations.append(ArithRelation(
-                lifted[-1], zero, GradedPoly.constant(self.agens, 1)))
-        # Per relation: its form parts (side, 0 for the form part and 1 for
-        # the gamma coefficient; degree; a primitive integer polynomial P;
-        # its Scalar factor, see GradedPoly.rational_parts), and the memo
-        # {t: step image of (r, t)}, which holds nf(u^t * P) per form part.
-        # Each image is a normal form, so it does not depend on the queries.
-        self._form_parts = [[(side, form.max_degree(), poly, scalar)
-                             for side, form in enumerate(rel[1:])
-                             for poly, scalar in form.rational_parts()]
-                            for rel in self.relations]
-        self._step_images: list[dict[Monomial, list[tuple]]] = [
-            {} for _ in self.relations]
+            forms.append((1, GradedPoly.constant(self.agens, 1), 1))
+        self.relations, self._form_parts = [], []
+        for lift, (side, poly, beta) in zip(lifted, forms, strict=True):
+            parts = [GradedPoly.zero(self.agens)] * 2
+            parts[side] = poly * beta
+            self.relations.append(ArithRelation(lift, *parts))
+            den, terms = poly._slices.get((), (1, {}))
+            self._form_parts.append((side, poly.max_degree(), terms, [
+                (k, q.numerator, q.denominator * den)
+                for k, q in Scalar.coerce(beta)._terms.items()]))
+        self.rho = {k: rel.apart for k, rel in enumerate(self.relations[:top_k], 1)}
+        self._step_images: list[dict[Monomial, tuple]] = [{} for _ in forms]
 
     # -- constructors of elements -------------------------------------------
 
@@ -349,9 +356,9 @@ class ArithRing:
                             a: GradedPoly, g: GradedPoly):
         """Normal forms of the form part a and the gamma coefficient g plus
         what the cofactors push into them, each truncated to its working
-        degree.  A cofactor term c*C^t of relation r pushes c times the step
-        image of (r, t): the normal forms of u^t times r's form sides.  Each
-        side is summed in one slice accumulator."""
+        degree.  A cofactor term c*C^t of relation r pushes c * beta times
+        the step image of (r, t) into r's side.  Each side is summed in one
+        slice accumulator."""
         self._add_step_images(cofactors)
         sides: tuple[dict, dict] = ({}, {})
         for out, poly, cap in zip(sides, (a, g), self.form_caps):
@@ -359,7 +366,7 @@ class ArithRing:
             reduced = self.aq.monomial_reductions(
                 m for _, terms in slices.values() for m in terms)
             for k, (den, terms) in slices.items():
-                acc: dict[Monomial, int | Fraction] = {}
+                acc: dict[Monomial, int] = {}
                 for mono, n in terms.items():
                     for m, v in reduced[mono][0].items():
                         acc[m] = acc.get(m, 0) + n * v
@@ -367,52 +374,45 @@ class ArithRing:
         images = self._step_images
         for ri, cof in cofactors.items():
             relation_images = images[ri]
-            for j, (side, _, _, scalar) in enumerate(self._form_parts[ri]):
-                for k1, (d1, terms) in cof._slices.items():
-                    acc: dict[Monomial, int | Fraction] = {}
-                    for t, n in terms.items():
-                        for m, v in relation_images[t][j]:
-                            acc[m] = acc.get(m, 0) + n * v
-                    for k2, num, den in scalar:
-                        _add_slice(sides[side], _merge_monomials(k1, k2),
-                                   num, d1 * den, acc)
+            side, _, _, scalar = self._form_parts[ri]
+            for k1, (d1, terms) in cof._slices.items():
+                acc: dict[Monomial, int] = {}
+                for t, n in terms.items():
+                    for m, v in relation_images[t]:
+                        acc[m] = acc.get(m, 0) + n * v
+                for k2, num, den in scalar:
+                    _add_slice(sides[side], _merge_monomials(k1, k2),
+                               num, d1 * den, acc)
         return tuple(GradedPoly.from_slices(self.agens, out) for out in sides)
 
     def _add_step_images(self, cofactors: Mapping[int, GradedPoly]):
         """Keep the step images that the cofactor terms need and the memo
-        lacks: per form part, the normal form as a tuple of (monomial,
-        coefficient).  Their product monomials are divided in one pass,
-        smallest first."""
+        lacks, each a tuple of (monomial, coefficient).  Their product
+        monomials are divided in one pass, smallest first."""
         degree_of = self.agens.degree_of
         caps = self.form_caps
         products: dict[Monomial, Monomial] = {}   # one tuple per monomial
-        fresh: dict[int, dict[Monomial, list[tuple]]] = {}
-        pending = []
+        pending: dict[tuple[int, Monomial], list[Monomial]] = {}
         for ri, cof in cofactors.items():
-            known, parts = self._step_images[ri], self._form_parts[ri]
-            new = fresh[ri] = {}
+            known = self._step_images[ri]
+            side, degree, poly, _ = self._form_parts[ri]
             for _, terms in cof._slices.values():
                 for t in terms:
-                    if t in known or t in new:
+                    if t in known or (ri, t) in pending:
                         continue
-                    image = new[t] = [()] * len(parts)
-                    t_degree = degree_of(t)
-                    for j, (side, degree, poly, _) in enumerate(parts):
-                        # A form side is homogeneous: its image is kept or
-                        # dropped whole.
-                        if t_degree + degree <= caps[side]:
-                            shifted = [tuple(map(add, t, m)) for m in poly]
-                            pending.append((image, j, poly, [
-                                products.setdefault(p, p) for p in shifted]))
+                    # A form side is homogeneous: its image is kept or
+                    # dropped whole.
+                    shifted = ([tuple(map(add, t, m)) for m in poly]
+                               if degree_of(t) + degree <= caps[side] else [])
+                    pending[ri, t] = [products.setdefault(p, p) for p in shifted]
         reduced = self.aq.monomial_reductions(products) if products else {}
-        for image, j, poly, shifted in pending:
-            acc: dict[Monomial, int | Fraction] = {}
-            for product, n in zip(shifted, poly.values()):
+        # Stored only now, so a division that raises leaves no image behind.
+        for (ri, t), shifted in pending.items():
+            acc: dict[Monomial, int] = {}
+            for product, n in zip(shifted, self._form_parts[ri][2].values()):
                 for m, v in reduced[product][0].items():
                     acc[m] = acc.get(m, 0) + n * v
-            image[j] = tuple(acc.items())
-        for ri, new in fresh.items():
-            self._step_images[ri].update(new)
+            self._step_images[ri][t] = tuple(acc.items())
 
     def reduce_variants(self, x: ArithClass) -> list[ArithClass]:
         """Reductions of a class whose polynomial part lies in the relation

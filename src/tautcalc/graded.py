@@ -163,7 +163,7 @@ class GradedPoly:
     @classmethod
     def from_slices(cls, gens: GeneratorSet, slices: Mapping) -> "GradedPoly":
         """sum_k k * terms / den over slices {k: (den, terms)}, brought to
-        lowest terms; numerators may be 0 or Fractions.  A terms dict that is
+        lowest terms; numerators are ints and may be 0.  A terms dict that is
         already in lowest terms is stored as it is, so the caller hands it
         over and must never change it afterwards."""
         out = cls.__new__(cls)
@@ -221,20 +221,6 @@ class GradedPoly:
             k: (den, {m: n for m, n in terms.items() if keep(degree_of(m))})
             for k, (den, terms) in self._slices.items()})
 
-    def rational_parts(self) -> list[tuple[dict[Monomial, int],
-                                           list[tuple[ConstMonomial, int, int]]]]:
-        """The polynomial as a sum of sigma * P: pairs (P, sigma), P a
-        primitive integer polynomial {monomial: numerator} with a positive
-        first coefficient in monomial order, sigma the Scalar sum of
-        k * num / den over [(k, num, den)], one pair per distinct P."""
-        parts: dict[frozenset, tuple[dict, list]] = {}
-        for k, (den, terms) in self._slices.items():
-            first = min(terms, key=lambda m: monomial_sort_key(self.gens, m))
-            g = gcd(*terms.values()) * (1 if terms[first] > 0 else -1)
-            poly = {m: n // g for m, n in terms.items()}
-            parts.setdefault(frozenset(poly.items()), (poly, []))[1].append((k, g, den))
-        return list(parts.values())
-
     def symbol_degree(self) -> int:
         return max((sum(e for _, e in k) for k in self._slices), default=0)
 
@@ -249,9 +235,11 @@ class GradedPoly:
             unit = self.gens.unit()
             added = {k: (q.denominator, {unit: q.numerator})
                      for k, q in _scalar_terms(other)}
-        else:
+        elif isinstance(other, GradedPoly):
             self._check(other)
             added = other._slices
+        else:
+            return NotImplemented
         out = dict(self._slices)
         for k, (d2, t2) in added.items():
             d1, t1 = out.get(k, (d2, {}))
@@ -284,6 +272,8 @@ class GradedPoly:
                 (_merge_monomials(k1, k2), q.numerator, d1 * q.denominator, terms)
                 for k2, q in _scalar_terms(other)
                 for k1, (d1, terms) in self._slices.items()))
+        if not isinstance(other, GradedPoly):
+            return NotImplemented
         return self.mul_truncated(other, None)
 
     __rmul__ = __mul__
@@ -385,21 +375,14 @@ def _scalar_terms(value) -> Iterable[tuple[ConstMonomial, int | Fraction]]:
     return [((), value)] if value else []
 
 
-def _lowest(den: int, terms: Mapping[Monomial, int | Fraction]):
+def _lowest(den: int, terms: Mapping[Monomial, int]):
     """The slice (den, terms) in lowest terms, or None if every numerator
-    is 0.  Fraction numerators, from a non-unit leading coefficient, are
-    cleared first.  terms itself is kept when it needs no change."""
+    is 0.  terms itself is kept when it needs no change."""
     if not all(terms.values()):
         terms = {m: n for m, n in terms.items() if n}
     if not terms:
         return None
-    try:
-        g = gcd(den, *terms.values())
-    except TypeError:
-        scale = lcm(*(n.denominator for n in terms.values()))
-        den *= scale
-        terms = {m: int(n * scale) for m, n in terms.items()}
-        g = gcd(den, *terms.values())
+    g = gcd(den, *terms.values())
     if g != 1:
         den //= g
         terms = {m: n // g for m, n in terms.items()}
@@ -437,7 +420,7 @@ def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, Graded
 
 def sum_of_slices(gens: GeneratorSet,
                   parts: Iterable[tuple[ConstMonomial, int, int,
-                                        Mapping[Monomial, int | Fraction]]]
+                                        Mapping[Monomial, int]]]
                   ) -> GradedPoly:
     """The sum of k * num * terms / den over the parts (k, num, den, terms)."""
     out: Slices = {}
@@ -447,7 +430,7 @@ def sum_of_slices(gens: GeneratorSet,
 
 
 def _add_slice(out: dict, k: ConstMonomial, num: int, den: int,
-              source: Mapping[Monomial, int | Fraction]):
+              source: Mapping[Monomial, int]):
     """out's slice k += num * source / den, in place; out is an accumulator
     of slices that GradedPoly.from_slices then takes over."""
     terms, scale = _target_slice(out, k, den)

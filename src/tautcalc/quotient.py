@@ -12,7 +12,6 @@ witnesses differ from these by Koszul syzygies.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heappop, heappush
 from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple
@@ -30,7 +29,7 @@ class RingPresentation:
 
     Each relation is one division rule; a mixed-degree relation of the graded
     ring is passed as its homogeneous components.  Relation coefficients must
-    be rational.
+    be integers, and the working degree must not be negative.
     """
 
     __slots__ = ("gens", "relations", "top_degree")
@@ -43,12 +42,14 @@ class RingPresentation:
                 raise ValueError("zero relation")
             if r.gens != gens:
                 raise ValueError("relation over wrong generator set")
-            if r.symbol_degree():
-                raise ValueError("relation coefficients must be rational")
+            if any(k or den != 1 for k, (den, _) in r._slices.items()):
+                raise ValueError("relation coefficients must be integers")
             if not r.is_homogeneous():
                 raise ValueError("relation is not homogeneous; "
                                  "pass its degree components")
-        if rels and top_degree < max(gens.degrees):
+        if top_degree < 0:
+            raise ValueError("top degree must be non-negative")
+        if rels and top_degree < max(gens.degrees, default=0):
             raise ValueError("top degree below maximal generator degree")
         self.gens = gens
         self.relations = rels
@@ -94,22 +95,17 @@ class DimensionReport(NamedTuple):
     socle_dim: int
 
 
-def _exact(q: Fraction) -> int | Fraction:
-    """Integral values as int: with leading coefficients +-1, as in every
-    ring built here, the kept divisions hold ints only."""
-    return q.numerator if q.denominator == 1 else q
-
-
 def _order_key(mono: Monomial) -> Monomial:
     """Within one degree, the larger monomial has the smaller key."""
     return mono[::-1]
 
 
 class QuotientRing:
-    """Graded quotient reduced by division by its relations.
+    """Graded quotient reduced by division by its relations, whose leading
+    coefficients lc(s) must be +-1, so division stays in the integers.
 
-    A monomial m = t * lead(s) is rewritten to t * (lead(s) - s) / lc(s) by
-    the first relation s whose lead divides it.  The normal form and
+    A monomial m = t * lead(s) is rewritten to t * (lead(s) - lc(s) * s) by
+    the first relation s whose lead divides it.  The integer normal form and
     cofactors of each monomial are computed on first use and kept;
     ``division_steps`` counts the rewrites.
     """
@@ -119,15 +115,18 @@ class QuotientRing:
         self.gens = presentation.gens
         self.top_degree = presentation.top_degree
         self.track_witnesses = track_witnesses
-        # Per relation: lead support [(generator, exponent)], lead, 1/lc and
-        # the rewrite tail [(monomial, -c/lc)].
-        self._rules: list[tuple[list, Monomial, int | Fraction, list]] = []
-        for rel in presentation.relations:
-            terms = [(m, c.rational_part()) for m, c in rel.items()]
-            lead, lc = min(terms, key=lambda mc: _order_key(mc[0]))
+        # Per relation: lead support [(generator, exponent)], lead, lc (which
+        # is 1/lc) and the rewrite tail [(monomial, -c*lc)].
+        self._rules: list[tuple[list, Monomial, int, list]] = []
+        for ri, rel in enumerate(presentation.relations):
+            (_, terms), = rel._slices.values()
+            lead = min(terms, key=_order_key)
+            if (lc := terms[lead]) not in (1, -1):
+                raise ValueError(f"leading coefficient {lc} of relation {ri} "
+                                 "is not +-1")
             support = [(i, e) for i, e in enumerate(lead) if e]
-            tail = [(m, _exact(-c / lc)) for m, c in terms if m != lead]
-            self._rules.append((support, lead, _exact(1 / lc), tail))
+            tail = [(m, -c * lc) for m, c in terms.items() if m != lead]
+            self._rules.append((support, lead, lc, tail))
         for i, (_, lead_i, _, tail_i) in enumerate(self._rules):
             for j, (_, lead_j, _, tail_j) in enumerate(self._rules[:i]):
                 # The S-polynomial of two monomials is 0.
@@ -162,9 +161,9 @@ class QuotientRing:
         hit = self._reduced.get(mono)
         if hit is not None:
             return hit
-        coeffs: dict[Monomial, int | Fraction] = {mono: 1}
+        coeffs: dict[Monomial, int] = {mono: 1}
         heap = [(_order_key(mono), mono)]
-        nf: dict[Monomial, int | Fraction] = {}
+        nf: dict[Monomial, int] = {}
         cof: dict[int, dict] | None = {} if self.track_witnesses else None
         while heap:
             _, m = heappop(heap)
@@ -183,10 +182,10 @@ class QuotientRing:
                 _axpy(nf, c, {m: 1})
                 continue
             self.division_steps += 1
-            _, lead, inv_lc, tail = self._rules[ri]
+            _, lead, lc, tail = self._rules[ri]
             t = tuple(map(sub, m, lead))
             if cof is not None:
-                _axpy(cof.setdefault(ri, {}), c, {t: inv_lc})
+                _axpy(cof.setdefault(ri, {}), c, {t: lc})
             for tm, tc in tail:
                 n = tuple(map(add, t, tm))
                 old = coeffs.get(n)
@@ -250,8 +249,6 @@ class QuotientRing:
     def _reduce(self, poly: GradedPoly, with_cofactors: bool):
         if poly.gens != self.gens:
             raise ReductionError("polynomial over wrong generator set")
-        # Each slice of the results is over its input slice's denominator; a
-        # leading coefficient other than +-1 makes its numerators Fractions.
         reduced = self.monomial_reductions(
             m for _, terms in poly._slices.values() for m in terms)
         nf: Slices = {}
@@ -360,9 +357,8 @@ class QuotientRing:
                 "degrees": degrees}
 
 
-def _axpy(target: dict, factor: int | Fraction,
-          source: dict[Monomial, int | Fraction]):
-    """target += factor * source, over the rationals."""
+def _axpy(target: dict, factor: int, source: dict[Monomial, int]):
+    """target += factor * source, over the integers."""
     for m, v in source.items():
         new = target.get(m, 0) + factor * v
         if new:

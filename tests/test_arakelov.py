@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -619,6 +620,26 @@ def test_arith_class_value_semantics():
     # classes of two rings differ even with equal parts
     other = AbelianTautRing(3)
     assert other.lifted(1) != ring.lifted(1)
+
+
+def test_unsupported_operands_raise_type_error():
+    ring = AbelianTautRing(3)
+    x = ring.lifted(1) + ring.from_a(gen(ring, "u1"))
+    p = gen(ring, "u1")
+    unsupported = [(p, 1.5), (1.5, p), (p, None), (None, p), (p, "u1"),
+                   (x, p), (p, x), (x, None), (x, 1.5)]
+    for left, right in unsupported:
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(left, right)
+    # A class takes a scalar factor but no scalar summand.
+    for left, right in ((x, 1), (1, x)):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(left, right)
+    # Supported operands still act.
+    assert p + 1 == 1 + p and p * Fraction(1, 2) == Fraction(1, 2) * p
+    assert x * 2 == 2 * x == x + x
 
 
 def test_render_display_style():

@@ -199,6 +199,19 @@ def test_rejects_irrational_relations():
         RingPresentation(gens, [bad], 2)
 
 
+def test_presentation_rejects_negative_top_degree():
+    gens = GeneratorSet([("u1", 1), ("u2", 2)])
+    with pytest.raises(ValueError, match="top degree must be non-negative"):
+        RingPresentation(gens, [], -1)
+    # No generators: the degree check has no generator degree to compare.
+    empty = GeneratorSet([])
+    ring = QuotientRing(RingPresentation(
+        empty, [GradedPoly.constant(empty, 1)], 0))
+    assert ring.dimension_report().dims == [0]
+    assert QuotientRing(RingPresentation(empty, [], 0)).dimension_report() == (
+        [1], 1, 0, 1)
+
+
 def test_presentation_value_semantics():
     first, second = tautological_presentation(4), tautological_presentation(4)
     assert first is not second
@@ -263,7 +276,7 @@ def test_standard_monomials_are_squarefree():
 def test_constant_relation_leaves_no_standard_monomials():
     gens = GeneratorSet([("u1", 1), ("u2", 2), ("u3", 3)])
     ring = QuotientRing(RingPresentation(
-        gens, [u(gens, "u1") * u(gens, "u2"), GradedPoly.constant(gens, 3)], 6))
+        gens, [u(gens, "u1") * u(gens, "u2"), GradedPoly.constant(gens, -1)], 6))
     for k in range(7):
         assert ring.monomial_basis(k) == []
 

@@ -14,7 +14,8 @@ from tautcalc.scalars import Scalar, ZERO, _merge_monomials, symbol_sort_key
 from tautcalc.graded import (GeneratorSet, GradedPoly, monomials_of_degree,
                              sum_of_products)
 from tautcalc.quotient import QuotientRing, RingPresentation
-from tautcalc.arakelov import AbelianTautRing, ArithClass, LagrangianArithRing
+from tautcalc.arakelov import (AbelianTautRing, ArithClass, LagrangianArithRing,
+                               c1_critical_power, height_polynomial)
 
 L, Z1, Z3 = Scalar.symbol("L"), Scalar.symbol("Z1"), Scalar.symbol("Z3")
 H1, H3 = Scalar.symbol("h1"), Scalar.symbol("h3")
@@ -59,7 +60,7 @@ def assert_same(x, y):
 
 def reference_reduce(ring, poly):
     """Normal form and cofactors {relation index: poly}, accumulated in Scalars
-    from the ring's per-monomial rational divisions."""
+    from the ring's per-monomial integer divisions."""
     nf, cof = {}, {}
     for mono, coeff in poly.items():
         mono_nf, mono_cof = ring._reduce_monomial(mono)
@@ -169,25 +170,30 @@ def test_mixed_denominators_in_one_slice():
     assert ref_a.coefficient((2, 0, 0)).coefficient((("L", 1), ("Z1", 1)))
 
 
-def test_reduce_with_non_unit_leads_matches_scalar_loop():
-    # Leads 2*u1^2 and 3*u2^2: the kept divisions hold Fractions, so the
-    # slice numerators are Fractions as well and must stay exact.
+def test_relations_must_be_integral_with_unit_leads():
+    # Division stays in the integers: a relation with a non-integer
+    # coefficient, or with a leading coefficient other than +-1, is rejected.
     gens = GeneratorSet([("u1", 1), ("u2", 2), ("u3", 3)])
     u1, u2, u3 = (GradedPoly.generator(gens, n) for n in gens.names)
-    ring = QuotientRing(RingPresentation(
-        gens, [u1 * u1 * 2 - u2, u2 * u2 * 3 - u1 * u3], 8))
+    with pytest.raises(ValueError, match=r"leading coefficient 2 of relation 0"):
+        QuotientRing(RingPresentation(gens, [u1 * u1 * 2 - u2], 8))
+    with pytest.raises(ValueError, match=r"leading coefficient -3 of relation 1"):
+        QuotientRing(RingPresentation(gens, [u1 * u1 - u2, u1 * u3 - u2 * u2 * 3], 8))
+    for coeff in (Fraction(1, 2), L):
+        with pytest.raises(ValueError, match="must be integers"):
+            RingPresentation(gens, [u1 * u1 - u2 * coeff], 8)
+    # A lead of -1 divides in the integers as well.
+    ring = QuotientRing(RingPresentation(gens, [u2 - u1 * u1, u3 * u3], 8))
     rng = random.Random(11)
     for _ in range(20):
         poly = random_poly(rng, gens, 8, 6)
         nf, cof = ring.reduce_with_cofactors(poly)
         assert (nf, cof) == reference_reduce(ring, poly)
-        assert ring.normal_form(poly) == nf
         expanded = nf
         for ri, c in cof.items():
             expanded = expanded + c * ring.presentation.relations[ri]
         assert expanded == poly
-    assert any(type(v) is Fraction
-               for nf, _ in ring._reduced.values() for v in nf.values())
+    assert ring.normal_form(u1 * u1 * u3) == u2 * u3
 
 
 def test_reductions_match_scalar_loop():
@@ -245,9 +251,9 @@ def reference_reduce_class(x):
 
 
 def image_values(ring):
-    """The step-image memo with each form part as a dict: the order of its
-    terms may follow the order of the queries, its values may not."""
-    return [{t: [dict(part) for part in image] for t, image in memo.items()}
+    """The step-image memo with each image as a dict: the order of its terms
+    may follow the order of the queries, its values may not."""
+    return [{t: dict(image) for t, image in memo.items()}
             for memo in ring._step_images]
 
 
@@ -284,6 +290,30 @@ def test_reduce_through_step_images_matches_product_route():
                     for x in reversed(queries)] == [
                         ArithClass(other, y.z, y.a, y.g) for y in reversed(expected)]
             assert image_values(other) == image_values(ring)
+
+
+def test_kept_reductions_and_step_images_are_integers():
+    # Every relation has integer coefficients and a leading coefficient of
+    # +-1, so every kept normal form, cofactor and step image holds ints.
+    def values(ring):
+        for q in (ring.aq, ring.zq):
+            for nf, cof in q._reduced.values():
+                yield from nf.values()
+                for terms in (cof or {}).values():
+                    yield from terms.values()
+        for memo in ring._step_images:
+            for image in memo.values():
+                yield from (v for _, v in image)
+
+    for d in range(1, 10):
+        rings = [AbelianTautRing(d)]
+        c1_critical_power(d, rings[0])
+        if d >= 2:
+            rings.append(LagrangianArithRing(d))
+            height_polynomial(d, rings[1])
+        for ring in rings:
+            seen = list(values(ring))
+            assert seen and all(type(v) is int for v in seen), (d, ring)
 
 
 def test_division_steps_one_pass_over_slices():
