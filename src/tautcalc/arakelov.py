@@ -28,7 +28,7 @@ from math import factorial
 from operator import add
 from typing import Callable, Mapping, NamedTuple
 
-from .scalars import Scalar, _merge_monomials, bracket, harmonic_symbol
+from .scalars import _EXACT, Scalar, _merge_monomials, bracket, harmonic_symbol
 from .graded import (GeneratorSet, GradedPoly, Monomial, _add_slice,
                      sum_of_products)
 from .quotient import QuotientRing, ReductionError, RingPresentation
@@ -317,17 +317,26 @@ class ArithRing:
         zero = GradedPoly.zero(self.agens)
         return ArithClass(self, poly, zero, zero)
 
-    def from_a(self, poly: GradedPoly) -> ArithClass:
+    def from_a(self, poly: GradedPoly | int | Fraction | Scalar) -> ArithClass:
         zero_z = GradedPoly.zero(self.zgens)
-        return ArithClass(self, zero_z, poly, GradedPoly.zero(self.agens))
+        return ArithClass(self, zero_z, self._form(poly), GradedPoly.zero(self.agens))
 
-    def from_gamma(self, poly: GradedPoly | int = 1) -> ArithClass:
+    def from_gamma(self, poly: GradedPoly | int | Fraction | Scalar = 1
+                   ) -> ArithClass:
         if self.gamma_degree is None:
             raise ValueError("this ring has no gamma class")
-        if isinstance(poly, int):
-            poly = GradedPoly.constant(self.agens, poly)
         zero_z = GradedPoly.zero(self.zgens)
-        return ArithClass(self, zero_z, GradedPoly.zero(self.agens), poly)
+        return ArithClass(self, zero_z, GradedPoly.zero(self.agens), self._form(poly))
+
+    def _form(self, poly) -> GradedPoly:
+        """poly as a form polynomial: an int, Fraction or Scalar is a
+        constant form; anything but these and a GradedPoly is a TypeError."""
+        if isinstance(poly, _EXACT):
+            return GradedPoly.constant(self.agens, poly)
+        if not isinstance(poly, GradedPoly):
+            raise TypeError("a form part must be a GradedPoly, int, Fraction "
+                            f"or Scalar, not {type(poly).__name__}")
+        return poly
 
     # -- structure -----------------------------------------------------------
 

@@ -88,34 +88,53 @@ def monomial_sort_key(gens: GeneratorSet, mono: Monomial):
 def monomials_of_degree(gens: GeneratorSet, degree: int,
                         leads: Iterable[Monomial] = ()) -> list[Monomial]:
     """The monomials of the given degree that no monomial in leads divides
-    (the staircase of the lead ideal), in monomial_sort_key order."""
+    (the staircase of the lead ideal), in monomial_sort_key order.
+
+    A pure-power lead x_i^a caps x_i's exponent below a before the
+    enumeration runs.  Each generator's exponent is then kept high enough
+    that the later generators, under their caps, can still reach the
+    remaining degree, so no branch is entered that cannot end in a
+    monomial.  A lead with two or more generators is tested once its last
+    nonzero exponent is placed."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    # Each lead is tested once its last nonzero exponent is placed.
-    tests: list[list[list[tuple[int, int]]]] = [[] for _ in gens.degrees]
+    degrees = gens.degrees
+    caps = [degree // d for d in degrees]
+    tests: list[list[list[tuple[int, int]]]] = [[] for _ in degrees]
     for lead in leads:
         support = [(i, e) for i, e in enumerate(lead) if e]
         if not support:
             return []
-        tests[support[-1][0]].append(support)
+        if len(support) == 1:
+            i, e = support[0]
+            caps[i] = min(caps[i], e - 1)
+        else:
+            tests[support[-1][0]].append(support)
+    # reach[pos]: the highest degree that generators pos.. reach under their caps.
+    reach = [0] * (len(degrees) + 1)
+    for pos in range(len(degrees) - 1, -1, -1):
+        reach[pos] = reach[pos + 1] + caps[pos] * degrees[pos]
     out: list[Monomial] = []
     acc: list[int] = []
 
     def rec(pos: int, remaining: int):
-        if pos == len(gens.degrees):
-            if remaining == 0:
-                out.append(tuple(acc))
+        if pos == len(degrees):
+            out.append(tuple(acc))
             return
-        d, checks = gens.degrees[pos], tests[pos]
-        # Exponents from high to low list the monomials in order.
-        for e in range(remaining // d, -1, -1):
+        d, checks = degrees[pos], tests[pos]
+        # Exponents from high to low list the monomials in order; the lowest
+        # leaves the later generators no more than they reach, so the last
+        # generator's exponent brings the remaining degree to exactly 0.
+        low = max(0, -((reach[pos + 1] - remaining) // d))
+        for e in range(min(remaining // d, caps[pos]), low - 1, -1):
             acc.append(e)
             if not (checks and any(all(acc[i] >= f for i, f in s)
                                    for s in checks)):
                 rec(pos + 1, remaining - e * d)
             acc.pop()
 
-    rec(0, degree)
+    if degree <= reach[0]:
+        rec(0, degree)
     return out
 
 
@@ -199,8 +218,14 @@ class GradedPoly:
         return len(set(map(self.gens.degree_of, self.monomials()))) <= 1
 
     def degree_components(self) -> dict[int, "GradedPoly"]:
-        degrees = sorted(set(map(self.gens.degree_of, self.monomials())))
-        return {k: self.graded_component(k) for k in degrees}
+        """The homogeneous components by increasing degree, split in one
+        pass over the terms."""
+        degree_of = self.gens.degree_of
+        split: dict[int, Slices] = {}
+        for k, (den, terms) in self._slices.items():
+            for m, n in terms.items():
+                split.setdefault(degree_of(m), {}).setdefault(k, (den, {}))[1][m] = n
+        return {j: GradedPoly.from_slices(self.gens, split[j]) for j in sorted(split)}
 
     def graded_component(self, degree: int) -> "GradedPoly":
         """The monomials of the given degree; self if that is all."""

@@ -15,7 +15,7 @@ from math import factorial
 from typing import Mapping, NamedTuple
 
 from .scalars import ONE, ZERO, Scalar, bernoulli, bracket
-from .graded import GeneratorSet, GradedPoly
+from .graded import GeneratorSet, GradedPoly, sum_of_products
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 from .arakelov import AbelianTautRing, _ring_for
 
@@ -180,20 +180,23 @@ def additive_class(series: Series, classes: ClassVector,
 def multiplicative_class(series: Series, classes: ClassVector,
                          max_degree: int) -> GradedPoly:
     """exp(additive class of log Q) for a series Q with Q(0) = 1; equals the
-    product of Q over the Chern roots."""
+    product of Q over the Chern roots.
+
+    exp runs by its degree recursion, as series_exp does: with F_j the
+    degree-j component of the additive class, the degree-k component of the
+    result is E_k = (1/k) sum_{j=1..k} j F_j E_{k-j}, one sum of products
+    per degree up to max_degree."""
     if series[0] != ONE:
         raise ValueError("multiplicative class needs constant term 1")
+    gens = classes.gens
     exponent = additive_class(series_log(series), classes, max_degree)
-    result = GradedPoly.constant(classes.gens, 1)
-    term = GradedPoly.constant(classes.gens, 1)
-    n = 1
-    while True:
-        term = term.mul_truncated(exponent, max_degree) * Fraction(1, n)
-        if term.is_zero():
-            break
-        result = result + term
-        n += 1
-    return result
+    weighted = {j: f * j for j, f in exponent.degree_components().items()}
+    parts = [GradedPoly.constant(gens, 1)]
+    for k in range(1, max_degree + 1):
+        e_k = sum_of_products(gens, [(f, parts[k - j]) for j, f in weighted.items()
+                                     if j <= k], None)
+        parts.append(e_k * Fraction(1, k))
+    return sum(parts[1:], parts[0])
 
 
 def cauchy_single_class(series: Series) -> Series:

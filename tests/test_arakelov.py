@@ -642,6 +642,21 @@ def test_unsupported_operands_raise_type_error():
     assert x * 2 == 2 * x == x + x
 
 
+def test_form_constructors_take_constants():
+    ring = AbelianTautRing(2)
+    one = GradedPoly.constant(ring.agens, 1)
+    L = Scalar.symbol("L")
+    for value in (3, Fraction(1, 2), Scalar.coerce(Fraction(-2, 3)), L):
+        assert ring.from_gamma(value) == ring.from_gamma(one * value)
+        assert ring.from_a(value) == ring.from_a(one * value)
+    assert ring.from_gamma() == ring.from_gamma(one)
+    for bad in (2.0, None, "u1"):
+        with pytest.raises(TypeError):
+            ring.from_gamma(bad)
+        with pytest.raises(TypeError):
+            ring.from_a(bad)
+
+
 def test_render_display_style():
     ring = AbelianTautRing(2)
     reduced = ring.reduce(ring.lifted(1) * ring.lifted(1))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -10,7 +11,8 @@ from tautcalc.arakelov import tautological_ring
 from tautcalc.charclasses import (ClassVector, c_from_ch, ch_from_c,
                                   pontrjagin_direct, pontrjagin_from_c)
 from tautcalc.series import (additive_class, cauchy_single_class,
-                             multiplicative_class, sech_squared_half, series,
+                             compose_even, multiplicative_class,
+                             sech_squared_half, series, series_log,
                              series_mul, single_class_slots)
 
 
@@ -137,6 +139,39 @@ def test_multiplicative_is_multiplicative():
     rhs = multiplicative_class(q1, C, 6).mul_truncated(
         multiplicative_class(q2, C, 6), 6)
     assert lhs == rhs
+
+
+def multiplicative_by_powers(q, classes, max_degree):
+    """exp of the additive class of log q as sum_n E^n / n!, one truncated
+    product per power: the route the degree recursion replaced."""
+    exponent = additive_class(series_log(q), classes, max_degree)
+    result = term = GradedPoly.constant(classes.gens, 1)
+    for n in itertools.count(1):
+        term = term.mul_truncated(exponent, max_degree) * Fraction(1, n)
+        if term.is_zero():
+            return result
+        result = result + term
+
+
+def test_multiplicative_recursion_matches_power_sum_oracle():
+    rng = random.Random(25)
+    for rank in range(1, 5):
+        gens, C = standard(rank)
+        for _ in range(3):
+            order = rng.randrange(3, 8)
+            q = series(order, {0: 1, **{k: Fraction(rng.randrange(-9, 10),
+                                                    rng.randrange(1, 7))
+                                        for k in range(1, order + 1)}})
+            max_degree = rng.randrange(1, order + 1)
+            assert (multiplicative_class(q, C, max_degree)
+                    == multiplicative_by_powers(q, C, max_degree)), (rank, q)
+    # The sech^2(z/2) class on the twelve Pontrjagin slots, as the cauchy
+    # check builds it.
+    gens = GeneratorSet([(f"p{k}", k) for k in range(1, 13)])
+    slots = ClassVector.standard(gens, gens.names)
+    s_pos = [c * (-1) ** k for k, c in enumerate(compose_even(sech_squared_half(26)))]
+    assert (multiplicative_class(s_pos, slots, 12)
+            == multiplicative_by_powers(s_pos, slots, 12))
 
 
 def test_multiplicative_needs_unit():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -123,6 +124,49 @@ def test_monomials_pruned_by_leads_match_filter():
             kept = [m for m in monomials_of_degree(g, k)
                     if not any(divides(lead, m) for lead in leads)]
             assert monomials_of_degree(g, k, leads) == kept, (g, leads, k)
+
+
+def brute_force_staircase(g, k, leads):
+    """Every exponent vector of degree k that no lead divides, sorted."""
+    ranges = [range(k // d + 1) for d in g.degrees]
+    found = [m for m in itertools.product(*ranges)
+             if g.degree_of(m) == k and not any(divides(lead, m) for lead in leads)]
+    return sorted(found, key=lambda m: monomial_sort_key(g, m))
+
+
+def test_monomials_of_degree_brute_force_oracle():
+    rng = random.Random(25)
+    for trial in range(80):
+        n = rng.randrange(1, 5)
+        # Repeated generator degrees half the time.
+        degrees = [rng.randrange(1, 3 if trial % 2 else 4) for _ in range(n)]
+        g = GeneratorSet([(f"v{j}", d) for j, d in enumerate(degrees)])
+        leads = []
+        for _ in range(rng.randrange(0, 5)):
+            shape = rng.choice(("power", "power", "mixed"))
+            lead = [0] * n
+            if shape == "power" or n == 1:
+                lead[rng.randrange(n)] = rng.randrange(1, 4)
+            else:
+                for i in rng.sample(range(n), rng.randrange(2, n + 1)):
+                    lead[i] = rng.randrange(1, 3)
+            leads.append(tuple(lead))
+        if trial % 4 == 0:
+            # Two pure powers of one generator: the smaller one caps it.
+            i = rng.randrange(n)
+            leads += [tuple(3 if j == i else 0 for j in range(n)),
+                      tuple(2 if j == i else 0 for j in range(n))]
+        for k in range(13):
+            assert (monomials_of_degree(g, k, leads)
+                    == brute_force_staircase(g, k, leads)), (g, leads, k)
+    g = GeneratorSet([("a", 1), ("b", 1), ("c", 2)])
+    for k in range(8):
+        assert monomials_of_degree(g, k) == brute_force_staircase(g, k, [])
+        # A unit lead divides every monomial.
+        assert monomials_of_degree(g, k, [(1, 0, 0), (0, 0, 0)]) == []
+    # Caps below the degree leave nothing to list.
+    assert monomials_of_degree(g, 5, [(2, 0, 0), (0, 2, 0), (0, 0, 1)]) == []
+    assert monomials_of_degree(g, 2, [(2, 0, 0), (0, 2, 0), (0, 0, 1)]) == [(1, 1, 0)]
 
 
 def test_monomial_count_generating_function():

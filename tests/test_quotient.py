@@ -127,8 +127,8 @@ def test_dimension_reports():
     assert r2.socle_degree == 1 and r2.socle_dim == 1
 
 
-def test_dimensions_match_expected_through_7():
-    for d in range(2, 8):
+def test_dimensions_match_expected_through_11():
+    for d in range(2, 12):
         rep = tautological_ring(d).dimension_report()
         assert rep.total == 2 ** (d - 1)
         assert rep.socle_degree == d * (d - 1) // 2
