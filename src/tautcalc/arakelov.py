@@ -366,11 +366,20 @@ class ArithRing:
         """Normal forms of the form part a and the gamma coefficient g plus
         what the cofactors push into them, each truncated to its working
         degree.  A cofactor term c*C^t of relation r pushes c * beta times
-        the step image of (r, t) into r's side.  Each side is summed in one
-        slice accumulator."""
-        self._add_step_images(cofactors)
+        the step image of (r, t) into r's side.  The cofactor terms are
+        scanned once: only a missing step image sends them to
+        _add_step_images and through the scan again.  Each side is summed in
+        one slice accumulator; a zero part is skipped, and the normal forms
+        of a nonzero one start its side's slices."""
+        try:
+            pushed = self._pushed_images(cofactors)
+        except KeyError:
+            self._add_step_images(cofactors)
+            pushed = self._pushed_images(cofactors)
         sides: tuple[dict, dict] = ({}, {})
         for out, poly, cap in zip(sides, (a, g), self.form_caps):
+            if not poly:
+                continue
             slices = poly.truncate(cap)._slices
             reduced = self.aq.monomial_reductions(
                 m for _, terms in slices.values() for m in terms)
@@ -379,8 +388,19 @@ class ArithRing:
                 for mono, n in terms.items():
                     for m, v in reduced[mono][0].items():
                         acc[m] = acc.get(m, 0) + n * v
-                _add_slice(out, k, 1, den, acc)
+                out[k] = den, acc
+        for side, k1, d1, acc, scalar in pushed:
+            for k2, num, den in scalar:
+                _add_slice(sides[side], _merge_monomials(k1, k2),
+                           num, d1 * den, acc)
+        return tuple(GradedPoly.from_slices(self.agens, out) for out in sides)
+
+    def _pushed_images(self, cofactors: Mapping[int, GradedPoly]) -> list:
+        """Per cofactor slice k1 * terms / d1 of relation r: (r's side, k1,
+        d1, the sum of n times the step image of (r, t) over terms, r's
+        beta terms).  KeyError if the memo lacks a step image."""
         images = self._step_images
+        out = []
         for ri, cof in cofactors.items():
             relation_images = images[ri]
             side, _, _, scalar = self._form_parts[ri]
@@ -389,10 +409,8 @@ class ArithRing:
                 for t, n in terms.items():
                     for m, v in relation_images[t]:
                         acc[m] = acc.get(m, 0) + n * v
-                for k2, num, den in scalar:
-                    _add_slice(sides[side], _merge_monomials(k1, k2),
-                               num, d1 * den, acc)
-        return tuple(GradedPoly.from_slices(self.agens, out) for out in sides)
+                out.append((side, k1, d1, acc, scalar))
+        return out
 
     def _add_step_images(self, cofactors: Mapping[int, GradedPoly]):
         """Keep the step images that the cofactor terms need and the memo

@@ -127,7 +127,9 @@ def cmd_ring_info(args: argparse.Namespace) -> Report:
     report.add("socle dimension", str(rep.socle_dim), str(rep.socle_dim),
                rep.socle_dim)
     if args.audit:
-        report.add("audit", "(json only)", "(json only)", ring.audit_dump())
+        # Only the JSON report carries the dump; text and latex say so.
+        dump = ring.audit_dump() if args.format == "json" else None
+        report.add("audit", "(json only)", "(json only)", dump)
     return report
 
 

@@ -7,7 +7,7 @@ tuples ordered graded-lexicographically in the declared generator order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, lcm
 from operator import add, mul
 from typing import Callable, Iterable, Mapping
 
@@ -182,13 +182,23 @@ class GradedPoly:
     @classmethod
     def from_slices(cls, gens: GeneratorSet, slices: Mapping) -> "GradedPoly":
         """sum_k k * terms / den over slices {k: (den, terms)}, brought to
-        lowest terms; numerators are ints and may be 0.  A terms dict that is
-        already in lowest terms is stored as it is, so the caller hands it
-        over and must never change it afterwards."""
+        lowest terms in one pass; numerators are ints and may be 0, and den
+        must be positive.  A terms dict that is already in lowest terms is
+        stored as it is, so the caller hands it over and must never change
+        it afterwards.  A slice over 1 is in lowest terms once its zeros are
+        gone, so it takes no gcd."""
         out = cls.__new__(cls)
         out.gens = gens
-        out._slices = {k: s for k, (den, terms) in slices.items()
-                       if (s := _lowest(den, terms))}
+        out._slices = kept = {}
+        for k, (den, terms) in slices.items():
+            if not all(terms.values()):
+                terms = {m: n for m, n in terms.items() if n}
+            if not terms:
+                continue
+            if den != 1 and (g := gcd(den, *terms.values())) != 1:
+                den //= g
+                terms = {m: n // g for m, n in terms.items()}
+            kept[k] = den, terms
         return out
 
     # -- inspection ----------------------------------------------------------
@@ -212,7 +222,15 @@ class GradedPoly:
         return set().union(*(terms for _, terms in self._slices.values()))
 
     def max_degree(self) -> int:
-        return max(map(self.gens.degree_of, self.monomials()), default=0)
+        """The largest degree of a monomial, 0 for the zero polynomial; read
+        off the slices in one loop, with no set of their monomials."""
+        degree_of = self.gens.degree_of
+        top = 0
+        for _, terms in self._slices.values():
+            for m in terms:
+                if (degree := degree_of(m)) > top:
+                    top = degree
+        return top
 
     def is_homogeneous(self) -> bool:
         return len(set(map(self.gens.degree_of, self.monomials()))) <= 1
@@ -400,46 +418,46 @@ def _scalar_terms(value) -> Iterable[tuple[ConstMonomial, int | Fraction]]:
     return [((), value)] if value else []
 
 
-def _lowest(den: int, terms: Mapping[Monomial, int]):
-    """The slice (den, terms) in lowest terms, or None if every numerator
-    is 0.  terms itself is kept when it needs no change."""
-    if not all(terms.values()):
-        terms = {m: n for m, n in terms.items() if n}
-    if not terms:
-        return None
-    g = gcd(den, *terms.values())
-    if g != 1:
-        den //= g
-        terms = {m: n // g for m, n in terms.items()}
-    return den, terms
-
-
 def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, GradedPoly]],
                     max_degree: int | None, start: GradedPoly | None = None) -> GradedPoly:
     """start + the sum of p * q over the pairs, with monomials above
-    max_degree dropped during expansion (None drops none).  One integer
-    product per pair of slices: the constant monomials are merged and the
-    denominators multiplied once per pair."""
+    max_degree dropped during expansion (None drops none, and then no
+    degree is looked up).  One integer product per pair of slices: the
+    constant monomials are merged and the denominators multiplied once per
+    pair."""
     degree_of = gens.degree_of
-    cap = inf if max_degree is None else max_degree
     if start is not None and start.gens != gens:
         raise ValueError("generator-set mismatch")
     out = _copy_slices(start)
     for p, q in pairs:
         if not p.gens == q.gens == gens:
             raise ValueError("generator-set mismatch")
-        right = [(k2, d2, [(m2, n2, degree_of(m2)) for m2, n2 in terms.items()])
-                 for k2, (d2, terms) in q._slices.items()]
+        if max_degree is None:
+            right = [(k2, d2, terms.items()) for k2, (d2, terms) in q._slices.items()]
+        else:
+            right = [(k2, d2, [(m2, n2, degree_of(m2)) for m2, n2 in terms.items()])
+                     for k2, (d2, terms) in q._slices.items()]
         for k1, (d1, left_terms) in p._slices.items():
-            left = [(m1, n1, cap - degree_of(m1)) for m1, n1 in left_terms.items()]
+            if max_degree is None:
+                left = left_terms.items()
+            else:
+                left = [(m1, n1, max_degree - degree_of(m1))
+                        for m1, n1 in left_terms.items()]
             for k2, d2, right_terms in right:
                 terms, scale = _target_slice(out, _merge_monomials(k1, k2), d1 * d2)
-                for m1, n1, room in left:
-                    n1 *= scale
-                    for m2, n2, deg2 in right_terms:
-                        if deg2 <= room:
+                if max_degree is None:
+                    for m1, n1 in left:
+                        n1 *= scale
+                        for m2, n2 in right_terms:
                             m = tuple(map(add, m1, m2))
                             terms[m] = terms.get(m, 0) + n1 * n2
+                else:
+                    for m1, n1, room in left:
+                        n1 *= scale
+                        for m2, n2, deg2 in right_terms:
+                            if deg2 <= room:
+                                m = tuple(map(add, m1, m2))
+                                terms[m] = terms.get(m, 0) + n1 * n2
     return GradedPoly.from_slices(gens, out)
 
 
@@ -457,7 +475,12 @@ def sum_of_slices(gens: GeneratorSet,
 def _add_slice(out: dict, k: ConstMonomial, num: int, den: int,
               source: Mapping[Monomial, int]):
     """out's slice k += num * source / den, in place; out is an accumulator
-    of slices that GradedPoly.from_slices then takes over."""
+    of slices that GradedPoly.from_slices then takes over.  The first
+    contribution to a slice becomes the slice: a fresh dict of num * source,
+    never source itself."""
+    if k not in out:
+        out[k] = den, {m: n * num for m, n in source.items()}
+        return
     terms, scale = _target_slice(out, k, den)
     scale *= num
     for m, n in source.items():

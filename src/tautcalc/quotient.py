@@ -253,16 +253,25 @@ class QuotientRing:
             m for _, terms in poly._slices.values() for m in terms)
         nf: Slices = {}
         cof: dict[int, Slices] = {}
+        # A slice's first contribution becomes the slice: a fresh scaled
+        # dict, never the kept result itself.
         for k, (den, terms) in poly._slices.items():
-            target = {}
-            nf[k] = (den, target)
+            target = None
             for mono, n in terms.items():
                 mono_nf, mono_cof = reduced[mono]
-                _axpy(target, n, mono_nf)
+                if target is None:
+                    target = {m: n * v for m, v in mono_nf.items()}
+                else:
+                    _axpy(target, n, mono_nf)
                 if with_cofactors:
                     for ri, source in mono_cof.items():
-                        cof_k = cof.setdefault(ri, {}).setdefault(k, (den, {}))
-                        _axpy(cof_k[1], n, source)
+                        cof_ri = cof.setdefault(ri, {})
+                        hit = cof_ri.get(k)
+                        if hit is None:
+                            cof_ri[k] = den, {t: n * c for t, c in source.items()}
+                        else:
+                            _axpy(hit[1], n, source)
+            nf[k] = den, target
         cofactors = {ri: p for ri, cof_slices in sorted(cof.items())
                      if (p := GradedPoly.from_slices(self.gens, cof_slices))}
         return GradedPoly.from_slices(self.gens, nf), cofactors
@@ -365,4 +374,3 @@ def _axpy(target: dict, factor: int, source: dict[Monomial, int]):
             target[m] = new
         else:
             target.pop(m, None)
-

@@ -9,6 +9,7 @@ from tautcalc.cli import main
 from tautcalc.graded import GradedPoly
 from tautcalc.arakelov import AbelianTautRing, c1_critical_power
 from tautcalc.propmap import proportionality_map_check, verify_map_certificate
+from tautcalc.quotient import QuotientRing
 from tautcalc.verify import run_checks
 
 
@@ -85,6 +86,19 @@ def test_ring_info_and_audit(capsys):
     assert main(["--format", "json", "ring-info", "--d", "3", "--audit"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"]["audit"]["degrees"][2]["basis"] == ["u2"]
+
+
+def test_ring_info_audit_builds_the_dump_for_json_only(capsys, monkeypatch):
+    # Text and latex print only "(json only)" for the audit, so they must
+    # not build the dump, which costs seconds from d = 8 on.
+    def refuse(ring):
+        raise AssertionError("audit_dump built for a report without it")
+
+    monkeypatch.setattr(QuotientRing, "audit_dump", refuse)
+    assert main(["ring-info", "--d", "4", "--audit"]) == 0
+    assert "audit: (json only)" in capsys.readouterr().out
+    assert main(["--format", "latex", "ring-info", "--d", "4", "--audit"]) == 0
+    assert "% audit\n\\[ (json only) \\]" in capsys.readouterr().out
 
 
 def test_height_poly_command(capsys):

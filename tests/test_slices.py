@@ -6,7 +6,7 @@ as the reference."""
 
 import random
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 import pytest
 
@@ -516,3 +516,77 @@ def test_scalar_on_the_left_matches_the_right():
     for bad in (lambda: L / p, lambda: L + "1", lambda: L * 1.5, lambda: L - None):
         with pytest.raises(TypeError):
             bad()
+
+
+def kept_values(ring):
+    """Deep copies of the kept normal forms and cofactors of both quotients
+    and of the step images."""
+    def kept(q):
+        return {m: (dict(nf), cof and {ri: dict(t) for ri, t in cof.items()})
+                for m, (nf, cof) in q._reduced.items()}
+    return kept(ring.zq), kept(ring.aq), [dict(memo) for memo in ring._step_images]
+
+
+def test_warm_queries_leave_kept_values_unchanged():
+    # A slice's first contribution is a fresh scaled dict.  Were it a kept
+    # normal form, cofactor or step image itself, the next contribution to
+    # that slice would change the kept value in place.
+    rng = random.Random(2626)
+    for d in range(4, 7):
+        for ring in (AbelianTautRing(d), LagrangianArithRing(d)):
+            classes = [random_class(rng, ring) for _ in range(3)]
+            reduced = [ring.reduce(x) for x in classes]
+            pairs = [(x, y) for x in reduced for y in reduced]
+            expected = [ring.reduce(x * y) for x, y in pairs]
+            before = kept_values(ring)
+            for _ in range(2):
+                assert [ring.reduce(x) for x in classes] == reduced
+                assert [ring.reduce(x * y) for x, y in pairs] == expected
+                for x, y in pairs:
+                    sum_of_products(ring.agens, [(ring.omega(x.z), y.a),
+                                                 (x.a, y.a)], None, x.a)
+            assert kept_values(ring) == before
+
+
+def assert_lowest_terms(poly):
+    for den, terms in poly._slices.values():
+        assert terms and all(type(n) is int and n for n in terms.values())
+        assert type(den) is int and den > 0
+        assert gcd(den, *terms.values()) == 1
+
+
+def test_stored_slices_are_in_lowest_terms():
+    rng = random.Random(2627)
+    gens = GeneratorSet([(f"u{j}", j) for j in range(1, 5)])
+    # Over 1 a slice is kept as it is; over 6 it is divided by its gcd.
+    terms = {(2, 0, 0, 0): 4, (0, 1, 0, 0): 6}
+    assert GradedPoly.from_slices(gens, {(): (1, terms)})._slices[()][1] is terms
+    assert GradedPoly.from_slices(gens, {(): (6, {**terms, (1, 0, 0, 0): 0})}
+                                  )._slices == {(): (3, {(2, 0, 0, 0): 2,
+                                                         (0, 1, 0, 0): 3})}
+    assert GradedPoly.from_slices(gens, {(): (5, {(1, 0, 0, 0): 0})}).is_zero()
+    integral = [GradedPoly(gens, {m: rng.randrange(-6, 7) for m in
+                                  monomials_of_degree(gens, rng.randrange(6))})
+                for _ in range(10)]
+    polys = integral + [random_poly(rng, gens, 5, 5) for _ in range(20)]
+    for p, q in zip(polys, polys[1:] + polys[:1]):
+        for s in (2, -6, Fraction(3, 4), L * 2, random_scalar(rng)):
+            for result in (p + q, p - q, p - p, p * q, p.mul_truncated(q, 5),
+                           p * s, (p * s - q * s) * Fraction(1, 3),
+                           sum_of_products(gens, [(p, q), (q, p)], 6, p * s)):
+                assert_lowest_terms(result)
+    for ring in (AbelianTautRing(4), LagrangianArithRing(5)):
+        relations = ring.zq.presentation.relations
+        for _ in range(10):
+            x = random_class(rng, ring)
+            # A symbolic multiple of a relation: its normal form cancels.
+            multiple = rng.choice(relations) * (L - Z1 * Fraction(2, 3))
+            z = x.z.truncate(ring.cap)
+            for z in (z, z * 6, z + multiple, multiple):
+                nf, cof = ring.zq.reduce_with_cofactors(z)
+                for result in (nf, *cof.values(),
+                               ring.aq.normal_form(x.a.truncate(ring.cap - 1))):
+                    assert_lowest_terms(result)
+            y = ring.reduce(x)
+            for result in (y.z, y.a, y.g, (y * y).a, (y * 3).g):
+                assert_lowest_terms(result)
