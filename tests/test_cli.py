@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from tautcalc import cli
 from tautcalc.cli import main
 from tautcalc.graded import GradedPoly
-from tautcalc.arakelov import AbelianTautRing, c1_critical_power
+from tautcalc.arakelov import AbelianTautRing, c1_critical_power, lagrangian_degree
 from tautcalc.propmap import proportionality_map_check, verify_map_certificate
 from tautcalc.quotient import QuotientRing
 from tautcalc.verify import run_checks
@@ -168,6 +169,36 @@ def test_critical_reports_match_recorded(capsys):
                 assert main([command, "--d", str(d), *flags]) == 0
                 out.append(capsys.readouterr().out)
     assert "".join(out) == recorded.read_text()
+
+
+def test_frontier_reports_match_recorded(capsys, monkeypatch):
+    # The recorded text reports of c1-power and height-poly for d = 8..13
+    # were kept only where two independent routes agree: height-poly's
+    # substitution equals c1-power's r_d, and both socle coordinates equal
+    # lagrangian_degree(d).  Here d = 8..11 run in one process and both
+    # routes are checked on the results behind each report; CI's installed
+    # console script compares d = 12 and 13 in fresh processes.
+    recorded = (Path(__file__).parent / "data" / "critical_d8_d13.txt").read_text()
+    for d in range(8, 14):
+        report = recorded.split(f"# c1-power d={d} ")[1]
+        r_d = report.split("\nr_d: ")[1].split("\n")[0]
+        assert f"\nafter substitution (= r_d): {r_d}\n" in report
+    results = []
+    for name in ("c1_critical_power", "height_polynomial"):
+        def keep(d, fn=getattr(cli, name)):
+            results.append(fn(d))
+            return results[-1]
+        monkeypatch.setattr(cli, name, keep)
+    out = []
+    for d in range(8, 12):
+        for command in ("c1-power", "height-poly"):
+            assert main([command, "--d", str(d)]) == 0
+            out.append(capsys.readouterr().out)
+        critical, height = results[-2:]
+        assert height.substituted == critical.r
+        assert (critical.socle_coordinate == height.socle_coordinate
+                == lagrangian_degree(d))
+    assert "".join(out) == recorded[:recorded.index("# c1-power d=12 ")]
 
 
 def test_pontrjagin_reports_match_recorded(capsys):
