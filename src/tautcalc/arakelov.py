@@ -29,8 +29,8 @@ from operator import add
 from typing import Callable, Mapping, NamedTuple
 
 from .scalars import _EXACT, Scalar, _merge_monomials, bracket, harmonic_symbol
-from .graded import (GeneratorSet, GradedPoly, Monomial, _add_slice,
-                     sum_of_products)
+from .graded import (GeneratorSet, GradedPoly, Monomial, _add_slice, _combine,
+                     linear_image, sum_of_products)
 from .quotient import QuotientRing, ReductionError, RingPresentation
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 
@@ -367,55 +367,35 @@ class ArithRing:
         what the cofactors push into them, each truncated to its working
         degree.  A cofactor term c*C^t of relation r pushes c * beta times
         the step image of (r, t) into r's side.  The cofactor terms are
-        scanned once: only a missing step image sends them to
-        _add_step_images and through the scan again.  Each side is summed in
-        one slice accumulator; a zero part is skipped, and the normal forms
-        of a nonzero one start its side's slices."""
-        try:
-            pushed = self._pushed_images(cofactors)
-        except KeyError:
-            self._add_step_images(cofactors)
-            pushed = self._pushed_images(cofactors)
-        sides: tuple[dict, dict] = ({}, {})
-        for out, poly, cap in zip(sides, (a, g), self.form_caps):
-            if not poly:
-                continue
+        scanned once: the first missing step image sends them all to
+        _add_step_images.  Each side is summed in one slice accumulator,
+        which the normal forms of a or g start."""
+        images, form_parts = self._step_images, self._form_parts
+        pushed = []
+        for ri, cof in cofactors.items():
+            side, _, _, scalar = form_parts[ri]
+            for k1, (d1, terms) in cof._slices.items():
+                try:
+                    acc = _combine(terms.items(), images[ri])
+                except KeyError:
+                    self._add_step_images(cofactors)
+                    acc = _combine(terms.items(), images[ri])
+                pushed.append((side, k1, d1, acc.items(), scalar))
+        sides = []
+        for poly, cap in zip((a, g), self.form_caps):
             slices = poly.truncate(cap)._slices
-            reduced = self.aq.monomial_reductions(
-                m for _, terms in slices.values() for m in terms)
-            for k, (den, terms) in slices.items():
-                acc: dict[Monomial, int] = {}
-                for mono, n in terms.items():
-                    for m, v in reduced[mono][0].items():
-                        acc[m] = acc.get(m, 0) + n * v
-                out[k] = den, acc
+            sides.append(linear_image(slices, self.aq.normal_forms(
+                m for _, terms in slices.values() for m in terms)))
         for side, k1, d1, acc, scalar in pushed:
             for k2, num, den in scalar:
                 _add_slice(sides[side], _merge_monomials(k1, k2),
                            num, d1 * den, acc)
         return tuple(GradedPoly.from_slices(self.agens, out) for out in sides)
 
-    def _pushed_images(self, cofactors: Mapping[int, GradedPoly]) -> list:
-        """Per cofactor slice k1 * terms / d1 of relation r: (r's side, k1,
-        d1, the sum of n times the step image of (r, t) over terms, r's
-        beta terms).  KeyError if the memo lacks a step image."""
-        images = self._step_images
-        out = []
-        for ri, cof in cofactors.items():
-            relation_images = images[ri]
-            side, _, _, scalar = self._form_parts[ri]
-            for k1, (d1, terms) in cof._slices.items():
-                acc: dict[Monomial, int] = {}
-                for t, n in terms.items():
-                    for m, v in relation_images[t]:
-                        acc[m] = acc.get(m, 0) + n * v
-                out.append((side, k1, d1, acc, scalar))
-        return out
-
     def _add_step_images(self, cofactors: Mapping[int, GradedPoly]):
         """Keep the step images that the cofactor terms need and the memo
-        lacks, each a tuple of (monomial, coefficient).  Their product
-        monomials are divided in one pass, smallest first."""
+        lacks, each a tuple of (monomial, coefficient) pairs with no zero.
+        Their product monomials are divided in one pass, smallest first."""
         degree_of = self.agens.degree_of
         caps = self.form_caps
         products: dict[Monomial, Monomial] = {}   # one tuple per monomial
@@ -432,14 +412,11 @@ class ArithRing:
                     shifted = ([tuple(map(add, t, m)) for m in poly]
                                if degree_of(t) + degree <= caps[side] else [])
                     pending[ri, t] = [products.setdefault(p, p) for p in shifted]
-        reduced = self.aq.monomial_reductions(products) if products else {}
+        reduced = self.aq.normal_forms(products)
         # Stored only now, so a division that raises leaves no image behind.
         for (ri, t), shifted in pending.items():
-            acc: dict[Monomial, int] = {}
-            for product, n in zip(shifted, self._form_parts[ri][2].values()):
-                for m, v in reduced[product][0].items():
-                    acc[m] = acc.get(m, 0) + n * v
-            self._step_images[ri][t] = tuple(acc.items())
+            acc = _combine(zip(shifted, self._form_parts[ri][2].values()), reduced)
+            self._step_images[ri][t] = tuple((m, v) for m, v in acc.items() if v)
 
     def reduce_variants(self, x: ArithClass) -> list[ArithClass]:
         """Reductions of a class whose polynomial part lies in the relation

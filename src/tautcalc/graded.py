@@ -21,6 +21,10 @@ Monomial = tuple[int, ...]
 # Stored slices are never changed in place, so polynomials may share them.
 Slices = dict[ConstMonomial, tuple[int, dict[Monomial, int]]]
 
+# Integer terms as (monomial, int) pairs: a dict's items(), or a tuple of
+# pairs, the format of every kept normal form, cofactor and step image.
+Terms = Iterable[tuple[Monomial, int]]
+
 
 class GeneratorSet:
     """Ordered list of named generators with degrees >= 1.  Each monomial's
@@ -275,24 +279,18 @@ class GradedPoly:
 
     def __add__(self, other) -> "GradedPoly":
         if isinstance(other, _EXACT):
-            unit = self.gens.unit()
-            added = {k: (q.denominator, {unit: q.numerator})
-                     for k, q in _scalar_terms(other)}
+            unit = ((self.gens.unit(), 1),)
+            added = [(k, q.numerator, q.denominator, unit)
+                     for k, q in _scalar_terms(other)]
         elif isinstance(other, GradedPoly):
             self._check(other)
-            added = other._slices
+            added = [(k, 1, den, terms.items())
+                     for k, (den, terms) in other._slices.items()]
         else:
             return NotImplemented
-        out = dict(self._slices)
-        for k, (d2, t2) in added.items():
-            d1, t1 = out.get(k, (d2, {}))
-            den = lcm(d1, d2)
-            s1, s2 = den // d1, den // d2
-            terms = {m: n * s1 for m, n in t1.items()}
-            for m, n in t2.items():
-                terms[m] = terms.get(m, 0) + n * s2
-            out[k] = den, terms
-        return GradedPoly.from_slices(self.gens, out)
+        return sum_of_slices(self.gens, [
+            *((k, 1, den, terms.items()) for k, (den, terms) in self._slices.items()),
+            *added])
 
     __radd__ = __add__
 
@@ -312,7 +310,8 @@ class GradedPoly:
             # One target slice per merged constant monomial: k1 * k2 is
             # reached from several pairs when the scalar has symbols.
             return sum_of_slices(self.gens, (
-                (_merge_monomials(k1, k2), q.numerator, d1 * q.denominator, terms)
+                (_merge_monomials(k1, k2), q.numerator, d1 * q.denominator,
+                 terms.items())
                 for k2, q in _scalar_terms(other)
                 for k1, (d1, terms) in self._slices.items()))
         if not isinstance(other, GradedPoly):
@@ -462,8 +461,7 @@ def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, Graded
 
 
 def sum_of_slices(gens: GeneratorSet,
-                  parts: Iterable[tuple[ConstMonomial, int, int,
-                                        Mapping[Monomial, int]]]
+                  parts: Iterable[tuple[ConstMonomial, int, int, Terms]]
                   ) -> GradedPoly:
     """The sum of k * num * terms / den over the parts (k, num, den, terms)."""
     out: Slices = {}
@@ -472,18 +470,34 @@ def sum_of_slices(gens: GeneratorSet,
     return GradedPoly.from_slices(gens, out)
 
 
-def _add_slice(out: dict, k: ConstMonomial, num: int, den: int,
-              source: Mapping[Monomial, int]):
+def linear_image(slices: Slices, image: Mapping[Monomial, Terms]) -> Slices:
+    """The slices of the linear map that sends each monomial m to image[m],
+    applied to slices: each slice keeps its denominator and gets fresh
+    terms, which may hold zeros.  KeyError if image lacks a monomial."""
+    return {k: (den, _combine(terms.items(), image))
+            for k, (den, terms) in slices.items()}
+
+
+def _combine(pairs: Terms, image: Mapping[Monomial, Terms]) -> dict[Monomial, int]:
+    """The sum of n * image[m] over the pairs (m, n), a fresh dict that may
+    hold zeros.  KeyError if image lacks a monomial."""
+    acc: dict[Monomial, int] = {}
+    for m, n in pairs:
+        for t, v in image[m]:
+            acc[t] = acc.get(t, 0) + n * v
+    return acc
+
+
+def _add_slice(out: dict, k: ConstMonomial, num: int, den: int, source: Terms):
     """out's slice k += num * source / den, in place; out is an accumulator
     of slices that GradedPoly.from_slices then takes over.  The first
-    contribution to a slice becomes the slice: a fresh dict of num * source,
-    never source itself."""
+    contribution to a slice becomes the slice: a fresh dict of num * source."""
     if k not in out:
-        out[k] = den, {m: n * num for m, n in source.items()}
+        out[k] = den, {m: n * num for m, n in source}
         return
     terms, scale = _target_slice(out, k, den)
     scale *= num
-    for m, n in source.items():
+    for m, n in source:
         terms[m] = terms.get(m, 0) + n * scale
 
 

@@ -68,8 +68,8 @@ def _solve_rational_system(rows: list[tuple[dict[int, Fraction], Scalar]],
             if lead in pivots:
                 factor = entries[lead]
                 prow, prhs, pcombo = pivots[lead]
-                _axpy(entries, -factor, prow)
-                _axpy(combo, -factor, pcombo)
+                _axpy(entries, -factor, prow.items())
+                _axpy(combo, -factor, pcombo.items())
                 rhs = rhs - prhs * factor
                 continue
             inv = Fraction(1) / entries[lead]
@@ -247,7 +247,7 @@ def condition_pairing(y: Mapping[tuple[int, Monomial], Fraction],
         if label not in system:
             return None
         entries, constant = system[label]
-        _axpy(y_m, weight, entries)
+        _axpy(y_m, weight, entries.items())
         value = value + constant * weight
     return None if y_m else value
 

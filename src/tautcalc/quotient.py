@@ -16,8 +16,8 @@ from heapq import heappop, heappush
 from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple
 
-from .graded import (GeneratorSet, GradedPoly, Monomial, Slices,
-                     monomials_of_degree)
+from .graded import (GeneratorSet, GradedPoly, Monomial, Slices, Terms,
+                     _add_slice, linear_image, monomials_of_degree)
 
 
 class ReductionError(ValueError):
@@ -105,9 +105,11 @@ class QuotientRing:
     coefficients lc(s) must be +-1, so division stays in the integers.
 
     A monomial m = t * lead(s) is rewritten to t * (lead(s) - lc(s) * s) by
-    the first relation s whose lead divides it.  The integer normal form and
-    cofactors of each monomial are computed on first use and kept;
-    ``division_steps`` counts the rewrites.
+    the first relation s whose lead divides it.  The integer normal form of
+    each monomial is computed on first use and kept in ``_nf``, and, when
+    witnesses are tracked, its cofactors in ``_cof``; each kept value is a
+    tuple of (monomial, int) pairs with no zero.  ``division_steps`` counts
+    the rewrites.
     """
 
     def __init__(self, presentation: RingPresentation, track_witnesses: bool = True):
@@ -134,7 +136,8 @@ class QuotientRing:
                     raise ValueError(f"leading monomials of relations {j} and "
                                      f"{i} are not coprime")
         self._basis: dict[int, list[Monomial]] = {}
-        self._reduced: dict[Monomial, tuple[dict, dict | None]] = {}
+        self._nf: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
+        self._cof: dict[Monomial, dict[int, tuple[tuple[Monomial, int], ...]]] = {}
         self.division_steps = 0
 
     # -- division ------------------------------------------------------------
@@ -149,18 +152,17 @@ class QuotientRing:
                 return ri
         return None
 
-    def _reduce_monomial(self, mono: Monomial) -> tuple[dict, dict | None]:
-        """Normal form {standard monomial: coefficient} of mono and, when
-        tracked, its cofactors {relation: {multiplier: coefficient}}.
+    def _reduce_monomial(self, mono: Monomial):
+        """Keep the normal form of mono, (standard monomial, coefficient)
+        pairs, in _nf and, when tracked, its cofactors {relation:
+        (multiplier, coefficient) pairs} in _cof.
 
         Terms are rewritten largest first, so each coefficient is final when
         its term is rewritten, and the result is linear in the per-monomial
         rewrites: a term reduced before takes its kept result, and no result
         depends on the order of queries.
         """
-        hit = self._reduced.get(mono)
-        if hit is not None:
-            return hit
+        kept_nf, kept_cof = self._nf, self._cof
         coeffs: dict[Monomial, int] = {mono: 1}
         heap = [(_order_key(mono), mono)]
         nf: dict[Monomial, int] = {}
@@ -170,22 +172,22 @@ class QuotientRing:
             c = coeffs.pop(m)
             if not c:
                 continue
-            hit = self._reduced.get(m)
+            hit = kept_nf.get(m)
             if hit is not None:
-                _axpy(nf, c, hit[0])
+                _axpy(nf, c, hit)
                 if cof is not None:
-                    for ri, terms in hit[1].items():
+                    for ri, terms in kept_cof[m].items():
                         _axpy(cof.setdefault(ri, {}), c, terms)
                 continue
             ri = self._rule_for(m)
             if ri is None:
-                _axpy(nf, c, {m: 1})
+                _axpy(nf, c, ((m, 1),))
                 continue
             self.division_steps += 1
             _, lead, lc, tail = self._rules[ri]
             t = tuple(map(sub, m, lead))
             if cof is not None:
-                _axpy(cof.setdefault(ri, {}), c, {t: lc})
+                _axpy(cof.setdefault(ri, {}), c, ((t, lc),))
             for tm, tc in tail:
                 n = tuple(map(add, t, tm))
                 old = coeffs.get(n)
@@ -194,8 +196,9 @@ class QuotientRing:
                     heappush(heap, (_order_key(n), n))
                 else:
                     coeffs[n] = old + c * tc
-        self._reduced[mono] = (nf, cof)
-        return nf, cof
+        kept_nf[mono] = tuple(nf.items())
+        if cof is not None:
+            kept_cof[mono] = {ri: tuple(terms.items()) for ri, terms in cof.items()}
 
     def _standard_monomials(self, degree: int) -> list[Monomial]:
         basis = self._basis.get(degree)
@@ -216,26 +219,21 @@ class QuotientRing:
             raise ReductionError(
                 f"degree {degree} exceeds working degree {self.top_degree}")
 
-    def monomial_reductions(self, monos: Iterable[Monomial]
-                            ) -> dict[Monomial, tuple[dict, dict | None]]:
-        """The kept normal form and cofactors of each monomial, as
-        _reduce_monomial gives them; the caller must not change them.  Kept
-        monomials are looked up first; the others are divided in one pass,
-        smallest first, so the larger ones' divisions reuse them."""
-        kept = self._reduced
-        out, missing = {}, []
-        for m in monos:
-            hit = kept.get(m)
-            if hit is None:
-                missing.append(m)
-            else:
-                out[m] = hit
+    def normal_forms(self, monos: Iterable[Monomial]
+                     ) -> dict[Monomial, tuple[tuple[Monomial, int], ...]]:
+        """The kept table {monomial: normal form} itself, once it holds each
+        of monos; the caller must not change it.  The monomials it lacks are
+        divided in one pass, smallest first, so the larger ones' divisions
+        reuse them."""
+        kept = self._nf
+        missing = [m for m in monos if m not in kept]
         if missing:
-            missing.sort(key=_order_key, reverse=True)
             self._check_degree(max(map(self.gens.degree_of, missing)))
+            missing.sort(key=_order_key, reverse=True)
             for m in missing:
-                out[m] = self._reduce_monomial(m)
-        return out
+                if m not in kept:   # monos may repeat a monomial
+                    self._reduce_monomial(m)
+        return kept
 
     def normal_form(self, poly: GradedPoly) -> GradedPoly:
         nf, _ = self._reduce(poly, with_cofactors=False)
@@ -249,29 +247,16 @@ class QuotientRing:
     def _reduce(self, poly: GradedPoly, with_cofactors: bool):
         if poly.gens != self.gens:
             raise ReductionError("polynomial over wrong generator set")
-        reduced = self.monomial_reductions(
-            m for _, terms in poly._slices.values() for m in terms)
-        nf: Slices = {}
+        slices = poly._slices
+        nf = linear_image(slices, self.normal_forms(
+            m for _, terms in slices.values() for m in terms))
         cof: dict[int, Slices] = {}
-        # A slice's first contribution becomes the slice: a fresh scaled
-        # dict, never the kept result itself.
-        for k, (den, terms) in poly._slices.items():
-            target = None
-            for mono, n in terms.items():
-                mono_nf, mono_cof = reduced[mono]
-                if target is None:
-                    target = {m: n * v for m, v in mono_nf.items()}
-                else:
-                    _axpy(target, n, mono_nf)
-                if with_cofactors:
-                    for ri, source in mono_cof.items():
-                        cof_ri = cof.setdefault(ri, {})
-                        hit = cof_ri.get(k)
-                        if hit is None:
-                            cof_ri[k] = den, {t: n * c for t, c in source.items()}
-                        else:
-                            _axpy(hit[1], n, source)
-            nf[k] = den, target
+        if with_cofactors:
+            kept = self._cof
+            for k, (den, terms) in slices.items():
+                for mono, n in terms.items():
+                    for ri, source in kept[mono].items():
+                        _add_slice(cof.setdefault(ri, {}), k, n, den, source)
         cofactors = {ri: p for ri, cof_slices in sorted(cof.items())
                      if (p := GradedPoly.from_slices(self.gens, cof_slices))}
         return GradedPoly.from_slices(self.gens, nf), cofactors
@@ -348,7 +333,7 @@ class QuotientRing:
             for m in monos:
                 if self._rule_for(m) is None:
                     continue
-                entries = {b: -v for b, v in self._reduce_monomial(m)[0].items()}
+                entries = {b: -v for b, v in self.normal_forms([m])[m]}
                 entries[m] = 1
                 rows[mono_name(m)] = {
                     mono_name(b): str(v)
@@ -366,9 +351,10 @@ class QuotientRing:
                 "degrees": degrees}
 
 
-def _axpy(target: dict, factor: int, source: dict[Monomial, int]):
-    """target += factor * source, over the integers."""
-    for m, v in source.items():
+def _axpy(target: dict, factor: int, source: Terms):
+    """target += factor * source, over the integers; source is (key, value)
+    pairs."""
+    for m, v in source:
         new = target.get(m, 0) + factor * v
         if new:
             target[m] = new

@@ -63,12 +63,12 @@ def reference_reduce(ring, poly):
     from the ring's per-monomial integer divisions."""
     nf, cof = {}, {}
     for mono, coeff in poly.items():
-        mono_nf, mono_cof = ring._reduce_monomial(mono)
-        for m, v in mono_nf.items():
+        mono_nf, mono_cof = ring.normal_forms([mono])[mono], ring._cof.get(mono)
+        for m, v in mono_nf:
             nf[m] = nf.get(m, ZERO) + coeff * v
         for ri, terms in (mono_cof or {}).items():
             rel_cof = cof.setdefault(ri, {})
-            for m, v in terms.items():
+            for m, v in terms:
                 rel_cof[m] = rel_cof.get(m, ZERO) + coeff * v
     cofactors = {ri: GradedPoly(ring.gens, t) for ri, t in sorted(cof.items())}
     return (GradedPoly(ring.gens, nf),
@@ -295,15 +295,16 @@ def test_reduce_through_step_images_matches_product_route():
 def test_kept_reductions_and_step_images_are_integers():
     # Every relation has integer coefficients and a leading coefficient of
     # +-1, so every kept normal form, cofactor and step image holds ints.
-    def values(ring):
+    # Each is a tuple of (monomial, int) pairs with no zero; aq keeps no
+    # cofactors, and zq keeps them for every normal form.
+    def kept_terms(ring):
         for q in (ring.aq, ring.zq):
-            for nf, cof in q._reduced.values():
-                yield from nf.values()
-                for terms in (cof or {}).values():
-                    yield from terms.values()
+            for nf in q._nf.values():
+                yield nf
+            for cof in q._cof.values():
+                yield from cof.values()
         for memo in ring._step_images:
-            for image in memo.values():
-                yield from (v for _, v in image)
+            yield from memo.values()
 
     for d in range(1, 10):
         rings = [AbelianTautRing(d)]
@@ -312,8 +313,17 @@ def test_kept_reductions_and_step_images_are_integers():
             rings.append(LagrangianArithRing(d))
             height_polynomial(d, rings[1])
         for ring in rings:
-            seen = list(values(ring))
-            assert seen and all(type(v) is int for v in seen), (d, ring)
+            seen = list(kept_terms(ring))
+            assert seen and all(type(v) is int for terms in seen for _, v in terms), (d, ring)
+            assert all(type(terms) is tuple and all(
+                type(pair) is tuple and len(pair) == 2 and type(pair[0]) is tuple
+                and pair[1] for pair in terms) for terms in seen), (d, ring)
+            assert not ring.aq._cof and ring.zq._cof.keys() == ring.zq._nf.keys()
+            # Monomials already kept: no division step, the kept table itself.
+            for q in (ring.aq, ring.zq):
+                steps = q.division_steps
+                assert q._nf and q.normal_forms(list(q._nf)) is q._nf
+                assert q.division_steps == steps
 
 
 def test_division_steps_one_pass_over_slices():
@@ -522,8 +532,8 @@ def kept_values(ring):
     """Deep copies of the kept normal forms and cofactors of both quotients
     and of the step images."""
     def kept(q):
-        return {m: (dict(nf), cof and {ri: dict(t) for ri, t in cof.items()})
-                for m, (nf, cof) in q._reduced.items()}
+        return {m: (dict(nf), {ri: dict(t) for ri, t in q._cof.get(m, {}).items()})
+                for m, nf in q._nf.items()}
     return kept(ring.zq), kept(ring.aq), [dict(memo) for memo in ring._step_images]
 
 
