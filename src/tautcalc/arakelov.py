@@ -367,29 +367,29 @@ class ArithRing:
         what the cofactors push into them, each truncated to its working
         degree.  A cofactor term c*C^t of relation r pushes c * beta times
         the step image of (r, t) into r's side.  The cofactor terms are
-        scanned once: the first missing step image sends them all to
-        _add_step_images.  Each side is summed in one slice accumulator,
-        which the normal forms of a or g start."""
-        images, form_parts = self._step_images, self._form_parts
+        sent through the linear map of their relation's step images once:
+        the first missing image sends them all to _add_step_images.  Each
+        side is summed in one slice accumulator, which the normal forms of a
+        or g start."""
+        images = self._step_images
         pushed = []
         for ri, cof in cofactors.items():
-            side, _, _, scalar = form_parts[ri]
-            for k1, (d1, terms) in cof._slices.items():
-                try:
-                    acc = _combine(terms.items(), images[ri])
-                except KeyError:
-                    self._add_step_images(cofactors)
-                    acc = _combine(terms.items(), images[ri])
-                pushed.append((side, k1, d1, acc.items(), scalar))
+            try:
+                image = linear_image(cof._slices, images[ri])
+            except KeyError:
+                self._add_step_images(cofactors)
+                image = linear_image(cof._slices, images[ri])
+            pushed.append((self._form_parts[ri], image))
         sides = []
         for poly, cap in zip((a, g), self.form_caps):
             slices = poly.truncate(cap)._slices
             sides.append(linear_image(slices, self.aq.normal_forms(
                 m for _, terms in slices.values() for m in terms)))
-        for side, k1, d1, acc, scalar in pushed:
-            for k2, num, den in scalar:
-                _add_slice(sides[side], _merge_monomials(k1, k2),
-                           num, d1 * den, acc)
+        for (side, _, _, scalar), image in pushed:
+            for k1, (d1, acc) in image.items():
+                for k2, num, den in scalar:
+                    _add_slice(sides[side], _merge_monomials(k1, k2),
+                               num, d1 * den, acc.items())
         return tuple(GradedPoly.from_slices(self.agens, out) for out in sides)
 
     def _add_step_images(self, cofactors: Mapping[int, GradedPoly]):
