@@ -94,26 +94,21 @@ def monomials_of_degree(gens: GeneratorSet, degree: int,
     """The monomials of the given degree that no monomial in leads divides
     (the staircase of the lead ideal), in monomial_sort_key order.
 
-    A pure-power lead x_i^a caps x_i's exponent below a before the
-    enumeration runs.  Each generator's exponent is then kept high enough
-    that the later generators, under their caps, can still reach the
-    remaining degree, so no branch is entered that cannot end in a
-    monomial.  A lead with two or more generators is tested once its last
-    nonzero exponent is placed."""
+    Each lead must be a power x_i^a of one generator (ValueError otherwise),
+    which caps x_i's exponent below a.  Each generator's exponent is then
+    kept high enough that the later generators, under their caps, can still
+    reach the remaining degree, so no branch is entered that cannot end in a
+    monomial."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
     degrees = gens.degrees
     caps = [degree // d for d in degrees]
-    tests: list[list[list[tuple[int, int]]]] = [[] for _ in degrees]
     for lead in leads:
-        support = [(i, e) for i, e in enumerate(lead) if e]
-        if not support:
-            return []
-        if len(support) == 1:
-            i, e = support[0]
-            caps[i] = min(caps[i], e - 1)
-        else:
-            tests[support[-1][0]].append(support)
+        support = [(i, e) for i, e in enumerate(_exponent_vector(gens, lead)) if e]
+        if len(support) != 1:
+            raise ValueError(f"lead {tuple(lead)} is not a power of one generator")
+        (i, e), = support
+        caps[i] = min(caps[i], e - 1)
     # reach[pos]: the highest degree that generators pos.. reach under their caps.
     reach = [0] * (len(degrees) + 1)
     for pos in range(len(degrees) - 1, -1, -1):
@@ -125,21 +120,29 @@ def monomials_of_degree(gens: GeneratorSet, degree: int,
         if pos == len(degrees):
             out.append(tuple(acc))
             return
-        d, checks = degrees[pos], tests[pos]
+        d = degrees[pos]
         # Exponents from high to low list the monomials in order; the lowest
         # leaves the later generators no more than they reach, so the last
         # generator's exponent brings the remaining degree to exactly 0.
         low = max(0, -((reach[pos + 1] - remaining) // d))
         for e in range(min(remaining // d, caps[pos]), low - 1, -1):
             acc.append(e)
-            if not (checks and any(all(acc[i] >= f for i, f in s)
-                                   for s in checks)):
-                rec(pos + 1, remaining - e * d)
+            rec(pos + 1, remaining - e * d)
             acc.pop()
 
     if degree <= reach[0]:
         rec(0, degree)
     return out
+
+
+def _exponent_vector(gens: GeneratorSet, mono: Iterable[int]) -> Monomial:
+    """mono as a tuple; ValueError unless it holds one non-negative exponent
+    per generator."""
+    mono = tuple(mono)
+    if len(mono) != len(gens) or min(mono, default=0) < 0:
+        raise ValueError(f"monomial {mono} is not an exponent vector over "
+                         f"{len(gens)} generators")
+    return mono
 
 
 class GradedPoly:
@@ -153,11 +156,9 @@ class GradedPoly:
         self.gens = gens
         grouped: dict[ConstMonomial, dict[Monomial, Fraction]] = {}
         for mono, coeff in (terms or {}).items():
-            if len(mono) != len(gens) or min(mono, default=0) < 0:
-                raise ValueError(f"monomial {tuple(mono)} is not an exponent "
-                                 f"vector over {len(gens)} generators")
+            mono = _exponent_vector(gens, mono)
             for k, q in Scalar.coerce(coeff)._terms.items():
-                grouped.setdefault(k, {})[tuple(mono)] = q
+                grouped.setdefault(k, {})[mono] = q
         # Over the lcm of its denominators a slice is in lowest terms.
         self._slices: Slices = {}
         for k, qs in grouped.items():
@@ -212,8 +213,9 @@ class GradedPoly:
                 sorted(self.monomials(), key=lambda m: monomial_sort_key(self.gens, m))]
 
     def coefficient(self, mono: Monomial) -> Scalar:
+        mono = _exponent_vector(self.gens, mono)
         return Scalar({k: Fraction(n, den) for k, (den, terms) in self._slices.items()
-                       if (n := terms.get(tuple(mono)))})
+                       if (n := terms.get(mono))})
 
     def is_zero(self) -> bool:
         return not self._slices

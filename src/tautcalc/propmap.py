@@ -269,12 +269,12 @@ def proportionality_map_check(d: int,
     every relation through it.
 
     The generator images are re-verified by an independent sweep: each
-    relation of the source, written in the abelian ring, is evaluated at the
-    images and reduced; success means every residue is exactly zero.  The
-    lifted relations are p_k(C_1..C_{d-1}) = a(rho_k) with
-    rho_k = (-1)^(k+1) H(2k-1) s_{2k-1}(u), and the form relation is their
-    forgotten lifts' sum_k (-1)^k p_k(u), the dual square, whose residue is
-    zero by construction; reduction in the abelian ring sends u_d to 0.
+    lifted relation of the source, p_k(C_1..C_{d-1}) = a(rho_k) with
+    rho_k = (-1)^(k+1) H(2k-1) s_{2k-1}(u), written in the abelian ring, is
+    evaluated at the images and reduced; success means every residue is
+    exactly zero.  The source's form relations need no sweep: the map sends
+    them to the form relations of the abelian ring, which reduction sends to
+    0 whatever the images (it also sends u_d to 0).
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -307,15 +307,11 @@ def proportionality_map_check(d: int,
     unit = e0 if e0 is not None else Scalar.coerce(1)
     residues: list[tuple[str, ArithClass]] = []
     # The map sends a(f) to a(dual(f) * unit); rho_k has odd degree, so its
-    # dual is -rho_k, and the dual square is its own dual.
+    # dual is -rho_k.
     source = ClassVector.standard(A.zgens, A.zgens.names[:d - 1])
-    form = GradedPoly.zero(A.agens)
     for k, p in enumerate(pontrjagin_from_c(source), 1):
         rho = A.odd_sums[k] * (harmonic(2 * k - 1) * Fraction((-1) ** (k + 1)))
         image = push_z(p) + A.from_a(rho * unit)
         residues.append((f"lifted relation {k}", A.reduce(image).drop_gamma()))
-        form = form + A.omega(p) * (-1) ** k
-    image = A.from_a(form * unit)
-    residues.append(("form relation 1", A.reduce(image).drop_gamma()))
     return ProportionalityReport(d, constructed, diagnosis, e0, images,
                                  residues, certificate)

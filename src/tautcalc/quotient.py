@@ -2,12 +2,13 @@
 
 Relations are homogeneous, ordered by weighted graded reverse-lex: degree
 first, then the monomial with the smaller exponent of the last differing
-generator is the larger.  Any two relations must have coprime leading
-monomials or both be monomials; by Buchberger's first criterion
-(Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 sec. 9) they
-are then a Groebner basis, so multivariate division gives normal forms on the
-standard monomials together with cofactors (membership witnesses).  Other
-witnesses differ from these by Koszul syzygies.
+generator is the larger.  Each relation must lead on a power x_i^e of one
+generator, and two relations leading on the same generator must both be
+monomials.  By Buchberger's first criterion (Cox-Little-O'Shea, *Ideals,
+Varieties, and Algorithms*, ch. 2 sec. 9) they are then a Groebner basis, so
+multivariate division gives normal forms on the standard monomials together
+with cofactors (membership witnesses).  Other witnesses differ from these by
+Koszul syzygies.
 """
 
 from __future__ import annotations
@@ -117,24 +118,27 @@ class QuotientRing:
         self.gens = presentation.gens
         self.top_degree = presentation.top_degree
         self.track_witnesses = track_witnesses
-        # Per relation: lead support [(generator, exponent)], lead, lc (which
-        # is 1/lc) and the rewrite tail [(monomial, -c*lc)].
-        self._rules: list[tuple[list, Monomial, int, list]] = []
+        # Per relation: the lead x_i^e as i and e, the lead, lc (which is
+        # 1/lc) and the rewrite tail [(monomial, -c*lc)].
+        self._rules: list[tuple[int, int, Monomial, int, list]] = []
         for ri, rel in enumerate(presentation.relations):
             (_, terms), = rel._slices.values()
             lead = min(terms, key=_order_key)
+            support = [(i, e) for i, e in enumerate(lead) if e]
+            if len(support) != 1:
+                raise ValueError(f"lead {lead} of relation {ri} is not a "
+                                 "power of one generator")
             if (lc := terms[lead]) not in (1, -1):
                 raise ValueError(f"leading coefficient {lc} of relation {ri} "
                                  "is not +-1")
-            support = [(i, e) for i, e in enumerate(lead) if e]
             tail = [(m, -c * lc) for m, c in terms.items() if m != lead]
-            self._rules.append((support, lead, lc, tail))
-        for i, (_, lead_i, _, tail_i) in enumerate(self._rules):
-            for j, (_, lead_j, _, tail_j) in enumerate(self._rules[:i]):
+            self._rules.append((*support[0], lead, lc, tail))
+        for j, (i_j, _, _, _, tail_j) in enumerate(self._rules):
+            for k, (i_k, _, _, _, tail_k) in enumerate(self._rules[:j]):
                 # The S-polynomial of two monomials is 0.
-                if (tail_i or tail_j) and any(a and b for a, b in zip(lead_i, lead_j)):
-                    raise ValueError(f"leading monomials of relations {j} and "
-                                     f"{i} are not coprime")
+                if i_j == i_k and (tail_j or tail_k):
+                    raise ValueError(f"leading monomials of relations {k} and "
+                                     f"{j} are not coprime")
         self._basis: dict[int, list[Monomial]] = {}
         self._nf: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
         self._cof: dict[Monomial, dict[int, tuple[tuple[Monomial, int], ...]]] = {}
@@ -144,11 +148,8 @@ class QuotientRing:
 
     def _rule_for(self, mono: Monomial) -> int | None:
         """Index of the first relation whose lead divides mono."""
-        for ri, rule in enumerate(self._rules):
-            for i, e in rule[0]:
-                if mono[i] < e:
-                    break
-            else:
+        for ri, (i, e, _, _, _) in enumerate(self._rules):
+            if mono[i] >= e:
                 return ri
         return None
 
@@ -184,7 +185,7 @@ class QuotientRing:
                 _axpy(nf, c, ((m, 1),))
                 continue
             self.division_steps += 1
-            _, lead, lc, tail = self._rules[ri]
+            _, _, lead, lc, tail = self._rules[ri]
             t = tuple(map(sub, m, lead))
             if cof is not None:
                 _axpy(cof.setdefault(ri, {}), c, ((t, lc),))
@@ -204,7 +205,7 @@ class QuotientRing:
         basis = self._basis.get(degree)
         if basis is None:
             basis = monomials_of_degree(
-                self.gens, degree, [rule[1] for rule in self._rules])
+                self.gens, degree, [rule[2] for rule in self._rules])
             self._basis[degree] = basis
         return basis
 

@@ -33,6 +33,19 @@ def test_malformed_monomials_rejected():
     assert GradedPoly.monomial(g, (1, 0, 1)) == u1 * u3
 
 
+def test_wrong_length_monomials_rejected_on_lookup_and_as_leads():
+    g = GeneratorSet([("u1", 1), ("u2", 2)])
+    u2 = GradedPoly.generator(g, "u2")
+    for mono in ((1,), (0, 1, 0), (0, -1)):
+        # Neither read as u1 (or u2) nor reported as a zero coefficient.
+        with pytest.raises(ValueError, match="monomial"):
+            u2.coefficient(mono)
+        with pytest.raises(ValueError, match="monomial"):
+            monomials_of_degree(g, 2, [mono])
+    assert u2.coefficient((0, 1)) == 1 and u2.coefficient([0, 1]) == 1
+    assert monomials_of_degree(g, 2, [(1, 0)]) == [(0, 1)]
+
+
 def test_degree_memo_matches_weighted_sum():
     rng = random.Random(31)
     for _ in range(20):
@@ -108,22 +121,21 @@ def test_monomials_pruned_by_leads_match_filter():
         g = GeneratorSet([(f"v{j}", rng.randrange(1, 4)) for j in range(n)])
         leads = []
         for _ in range(rng.randrange(1, 4)):
-            shape = rng.choice(("power", "mixed", "mixed", "single"))
             lead = [0] * n
-            if shape == "power":
-                lead[rng.randrange(n)] = rng.randrange(2, 4)
-            elif shape == "single":
-                lead[rng.randrange(n)] = 1
-            else:
-                for i in rng.sample(range(n), rng.randrange(2, n + 1)):
-                    lead[i] = rng.randrange(1, 3)
+            lead[rng.randrange(n)] = rng.randrange(1, 4)
             leads.append(tuple(lead))
-        if trial % 10 == 0:
-            leads.append((0,) * n)
         for k in range(13):
             kept = [m for m in monomials_of_degree(g, k)
                     if not any(divides(lead, m) for lead in leads)]
             assert monomials_of_degree(g, k, leads) == kept, (g, leads, k)
+        # A lead in two or more generators, or the constant lead, is not a
+        # power of one generator.
+        mixed = [0] * n
+        for i in rng.sample(range(n), rng.randrange(2, n + 1)):
+            mixed[i] = rng.randrange(1, 3)
+        for bad in (tuple(mixed), (0,) * n):
+            with pytest.raises(ValueError, match="not a power of one generator"):
+                monomials_of_degree(g, trial % 13, leads + [bad])
 
 
 def brute_force_staircase(g, k, leads):
@@ -143,13 +155,8 @@ def test_monomials_of_degree_brute_force_oracle():
         g = GeneratorSet([(f"v{j}", d) for j, d in enumerate(degrees)])
         leads = []
         for _ in range(rng.randrange(0, 5)):
-            shape = rng.choice(("power", "power", "mixed"))
             lead = [0] * n
-            if shape == "power" or n == 1:
-                lead[rng.randrange(n)] = rng.randrange(1, 4)
-            else:
-                for i in rng.sample(range(n), rng.randrange(2, n + 1)):
-                    lead[i] = rng.randrange(1, 3)
+            lead[rng.randrange(n)] = rng.randrange(1, 4)
             leads.append(tuple(lead))
         if trial % 4 == 0:
             # Two pure powers of one generator: the smaller one caps it.
@@ -162,8 +169,10 @@ def test_monomials_of_degree_brute_force_oracle():
     g = GeneratorSet([("a", 1), ("b", 1), ("c", 2)])
     for k in range(8):
         assert monomials_of_degree(g, k) == brute_force_staircase(g, k, [])
-        # A unit lead divides every monomial.
-        assert monomials_of_degree(g, k, [(1, 0, 0), (0, 0, 0)]) == []
+        # The unit lead and a mixed lead are rejected, not enumerated around.
+        for bad in ((0, 0, 0), (1, 1, 0), (1, 0, 1)):
+            with pytest.raises(ValueError, match="not a power of one generator"):
+                monomials_of_degree(g, k, [(1, 0, 0), bad])
     # Caps below the degree leave nothing to list.
     assert monomials_of_degree(g, 5, [(2, 0, 0), (0, 2, 0), (0, 0, 1)]) == []
     assert monomials_of_degree(g, 2, [(2, 0, 0), (0, 2, 0), (0, 0, 1)]) == [(1, 1, 0)]

@@ -203,11 +203,12 @@ def test_presentation_rejects_negative_top_degree():
     gens = GeneratorSet([("u1", 1), ("u2", 2)])
     with pytest.raises(ValueError, match="top degree must be non-negative"):
         RingPresentation(gens, [], -1)
-    # No generators: the degree check has no generator degree to compare.
+    # No generators: the degree check has no generator degree to compare, and
+    # a constant relation has no generator to lead on.
     empty = GeneratorSet([])
-    ring = QuotientRing(RingPresentation(
-        empty, [GradedPoly.constant(empty, 1)], 0))
-    assert ring.dimension_report().dims == [0]
+    constant = RingPresentation(empty, [GradedPoly.constant(empty, 1)], 0)
+    with pytest.raises(ValueError, match="relation 0 is not a power of one"):
+        QuotientRing(constant)
     assert QuotientRing(RingPresentation(empty, [], 0)).dimension_report() == (
         [1], 1, 0, 1)
 
@@ -238,13 +239,17 @@ def test_rejects_shared_lead_variables():
     with pytest.raises(ValueError, match="coprime"):
         QuotientRing(RingPresentation(gens, [u1 * u1 - u2 * 2,
                                              u1 ** 3 - u1 * u2], 4))
-    # a monomial does not escape the check when the other component is not one
+    # a monomial does not escape the check when the other relation is not one
     with pytest.raises(ValueError, match="coprime"):
-        QuotientRing(RingPresentation(gens, [u1 * u1 - u2 * 2, u1 * u2], 4))
-    # two monomials sharing a variable have S-polynomial 0
-    ring = QuotientRing(RingPresentation(gens, [u1 * u1, u1 * u2], 4))
-    assert ring.monomial_basis(3) == []
+        QuotientRing(RingPresentation(gens, [u1 * u1 - u2 * 2, u1 ** 3], 4))
+    # two monomials leading on one generator have S-polynomial 0
+    ring = QuotientRing(RingPresentation(gens, [u1 ** 3, u1 * u1], 4))
+    assert ring.monomial_basis(3) == [(1, 1)]
     assert ring.monomial_basis(4) == [(0, 2)]
+    # a lead in two generators is not a power of one, even for a monomial
+    for relations in ([u1 * u1, u1 * u2], [u1 * u1 * u2 - u2 * u2]):
+        with pytest.raises(ValueError, match="is not a power of one generator"):
+            QuotientRing(RingPresentation(gens, relations, 4))
 
 
 def squarefree_monomials(gens, count, degree):
@@ -273,12 +278,23 @@ def test_standard_monomials_are_squarefree():
             assert_squarefree_basis(ring.aq, d - 1)
 
 
-def test_constant_relation_leaves_no_standard_monomials():
+def test_rejects_constant_relation():
     gens = GeneratorSet([("u1", 1), ("u2", 2), ("u3", 3)])
-    ring = QuotientRing(RingPresentation(
-        gens, [u(gens, "u1") * u(gens, "u2"), GradedPoly.constant(gens, -1)], 6))
-    for k in range(7):
-        assert ring.monomial_basis(k) == []
+    presentation = RingPresentation(
+        gens, [u(gens, "u1") ** 2, GradedPoly.constant(gens, -1)], 6)
+    with pytest.raises(ValueError, match="relation 1 is not a power of one"):
+        QuotientRing(presentation)
+
+
+def test_rule_order_picks_first_relation_whose_lead_divides():
+    # In the abelian z-ring at d = 5, relation 4 is p_5 = C5^2 and relation
+    # 5 is C5: both lead on C5, and C5^2 is divided by the first of them.
+    zq = AbelianTautRing(5).zq
+    C1, C5 = u(zq, "C1"), u(zq, "C5")
+    assert zq.presentation.relations[4] == C5 * C5
+    assert zq.presentation.relations[5] == C5
+    assert zq.membership_witness(C5 * C5).cofactors == {4: 1}
+    assert zq.membership_witness(C1 * C5).cofactors == {5: C1}
 
 
 def test_reduction_does_not_depend_on_query_order():
