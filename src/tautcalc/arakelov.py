@@ -30,7 +30,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from .scalars import _EXACT, Scalar, _merge_monomials, bracket, harmonic_symbol
 from .graded import (GeneratorSet, GradedPoly, Monomial, _add_slice, _combine,
-                     linear_image, sum_of_products)
+                     _power, linear_image, sum_of_products)
 from .quotient import QuotientRing, ReductionError, RingPresentation
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 
@@ -150,17 +150,7 @@ class ArithClass:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ArithClass":
-        if n < 0:
-            raise ValueError("negative power")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, self.ring.one())
 
     def _check(self, other: "ArithClass"):
         if other.ring is not self.ring:

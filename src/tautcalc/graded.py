@@ -64,10 +64,13 @@ class GeneratorSet:
         return self._index[name]
 
     def degree_of(self, mono: Monomial) -> int:
+        """ValueError unless mono is an exponent vector; checked only when
+        its degree is first computed."""
         try:
             return self._degree[mono]
         except KeyError:
-            degree = self._degree[mono] = sum(map(mul, mono, self.degrees))
+            degree = self._degree[mono] = sum(map(
+                mul, _exponent_vector(self, mono), self.degrees))
             return degree
 
     def unit(self) -> Monomial:
@@ -323,16 +326,7 @@ class GradedPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "GradedPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = GradedPoly.constant(self.gens, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, GradedPoly.constant(self.gens, 1))
 
     def mul_truncated(self, other: "GradedPoly",
                       max_degree: int | None) -> "GradedPoly":
@@ -409,6 +403,21 @@ class GradedPoly:
             named = {self.gens.names[i]: e for i, e in enumerate(mono) if e}
             terms.append({"monomial": named, "coeff": coeff.to_json()})
         return {"terms": terms}
+
+
+def _power(base, n: int, one):
+    """base ** n by square and multiply, starting from one; ValueError for
+    a negative n."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def _scalar_terms(value) -> Iterable[tuple[ConstMonomial, int | Fraction]]:

@@ -18,7 +18,8 @@ from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple
 
 from .graded import (GeneratorSet, GradedPoly, Monomial, Slices, Terms,
-                     _add_slice, linear_image, monomials_of_degree)
+                     _add_slice, linear_image, monomials_of_degree,
+                     sum_of_products)
 
 
 class ReductionError(ValueError):
@@ -56,17 +57,6 @@ class RingPresentation:
         self.relations = rels
         self.top_degree = top_degree
 
-    def _key(self):
-        return self.gens, self.relations, self.top_degree
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RingPresentation):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
 
 class Witness:
     """Certificate target = sum_i cofactors[i] * relation i."""
@@ -80,10 +70,8 @@ class Witness:
     def expand(self) -> GradedPoly:
         """Re-expand the certificate in the free ring."""
         relations = self._ring.presentation.relations
-        acc = GradedPoly.zero(self.target.gens)
-        for ri, cof in self.cofactors.items():
-            acc = acc + cof * relations[ri]
-        return acc
+        return sum_of_products(self.target.gens, [
+            (cof, relations[ri]) for ri, cof in self.cofactors.items()], None)
 
     def verify(self) -> bool:
         return self.expand() == self.target
@@ -139,7 +127,6 @@ class QuotientRing:
                 if i_j == i_k and (tail_j or tail_k):
                     raise ValueError(f"leading monomials of relations {k} and "
                                      f"{j} are not coprime")
-        self._basis: dict[int, list[Monomial]] = {}
         self._nf: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
         self._cof: dict[Monomial, dict[int, tuple[tuple[Monomial, int], ...]]] = {}
         self.division_steps = 0
@@ -201,19 +188,13 @@ class QuotientRing:
         if cof is not None:
             kept_cof[mono] = {ri: tuple(terms.items()) for ri, terms in cof.items()}
 
-    def _standard_monomials(self, degree: int) -> list[Monomial]:
-        basis = self._basis.get(degree)
-        if basis is None:
-            basis = monomials_of_degree(
-                self.gens, degree, [rule[2] for rule in self._rules])
-            self._basis[degree] = basis
-        return basis
-
     # -- reduction -----------------------------------------------------------
 
     def monomial_basis(self, degree: int) -> list[Monomial]:
+        """The standard monomials of the given degree, a fresh list."""
         self._check_degree(degree)
-        return list(self._standard_monomials(degree))
+        return monomials_of_degree(self.gens, degree,
+                                   [rule[2] for rule in self._rules])
 
     def _check_degree(self, degree: int):
         if degree > self.top_degree:
@@ -310,25 +291,16 @@ class QuotientRing:
     # -- reports -------------------------------------------------------------
 
     def dimension_report(self) -> DimensionReport:
-        dims = [len(self._standard_monomials(k))
-                for k in range(self.top_degree + 1)]
-        socle = 0
-        for k, d in enumerate(dims):
-            if d:
-                socle = k
+        dims = [len(self.monomial_basis(k)) for k in range(self.top_degree + 1)]
+        socle = max((k for k, d in enumerate(dims) if d), default=0)
         return DimensionReport(dims, sum(dims), socle, dims[socle])
 
     def audit_dump(self) -> dict:
         """Per-degree bases and reduction rows m - nf(m), JSON-ready."""
-        def mono_name(m: Monomial) -> str:
-            if not any(m):
-                return "1"
-            return "*".join(f"{n}^{e}" if e > 1 else n
-                            for n, e in zip(self.gens.names, m) if e)
-
         degrees = []
         for k in range(self.top_degree + 1):
             monos = monomials_of_degree(self.gens, k)
+            names = {m: GradedPoly.monomial(self.gens, m).render() for m in monos}
             position = {m: i for i, m in enumerate(monos)}
             rows = {}
             for m in monos:
@@ -336,14 +308,12 @@ class QuotientRing:
                     continue
                 entries = {b: -v for b, v in self.normal_forms([m])[m]}
                 entries[m] = 1
-                rows[mono_name(m)] = {
-                    mono_name(b): str(v)
-                    for b, v in sorted(entries.items(),
-                                       key=lambda bv: position[bv[0]])}
+                rows[names[m]] = {names[b]: str(entries[b])
+                                  for b in sorted(entries, key=position.__getitem__)}
             degrees.append({
                 "degree": k,
-                "monomials": [mono_name(m) for m in monos],
-                "basis": [mono_name(m) for m in self._standard_monomials(k)],
+                "monomials": list(names.values()),
+                "basis": [names[m] for m in self.monomial_basis(k)],
                 "reduction_rows": rows,
             })
         return {"generators": [{"name": n, "degree": d}

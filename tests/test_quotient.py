@@ -213,12 +213,18 @@ def test_presentation_rejects_negative_top_degree():
         [1], 1, 0, 1)
 
 
-def test_presentation_value_semantics():
-    first, second = tautological_presentation(4), tautological_presentation(4)
-    assert first is not second
-    assert first == second and hash(first) == hash(second)
-    assert len({first, second}) == 1
-    assert first != tautological_presentation(5)
+def test_malformed_monomials_rejected_by_degree_and_normal_forms():
+    ring = tautological_ring(3)
+    # (1, 0, 0, 0, 5) was read as u1, (3, -1, 0) reduced to 2*u1, a 4-tuple
+    # was kept in the normal-form table and (1,) raised IndexError.
+    for mono in ((1, 0, 0, 0, 5), (1, 0, 0, 0), (3, -1, 0), (1,)):
+        with pytest.raises(ValueError, match="monomial"):
+            ring.gens.degree_of(mono)
+        with pytest.raises(ValueError, match="monomial"):
+            ring.normal_forms([mono])
+        assert mono not in ring.normal_forms([])
+    assert ring.gens.degree_of((1, 0, 1)) == 4
+    assert ring.normal_forms([(3, 0, 0)])[(3, 0, 0)] == (((1, 1, 0), 2),)
 
 
 def test_audit_dump_serializable():
