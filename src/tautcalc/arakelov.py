@@ -212,13 +212,6 @@ _set_ring, _set_z, _set_a, _set_g = (ArithClass.__dict__[name].__set__
                                      for name in ArithClass.__slots__)
 
 
-class ArithRelation(NamedTuple):
-    """Rewriting rule zpoly = a(apart + gpart * gamma)."""
-    zpoly: GradedPoly
-    apart: GradedPoly
-    gpart: GradedPoly
-
-
 class ArithRing:
     """Shared machinery of the two arithmetic quotients."""
 
@@ -228,7 +221,6 @@ class ArithRing:
     form_caps: tuple[int, int]
     zgens: GeneratorSet
     agens: GeneratorSet
-    relations: list[ArithRelation]
     odd_sums: dict[int, GradedPoly]
     rho: dict[int, GradedPoly]
     zq: QuotientRing
@@ -267,24 +259,22 @@ class ArithRing:
         # degree at most cap - 1; the relations read no other power sum.
         self.odd_sums = {k: sums[2 * k - 2] for k in range(1, top_k + 1)}
         # Each lifted relation rewrites to a(beta * poly) on one side, 0 for
-        # the form part and 1 for the gamma coefficient.  Per relation: its
-        # form record (side, degree, poly's integer terms, beta as [(constant
-        # monomial, numerator, denominator)]) and the memo {t: step image of
-        # (r, t)}, the normal form of u^t times those terms; an image is a
-        # normal form, so it does not depend on the queries.
+        # the form part and 1 for the gamma coefficient.  Per relation r,
+        # whose lift is zq.presentation.relations[r]: its form record
+        # _form_parts[r] (side, degree, poly's integer terms, beta as
+        # [(constant monomial, numerator, denominator)]) and the memo {t:
+        # step image of (r, t)}, the normal form of u^t times those terms; an
+        # image is a normal form, so it does not depend on the queries.
         forms = [(0, s, b(k) * (-1) ** (k + 1)) for k, s in self.odd_sums.items()]
+        self.rho = {k: s * beta for k, (_, s, beta) in enumerate(forms, 1)}
         if gamma_degree is not None:
             forms.append((1, GradedPoly.constant(self.agens, 1), 1))
-        self.relations, self._form_parts = [], []
-        for lift, (side, poly, beta) in zip(lifted, forms, strict=True):
-            parts = [GradedPoly.zero(self.agens)] * 2
-            parts[side] = poly * beta
-            self.relations.append(ArithRelation(lift, *parts))
+        self._form_parts = []
+        for side, poly, beta in forms:
             den, terms = poly._slices.get((), (1, {}))
             self._form_parts.append((side, poly.max_degree(), terms, [
                 (k, q.numerator, q.denominator * den)
                 for k, q in Scalar.coerce(beta)._terms.items()]))
-        self.rho = {k: rel.apart for k, rel in enumerate(self.relations[:top_k], 1)}
         self._step_images: list[dict[Monomial, tuple]] = [{} for _ in forms]
 
     # -- constructors of elements -------------------------------------------
@@ -338,10 +328,6 @@ class ArithRing:
         out.gens = self.agens
         out._slices = poly._slices
         return out
-
-    def z_power_sums(self, up_to: int) -> list[GradedPoly]:
-        classes = ClassVector.standard(self.zgens, list(self.zgens.names))
-        return ch_from_c(classes, up_to)
 
     # -- reduction -----------------------------------------------------------
 
@@ -426,7 +412,7 @@ class ArithRing:
     def display_znames(self, latex: bool) -> dict[str, str]:
         if latex:
             return {f"C{j}": f"\\hat{{c}}_{{{j}}}" for j in range(1, len(self.zgens) + 1)}
-        return {f"C{j}": f"C{j}" for j in range(1, len(self.zgens) + 1)}
+        return {}
 
     def display_anames(self, latex: bool) -> dict[str, str]:
         if latex:
@@ -489,15 +475,14 @@ class CriticalPowerResult(NamedTuple):
     r: Scalar
     phi: GradedPoly          # reduced gamma coefficient, squarefree basis
     phi_raw: GradedPoly      # gamma coefficient straight from the witness
-    socle_monomial: Monomial
     socle_coordinate: Fraction
 
 
 def _critical_split(ring: ArithRing):
     """Reduce C1^(1 + top), top = d(d-1)/2, whose form part must lie in the
     one-dimensional socle R^top.  Returns (reduced class, gamma coefficient
-    straight from the witness, socle monomial, form coordinate normalized
-    against u1^top, the socle coordinate lam of u1^top)."""
+    straight from the witness, form coordinate normalized against u1^top,
+    the socle coordinate lam of u1^top)."""
     top = ring.d * (ring.d - 1) // 2
     power = GradedPoly.monomial(ring.zgens, ring.zgens.single("C1", top + 1))
     nf, cofactors = ring.zq.reduce_with_cofactors(power)
@@ -505,7 +490,7 @@ def _critical_split(ring: ArithRing):
     reduced = ArithClass(ring, nf, *ring._form_contributions(cofactors, zero, zero))
     raw_g = zero
     for ri, cof in cofactors.items():
-        if ring.relations[ri].gpart:    # C_d -> a(gamma), gamma side 1
+        if ring._form_parts[ri][0]:    # C_d -> a(gamma), gamma side 1
             raw_g = ring.omega(cof).truncate(ring.form_caps[1])
     if not reduced.z.is_zero():
         raise ReductionError("critical power kept a polynomial part; "
@@ -522,20 +507,20 @@ def _critical_split(ring: ArithRing):
     if top > 0 and not lam:
         raise ReductionError("u1^top vanished in the classical ring")
     coordinate = reduced.a.coefficient(socle)
-    return reduced, raw_g, socle, coordinate / lam if top > 0 else coordinate, lam
+    return reduced, raw_g, coordinate / lam if top > 0 else coordinate, lam
 
 
 def c1_critical_power(d: int, ring: AbelianTautRing | None = None) -> CriticalPowerResult:
     """Reduce C1^(1 + d(d-1)/2) and split the result as
     a(r * u1^(d(d-1)/2) + phi * gamma)."""
     ring = _ring_for(d, ring, AbelianTautRing)
-    reduced, raw_g, socle, r, lam = _critical_split(ring)
+    reduced, raw_g, r, lam = _critical_split(ring)
     phi = reduced.g
-    expected_phi_degree = (d - 1) * (d - 2) // 2
-    if not phi.is_zero() and phi.max_degree() != expected_phi_degree:
+    # The gamma coefficient's working degree, (d-1)(d-2)/2.
+    if not phi.is_zero() and phi.max_degree() != ring.form_caps[1]:
         raise ReductionError("gamma coefficient has the wrong form degree")
     return CriticalPowerResult(d, arithmetic_dimension(d), reduced, r, phi,
-                               raw_g, socle, lam)
+                               raw_g, lam)
 
 
 def harmonic_substitution(d: int) -> dict[str, Scalar]:
@@ -558,7 +543,7 @@ def height_polynomial(d: int, ring: LagrangianArithRing | None = None) -> Height
     Lagrangian ring, normalized against u1^top; substituting the
     zeta-derivative brackets for the h symbols yields r_d."""
     ring = _ring_for(d, ring, LagrangianArithRing)
-    _, _, _, height, lam = _critical_split(ring)
+    _, _, height, lam = _critical_split(ring)
     substituted = height.substitute(harmonic_substitution(d))
     return HeightPolynomialResult(d, height, substituted, lam)
 

@@ -438,7 +438,10 @@ def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, Graded
     degree_of = gens.degree_of
     if start is not None and start.gens != gens:
         raise ValueError("generator-set mismatch")
-    out = _copy_slices(start)
+    out: Slices = {}
+    if start is not None:
+        for k, (den, terms) in start._slices.items():
+            _add_slice(out, k, 1, den, terms.items())
     for p, q in pairs:
         if not p.gens == q.gens == gens:
             raise ValueError("generator-set mismatch")
@@ -510,13 +513,6 @@ def _add_slice(out: dict, k: ConstMonomial, num: int, den: int, source: Terms):
     scale *= num
     for m, n in source:
         terms[m] = terms.get(m, 0) + n * scale
-
-
-def _copy_slices(poly: GradedPoly | None) -> dict:
-    # A copy: stored slices are never changed in place.
-    if poly is None:
-        return {}
-    return {k: (den, dict(terms)) for k, (den, terms) in poly._slices.items()}
 
 
 def _target_slice(out: dict, k: ConstMonomial, den: int) -> tuple[dict, int]:

@@ -282,11 +282,7 @@ def proportionality_map_check(d: int,
 
     solved, diagnosis, certificate = _MapSolver(A).solve()
     if solved is None:
-        images = {k: ArithClass(A, GradedPoly.generator(A.zgens, f"C{k}")
-                                * Fraction((-1) ** k),
-                                GradedPoly.zero(A.agens),
-                                GradedPoly.zero(A.agens))
-                  for k in range(1, d)}
+        images = {k: A.lifted(k) * (-1) ** k for k in range(1, d)}
         e0: Scalar | None = None
         constructed = False
     else:

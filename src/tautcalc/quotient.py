@@ -296,24 +296,29 @@ class QuotientRing:
         return DimensionReport(dims, sum(dims), socle, dims[socle])
 
     def audit_dump(self) -> dict:
-        """Per-degree bases and reduction rows m - nf(m), JSON-ready."""
+        """Per-degree bases and reduction rows m - nf(m), JSON-ready.  Each
+        degree's monomials are divided in one pass; its basis is the
+        monomials that are their own normal form."""
         degrees = []
         for k in range(self.top_degree + 1):
             monos = monomials_of_degree(self.gens, k)
+            kept = self.normal_forms(monos)
             names = {m: GradedPoly.monomial(self.gens, m).render() for m in monos}
             position = {m: i for i, m in enumerate(monos)}
-            rows = {}
+            basis, rows = [], {}
             for m in monos:
-                if self._rule_for(m) is None:
+                nf = kept[m]
+                if nf == ((m, 1),):
+                    basis.append(names[m])
                     continue
-                entries = {b: -v for b, v in self.normal_forms([m])[m]}
+                entries = {b: -v for b, v in nf}
                 entries[m] = 1
                 rows[names[m]] = {names[b]: str(entries[b])
                                   for b in sorted(entries, key=position.__getitem__)}
             degrees.append({
                 "degree": k,
                 "monomials": list(names.values()),
-                "basis": [names[m] for m in self.monomial_basis(k)],
+                "basis": basis,
                 "reduction_rows": rows,
             })
         return {"generators": [{"name": n, "degree": d}

@@ -10,6 +10,7 @@ itself is the exact rational -B(2k)/(2k) and never a symbol.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
@@ -328,6 +329,9 @@ def harmonic_symbol(k: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
+# Held while the table grows: two threads that both read its length and
+# append would store one entry twice and shift every later B_n.
+_BERNOULLI_LOCK = threading.Lock()
 
 
 def bernoulli(n: int) -> Fraction:
@@ -337,10 +341,12 @@ def bernoulli(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    while len(_BERNOULLI_CACHE) <= n:
-        m = len(_BERNOULLI_CACHE)
-        acc = sum(Fraction(comb(m + 1, j)) * _BERNOULLI_CACHE[j] for j in range(m))
-        _BERNOULLI_CACHE.append(-acc / (m + 1))
+    with _BERNOULLI_LOCK:
+        while len(_BERNOULLI_CACHE) <= n:
+            m = len(_BERNOULLI_CACHE)
+            acc = sum(Fraction(comb(m + 1, j)) * _BERNOULLI_CACHE[j]
+                      for j in range(m))
+            _BERNOULLI_CACHE.append(-acc / (m + 1))
     return _BERNOULLI_CACHE[n]
 
 

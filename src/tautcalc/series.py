@@ -252,14 +252,14 @@ def ch_even_check(d: int, ring: AbelianTautRing | None = None) -> ChEvenReport:
     form classes reduced step by step."""
     ring = _ring_for(d, ring, AbelianTautRing)
     cap = ring.cap
-    z_sums = ring.z_power_sums(cap)
+    zc = ClassVector.standard(ring.zgens, list(ring.zgens.names))
+    z_sums = ch_from_c(zc, cap)
     defect = ch_even_defect_series(max(cap - 1, 1))
     a_classes = ClassVector.standard(ring.agens, list(ring.agens.names))
     expected_total = GradedPoly.zero(ring.agens)
     for j, s in enumerate(ch_from_c(a_classes, cap - 1, ring.aq.normal_form), 1):
         expected_total = expected_total - s * defect[j]
 
-    zc = ClassVector.standard(ring.zgens, list(ring.zgens.names))
     pontrjagin = pontrjagin_from_c(zc, cap // 2)
 
     degrees, matches, inter = [], [], []

@@ -130,29 +130,28 @@ def lagrangian_coefficient(k):
 
 def assert_relations_from_odd_sums(ring, coefficient):
     """ring.odd_sums[k] is the form normal form of the free-ring power sum
-    s_{2k-1}(u), and p_k(C) rewrites to a(coefficient(k) * odd_sums[k])."""
+    s_{2k-1}(u); the lifted relations are p_k(C), which rewrites to a(rho_k)
+    with rho_k = coefficient(k) * odd_sums[k] and no gamma part, then C_d,
+    which rewrites to a(gamma), when the ring has gamma."""
     top_k = min(len(ring.agens), ring.cap // 2)
     assert sorted(ring.odd_sums) == list(range(1, top_k + 1))
+    assert sorted(ring.rho) == list(range(1, top_k + 1))
     free = ch_from_c(ClassVector.standard(ring.agens, list(ring.agens.names)),
                      2 * top_k - 1)
     pontrjagin = pontrjagin_from_c(
         ClassVector.standard(ring.zgens, list(ring.zgens.names)), top_k)
+    lifts = ring.zq.presentation.relations
     for k in range(1, top_k + 1):
         assert ring.odd_sums[k] == ring.aq.normal_form(
             free[2 * k - 2].truncate(ring.cap - 1)), (ring.d, k)
-        rel = ring.relations[k - 1]
-        assert rel.zpoly == pontrjagin[k - 1]
-        assert rel.apart == ring.odd_sums[k] * coefficient(k), (ring.d, k)
-        assert rel.gpart.is_zero()
-        assert ring.rho[k] == rel.apart
-    gamma = ring.relations[top_k:]
+        assert lifts[k - 1] == pontrjagin[k - 1]
+        assert ring.rho[k] == ring.odd_sums[k] * coefficient(k), (ring.d, k)
+        assert ring.reduce(ring.from_z(lifts[k - 1])) == ring.from_a(ring.rho[k])
     if ring.gamma_degree is None:
-        assert gamma == []
+        assert len(lifts) == top_k
     else:
-        (rel,) = gamma
-        assert rel.zpoly == gen(ring, f"C{ring.d}", "z")
-        assert rel.apart.is_zero()
-        assert rel.gpart == GradedPoly.constant(ring.agens, 1)
+        assert lifts[top_k:] == (gen(ring, f"C{ring.d}", "z"),)
+        assert ring.reduce(ring.lifted(ring.d)) == ring.from_gamma()
 
 
 def test_relations_from_odd_power_sums():
@@ -584,7 +583,7 @@ def test_ch_even_small_d():
 def test_ch_even_d2_coefficient():
     # degree-2 part: (1/2) rho_1 = (12 Z1 - 1/2 + 4/3 L) u1
     ring = AbelianTautRing(2)
-    s2 = ring.z_power_sums(2)[1]
+    s2 = ch_from_c(ClassVector.standard(ring.zgens, list(ring.zgens.names)), 2)[1]
     reduced = ring.reduce(ring.from_z(s2 * Fraction(1, 2)))
     expected = gen(ring, "u1") * (Z1 * 12 - Fraction(1, 2) + LOG2 * Fraction(4, 3))
     assert reduced.z.is_zero() and reduced.g.is_zero()

@@ -79,12 +79,15 @@ def test_integral_vanishes_on_the_relations():
 
 def raw_form_part(ring, top):
     """The form part of C1^(top+1) before any normal form: omega(cofactor)
-    times each relation's form side, from the lifted ring's division."""
+    times each relation's form side, from the lifted ring's division.
+    Relation k - 1 is p_k(C), whose form side is rho_k; the relation after
+    them, C_d, rewrites to gamma and has no form side."""
     power = GradedPoly.monomial(ring.zgens, ring.zgens.single("C1", top + 1))
     nf, cofactors = ring.zq.reduce_with_cofactors(power)
     assert nf.is_zero()
-    return sum_of_products(ring.agens, [(ring.omega(c), ring.relations[ri].apart)
-                                        for ri, c in cofactors.items()], ring.cap - 1)
+    return sum_of_products(ring.agens, [(ring.omega(c), ring.rho[ri + 1])
+                                        for ri, c in cofactors.items()
+                                        if ri + 1 in ring.rho], ring.cap - 1)
 
 
 def test_critical_power_from_the_raw_form_part():

@@ -19,11 +19,12 @@ division.
 """
 
 import random
+from fractions import Fraction
 from functools import cache
 from itertools import product
 
 from tautcalc.arakelov import (AbelianTautRing, c1_critical_power,
-                               lagrangian_degree)
+                               lagrangian_degree, tautological_ring)
 
 
 def off_diagonal_components(lam: tuple, mu: tuple) -> int:
@@ -144,3 +145,29 @@ def test_pieri_matches_sampled_socle_normal_forms_at_d10():
                 if sum(j * e for j, e in enumerate(alpha, 1)) == n * (n + 1) // 2]
     monos = random.Random(1729).sample(products, 200)
     assert assert_socle_normal_forms(AbelianTautRing(d), d, monos) == 200
+
+
+def parse_monomial(name: str, n_gens: int) -> tuple:
+    """The exponents of a rendered monomial such as u1^2*u3."""
+    exponents = [0] * n_gens
+    for factor in name.split("*"):
+        gen, _, power = factor.partition("^")
+        exponents[int(gen[1:]) - 1] += int(power or 1)
+    return tuple(exponents)
+
+
+def test_pieri_annihilates_every_socle_audit_row():
+    # Each socle-degree reduction row m - nf(m) of the classical ring's
+    # audit dump integrates to 0 over LG(d - 1).
+    rows_checked = 0
+    for d in range(2, 8):
+        n, top = d - 1, d * (d - 1) // 2
+        dump = tautological_ring(d).audit_dump()
+        degree = dump["degrees"][top]
+        assert degree["degree"] == top
+        for row in degree["reduction_rows"].values():
+            total = sum(Fraction(c) * pieri_integral(parse_monomial(m, d), n)
+                        for m, c in row.items())
+            assert total == 0, (d, row)
+            rows_checked += 1
+    assert rows_checked == 583

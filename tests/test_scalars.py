@@ -1,9 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import tautcalc
 from tautcalc.scalars import (LOG2, Scalar, ZERO, bernoulli, harmonic,
                               harmonic_symbol, zeta_negative_odd,
                               zeta_prime_symbol)
@@ -173,3 +179,53 @@ def test_symbol_validation():
         Scalar.symbol("Q7")
     with pytest.raises(ValueError):
         zeta_prime_symbol(0)
+
+
+# Eight threads extend a fresh Bernoulli table to B_79 at once, under a
+# short switch interval, in each of 50 rounds.  Prints the rounds whose
+# table differs from the single-threaded one or whose threads raised.
+BERNOULLI_RACE = textwrap.dedent("""
+    import importlib, sys, threading
+    import tautcalc.scalars as scalars
+
+    N, THREADS = 79, 8
+    expected = [scalars.bernoulli(n) for n in range(N + 1)]
+    wrong = 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            importlib.reload(scalars)
+            barrier = threading.Barrier(THREADS)
+            errors = []
+
+            def extend():
+                try:
+                    barrier.wait(timeout=60)
+                    scalars.bernoulli(N)
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=extend) for _ in range(THREADS)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                if t.is_alive():
+                    raise SystemExit("a thread did not finish")
+            table = [scalars.bernoulli(n) for n in range(N + 1)]
+            wrong += bool(errors or table != expected
+                          or len(scalars._BERNOULLI_CACHE) != N + 1)
+    finally:
+        sys.setswitchinterval(interval)
+    print(wrong)
+""")
+
+
+def test_bernoulli_table_survives_concurrent_extension():
+    # In a fresh interpreter, so a corrupted table cannot reach other tests.
+    env = dict(os.environ, PYTHONPATH=str(Path(tautcalc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", BERNOULLI_RACE],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]

@@ -75,13 +75,23 @@ def reference_reduce(ring, poly):
             {ri: p for ri, p in cofactors.items() if p})
 
 
+def relation_sides(ring, ri):
+    """Relation ri's form side and gamma side: p_{ri+1}(C) rewrites to
+    a(rho_{ri+1}), and the relation after them, C_d, to a(gamma)."""
+    zero = GradedPoly.zero(ring.agens)
+    if ri + 1 in ring.rho:
+        return ring.rho[ri + 1], zero
+    assert ri == len(ring.rho) and ring.gamma_degree is not None
+    return zero, GradedPoly.constant(ring.agens, 1)
+
+
 def reference_form_parts(ring, cofactors, a, g):
     """The product route: a and g plus omega(cofactor) times each relation's
     form sides, expanded term by term, truncated, then reduced in aq."""
     for ri, c in cofactors.items():
-        rel, w = ring.relations[ri], ring.omega(c)
-        a = a + reference_mul_truncated(w, rel.apart, ring.cap - 1)
-        g = g + reference_mul_truncated(w, rel.gpart,
+        (apart, gpart), w = relation_sides(ring, ri), ring.omega(c)
+        a = a + reference_mul_truncated(w, apart, ring.cap - 1)
+        g = g + reference_mul_truncated(w, gpart,
                                         ring.cap - (ring.gamma_degree or 0))
     a = ring.aq.normal_form(a.truncate(ring.cap - 1))
     if ring.gamma_degree is None:
@@ -159,10 +169,10 @@ def test_mixed_denominators_in_one_slice():
     g = one_a * (Z1 * Fraction(1, 3) + L * Fraction(1, 5))
     ref_a, ref_g = a, g
     for ri, c in cofactors.items():
-        rel, w = ring.relations[ri], ring.omega(c)
-        ref_a = ref_a + reference_mul_truncated(w, rel.apart, ring.cap - 1)
+        (apart, gpart), w = relation_sides(ring, ri), ring.omega(c)
+        ref_a = ref_a + reference_mul_truncated(w, apart, ring.cap - 1)
         ref_g = ref_g + reference_mul_truncated(
-            w, rel.gpart, ring.cap - ring.gamma_degree)
+            w, gpart, ring.cap - ring.gamma_degree)
     # The reduced parts: normal forms of the same products.
     expected = (ring.aq.normal_form(ref_a.truncate(ring.cap - 1)),
                 ring.aq.normal_form(ref_g.truncate(ring.cap - ring.gamma_degree)))
