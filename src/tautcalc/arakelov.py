@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from operator import add
 from typing import Callable, Mapping, NamedTuple
 
 from .scalars import _EXACT, Scalar, _merge_monomials, bracket, harmonic_symbol
-from .graded import (GeneratorSet, GradedPoly, Monomial, _add_slice, _combine,
-                     _power, linear_image, sum_of_products)
+from .graded import (GeneratorSet, GradedPoly, _add_slice, _combine, _power,
+                     linear_image, sum_of_products)
 from .quotient import QuotientRing, ReductionError, RingPresentation
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 
@@ -264,7 +263,8 @@ class ArithRing:
         # _form_parts[r] (side, degree, poly's integer terms, beta as
         # [(constant monomial, numerator, denominator)]) and the memo {t:
         # step image of (r, t)}, the normal form of u^t times those terms; an
-        # image is a normal form, so it does not depend on the queries.
+        # image is a normal form, so it does not depend on the queries.  All
+        # are keyed by packed monomial; C_j and u_j pack alike.
         forms = [(0, s, b(k) * (-1) ** (k + 1)) for k, s in self.odd_sums.items()]
         self.rho = {k: s * beta for k, (_, s, beta) in enumerate(forms, 1)}
         if gamma_degree is not None:
@@ -275,7 +275,7 @@ class ArithRing:
             self._form_parts.append((side, poly.max_degree(), terms, [
                 (k, q.numerator, q.denominator * den)
                 for k, q in Scalar.coerce(beta)._terms.items()]))
-        self._step_images: list[dict[Monomial, tuple]] = [{} for _ in forms]
+        self._step_images: list[dict[int, tuple]] = [{} for _ in forms]
 
     # -- constructors of elements -------------------------------------------
 
@@ -371,11 +371,13 @@ class ArithRing:
     def _add_step_images(self, cofactors: Mapping[int, GradedPoly]):
         """Keep the step images that the cofactor terms need and the memo
         lacks, each a tuple of (monomial, coefficient) pairs with no zero.
-        Their product monomials are divided in one pass, smallest first."""
-        degree_of = self.agens.degree_of
+        Their product monomials are divided in one pass, smallest first.  A
+        product is a sum of packed monomials of at most the working degree,
+        so it needs no guard check."""
+        degree_of = self.agens.packed_degree
         caps = self.form_caps
-        products: dict[Monomial, Monomial] = {}   # one tuple per monomial
-        pending: dict[tuple[int, Monomial], list[Monomial]] = {}
+        products: dict[int, int] = {}   # one int object per monomial
+        pending: dict[tuple[int, int], list[int]] = {}
         for ri, cof in cofactors.items():
             known = self._step_images[ri]
             side, degree, poly, _ = self._form_parts[ri]
@@ -385,7 +387,7 @@ class ArithRing:
                         continue
                     # A form side is homogeneous: its image is kept or
                     # dropped whole.
-                    shifted = ([tuple(map(add, t, m)) for m in poly]
+                    shifted = ([t + m for m in poly]
                                if degree_of(t) + degree <= caps[side] else [])
                     pending[ri, t] = [products.setdefault(p, p) for p in shifted]
         reduced = self.aq.normal_forms(products)

@@ -2,35 +2,63 @@
 
 Generators carry positive integer degrees; monomials are dense exponent
 tuples ordered graded-lexicographically in the declared generator order.
+
+Inside the pipeline a monomial is one int, its packed exponent vector:
+generator i's exponent fills the 16-bit field at bit 16 i, so the last
+generator is the most significant, and the top bit of each field is an
+overflow guard, so every exponent is below EXPONENT_LIMIT = 2^15.  Three
+operations act on packed monomials:
+
+* a product is +: two exponents below 2^15 sum below 2^16, so no field
+  carries into the next, and a sum at or over the limit sets its field's
+  guard bit (GeneratorSet.guard), which sum_of_products checks;
+* dividing by a monomial known to divide is -;
+* x_i^e divides m exactly when m & field_mask(i) >= x_i^e packed, one
+  mask-and-compare.
+
+Two packed monomials compare as their exponent tuples read from the last
+generator, so within one degree the larger monomial in the quotient's
+graded reverse-lex order is the smaller int.  Tuples appear only at the
+public boundary (degree_of, single, unit, the GradedPoly constructors,
+coefficient, items, monomials and monomials_of_degree), and each is
+validated there before it is packed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
+from struct import Struct, error as StructError
 from typing import Callable, Iterable, Mapping
 
 from .scalars import _EXACT, ConstMonomial, Scalar, _merge_monomials
 
 Monomial = tuple[int, ...]
 
-# A polynomial split by constant monomial: {constant monomial: (denominator,
-# {monomial: numerator})}, the layout GradedPoly stores, each slice in lowest
-# terms (int numerators, none 0, with the denominator coprime to their gcd).
-# Stored slices are never changed in place, so polynomials may share them.
-Slices = dict[ConstMonomial, tuple[int, dict[Monomial, int]]]
+FIELD_BITS = 16
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
+_FIELD = (1 << FIELD_BITS) - 1
 
-# Integer terms as (monomial, int) pairs: a dict's items(), or a tuple of
-# pairs, the format of every kept normal form, cofactor and step image.
-Terms = Iterable[tuple[Monomial, int]]
+# A polynomial split by constant monomial: {constant monomial: (denominator,
+# {packed monomial: numerator})}, the layout GradedPoly stores, each slice in
+# lowest terms (int numerators, none 0, with the denominator coprime to their
+# gcd).  Stored slices are never changed in place, so polynomials may share
+# them.
+Slices = dict[ConstMonomial, tuple[int, dict[int, int]]]
+
+# Integer terms as (packed monomial, int) pairs: a dict's items(), or a
+# tuple of pairs, the format of every kept normal form, cofactor and step
+# image.
+Terms = Iterable[tuple[int, int]]
 
 
 class GeneratorSet:
-    """Ordered list of named generators with degrees >= 1.  Each monomial's
-    degree is kept once computed; the memo takes no part in == or hash."""
+    """Ordered list of named generators with degrees >= 1.  Each packed
+    monomial's degree is kept once computed; the memo takes no part in ==
+    or hash."""
 
-    __slots__ = ("names", "degrees", "_index", "_degree")
+    __slots__ = ("names", "degrees", "guard", "_index", "_degree", "_fields")
 
     def __init__(self, generators: Iterable[tuple[str, int]]):
         names = []
@@ -44,8 +72,14 @@ class GeneratorSet:
             degrees.append(degree)
         self.names = tuple(names)
         self.degrees = tuple(degrees)
+        # The top bit of every field: set in a product exactly when one of
+        # its exponents reached EXPONENT_LIMIT.
+        self.guard = sum(EXPONENT_LIMIT << FIELD_BITS * i for i in range(len(names)))
         self._index = {n: i for i, n in enumerate(names)}
-        self._degree: dict[Monomial, int] = {}
+        self._degree: dict[int, int] = {}
+        # A packed monomial's little-endian bytes are its unsigned 16-bit
+        # fields, first generator first.
+        self._fields = Struct(f"<{len(names)}H")
 
     def __len__(self) -> int:
         return len(self.names)
@@ -63,14 +97,44 @@ class GeneratorSet:
     def index(self, name: str) -> int:
         return self._index[name]
 
-    def degree_of(self, mono: Monomial) -> int:
-        """ValueError unless mono is an exponent vector; checked only when
-        its degree is first computed."""
+    def pack(self, mono: Iterable[int]) -> int:
+        """mono's packed exponent vector; ValueError unless it holds one int
+        exponent per generator, each in 0 .. EXPONENT_LIMIT - 1.  The 16-bit
+        fields reject a wrong length, a non-int and an exponent outside
+        0 .. 2^16 - 1; the guard bits, one at or above the limit."""
+        mono = tuple(mono)
         try:
-            return self._degree[mono]
+            key = int.from_bytes(self._fields.pack(*mono), "little")
+        except StructError:
+            key = None
+        if key is None or key & self.guard:
+            raise ValueError(f"monomial {mono} is not an exponent vector over "
+                             f"{len(self.names)} generators (int exponents "
+                             f"below {EXPONENT_LIMIT})")
+        return key
+
+    def unpack(self, key: int) -> Monomial:
+        """The exponent tuple of a packed monomial."""
+        fields = self._fields
+        return fields.unpack(key.to_bytes(fields.size, "little"))
+
+    @staticmethod
+    def field_mask(i: int) -> int:
+        """The bits of generator i's field: x_i^e divides m exactly when
+        m & field_mask(i) >= x_i^e packed."""
+        return _FIELD << FIELD_BITS * i
+
+    def degree_of(self, mono: Iterable[int]) -> int:
+        """ValueError unless mono is an exponent vector, checked on every
+        call: it is packed first."""
+        return self.packed_degree(self.pack(mono))
+
+    def packed_degree(self, key: int) -> int:
+        """The degree of a packed monomial, kept once computed."""
+        try:
+            return self._degree[key]
         except KeyError:
-            degree = self._degree[mono] = sum(map(
-                mul, _exponent_vector(self, mono), self.degrees))
+            degree = self._degree[key] = sum(map(mul, self.unpack(key), self.degrees))
             return degree
 
     def unit(self) -> Monomial:
@@ -107,7 +171,7 @@ def monomials_of_degree(gens: GeneratorSet, degree: int,
     degrees = gens.degrees
     caps = [degree // d for d in degrees]
     for lead in leads:
-        support = [(i, e) for i, e in enumerate(_exponent_vector(gens, lead)) if e]
+        support = [(i, e) for i, e in enumerate(gens.unpack(gens.pack(lead))) if e]
         if len(support) != 1:
             raise ValueError(f"lead {tuple(lead)} is not a power of one generator")
         (i, e), = support
@@ -138,16 +202,6 @@ def monomials_of_degree(gens: GeneratorSet, degree: int,
     return out
 
 
-def _exponent_vector(gens: GeneratorSet, mono: Iterable[int]) -> Monomial:
-    """mono as a tuple; ValueError unless it holds one non-negative exponent
-    per generator."""
-    mono = tuple(mono)
-    if len(mono) != len(gens) or min(mono, default=0) < 0:
-        raise ValueError(f"monomial {mono} is not an exponent vector over "
-                         f"{len(gens)} generators")
-    return mono
-
-
 class GradedPoly:
     """Polynomial with Scalar coefficients over a fixed GeneratorSet, stored
     as its integer slices; Scalars are built where a coefficient is read."""
@@ -157,9 +211,9 @@ class GradedPoly:
     def __init__(self, gens: GeneratorSet,
                  terms: Mapping[Monomial, Scalar | Fraction | int] | None = None):
         self.gens = gens
-        grouped: dict[ConstMonomial, dict[Monomial, Fraction]] = {}
+        grouped: dict[ConstMonomial, dict[int, Fraction]] = {}
         for mono, coeff in (terms or {}).items():
-            mono = _exponent_vector(gens, mono)
+            mono = gens.pack(mono)
             for k, q in Scalar.coerce(coeff)._terms.items():
                 grouped.setdefault(k, {})[mono] = q
         # Over the lcm of its denominators a slice is in lowest terms.
@@ -212,13 +266,20 @@ class GradedPoly:
     # -- inspection ----------------------------------------------------------
 
     def items(self) -> list[tuple[Monomial, Scalar]]:
-        return [(m, self.coefficient(m)) for m in
-                sorted(self.monomials(), key=lambda m: monomial_sort_key(self.gens, m))]
+        """(monomial, coefficient) pairs in monomial_sort_key order: by
+        exponent tuple from the largest, then stably by degree."""
+        degree_of = self.gens.packed_degree
+        pairs = sorted(((self.gens.unpack(key), key) for key in self._keys()),
+                       reverse=True)
+        pairs.sort(key=lambda pair: degree_of(pair[1]))
+        return [(mono, self._coefficient(key)) for mono, key in pairs]
 
     def coefficient(self, mono: Monomial) -> Scalar:
-        mono = _exponent_vector(self.gens, mono)
+        return self._coefficient(self.gens.pack(mono))
+
+    def _coefficient(self, key: int) -> Scalar:
         return Scalar({k: Fraction(n, den) for k, (den, terms) in self._slices.items()
-                       if (n := terms.get(mono))})
+                       if (n := terms.get(key))})
 
     def is_zero(self) -> bool:
         return not self._slices
@@ -228,12 +289,16 @@ class GradedPoly:
 
     def monomials(self) -> set[Monomial]:
         """The monomials with a nonzero coefficient."""
+        return set(map(self.gens.unpack, self._keys()))
+
+    def _keys(self) -> set[int]:
+        """The packed monomials with a nonzero coefficient."""
         return set().union(*(terms for _, terms in self._slices.values()))
 
     def max_degree(self) -> int:
         """The largest degree of a monomial, 0 for the zero polynomial; read
         off the slices in one loop, with no set of their monomials."""
-        degree_of = self.gens.degree_of
+        degree_of = self.gens.packed_degree
         top = 0
         for _, terms in self._slices.values():
             for m in terms:
@@ -242,12 +307,12 @@ class GradedPoly:
         return top
 
     def is_homogeneous(self) -> bool:
-        return len(set(map(self.gens.degree_of, self.monomials()))) <= 1
+        return len(set(map(self.gens.packed_degree, self._keys()))) <= 1
 
     def degree_components(self) -> dict[int, "GradedPoly"]:
         """The homogeneous components by increasing degree, split in one
         pass over the terms."""
-        degree_of = self.gens.degree_of
+        degree_of = self.gens.packed_degree
         split: dict[int, Slices] = {}
         for k, (den, terms) in self._slices.items():
             for m, n in terms.items():
@@ -256,7 +321,7 @@ class GradedPoly:
 
     def graded_component(self, degree: int) -> "GradedPoly":
         """The monomials of the given degree; self if that is all."""
-        if set(map(self.gens.degree_of, self.monomials())) <= {degree}:
+        if set(map(self.gens.packed_degree, self._keys())) <= {degree}:
             return self
         return self._select(lambda k: k == degree)
 
@@ -268,7 +333,7 @@ class GradedPoly:
 
     def _select(self, keep: Callable[[int], bool]) -> "GradedPoly":
         """The monomials whose degree passes keep."""
-        degree_of = self.gens.degree_of
+        degree_of = self.gens.packed_degree
         return GradedPoly.from_slices(self.gens, {
             k: (den, {m: n for m, n in terms.items() if keep(degree_of(m))})
             for k, (den, terms) in self._slices.items()})
@@ -284,7 +349,7 @@ class GradedPoly:
 
     def __add__(self, other) -> "GradedPoly":
         if isinstance(other, _EXACT):
-            unit = ((self.gens.unit(), 1),)
+            unit = ((0, 1),)
             added = [(k, q.numerator, q.denominator, unit)
                      for k, q in _scalar_terms(other)]
         elif isinstance(other, GradedPoly):
@@ -347,9 +412,8 @@ class GradedPoly:
     def __hash__(self) -> int:
         # A constant equals its coefficient (and an int or Fraction), so it
         # hashes alike.
-        unit = self.gens.unit()
-        if self.monomials() <= {unit}:
-            return hash(self.coefficient(unit))
+        if self._keys() <= {0}:
+            return hash(self._coefficient(0))
         return hash((self.gens, frozenset((k, den, frozenset(terms.items()))
                                           for k, (den, terms) in self._slices.items())))
 
@@ -434,8 +498,10 @@ def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, Graded
     max_degree dropped during expansion (None drops none, and then no
     degree is looked up).  One integer product per pair of slices: the
     constant monomials are merged and the denominators multiplied once per
-    pair."""
-    degree_of = gens.degree_of
+    pair.  A product of packed monomials is their sum; one that reaches
+    EXPONENT_LIMIT keeps its guard bit whatever its coefficient, so the keys
+    of the sum are checked once, and it raises ValueError."""
+    degree_of = gens.packed_degree
     if start is not None and start.gens != gens:
         raise ValueError("generator-set mismatch")
     out: Slices = {}
@@ -462,15 +528,21 @@ def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, Graded
                     for m1, n1 in left:
                         n1 *= scale
                         for m2, n2 in right_terms:
-                            m = tuple(map(add, m1, m2))
+                            m = m1 + m2
                             terms[m] = terms.get(m, 0) + n1 * n2
                 else:
                     for m1, n1, room in left:
                         n1 *= scale
                         for m2, n2, deg2 in right_terms:
                             if deg2 <= room:
-                                m = tuple(map(add, m1, m2))
+                                m = m1 + m2
                                 terms[m] = terms.get(m, 0) + n1 * n2
+    guard = gens.guard
+    for _, terms in out.values():
+        for m in terms:
+            if m & guard:
+                raise ValueError("a product exponent reaches "
+                                 f"{EXPONENT_LIMIT}: {gens.unpack(m)}")
     return GradedPoly.from_slices(gens, out)
 
 
@@ -484,7 +556,7 @@ def sum_of_slices(gens: GeneratorSet,
     return GradedPoly.from_slices(gens, out)
 
 
-def linear_image(slices: Slices, image: Mapping[Monomial, Terms]) -> Slices:
+def linear_image(slices: Slices, image: Mapping[int, Terms]) -> Slices:
     """The slices of the linear map that sends each monomial m to image[m],
     applied to slices: each slice keeps its denominator and gets fresh
     terms, which may hold zeros.  KeyError if image lacks a monomial."""
@@ -492,10 +564,10 @@ def linear_image(slices: Slices, image: Mapping[Monomial, Terms]) -> Slices:
             for k, (den, terms) in slices.items()}
 
 
-def _combine(pairs: Terms, image: Mapping[Monomial, Terms]) -> dict[Monomial, int]:
+def _combine(pairs: Terms, image: Mapping[int, Terms]) -> dict[int, int]:
     """The sum of n * image[m] over the pairs (m, n), a fresh dict that may
     hold zeros.  KeyError if image lacks a monomial."""
-    acc: dict[Monomial, int] = {}
+    acc: dict[int, int] = {}
     for m, n in pairs:
         for t, v in image[m]:
             acc[t] = acc.get(t, 0) + n * v

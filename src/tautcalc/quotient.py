@@ -9,16 +9,21 @@ Varieties, and Algorithms*, ch. 2 sec. 9) they are then a Groebner basis, so
 multivariate division gives normal forms on the standard monomials together
 with cofactors (membership witnesses).  Other witnesses differ from these by
 Koszul syzygies.
+
+The division runs on packed monomials (``graded``): the heap holds bare ints,
+whose order within one degree is the term order, a rule's test is one
+mask-and-compare, and a rewrite is one subtraction plus one addition per
+tail term.  The working degree is below EXPONENT_LIMIT, so no monomial of it
+has an exponent at the limit and these sums need no guard check.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple
 
-from .graded import (GeneratorSet, GradedPoly, Monomial, Slices, Terms,
-                     _add_slice, linear_image, monomials_of_degree,
+from .graded import (EXPONENT_LIMIT, GeneratorSet, GradedPoly, Monomial, Slices,
+                     Terms, _add_slice, linear_image, monomials_of_degree,
                      sum_of_products)
 
 
@@ -31,7 +36,7 @@ class RingPresentation:
 
     Each relation is one division rule; a mixed-degree relation of the graded
     ring is passed as its homogeneous components.  Relation coefficients must
-    be integers, and the working degree must not be negative.
+    be integers, and the working degree must be in 0 .. EXPONENT_LIMIT - 1.
     """
 
     __slots__ = ("gens", "relations", "top_degree")
@@ -51,6 +56,8 @@ class RingPresentation:
                                  "pass its degree components")
         if top_degree < 0:
             raise ValueError("top degree must be non-negative")
+        if top_degree >= EXPONENT_LIMIT:
+            raise ValueError(f"top degree must be below {EXPONENT_LIMIT}")
         if rels and top_degree < max(gens.degrees, default=0):
             raise ValueError("top degree below maximal generator degree")
         self.gens = gens
@@ -84,11 +91,6 @@ class DimensionReport(NamedTuple):
     socle_dim: int
 
 
-def _order_key(mono: Monomial) -> Monomial:
-    """Within one degree, the larger monomial has the smaller key."""
-    return mono[::-1]
-
-
 class QuotientRing:
     """Graded quotient reduced by division by its relations, whose leading
     coefficients lc(s) must be +-1, so division stays in the integers.
@@ -96,9 +98,9 @@ class QuotientRing:
     A monomial m = t * lead(s) is rewritten to t * (lead(s) - lc(s) * s) by
     the first relation s whose lead divides it.  The integer normal form of
     each monomial is computed on first use and kept in ``_nf``, and, when
-    witnesses are tracked, its cofactors in ``_cof``; each kept value is a
-    tuple of (monomial, int) pairs with no zero.  ``division_steps`` counts
-    the rewrites.
+    witnesses are tracked, its cofactors in ``_cof``; both are keyed by
+    packed monomial, and each kept value is a tuple of (packed monomial, int)
+    pairs with no zero.  ``division_steps`` counts the rewrites.
     """
 
     def __init__(self, presentation: RingPresentation, track_witnesses: bool = True):
@@ -106,41 +108,36 @@ class QuotientRing:
         self.gens = presentation.gens
         self.top_degree = presentation.top_degree
         self.track_witnesses = track_witnesses
-        # Per relation: the lead x_i^e as i and e, the lead, lc (which is
-        # 1/lc) and the rewrite tail [(monomial, -c*lc)].
-        self._rules: list[tuple[int, int, Monomial, int, list]] = []
+        # Per relation, over packed monomials: the field mask of the lead
+        # x_i^e's generator, the lead, lc (which is 1/lc) and the rewrite
+        # tail [(monomial, -c*lc)].  A relation is homogeneous, so its lead
+        # is its smallest packed monomial.
+        self._rules: list[tuple[int, int, int, list]] = []
         for ri, rel in enumerate(presentation.relations):
             (_, terms), = rel._slices.values()
-            lead = min(terms, key=_order_key)
-            support = [(i, e) for i, e in enumerate(lead) if e]
+            lead = min(terms)
+            support = [i for i, e in enumerate(self.gens.unpack(lead)) if e]
             if len(support) != 1:
-                raise ValueError(f"lead {lead} of relation {ri} is not a "
-                                 "power of one generator")
+                raise ValueError(f"lead {self.gens.unpack(lead)} of relation "
+                                 f"{ri} is not a power of one generator")
             if (lc := terms[lead]) not in (1, -1):
                 raise ValueError(f"leading coefficient {lc} of relation {ri} "
                                  "is not +-1")
             tail = [(m, -c * lc) for m, c in terms.items() if m != lead]
-            self._rules.append((*support[0], lead, lc, tail))
-        for j, (i_j, _, _, _, tail_j) in enumerate(self._rules):
-            for k, (i_k, _, _, _, tail_k) in enumerate(self._rules[:j]):
+            self._rules.append((GeneratorSet.field_mask(support[0]), lead, lc, tail))
+        for j, (mask_j, _, _, tail_j) in enumerate(self._rules):
+            for k, (mask_k, _, _, tail_k) in enumerate(self._rules[:j]):
                 # The S-polynomial of two monomials is 0.
-                if i_j == i_k and (tail_j or tail_k):
+                if mask_j == mask_k and (tail_j or tail_k):
                     raise ValueError(f"leading monomials of relations {k} and "
                                      f"{j} are not coprime")
-        self._nf: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
-        self._cof: dict[Monomial, dict[int, tuple[tuple[Monomial, int], ...]]] = {}
+        self._nf: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._cof: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
         self.division_steps = 0
 
     # -- division ------------------------------------------------------------
 
-    def _rule_for(self, mono: Monomial) -> int | None:
-        """Index of the first relation whose lead divides mono."""
-        for ri, (i, e, _, _, _) in enumerate(self._rules):
-            if mono[i] >= e:
-                return ri
-        return None
-
-    def _reduce_monomial(self, mono: Monomial):
+    def _reduce_monomial(self, mono: int):
         """Keep the normal form of mono, (standard monomial, coefficient)
         pairs, in _nf and, when tracked, its cofactors {relation:
         (multiplier, coefficient) pairs} in _cof.
@@ -148,15 +145,18 @@ class QuotientRing:
         Terms are rewritten largest first, so each coefficient is final when
         its term is rewritten, and the result is linear in the per-monomial
         rewrites: a term reduced before takes its kept result, and no result
-        depends on the order of queries.
+        depends on the order of queries.  A term is rewritten by the first
+        relation whose lead divides it, found by one mask-and-compare per
+        relation.
         """
+        rules = self._rules
         kept_nf, kept_cof = self._nf, self._cof
-        coeffs: dict[Monomial, int] = {mono: 1}
-        heap = [(_order_key(mono), mono)]
-        nf: dict[Monomial, int] = {}
+        coeffs: dict[int, int] = {mono: 1}
+        heap = [mono]
+        nf: dict[int, int] = {}
         cof: dict[int, dict] | None = {} if self.track_witnesses else None
         while heap:
-            _, m = heappop(heap)
+            m = heappop(heap)
             c = coeffs.pop(m)
             if not c:
                 continue
@@ -167,21 +167,22 @@ class QuotientRing:
                     for ri, terms in kept_cof[m].items():
                         _axpy(cof.setdefault(ri, {}), c, terms)
                 continue
-            ri = self._rule_for(m)
-            if ri is None:
+            for ri, (mask, lead, lc, tail) in enumerate(rules):
+                if m & mask >= lead:
+                    break
+            else:
                 _axpy(nf, c, ((m, 1),))
                 continue
             self.division_steps += 1
-            _, _, lead, lc, tail = self._rules[ri]
-            t = tuple(map(sub, m, lead))
+            t = m - lead
             if cof is not None:
                 _axpy(cof.setdefault(ri, {}), c, ((t, lc),))
             for tm, tc in tail:
-                n = tuple(map(add, t, tm))
+                n = t + tm
                 old = coeffs.get(n)
                 if old is None:
                     coeffs[n] = c * tc
-                    heappush(heap, (_order_key(n), n))
+                    heappush(heap, n)
                 else:
                     coeffs[n] = old + c * tc
         kept_nf[mono] = tuple(nf.items())
@@ -194,24 +195,24 @@ class QuotientRing:
         """The standard monomials of the given degree, a fresh list."""
         self._check_degree(degree)
         return monomials_of_degree(self.gens, degree,
-                                   [rule[2] for rule in self._rules])
+                                   [self.gens.unpack(rule[1]) for rule in self._rules])
 
     def _check_degree(self, degree: int):
         if degree > self.top_degree:
             raise ReductionError(
                 f"degree {degree} exceeds working degree {self.top_degree}")
 
-    def normal_forms(self, monos: Iterable[Monomial]
-                     ) -> dict[Monomial, tuple[tuple[Monomial, int], ...]]:
+    def normal_forms(self, monos: Iterable[int]
+                     ) -> dict[int, tuple[tuple[int, int], ...]]:
         """The kept table {monomial: normal form} itself, once it holds each
-        of monos; the caller must not change it.  The monomials it lacks are
-        divided in one pass, smallest first, so the larger ones' divisions
-        reuse them."""
+        of the packed monomials monos; the caller must not change it.  The
+        monomials it lacks are divided in one pass, smallest first (largest
+        int first), so the larger ones' divisions reuse them."""
         kept = self._nf
         missing = [m for m in monos if m not in kept]
         if missing:
-            self._check_degree(max(map(self.gens.degree_of, missing)))
-            missing.sort(key=_order_key, reverse=True)
+            self._check_degree(max(map(self.gens.packed_degree, missing)))
+            missing.sort(reverse=True)
             for m in missing:
                 if m not in kept:   # monos may repeat a monomial
                     self._reduce_monomial(m)
@@ -301,9 +302,11 @@ class QuotientRing:
         monomials that are their own normal form."""
         degrees = []
         for k in range(self.top_degree + 1):
-            monos = monomials_of_degree(self.gens, k)
+            listed = monomials_of_degree(self.gens, k)
+            monos = list(map(self.gens.pack, listed))
             kept = self.normal_forms(monos)
-            names = {m: GradedPoly.monomial(self.gens, m).render() for m in monos}
+            names = {m: GradedPoly.monomial(self.gens, mono).render()
+                     for m, mono in zip(monos, listed)}
             position = {m: i for i, m in enumerate(monos)}
             basis, rows = [], {}
             for m in monos:

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from tautcalc.scalars import Scalar
-from tautcalc.graded import (GeneratorSet, GradedPoly, monomial_sort_key,
-                             monomials_of_degree)
+from tautcalc.graded import (EXPONENT_LIMIT, GeneratorSet, GradedPoly,
+                             monomial_sort_key, monomials_of_degree)
+from tautcalc.quotient import RingPresentation
 
 
 def gens_u(d):
@@ -63,6 +64,102 @@ def test_degree_memo_matches_weighted_sum():
         # The memo takes no part in equality or hashing.
         assert fresh == g and hash(fresh) == hash(g)
         assert fresh != GeneratorSet(zip(g.names, [w + 1 for w in weights]))
+
+
+def test_exponents_must_be_ints_below_the_field_limit():
+    # A float exponent was taken: degree_of((1.5, 0)) returned 1.5 and the
+    # monomial rendered a^1.5.  Every boundary rejects a non-int exponent
+    # and one at or above the field limit before anything is packed.
+    g = GeneratorSet((("a", 1), ("b", 2)))
+    a = GradedPoly.generator(g, "a")
+    for mono in ((1.5, 0), (0, 2.0), (Fraction(1), 0), ("1", 0), (None, 0),
+                 (EXPONENT_LIMIT, 0), (0, 40000)):
+        for reject in (g.degree_of, g.pack, lambda m: GradedPoly.monomial(g, m),
+                       lambda m: GradedPoly(g, {m: 1}), a.coefficient,
+                       lambda m: monomials_of_degree(g, 2, [m]),
+                       lambda m: monomial_sort_key(g, m)):
+            with pytest.raises(ValueError, match="monomial"):
+                reject(mono)
+    # A list is the exponent vector it holds, as it is for coefficient; the
+    # degree memo is keyed by the packed monomial, so it raises no
+    # TypeError.
+    assert g.degree_of([1, 0]) == 1 and g.degree_of([0, 1]) == 2
+    assert a.coefficient([1, 0]) == 1
+
+
+def test_packed_order_is_the_reversed_tuple_order():
+    # The division's heap pops the smallest packed monomial, and sorts the
+    # monomials it divides by packed value.  The quotient's order, the
+    # reversed exponent tuple (within one degree the larger monomial has
+    # the smaller one), must be the packed order, so that every division
+    # takes the same steps in the same order.  Packed + is tuple addition.
+    rng = random.Random(1881)
+    for n in (1, 6, 13, 17):
+        g = GeneratorSet([(f"u{j}", j) for j in range(1, n + 1)])
+        # Small exponents, and some near the limit in any field.
+        monos = [tuple(rng.randrange(EXPONENT_LIMIT) if rng.random() < 0.1
+                       else rng.randrange(4) for _ in range(n)) for _ in range(300)]
+        monos += monomials_of_degree(g, 6) + monomials_of_degree(g, 7)
+        rng.shuffle(monos)
+        packed = [g.pack(m) for m in monos]
+        assert [g.unpack(k) for k in packed] == monos
+        # items() lists the monomials in monomial_sort_key order.
+        listed = [m for m, _ in GradedPoly(g, dict.fromkeys(monos, 1)).items()]
+        assert listed == sorted(set(monos), key=lambda m: monomial_sort_key(g, m))
+        assert ([g.unpack(k) for k in sorted(packed)]
+                == sorted(monos, key=lambda m: m[::-1])), n
+        for (m1, k1), (m2, k2) in zip(zip(monos, packed), zip(monos[1:], packed[1:])):
+            assert (k1 < k2) == (m1[::-1] < m2[::-1])
+            half1, half2 = ([e // 2 for e in m] for m in (m1, m2))
+            assert g.unpack(g.pack(half1) + g.pack(half2)) == tuple(
+                a + b for a, b in zip(half1, half2))
+            # The pure-power test: x_i^e divides m2 exactly when one
+            # mask-and-compare says so.
+            i = rng.randrange(n)
+            e = rng.randrange(1, 5)
+            lead = g.pack([e if j == i else 0 for j in range(n)])
+            assert (k2 & g.field_mask(i) >= lead) == (m2[i] >= e)
+
+
+def test_field_limit_and_product_guard():
+    g = GeneratorSet((("a", 1), ("b", 2)))
+    assert EXPONENT_LIMIT == 32768
+    top = GradedPoly.monomial(g, (32767, 0))
+    assert g.unpack(g.pack((32767, 32767))) == (32767, 32767)
+    assert top.items() == [((32767, 0), 1)] and top.monomials() == {(32767, 0)}
+    assert g.degree_of((0, 32767)) == 65534
+    for mono in ((32768, 0), (0, 32768)):
+        with pytest.raises(ValueError, match="monomial"):
+            g.pack(mono)
+    # A product that would cross the limit raises; it never carries into
+    # the next generator's field.
+    x = GradedPoly.monomial(g, (20000, 0))
+    with pytest.raises(ValueError, match="reaches 32768"):
+        x ** 2
+    with pytest.raises(ValueError, match="reaches 32768"):
+        x * GradedPoly.monomial(g, (12768, 3))
+    with pytest.raises(ValueError, match="reaches 32768"):
+        x.mul_truncated(x, None)
+    assert x * GradedPoly.monomial(g, (12767, 3)) == GradedPoly.monomial(g, (32767, 3))
+    assert x.mul_truncated(x, 39999).is_zero()
+    raw = g.pack((20000, 0)) + g.pack((20000, 3))
+    assert raw & g.guard and g.unpack(raw) == (40000, 3)
+    # No monomial of a working degree reaches the limit.
+    with pytest.raises(ValueError, match="top degree must be below 32768"):
+        RingPresentation(g, [], EXPONENT_LIMIT)
+
+
+def test_u1_power_over_17_generators_round_trips():
+    # AbelianTautRing(17) works to degree 137, with u1^136 in its form
+    # ring; its 17 generators pack without a ring being built.
+    g = gens_u(17)
+    mono = (136,) + (0,) * 16
+    assert g.unpack(g.pack(mono)) == mono and g.degree_of(mono) == 136
+    u1_136 = GradedPoly.monomial(g, mono, 3)
+    assert u1_136.items() == [(mono, 3)] and u1_136.coefficient(mono) == 3
+    product = u1_136 * GradedPoly.generator(g, "u17")
+    assert product.monomials() == {(136,) + (0,) * 15 + (1,)}
+    assert product.max_degree() == 153
 
 
 def test_hash_agrees_with_equality_for_constants():

@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
+from packed import normal_forms
 from tautcalc.arakelov import (AbelianTautRing, c1_critical_power,
                                lagrangian_degree, tautological_ring)
 
@@ -98,7 +99,7 @@ def assert_socle_normal_forms(ring, d: int, monos) -> int:
     socle = (1,) * n + (0,)
     scale = pieri_integral(socle, n)
     assert scale
-    kept = ring.aq.normal_forms(monos)
+    kept = normal_forms(ring.aq, monos)
     checked = 0
     for mono in monos:
         if ring.agens.degree_of(mono) != top:
@@ -131,7 +132,7 @@ def test_pieri_matches_every_kept_socle_normal_form_through_d8():
     for d in range(2, 9):
         ring = AbelianTautRing(d)
         c1_critical_power(d, ring)
-        checked = assert_socle_normal_forms(ring, d, list(ring.aq.normal_forms(())))
+        checked = assert_socle_normal_forms(ring, d, list(normal_forms(ring.aq)))
         assert checked >= 1
     # At d = 8 the critical power leaves 324 socle-degree normal forms.
     assert checked == 324

@@ -8,6 +8,7 @@ import pytest
 from tautcalc.scalars import Scalar, zeta_prime_symbol
 from tautcalc.graded import GeneratorSet, GradedPoly, monomial_sort_key
 from tautcalc.quotient import (QuotientRing, ReductionError, RingPresentation)
+from packed import normal_forms
 from tautcalc.arakelov import (AbelianTautRing, LagrangianArithRing,
                                lagrangian_degree, tautological_presentation,
                                tautological_ring)
@@ -216,15 +217,20 @@ def test_presentation_rejects_negative_top_degree():
 def test_malformed_monomials_rejected_by_degree_and_normal_forms():
     ring = tautological_ring(3)
     # (1, 0, 0, 0, 5) was read as u1, (3, -1, 0) reduced to 2*u1, a 4-tuple
-    # was kept in the normal-form table and (1,) raised IndexError.
+    # was kept in the normal-form table and (1,) raised IndexError.  The
+    # table is keyed by packed monomials, and packing rejects each of them
+    # before the ring is asked: the table is left as it was.
+    kept = dict(ring.normal_forms([]))
     for mono in ((1, 0, 0, 0, 5), (1, 0, 0, 0), (3, -1, 0), (1,)):
         with pytest.raises(ValueError, match="monomial"):
             ring.gens.degree_of(mono)
         with pytest.raises(ValueError, match="monomial"):
-            ring.normal_forms([mono])
-        assert mono not in ring.normal_forms([])
+            ring.gens.pack(mono)
+        with pytest.raises(ValueError, match="monomial"):
+            normal_forms(ring, [mono])
+        assert ring.normal_forms([]) == kept
     assert ring.gens.degree_of((1, 0, 1)) == 4
-    assert ring.normal_forms([(3, 0, 0)])[(3, 0, 0)] == (((1, 1, 0), 2),)
+    assert normal_forms(ring, [(3, 0, 0)])[(3, 0, 0)] == (((1, 1, 0), 2),)
 
 
 def test_audit_dump_serializable():

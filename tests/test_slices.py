@@ -16,6 +16,7 @@ from tautcalc.graded import (GeneratorSet, GradedPoly, monomials_of_degree,
 from tautcalc.quotient import QuotientRing, RingPresentation
 from tautcalc.arakelov import (AbelianTautRing, ArithClass, LagrangianArithRing,
                                c1_critical_power, height_polynomial)
+from packed import normal_forms, unpack_terms
 
 L, Z1, Z3 = Scalar.symbol("L"), Scalar.symbol("Z1"), Scalar.symbol("Z3")
 H1, H3 = Scalar.symbol("h1"), Scalar.symbol("h3")
@@ -63,12 +64,13 @@ def reference_reduce(ring, poly):
     from the ring's per-monomial integer divisions."""
     nf, cof = {}, {}
     for mono, coeff in poly.items():
-        mono_nf, mono_cof = ring.normal_forms([mono])[mono], ring._cof.get(mono)
+        mono_nf = normal_forms(ring, [mono])[mono]
+        mono_cof = ring._cof.get(ring.gens.pack(mono))
         for m, v in mono_nf:
             nf[m] = nf.get(m, ZERO) + coeff * v
         for ri, terms in (mono_cof or {}).items():
             rel_cof = cof.setdefault(ri, {})
-            for m, v in terms:
+            for m, v in unpack_terms(ring.gens, terms):
                 rel_cof[m] = rel_cof.get(m, ZERO) + coeff * v
     cofactors = {ri: GradedPoly(ring.gens, t) for ri, t in sorted(cof.items())}
     return (GradedPoly(ring.gens, nf),
@@ -305,8 +307,8 @@ def test_reduce_through_step_images_matches_product_route():
 def test_kept_reductions_and_step_images_are_integers():
     # Every relation has integer coefficients and a leading coefficient of
     # +-1, so every kept normal form, cofactor and step image holds ints.
-    # Each is a tuple of (monomial, int) pairs with no zero; aq keeps no
-    # cofactors, and zq keeps them for every normal form.
+    # Each is a tuple of (packed monomial, int) pairs with no zero; aq keeps
+    # no cofactors, and zq keeps them for every normal form.
     def kept_terms(ring):
         for q in (ring.aq, ring.zq):
             for nf in q._nf.values():
@@ -326,8 +328,15 @@ def test_kept_reductions_and_step_images_are_integers():
             seen = list(kept_terms(ring))
             assert seen and all(type(v) is int for terms in seen for _, v in terms), (d, ring)
             assert all(type(terms) is tuple and all(
-                type(pair) is tuple and len(pair) == 2 and type(pair[0]) is tuple
+                type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int
                 and pair[1] for pair in terms) for terms in seen), (d, ring)
+            # Each monomial, kept or a key, unpacks to an exponent tuple
+            # that packs back to it (C_j and u_j pack alike).
+            gens = ring.agens
+            assert all(gens.pack(mono) == m for terms in seen for (m, _), (mono, _)
+                       in zip(terms, unpack_terms(gens, terms))), (d, ring)
+            assert all(gens.pack(gens.unpack(m)) == m for q in (ring.aq, ring.zq)
+                       for m in q._nf), (d, ring)
             assert not ring.aq._cof and ring.zq._cof.keys() == ring.zq._nf.keys()
             # Monomials already kept: no division step, the kept table itself.
             for q in (ring.aq, ring.zq):
@@ -579,12 +588,15 @@ def test_stored_slices_are_in_lowest_terms():
     rng = random.Random(2627)
     gens = GeneratorSet([(f"u{j}", j) for j in range(1, 5)])
     # Over 1 a slice is kept as it is; over 6 it is divided by its gcd.
-    terms = {(2, 0, 0, 0): 4, (0, 1, 0, 0): 6}
+    # Slices are keyed by packed monomials.
+    u1_2, u1, u2 = (gens.pack(m) for m in ((2, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)))
+    terms = {u1_2: 4, u2: 6}
     assert GradedPoly.from_slices(gens, {(): (1, terms)})._slices[()][1] is terms
-    assert GradedPoly.from_slices(gens, {(): (6, {**terms, (1, 0, 0, 0): 0})}
-                                  )._slices == {(): (3, {(2, 0, 0, 0): 2,
-                                                         (0, 1, 0, 0): 3})}
-    assert GradedPoly.from_slices(gens, {(): (5, {(1, 0, 0, 0): 0})}).is_zero()
+    assert GradedPoly.from_slices(gens, {(): (6, {**terms, u1: 0})}
+                                  )._slices == {(): (3, {u1_2: 2, u2: 3})}
+    assert GradedPoly.from_slices(gens, {(): (6, {**terms, u1: 0})}) == GradedPoly(
+        gens, {(2, 0, 0, 0): Fraction(2, 3), (0, 1, 0, 0): 1})
+    assert GradedPoly.from_slices(gens, {(): (5, {u1: 0})}).is_zero()
     integral = [GradedPoly(gens, {m: rng.randrange(-6, 7) for m in
                                   monomials_of_degree(gens, rng.randrange(6))})
                 for _ in range(10)]
