@@ -330,13 +330,12 @@ def test_kept_reductions_and_step_images_are_integers():
             assert all(type(terms) is tuple and all(
                 type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int
                 and pair[1] for pair in terms) for terms in seen), (d, ring)
-            # Each monomial, kept or a key, unpacks to an exponent tuple
-            # that packs back to it (C_j and u_j pack alike).
+            # Each monomial, kept or a key, is packed: it unpacks to an
+            # exponent tuple that packs back to it (C_j and u_j pack alike).
             gens = ring.agens
-            assert all(gens.pack(mono) == m for terms in seen for (m, _), (mono, _)
-                       in zip(terms, unpack_terms(gens, terms))), (d, ring)
-            assert all(gens.pack(gens.unpack(m)) == m for q in (ring.aq, ring.zq)
-                       for m in q._nf), (d, ring)
+            monos = [m for terms in seen for m, _ in terms]
+            monos += [m for q in (ring.aq, ring.zq) for m in q._nf]
+            assert all(gens.pack(gens.unpack(m)) == m for m in monos), (d, ring)
             assert not ring.aq._cof and ring.zq._cof.keys() == ring.zq._nf.keys()
             # Monomials already kept: no division step, the kept table itself.
             for q in (ring.aq, ring.zq):
