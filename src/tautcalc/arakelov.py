@@ -374,7 +374,7 @@ class ArithRing:
         Their product monomials are divided in one pass, smallest first.  A
         product is a sum of packed monomials of at most the working degree,
         so it needs no guard check."""
-        degree_of = self.agens.packed_degree
+        shift = self.agens.shift
         caps = self.form_caps
         products: dict[int, int] = {}   # one int object per monomial
         pending: dict[tuple[int, int], list[int]] = {}
@@ -388,7 +388,7 @@ class ArithRing:
                     # A form side is homogeneous: its image is kept or
                     # dropped whole.
                     shifted = ([t + m for m in poly]
-                               if degree_of(t) + degree <= caps[side] else [])
+                               if (t >> shift) + degree <= caps[side] else [])
                     pending[ri, t] = [products.setdefault(p, p) for p in shifted]
         reduced = self.aq.normal_forms(products)
         # Stored only now, so a division that raises leaves no image behind.

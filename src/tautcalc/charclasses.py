@@ -72,7 +72,10 @@ def c_from_ch(power_sums: Sequence[GradedPoly], rank: int,
               gens: GeneratorSet) -> ClassVector:
     """Invert Newton's identities: recover c_1..c_rank from s_1..s_rank,
     c_k = (-1)^(k-1)/k (s_k + sum_{i<k} (-1)^i c_i s_{k-i}), each step one
-    sum of products."""
+    sum of products.  ValueError for fewer than rank power sums."""
+    if len(power_sums) < rank:
+        raise ValueError(f"rank {rank} needs the power sums s_1..s_{rank}, "
+                         f"got {len(power_sums)}")
     classes: list[GradedPoly] = []
     signed: list[GradedPoly] = []
     for k in range(1, rank + 1):
@@ -94,12 +97,3 @@ def pontrjagin_from_c(classes: ClassVector, up_to: int | None = None) -> list[Gr
     for k in range(1, up_to + 1):
         out.append(product.graded_component(2 * k) * Fraction((-1) ** k))
     return out
-
-
-def pontrjagin_direct(classes: ClassVector, k: int) -> GradedPoly:
-    """Cross-check form p_k = c_k^2 + 2 sum_{l<k} (-1)^(k+l) c_l c_{2k-l}."""
-    acc = classes.chern(k) * classes.chern(k)
-    for l in range(0, k):
-        term = classes.chern(l) * classes.chern(2 * k - l)
-        acc = acc + term * Fraction(2 * (-1) ** (k + l))
-    return acc

@@ -3,25 +3,27 @@
 Generators carry positive integer degrees; monomials are dense exponent
 tuples ordered graded-lexicographically in the declared generator order.
 
-Inside the pipeline a monomial is one int, its packed exponent vector:
-generator i's exponent fills the 16-bit field at bit 16 i, so the last
-generator is the most significant, and the top bit of each field is an
-overflow guard, so every exponent is below EXPONENT_LIMIT = 2^15.  Three
-operations act on packed monomials:
+Inside the pipeline a monomial is one int, its packed key.  Generator i's
+exponent fills the 16-bit field at bit 16 i, and the top bit of each field
+is an overflow guard, so every exponent is below EXPONENT_LIMIT = 2^15.
+Above the fields, from bit shift = 16 * len(gens), the key holds the
+weighted degree, with no width limit.  Three operations act on packed
+monomials:
 
 * a product is +: two exponents below 2^15 sum below 2^16, so no field
-  carries into the next, and a sum at or over the limit sets its field's
-  guard bit (GeneratorSet.guard), which sum_of_products checks;
+  carries into the next, the degrees add, and a sum at or over the limit
+  sets its field's guard bit (GeneratorSet.guard), which sum_of_products
+  checks;
 * dividing by a monomial known to divide is -;
-* x_i^e divides m exactly when m & field_mask(i) >= x_i^e packed, one
-  mask-and-compare.
+* x_i^e divides m exactly when m & field_mask(i) >= x_i^e & field_mask(i),
+  one mask-and-compare.
 
-Two packed monomials compare as their exponent tuples read from the last
-generator, so within one degree the larger monomial in the quotient's
-graded reverse-lex order is the smaller int.  Tuples appear only at the
-public boundary (degree_of, single, unit, the GradedPoly constructors,
-coefficient, items, monomials and monomials_of_degree), and each is
-validated there before it is packed.
+The degree of a key is key >> shift.  Two keys compare by degree, then as
+their exponent tuples read from the last generator, so within one degree
+the larger monomial in the quotient's graded reverse-lex order is the
+smaller int.  Tuples appear only at the public boundary (degree_of, single,
+unit, the GradedPoly constructors, coefficient, items, monomials and
+monomials_of_degree), and each is validated there before it is packed.
 """
 
 from __future__ import annotations
@@ -54,11 +56,9 @@ Terms = Iterable[tuple[int, int]]
 
 
 class GeneratorSet:
-    """Ordered list of named generators with degrees >= 1.  Each packed
-    monomial's degree is kept once computed; the memo takes no part in ==
-    or hash."""
+    """Ordered list of named generators with degrees >= 1."""
 
-    __slots__ = ("names", "degrees", "guard", "_index", "_degree", "_fields")
+    __slots__ = ("names", "degrees", "shift", "guard", "_index", "_fields")
 
     def __init__(self, generators: Iterable[tuple[str, int]]):
         names = []
@@ -72,11 +72,12 @@ class GeneratorSet:
             degrees.append(degree)
         self.names = tuple(names)
         self.degrees = tuple(degrees)
+        # The degree field's first bit, above every exponent field.
+        self.shift = FIELD_BITS * len(names)
         # The top bit of every field: set in a product exactly when one of
         # its exponents reached EXPONENT_LIMIT.
         self.guard = sum(EXPONENT_LIMIT << FIELD_BITS * i for i in range(len(names)))
         self._index = {n: i for i, n in enumerate(names)}
-        self._degree: dict[int, int] = {}
         # A packed monomial's little-endian bytes are its unsigned 16-bit
         # fields, first generator first.
         self._fields = Struct(f"<{len(names)}H")
@@ -98,10 +99,11 @@ class GeneratorSet:
         return self._index[name]
 
     def pack(self, mono: Iterable[int]) -> int:
-        """mono's packed exponent vector; ValueError unless it holds one int
-        exponent per generator, each in 0 .. EXPONENT_LIMIT - 1.  The 16-bit
-        fields reject a wrong length, a non-int and an exponent outside
-        0 .. 2^16 - 1; the guard bits, one at or above the limit."""
+        """mono's packed key, the one place a degree is computed; ValueError
+        unless it holds one int exponent per generator, each in
+        0 .. EXPONENT_LIMIT - 1.  The 16-bit fields reject a wrong length, a
+        non-int and an exponent outside 0 .. 2^16 - 1; the guard bits, one at
+        or above the limit."""
         mono = tuple(mono)
         try:
             key = int.from_bytes(self._fields.pack(*mono), "little")
@@ -111,17 +113,17 @@ class GeneratorSet:
             raise ValueError(f"monomial {mono} is not an exponent vector over "
                              f"{len(self.names)} generators (int exponents "
                              f"below {EXPONENT_LIMIT})")
-        return key
+        return key + (sum(map(mul, mono, self.degrees)) << self.shift)
 
     def unpack(self, key: int) -> Monomial:
-        """The exponent tuple of a packed monomial."""
+        """The exponent tuple of a packed monomial, its degree masked off."""
         fields = self._fields
-        return fields.unpack(key.to_bytes(fields.size, "little"))
+        return fields.unpack((key & ~(-1 << self.shift)).to_bytes(fields.size, "little"))
 
     @staticmethod
     def field_mask(i: int) -> int:
         """The bits of generator i's field: x_i^e divides m exactly when
-        m & field_mask(i) >= x_i^e packed."""
+        m & field_mask(i) >= x_i^e & field_mask(i), both packed."""
         return _FIELD << FIELD_BITS * i
 
     def degree_of(self, mono: Iterable[int]) -> int:
@@ -130,12 +132,8 @@ class GeneratorSet:
         return self.packed_degree(self.pack(mono))
 
     def packed_degree(self, key: int) -> int:
-        """The degree of a packed monomial, kept once computed."""
-        try:
-            return self._degree[key]
-        except KeyError:
-            degree = self._degree[key] = sum(map(mul, self.unpack(key), self.degrees))
-            return degree
+        """The degree of a packed monomial, read off its degree field."""
+        return key >> self.shift
 
     def unit(self) -> Monomial:
         return (0,) * len(self.names)
@@ -268,10 +266,10 @@ class GradedPoly:
     def items(self) -> list[tuple[Monomial, Scalar]]:
         """(monomial, coefficient) pairs in monomial_sort_key order: by
         exponent tuple from the largest, then stably by degree."""
-        degree_of = self.gens.packed_degree
+        shift = self.gens.shift
         pairs = sorted(((self.gens.unpack(key), key) for key in self._keys()),
                        reverse=True)
-        pairs.sort(key=lambda pair: degree_of(pair[1]))
+        pairs.sort(key=lambda pair: pair[1] >> shift)
         return [(mono, self._coefficient(key)) for mono, key in pairs]
 
     def coefficient(self, mono: Monomial) -> Scalar:
@@ -296,46 +294,42 @@ class GradedPoly:
         return set().union(*(terms for _, terms in self._slices.values()))
 
     def max_degree(self) -> int:
-        """The largest degree of a monomial, 0 for the zero polynomial; read
-        off the slices in one loop, with no set of their monomials."""
-        degree_of = self.gens.packed_degree
-        top = 0
-        for _, terms in self._slices.values():
-            for m in terms:
-                if (degree := degree_of(m)) > top:
-                    top = degree
-        return top
+        """The largest degree of a monomial, 0 for the zero polynomial: the
+        degree of the largest key."""
+        return max((max(terms) for _, terms in self._slices.values()),
+                   default=0) >> self.gens.shift
 
     def is_homogeneous(self) -> bool:
-        return len(set(map(self.gens.packed_degree, self._keys()))) <= 1
+        return len({m >> self.gens.shift for m in self._keys()}) <= 1
 
     def degree_components(self) -> dict[int, "GradedPoly"]:
         """The homogeneous components by increasing degree, split in one
         pass over the terms."""
-        degree_of = self.gens.packed_degree
+        shift = self.gens.shift
         split: dict[int, Slices] = {}
         for k, (den, terms) in self._slices.items():
             for m, n in terms.items():
-                split.setdefault(degree_of(m), {}).setdefault(k, (den, {}))[1][m] = n
+                split.setdefault(m >> shift, {}).setdefault(k, (den, {}))[1][m] = n
         return {j: GradedPoly.from_slices(self.gens, split[j]) for j in sorted(split)}
 
     def graded_component(self, degree: int) -> "GradedPoly":
         """The monomials of the given degree; self if that is all."""
-        if set(map(self.gens.packed_degree, self._keys())) <= {degree}:
+        shift = self.gens.shift
+        if {m >> shift for m in self._keys()} <= {degree}:
             return self
-        return self._select(lambda k: k == degree)
+        return self._select(lambda m: m >> shift == degree)
 
     def truncate(self, max_degree: int) -> "GradedPoly":
         """The monomials of degree at most max_degree; self if that is all."""
         if not self._slices or self.max_degree() <= max_degree:
             return self
-        return self._select(lambda k: k <= max_degree)
+        limit = (max_degree + 1) << self.gens.shift
+        return self._select(lambda m: m < limit)
 
     def _select(self, keep: Callable[[int], bool]) -> "GradedPoly":
-        """The monomials whose degree passes keep."""
-        degree_of = self.gens.packed_degree
+        """The monomials whose packed key passes keep."""
         return GradedPoly.from_slices(self.gens, {
-            k: (den, {m: n for m, n in terms.items() if keep(degree_of(m))})
+            k: (den, {m: n for m, n in terms.items() if keep(m)})
             for k, (den, terms) in self._slices.items()})
 
     def symbol_degree(self) -> int:
@@ -495,15 +489,16 @@ def _scalar_terms(value) -> Iterable[tuple[ConstMonomial, int | Fraction]]:
 def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, GradedPoly]],
                     max_degree: int | None, start: GradedPoly | None = None) -> GradedPoly:
     """start + the sum of p * q over the pairs, with monomials above
-    max_degree dropped during expansion (None drops none, and then no
-    degree is looked up).  One integer product per pair of slices: the
-    constant monomials are merged and the denominators multiplied once per
-    pair.  A product of packed monomials is their sum; one that reaches
+    max_degree dropped during expansion (None drops none).  One integer
+    product per pair of slices: the constant monomials are merged and the
+    denominators multiplied once per pair.  A product of packed monomials is
+    their sum, kept when below (max_degree + 1) << shift; one that reaches
     EXPONENT_LIMIT keeps its guard bit whatever its coefficient, so the keys
     of the sum are checked once, and it raises ValueError."""
-    degree_of = gens.packed_degree
     if start is not None and start.gens != gens:
         raise ValueError("generator-set mismatch")
+    if max_degree is not None:
+        limit = (max_degree + 1) << gens.shift
     out: Slices = {}
     if start is not None:
         for k, (den, terms) in start._slices.items():
@@ -511,31 +506,20 @@ def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, Graded
     for p, q in pairs:
         if not p.gens == q.gens == gens:
             raise ValueError("generator-set mismatch")
-        if max_degree is None:
-            right = [(k2, d2, terms.items()) for k2, (d2, terms) in q._slices.items()]
-        else:
-            right = [(k2, d2, [(m2, n2, degree_of(m2)) for m2, n2 in terms.items()])
-                     for k2, (d2, terms) in q._slices.items()]
-        for k1, (d1, left_terms) in p._slices.items():
-            if max_degree is None:
-                left = left_terms.items()
-            else:
-                left = [(m1, n1, max_degree - degree_of(m1))
-                        for m1, n1 in left_terms.items()]
-            for k2, d2, right_terms in right:
+        for k1, (d1, left) in p._slices.items():
+            for k2, (d2, right) in q._slices.items():
                 terms, scale = _target_slice(out, _merge_monomials(k1, k2), d1 * d2)
                 if max_degree is None:
-                    for m1, n1 in left:
+                    for m1, n1 in left.items():
                         n1 *= scale
-                        for m2, n2 in right_terms:
+                        for m2, n2 in right.items():
                             m = m1 + m2
                             terms[m] = terms.get(m, 0) + n1 * n2
                 else:
-                    for m1, n1, room in left:
+                    for m1, n1 in left.items():
                         n1 *= scale
-                        for m2, n2, deg2 in right_terms:
-                            if deg2 <= room:
-                                m = m1 + m2
+                        for m2, n2 in right.items():
+                            if (m := m1 + m2) < limit:
                                 terms[m] = terms.get(m, 0) + n1 * n2
     guard = gens.guard
     for _, terms in out.values():

@@ -109,10 +109,10 @@ class QuotientRing:
         self.top_degree = presentation.top_degree
         self.track_witnesses = track_witnesses
         # Per relation, over packed monomials: the field mask of the lead
-        # x_i^e's generator, the lead, lc (which is 1/lc) and the rewrite
-        # tail [(monomial, -c*lc)].  A relation is homogeneous, so its lead
-        # is its smallest packed monomial.
-        self._rules: list[tuple[int, int, int, list]] = []
+        # x_i^e's generator, lead & mask, the lead, lc (which is 1/lc) and
+        # the rewrite tail [(monomial, -c*lc)].  A relation is homogeneous,
+        # so its lead is its smallest packed monomial.
+        self._rules: list[tuple[int, int, int, int, list]] = []
         for ri, rel in enumerate(presentation.relations):
             (_, terms), = rel._slices.values()
             lead = min(terms)
@@ -124,9 +124,10 @@ class QuotientRing:
                 raise ValueError(f"leading coefficient {lc} of relation {ri} "
                                  "is not +-1")
             tail = [(m, -c * lc) for m, c in terms.items() if m != lead]
-            self._rules.append((GeneratorSet.field_mask(support[0]), lead, lc, tail))
-        for j, (mask_j, _, _, tail_j) in enumerate(self._rules):
-            for k, (mask_k, _, _, tail_k) in enumerate(self._rules[:j]):
+            mask = GeneratorSet.field_mask(support[0])
+            self._rules.append((mask, lead & mask, lead, lc, tail))
+        for j, (mask_j, _, _, _, tail_j) in enumerate(self._rules):
+            for k, (mask_k, _, _, _, tail_k) in enumerate(self._rules[:j]):
                 # The S-polynomial of two monomials is 0.
                 if mask_j == mask_k and (tail_j or tail_k):
                     raise ValueError(f"leading monomials of relations {k} and "
@@ -147,7 +148,7 @@ class QuotientRing:
         rewrites: a term reduced before takes its kept result, and no result
         depends on the order of queries.  A term is rewritten by the first
         relation whose lead divides it, found by one mask-and-compare per
-        relation.
+        relation; the rewrite subtracts the whole lead, degree included.
         """
         rules = self._rules
         kept_nf, kept_cof = self._nf, self._cof
@@ -167,8 +168,8 @@ class QuotientRing:
                     for ri, terms in kept_cof[m].items():
                         _axpy(cof.setdefault(ri, {}), c, terms)
                 continue
-            for ri, (mask, lead, lc, tail) in enumerate(rules):
-                if m & mask >= lead:
+            for ri, (mask, field, lead, lc, tail) in enumerate(rules):
+                if m & mask >= field:
                     break
             else:
                 _axpy(nf, c, ((m, 1),))
@@ -195,7 +196,7 @@ class QuotientRing:
         """The standard monomials of the given degree, a fresh list."""
         self._check_degree(degree)
         return monomials_of_degree(self.gens, degree,
-                                   [self.gens.unpack(rule[1]) for rule in self._rules])
+                                   [self.gens.unpack(rule[2]) for rule in self._rules])
 
     def _check_degree(self, degree: int):
         if degree > self.top_degree:
@@ -211,7 +212,7 @@ class QuotientRing:
         kept = self._nf
         missing = [m for m in monos if m not in kept]
         if missing:
-            self._check_degree(max(map(self.gens.packed_degree, missing)))
+            self._check_degree(max(missing) >> self.gens.shift)
             missing.sort(reverse=True)
             for m in missing:
                 if m not in kept:   # monos may repeat a monomial

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping, NamedTuple
 
-from .scalars import ONE, ZERO, Scalar, bernoulli, bracket
+from .scalars import ONE, ZERO, Scalar, bracket
 from .graded import GeneratorSet, GradedPoly, sum_of_products
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 from .arakelov import AbelianTautRing, _ring_for
@@ -73,21 +73,6 @@ def series_inverse(f: Series) -> Series:
     return out
 
 
-def series_exp(f: Series) -> Series:
-    """exp of a series with constant term 0."""
-    if f[0]:
-        raise ValueError("exp needs constant term 0")
-    # e' = f' e  gives  k e_k = sum_{j=1..k} j f_j e_{k-j}
-    out = [ONE]
-    for k in range(1, len(f)):
-        acc = ZERO
-        for j in range(1, k + 1):
-            if f[j]:
-                acc = acc + f[j] * j * out[k - j]
-        out.append(acc / k)
-    return out
-
-
 def series_log(f: Series) -> Series:
     """log of a series with constant term 1."""
     if f[0] != ONE:
@@ -114,18 +99,6 @@ def compose_even(f: Series) -> Series:
 # ---------------------------------------------------------------------------
 # Built-in series
 # ---------------------------------------------------------------------------
-
-
-def tanh_series(order: int) -> Series:
-    """tanh x from Bernoulli numbers: sum 4^k (4^k - 1) B_{2k} x^{2k-1} / (2k)!."""
-    coeffs: dict[int, Fraction] = {}
-    fact = 1
-    for m in range(1, order + 2):
-        fact *= m  # running m!
-        if m % 2 == 0:
-            k = m // 2
-            coeffs[m - 1] = Fraction(4**k * (4**k - 1)) * bernoulli(2 * k) / fact
-    return series(order, coeffs)
 
 
 def sech_squared_half(order: int) -> Series:
@@ -182,10 +155,10 @@ def multiplicative_class(series: Series, classes: ClassVector,
     """exp(additive class of log Q) for a series Q with Q(0) = 1; equals the
     product of Q over the Chern roots.
 
-    exp runs by its degree recursion, as series_exp does: with F_j the
-    degree-j component of the additive class, the degree-k component of the
-    result is E_k = (1/k) sum_{j=1..k} j F_j E_{k-j}, one sum of products
-    per degree up to max_degree."""
+    exp runs by its degree recursion, from E' = F' E: with F_j the degree-j
+    component of the additive class, the degree-k component of the result
+    is E_k = (1/k) sum_{j=1..k} j F_j E_{k-j}, one sum of products per
+    degree up to max_degree."""
     if series[0] != ONE:
         raise ValueError("multiplicative class needs constant term 1")
     gens = classes.gens

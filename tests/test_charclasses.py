@@ -9,7 +9,7 @@ from tautcalc.scalars import Scalar, zeta_negative_odd
 from tautcalc.graded import GeneratorSet, GradedPoly, monomials_of_degree
 from tautcalc.arakelov import tautological_ring
 from tautcalc.charclasses import (ClassVector, c_from_ch, ch_from_c,
-                                  pontrjagin_direct, pontrjagin_from_c)
+                                  pontrjagin_from_c)
 from tautcalc.series import (additive_class, cauchy_single_class,
                              compose_even, multiplicative_class,
                              sech_squared_half, series, series_log,
@@ -44,6 +44,18 @@ def test_newton_round_trip_random():
             assert back.chern(j) == C.chern(j)
 
 
+def test_c_from_ch_needs_a_power_sum_per_rank():
+    # Fewer power sums than the rank raised IndexError.
+    gens, C = standard(2)
+    sums = ch_from_c(C, 2)
+    with pytest.raises(ValueError, match="rank 2 needs the power sums s_1..s_2, got 1"):
+        c_from_ch(sums[:1], 2, gens)
+    with pytest.raises(ValueError, match="rank 1 needs the power sums s_1..s_1, got 0"):
+        c_from_ch([], 1, gens)
+    # More power sums than the rank are fine: the first rank are read.
+    assert c_from_ch(sums, 1, gens).classes == [C.chern(1)]
+
+
 def test_pontrjagin_known_values():
     gens, C = standard(6)
     c = {j: GradedPoly.generator(gens, f"c{j}") for j in range(1, 7)}
@@ -51,6 +63,15 @@ def test_pontrjagin_known_values():
     assert p[0] == c[1] * c[1] - c[2] * 2
     assert p[1] == c[4] * 2 - c[3] * c[1] * 2 + c[2] * c[2]
     assert p[2] == -c[6] * 2 + c[5] * c[1] * 2 - c[4] * c[2] * 2 + c[3] * c[3]
+
+
+def pontrjagin_direct(classes: ClassVector, k: int) -> GradedPoly:
+    """Cross-check form p_k = c_k^2 + 2 sum_{l<k} (-1)^(k+l) c_l c_{2k-l}."""
+    acc = classes.chern(k) * classes.chern(k)
+    for l in range(0, k):
+        term = classes.chern(l) * classes.chern(2 * k - l)
+        acc = acc + term * Fraction(2 * (-1) ** (k + l))
+    return acc
 
 
 def test_pontrjagin_two_formulas_agree():

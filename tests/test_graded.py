@@ -8,6 +8,7 @@ from tautcalc.scalars import Scalar
 from tautcalc.graded import (EXPONENT_LIMIT, GeneratorSet, GradedPoly,
                              monomial_sort_key, monomials_of_degree)
 from tautcalc.quotient import RingPresentation
+from tautcalc.arakelov import AbelianTautRing, c1_critical_power
 
 
 def gens_u(d):
@@ -47,23 +48,53 @@ def test_wrong_length_monomials_rejected_on_lookup_and_as_leads():
     assert monomials_of_degree(g, 2, [(1, 0)]) == [(0, 1)]
 
 
-def test_degree_memo_matches_weighted_sum():
+def test_degree_field_matches_weighted_sum():
     rng = random.Random(31)
     for _ in range(20):
         weights = [rng.randrange(1, 6) for _ in range(rng.randrange(1, 6))]
         g = GeneratorSet([(f"v{j}", w) for j, w in enumerate(weights)])
         monos = [tuple(rng.randrange(4) for _ in weights) for _ in range(30)]
-        # Each monomial with its reverse: a degree kept under the wrong key
-        # shows on the second pass.
+        # Each monomial with its reverse, and exponents near the limit, where
+        # a sum of two fields must not reach the degree field.
         monos += [m[::-1] for m in monos]
+        monos += [tuple(rng.randrange(EXPONENT_LIMIT - 4, EXPONENT_LIMIT)
+                        if rng.random() < 0.5 else rng.randrange(4)
+                        for _ in weights) for _ in range(10)]
+
+        def weighted(m):
+            return sum(e * w for e, w in zip(m, weights))
+
         for _ in range(2):
             for m in monos:
-                assert g.degree_of(m) == sum(e * w for e, w in zip(m, weights))
+                assert g.degree_of(m) == weighted(m)
+                assert g.packed_degree(g.pack(m)) == weighted(m)
+        # The degree of a sum of two keys, a product, is the sum of their
+        # degrees, its exponents guarded or not.
+        for m1, m2 in zip(monos, reversed(monos)):
+            key = g.pack(m1) + g.pack(m2)
+            assert g.packed_degree(key) == weighted(m1) + weighted(m2)
+            assert g.unpack(key) == tuple(a + b for a, b in zip(m1, m2))
         fresh = GeneratorSet(zip(g.names, g.degrees))
         assert fresh.degree_of(monos[0]) == g.degree_of(monos[0])
-        # The memo takes no part in equality or hashing.
+        # Equality and hashing read the names and the degrees.
         assert fresh == g and hash(fresh) == hash(g)
         assert fresh != GeneratorSet(zip(g.names, [w + 1 for w in weights]))
+
+
+def test_generator_set_is_unchanged_by_use():
+    # A generator set holds no per-monomial state: a degree memo grew by
+    # one entry for each monomial whose degree was asked.
+    ring = AbelianTautRing(8)
+
+    def state():
+        # A dict is copied, so that a change to it in place shows.
+        return [[v.copy() if isinstance(v := getattr(g, s), dict) else v
+                 for s in GeneratorSet.__slots__]
+                for g in (ring.zgens, ring.agens)]
+
+    before = state()
+    c1_critical_power(8, ring)
+    assert state() == before
 
 
 def test_exponents_must_be_ints_below_the_field_limit():
@@ -80,19 +111,19 @@ def test_exponents_must_be_ints_below_the_field_limit():
                        lambda m: monomial_sort_key(g, m)):
             with pytest.raises(ValueError, match="monomial"):
                 reject(mono)
-    # A list is the exponent vector it holds, as it is for coefficient; the
-    # degree memo is keyed by the packed monomial, so it raises no
-    # TypeError.
+    # A list is the exponent vector it holds, as it is for coefficient, so
+    # it raises no TypeError.
     assert g.degree_of([1, 0]) == 1 and g.degree_of([0, 1]) == 2
     assert a.coefficient([1, 0]) == 1
 
 
 def test_packed_order_is_the_reversed_tuple_order():
     # The division's heap pops the smallest packed monomial, and sorts the
-    # monomials it divides by packed value.  The quotient's order, the
-    # reversed exponent tuple (within one degree the larger monomial has
-    # the smaller one), must be the packed order, so that every division
-    # takes the same steps in the same order.  Packed + is tuple addition.
+    # monomials it divides by packed value.  Packed order is (degree,
+    # reversed exponent tuple), so within one degree it is the quotient's
+    # order, the reversed exponent tuple (the larger monomial has the
+    # smaller one), and every division takes the same steps in the same
+    # order.  Packed + is tuple addition, and it adds the degrees.
     rng = random.Random(1881)
     for n in (1, 6, 13, 17):
         g = GeneratorSet([(f"u{j}", j) for j in range(1, n + 1)])
@@ -106,19 +137,30 @@ def test_packed_order_is_the_reversed_tuple_order():
         # items() lists the monomials in monomial_sort_key order.
         listed = [m for m, _ in GradedPoly(g, dict.fromkeys(monos, 1)).items()]
         assert listed == sorted(set(monos), key=lambda m: monomial_sort_key(g, m))
+        def packed_order(m):
+            return g.degree_of(m), m[::-1]
+
         assert ([g.unpack(k) for k in sorted(packed)]
-                == sorted(monos, key=lambda m: m[::-1])), n
+                == sorted(monos, key=packed_order)), n
+        for degree in (6, 7):
+            same = [k for k in packed if g.packed_degree(k) == degree]
+            assert ([g.unpack(k) for k in sorted(same)]
+                    == sorted(map(g.unpack, same), key=lambda m: m[::-1])), n
         for (m1, k1), (m2, k2) in zip(zip(monos, packed), zip(monos[1:], packed[1:])):
-            assert (k1 < k2) == (m1[::-1] < m2[::-1])
+            assert (k1 < k2) == (packed_order(m1) < packed_order(m2))
+            if g.degree_of(m1) == g.degree_of(m2):
+                assert (k1 < k2) == (m1[::-1] < m2[::-1])
             half1, half2 = ([e // 2 for e in m] for m in (m1, m2))
-            assert g.unpack(g.pack(half1) + g.pack(half2)) == tuple(
-                a + b for a, b in zip(half1, half2))
+            total = g.pack(half1) + g.pack(half2)
+            assert g.unpack(total) == tuple(a + b for a, b in zip(half1, half2))
+            assert total == g.pack([a + b for a, b in zip(half1, half2)])
+            assert g.packed_degree(total) == g.degree_of(half1) + g.degree_of(half2)
             # The pure-power test: x_i^e divides m2 exactly when one
-            # mask-and-compare says so.
+            # mask-and-compare against the lead's field says so.
             i = rng.randrange(n)
             e = rng.randrange(1, 5)
             lead = g.pack([e if j == i else 0 for j in range(n)])
-            assert (k2 & g.field_mask(i) >= lead) == (m2[i] >= e)
+            assert (k2 & g.field_mask(i) >= lead & g.field_mask(i)) == (m2[i] >= e)
 
 
 def test_field_limit_and_product_guard():

@@ -46,14 +46,14 @@ def test_arakelov_forwards_the_moved_checks():
     from tautcalc import arakelov, propmap, series
     assert arakelov.proportionality_map_check is propmap.proportionality_map_check
     assert arakelov.ch_even_check is series.ch_even_check
-    for name in ("_MapSolver", "MapCertificate", "series_exp", "no_such_name"):
+    for name in ("_MapSolver", "MapCertificate", "series_log", "no_such_name"):
         with pytest.raises(AttributeError, match=name):
             getattr(arakelov, name)
 
 
 # Names of the code that only hmap-check and verify run.
 MAP_NAMES = ("_MapSolver", "proportionality_map_check")
-SERIES_NAMES = ("ch_even_check", "series_exp", "multiplicative_class")
+SERIES_NAMES = ("ch_even_check", "series_log", "multiplicative_class")
 
 
 def names_loaded_by(argv: list[str]) -> list[str]:

@@ -2,12 +2,38 @@ from fractions import Fraction
 
 import pytest
 
-from tautcalc.scalars import (LOG2, Scalar, harmonic, zeta_negative_odd,
-                              zeta_prime_symbol)
+from tautcalc.scalars import (LOG2, ONE, ZERO, Scalar, bernoulli, harmonic,
+                              zeta_negative_odd, zeta_prime_symbol)
 from tautcalc.series import (ch_even_defect_series, compose_even,
                              sech_squared_half, series, series_derivative,
-                             series_exp, series_inverse, series_log,
-                             series_mul, tanh_series)
+                             series_inverse, series_log, series_mul, Series)
+
+
+def tanh_series(order: int) -> Series:
+    """tanh x from Bernoulli numbers: sum 4^k (4^k - 1) B_{2k} x^{2k-1} / (2k)!."""
+    coeffs: dict[int, Fraction] = {}
+    fact = 1
+    for m in range(1, order + 2):
+        fact *= m  # running m!
+        if m % 2 == 0:
+            k = m // 2
+            coeffs[m - 1] = Fraction(4**k * (4**k - 1)) * bernoulli(2 * k) / fact
+    return series(order, coeffs)
+
+
+def series_exp(f: Series) -> Series:
+    """exp of a series with constant term 0, the oracle for series_log."""
+    if f[0]:
+        raise ValueError("exp needs constant term 0")
+    # e' = f' e  gives  k e_k = sum_{j=1..k} j f_j e_{k-j}
+    out = [ONE]
+    for k in range(1, len(f)):
+        acc = ZERO
+        for j in range(1, k + 1):
+            if f[j]:
+                acc = acc + f[j] * j * out[k - j]
+        out.append(acc / k)
+    return out
 
 
 def test_sech_squared_from_tanh_route():

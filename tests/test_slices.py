@@ -11,8 +11,8 @@ from math import gcd, inf
 import pytest
 
 from tautcalc.scalars import Scalar, ZERO, _merge_monomials, symbol_sort_key
-from tautcalc.graded import (GeneratorSet, GradedPoly, monomials_of_degree,
-                             sum_of_products)
+from tautcalc.graded import (EXPONENT_LIMIT, GeneratorSet, GradedPoly,
+                             monomials_of_degree, sum_of_products)
 from tautcalc.quotient import QuotientRing, RingPresentation
 from tautcalc.arakelov import (AbelianTautRing, ArithClass, LagrangianArithRing,
                                c1_critical_power, height_polynomial)
@@ -128,6 +128,45 @@ def test_mul_truncated_matches_scalar_loop():
         s = random_scalar(rng)
         for factor in (s, Fraction(-3, 7), 2, 0, ZERO):
             assert p * factor == reference_scale(p, Scalar.coerce(factor))
+
+
+def test_degree_limit_keeps_the_reference_terms():
+    # sum_of_products keeps a product when its key is below the key limit of
+    # the degree above the cap; the reference keeps it when its degree,
+    # summed from the exponent tuples, is at most the cap.  Every cap from 0
+    # to the top degree, over small exponents and over exponents near the
+    # field limit, whose degrees pass 2^16.  Positive coefficients cancel
+    # nothing, so each product degree up to the cap is kept.
+    rng = random.Random(32)
+    gens = GeneratorSet([("a", 1), ("b", 2), ("c", 3)])
+    half = EXPONENT_LIMIT // 2
+
+    def positive_poly(monos):
+        return GradedPoly(gens, {m: rng.randrange(1, 4) for m in monos})
+
+    for trial in range(30):
+        if trial % 2:
+            # Exponents at most half - 1 sum below the limit.
+            pick = [tuple(rng.choice((0, 1, half - 2, half - 1)) for _ in range(3))
+                    for _ in range(8)]
+        else:
+            pick = [m for k in range(5) for m in monomials_of_degree(gens, k)]
+        p, q = (positive_poly(rng.sample(pick, 4)) for _ in range(2))
+        degrees = {gens.degree_of(m1) + gens.degree_of(m2)
+                   for m1 in p.monomials() for m2 in q.monomials()}
+        caps = set(range(max(degrees) + 2)) if max(degrees) < 20 else {
+            c for d in degrees for c in (d - 1, d, d + 1)} | {0}
+        for cap in sorted(caps):
+            got = sum_of_products(gens, [(p, q)], cap)
+            assert got == reference_mul_truncated(p, q, cap), (trial, cap)
+            kept = {gens.degree_of(m) for m in got.monomials()}
+            assert kept == {d for d in degrees if d <= cap}, (trial, cap)
+    # A product whose exponent reaches the limit is dropped above the cap,
+    # and raises once the cap keeps it.
+    x = GradedPoly.monomial(gens, (0, half, 0))
+    assert sum_of_products(gens, [(x, x)], 4 * half - 1).is_zero()
+    with pytest.raises(ValueError, match="reaches"):
+        sum_of_products(gens, [(x, x)], 4 * half)
 
 
 def test_mul_truncated_slices_cancel_to_zero():
