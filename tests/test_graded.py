@@ -137,6 +137,7 @@ def test_packed_order_is_the_reversed_tuple_order():
         # items() lists the monomials in monomial_sort_key order.
         listed = [m for m, _ in GradedPoly(g, dict.fromkeys(monos, 1)).items()]
         assert listed == sorted(set(monos), key=lambda m: monomial_sort_key(g, m))
+
         def packed_order(m):
             return g.degree_of(m), m[::-1]
 
