@@ -89,11 +89,8 @@ def c_from_ch(power_sums: Sequence[GradedPoly], rank: int,
 def pontrjagin_from_c(classes: ClassVector, up_to: int | None = None) -> list[GradedPoly]:
     """Pontrjagin classes p_k defined by sum (-z^2)^k p_k = c(z) c(-z):
     p_k = (-1)^k [degree 2k of total(c) * total(c-dual)]."""
-    d = classes.rank
     if up_to is None:
-        up_to = d
-    product = classes.total() * classes.dual().total()
-    out = []
-    for k in range(1, up_to + 1):
-        out.append(product.graded_component(2 * k) * Fraction((-1) ** k))
-    return out
+        up_to = classes.rank
+    parts = (classes.total() * classes.dual().total()).degree_components()
+    zero = GradedPoly.zero(classes.gens)
+    return [parts.get(2 * k, zero) * Fraction((-1) ** k) for k in range(1, up_to + 1)]

@@ -29,12 +29,12 @@ monomials_of_degree), and each is validated there before it is packed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import mul
 from struct import Struct, error as StructError
 from typing import Callable, Iterable, Mapping
 
-from .scalars import _EXACT, ConstMonomial, Scalar, _merge_monomials
+from .scalars import _EXACT, ConstMonomial, Scalar, _merge_monomials, join_signed
 
 Monomial = tuple[int, ...]
 
@@ -56,7 +56,7 @@ Terms = Iterable[tuple[int, int]]
 
 
 class GeneratorSet:
-    """Ordered list of named generators with degrees >= 1."""
+    """Ordered list of named generators with int degrees >= 1."""
 
     __slots__ = ("names", "degrees", "shift", "guard", "_index", "_fields")
 
@@ -64,6 +64,8 @@ class GeneratorSet:
         names = []
         degrees = []
         for name, degree in generators:
+            if not isinstance(degree, int):
+                raise ValueError(f"generator {name!r} must have an int degree")
             if degree < 1:
                 raise ValueError(f"generator {name!r} must have degree >= 1")
             if name in names:
@@ -209,17 +211,12 @@ class GradedPoly:
     def __init__(self, gens: GeneratorSet,
                  terms: Mapping[Monomial, Scalar | Fraction | int] | None = None):
         self.gens = gens
-        grouped: dict[ConstMonomial, dict[int, Fraction]] = {}
+        out: Slices = {}
         for mono, coeff in (terms or {}).items():
             mono = gens.pack(mono)
             for k, q in Scalar.coerce(coeff)._terms.items():
-                grouped.setdefault(k, {})[mono] = q
-        # Over the lcm of its denominators a slice is in lowest terms.
-        self._slices: Slices = {}
-        for k, qs in grouped.items():
-            den = lcm(*(q.denominator for q in qs.values()))
-            self._slices[k] = den, {m: q.numerator * (den // q.denominator)
-                                    for m, q in qs.items()}
+                _add_slice(out, k, q.numerator, q.denominator, ((mono, 1),))
+        self._slices = GradedPoly.from_slices(gens, out)._slices
 
     # -- constructors --------------------------------------------------------
 
@@ -312,24 +309,13 @@ class GradedPoly:
                 split.setdefault(m >> shift, {}).setdefault(k, (den, {}))[1][m] = n
         return {j: GradedPoly.from_slices(self.gens, split[j]) for j in sorted(split)}
 
-    def graded_component(self, degree: int) -> "GradedPoly":
-        """The monomials of the given degree; self if that is all."""
-        shift = self.gens.shift
-        if {m >> shift for m in self._keys()} <= {degree}:
-            return self
-        return self._select(lambda m: m >> shift == degree)
-
     def truncate(self, max_degree: int) -> "GradedPoly":
         """The monomials of degree at most max_degree; self if that is all."""
         if not self._slices or self.max_degree() <= max_degree:
             return self
         limit = (max_degree + 1) << self.gens.shift
-        return self._select(lambda m: m < limit)
-
-    def _select(self, keep: Callable[[int], bool]) -> "GradedPoly":
-        """The monomials whose packed key passes keep."""
         return GradedPoly.from_slices(self.gens, {
-            k: (den, {m: n for m, n in terms.items() if keep(m)})
+            k: (den, {m: n for m, n in terms.items() if m < limit})
             for k, (den, terms) in self._slices.items()})
 
     def symbol_degree(self) -> int:
@@ -415,8 +401,6 @@ class GradedPoly:
 
     def render(self, latex: bool = False,
                names: Mapping[str, str] | None = None) -> str:
-        if not self._slices:
-            return "0"
         parts = []
         for mono, coeff in self.items():
             factors = []
@@ -442,10 +426,7 @@ class GradedPoly:
                 parts.append(f"({cs})" + (" " if latex else "*") + body)
             else:
                 parts.append(cs + ("" if latex else "*") + body)
-        out = parts[0]
-        for part in parts[1:]:
-            out += " - " + part[1:] if part.startswith("-") else " + " + part
-        return out
+        return join_signed(parts)
 
     def __str__(self) -> str:
         return self.render()
@@ -497,8 +478,7 @@ def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, Graded
     of the sum are checked once, and it raises ValueError."""
     if start is not None and start.gens != gens:
         raise ValueError("generator-set mismatch")
-    if max_degree is not None:
-        limit = (max_degree + 1) << gens.shift
+    limit = inf if max_degree is None else (max_degree + 1) << gens.shift
     out: Slices = {}
     if start is not None:
         for k, (den, terms) in start._slices.items():
@@ -509,18 +489,11 @@ def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, Graded
         for k1, (d1, left) in p._slices.items():
             for k2, (d2, right) in q._slices.items():
                 terms, scale = _target_slice(out, _merge_monomials(k1, k2), d1 * d2)
-                if max_degree is None:
-                    for m1, n1 in left.items():
-                        n1 *= scale
-                        for m2, n2 in right.items():
-                            m = m1 + m2
+                for m1, n1 in left.items():
+                    n1 *= scale
+                    for m2, n2 in right.items():
+                        if (m := m1 + m2) < limit:
                             terms[m] = terms.get(m, 0) + n1 * n2
-                else:
-                    for m1, n1 in left.items():
-                        n1 *= scale
-                        for m2, n2 in right.items():
-                            if (m := m1 + m2) < limit:
-                                terms[m] = terms.get(m, 0) + n1 * n2
     guard = gens.guard
     for _, terms in out.values():
         for m in terms:

@@ -54,6 +54,8 @@ class RingPresentation:
             if not r.is_homogeneous():
                 raise ValueError("relation is not homogeneous; "
                                  "pass its degree components")
+        if not isinstance(top_degree, int):
+            raise ValueError("top degree must be an int")
         if top_degree < 0:
             raise ValueError("top degree must be non-negative")
         if top_degree >= EXPONENT_LIMIT:
@@ -254,8 +256,13 @@ class QuotientRing:
         if not nf.is_zero():
             raise ReductionError("not in ideal: nonzero residue "
                                  f"{nf.render()}")
-        witness = Witness(poly, cof, self)
-        # Every produced certificate is machine-checked by re-expansion.
+        return self._checked_witness(poly, cof)
+
+    def _checked_witness(self, poly: GradedPoly,
+                         cofactors: dict[int, GradedPoly]) -> Witness:
+        """The witness of poly by cofactors, machine-checked by re-expansion,
+        as every produced certificate is."""
+        witness = Witness(poly, cofactors, self)
         if not witness.verify():
             raise ReductionError("witness failed to re-expand to its target")
         return witness
@@ -263,7 +270,8 @@ class QuotientRing:
     def alternative_witnesses(self, poly: GradedPoly) -> list[Witness]:
         """Up to three distinct witnesses for poly: the division witness and
         that witness perturbed by Koszul syzygies (s_j e_i - s_i e_j) * m of
-        the relations, scaled 1, 2.  Fewer when fewer exist."""
+        the relations, scaled 1, 2.  Fewer when fewer exist.  Each is
+        re-expanded; ReductionError if one fails."""
         base = self.membership_witness(poly)
         degrees = sorted(poly.degree_components())
         out = [base]
@@ -277,7 +285,7 @@ class QuotientRing:
                                      + p * scale)
                 cofactors = {ri: p for ri, p in cofactors.items() if p}
                 if all(cofactors != w.cofactors for w in out):
-                    out.append(Witness(poly, cofactors, self))
+                    out.append(self._checked_witness(poly, cofactors))
         return out
 
     def _koszul_syzygies(self, degrees: list[int]) -> Iterator[dict[int, GradedPoly]]:

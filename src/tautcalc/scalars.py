@@ -217,18 +217,13 @@ class Scalar:
     # -- rendering and serialization ---------------------------------------
 
     def render(self, latex: bool = False) -> str:
-        if not self._terms:
-            return "0"
         parts = []
         for mono, coeff in self.items():
             factors = [_symbol_display(name, latex) + _exp_display(exp, latex)
                        for name, exp in mono]
             body = (" " if latex else "*").join(factors)
             parts.append(_coeff_display(coeff, bool(body), latex) + body)
-        out = parts[0]
-        for part in parts[1:]:
-            out += " - " + part[1:] if part.startswith("-") else " + " + part
-        return out
+        return join_signed(parts)
 
     def __str__(self) -> str:
         return self.render()
@@ -288,21 +283,23 @@ def _exp_display(exp: int, latex: bool) -> str:
 
 
 def _coeff_display(coeff: Fraction, has_body: bool, latex: bool) -> str:
-    if not has_body:
-        if latex and coeff.denominator != 1:
-            sign = "-" if coeff < 0 else ""
-            return f"{sign}\\frac{{{abs(coeff.numerator)}}}{{{coeff.denominator}}}"
-        return str(coeff)
-    if coeff == 1:
-        return ""
-    if coeff == -1:
-        return "-"
-    if latex:
-        if coeff.denominator != 1:
-            sign = "-" if coeff < 0 else ""
-            return f"{sign}\\frac{{{abs(coeff.numerator)}}}{{{coeff.denominator}}}"
-        return f"{coeff}"
-    return f"{coeff}*"
+    if has_body and coeff in (1, -1):
+        return "" if coeff == 1 else "-"
+    if latex and coeff.denominator != 1:
+        sign = "-" if coeff < 0 else ""
+        return f"{sign}\\frac{{{abs(coeff.numerator)}}}{{{coeff.denominator}}}"
+    return f"{coeff}*" if has_body and not latex else str(coeff)
+
+
+def join_signed(parts: list[str]) -> str:
+    """The rendered terms joined as a sum, " - " before a term that starts
+    with "-"; "0" for no terms."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for part in parts[1:]:
+        out += " - " + part[1:] if part.startswith("-") else " + " + part
+    return out
 
 
 ZERO = Scalar()

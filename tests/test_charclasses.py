@@ -93,10 +93,11 @@ def test_generating_identity():
     gens, C = standard(5)
     product = C.total() * C.dual().total()
     p = pontrjagin_from_c(C, 5)
+    parts = product.degree_components()
     for k in range(1, 6):
-        assert product.graded_component(2 * k) == p[k - 1] * Fraction((-1) ** k)
+        assert parts[2 * k] == p[k - 1] * Fraction((-1) ** k)
     for odd in range(1, 10, 2):
-        assert product.graded_component(odd).is_zero()
+        assert odd not in parts
 
 
 def test_additive_class_basics():
@@ -148,8 +149,9 @@ def test_multiplicative_degree2_coefficient():
     q = sech_squared_half(8)
     total = multiplicative_class(q, C, 2)
     s2 = ch_from_c(C, 2)[1]
-    assert total.graded_component(2) == s2 * Fraction(-1, 4)
-    assert total.graded_component(0) == GradedPoly.constant(gens, 1)
+    parts = total.degree_components()
+    assert parts[2] == s2 * Fraction(-1, 4)
+    assert parts[0] == GradedPoly.constant(gens, 1)
 
 
 def test_multiplicative_is_multiplicative():

@@ -10,7 +10,7 @@ from tautcalc.cli import main
 from tautcalc.graded import GradedPoly
 from tautcalc.arakelov import AbelianTautRing, c1_critical_power, lagrangian_degree
 from tautcalc.propmap import proportionality_map_check, verify_map_certificate
-from tautcalc.quotient import QuotientRing
+from tautcalc.quotient import QuotientRing, ReductionError
 from tautcalc.verify import run_checks
 
 
@@ -246,6 +246,35 @@ def test_verify_builds_one_abelian_ring_per_d(monkeypatch):
     results = run_checks(["examples", "witness-form", "two-route"])
     assert all(res.ok for res in results)
     assert sorted(built) == [1, 2, 3, 4, 5]
+
+
+def test_witness_independence_builds_each_witness_set_once(monkeypatch):
+    calls = []
+    alternatives = QuotientRing.alternative_witnesses
+
+    def counting(self, poly):
+        calls.append(poly)
+        return alternatives(self, poly)
+
+    monkeypatch.setattr(QuotientRing, "alternative_witnesses", counting)
+    (result,) = run_checks(["witness-independence"])
+    assert result.ok, result.detail
+    assert result.detail == "d=2..5: all solutions reduce identically"
+    assert len(calls) == 4
+
+
+def test_witness_independence_reports_a_failed_expansion(monkeypatch):
+    variants = AbelianTautRing.reduce_variants
+
+    def failing_at_d3(self, x):
+        if self.d == 3:
+            raise ReductionError("witness failed to re-expand to its target")
+        return variants(self, x)
+
+    monkeypatch.setattr(AbelianTautRing, "reduce_variants", failing_at_d3)
+    (result,) = run_checks(["witness-independence"])
+    assert not result.ok
+    assert result.detail == "d=3 expansion"
 
 
 def test_verify_unknown_check(capsys):

@@ -20,6 +20,11 @@ def test_generator_set_validation():
         GeneratorSet([("a", 0)])
     with pytest.raises(ValueError):
         GeneratorSet([("a", 1), ("a", 2)])
+    # A non-int degree was accepted and failed at the first pack.
+    for degree in (1.5, 2.0, Fraction(3)):
+        with pytest.raises(ValueError, match="must have an int degree"):
+            GeneratorSet([("a", degree), ("b", 1)])
+    assert GeneratorSet([("a", True)]).degrees == (1,)
 
 
 def test_malformed_monomials_rejected():
@@ -336,7 +341,7 @@ def test_poly_examples():
     u1 = GradedPoly.generator(g, "u1")
     one = GradedPoly.constant(g, 1)
     prod = (one + u1) * (one - u1)
-    assert prod.graded_component(2) == -(u1 * u1)
+    assert prod.degree_components()[2] == -(u1 * u1)
     assert (u1 ** 3).truncate(2).is_zero()
 
 
@@ -349,7 +354,7 @@ def test_relation_component_example_d3():
         uj = GradedPoly.generator(g, f"u{j}")
         total = total + uj
         alternating = alternating + uj * Fraction((-1) ** j)
-    comp2 = (total * alternating).graded_component(2)
+    comp2 = (total * alternating).degree_components()[2]
     u1, u2 = GradedPoly.generator(g, "u1"), GradedPoly.generator(g, "u2")
     assert comp2 == u2 * 2 - u1 * u1
 

@@ -75,12 +75,11 @@ def pieri(j: int, lam: tuple, n: int) -> dict[tuple, int]:
     return out
 
 
-def pieri_integral(mono: tuple, n: int) -> int:
-    """The integral over LG(n) of u^mono, u_j = sigma_j; 0 unless mono has
-    degree n(n+1)/2."""
+def pieri_product(state: dict[tuple, int], mono: tuple, n: int) -> dict[tuple, int]:
+    """state * u^mono in H*(LG(n)), u_j = sigma_j, for state a class
+    {lambda: coefficient} in the Schubert basis."""
     if any(mono[n:]):
-        return 0
-    state = {(): 1}
+        return {}
     for j, exponent in enumerate(mono[:n], 1):
         for _ in range(exponent):
             after: dict[tuple, int] = {}
@@ -88,7 +87,19 @@ def pieri_integral(mono: tuple, n: int) -> int:
                 for mu, v in pieri(j, lam, n).items():
                     after[mu] = after.get(mu, 0) + c * v
             state = after
+    return state
+
+
+def socle_coefficient(state: dict[tuple, int], n: int) -> int:
+    """The integral over LG(n) of the class state: its sigma_rho
+    coefficient."""
     return state.get(tuple(range(n, 0, -1)), 0)
+
+
+def pieri_integral(mono: tuple, n: int) -> int:
+    """The integral over LG(n) of u^mono, u_j = sigma_j; 0 unless mono has
+    degree n(n+1)/2."""
+    return socle_coefficient(pieri_product({(): 1}, mono, n), n)
 
 
 def assert_socle_normal_forms(ring, d: int, monos) -> int:

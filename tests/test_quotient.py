@@ -159,6 +159,16 @@ def test_alternative_witnesses_reexpand():
     assert len(seen) == len(witnesses)
 
 
+def test_alternative_witnesses_reexpand_each_perturbation(monkeypatch):
+    # A perturbation by something that is no syzygy changes the expansion,
+    # so the witness it makes fails its re-expansion and is not returned.
+    ring = QuotientRing(tautological_presentation(4))
+    u1 = u(ring, "u1")
+    monkeypatch.setattr(ring, "_koszul_syzygies", lambda degrees: iter([{0: u1 ** 5}]))
+    with pytest.raises(ReductionError, match="re-expand"):
+        ring.alternative_witnesses(u1 ** 7)
+
+
 def test_degree_overflow():
     ring = tautological_ring(2)
     with pytest.raises(ReductionError):
@@ -204,6 +214,11 @@ def test_presentation_rejects_negative_top_degree():
     gens = GeneratorSet([("u1", 1), ("u2", 2)])
     with pytest.raises(ValueError, match="top degree must be non-negative"):
         RingPresentation(gens, [], -1)
+    # A non-int working degree was accepted and failed in dimension_report.
+    for top in (2.5, 2.0, Fraction(3)):
+        with pytest.raises(ValueError, match="top degree must be an int"):
+            RingPresentation(gens, [], top)
+    assert RingPresentation(gens, [], True).top_degree == 1
     # No generators: the degree check has no generator degree to compare, and
     # a constant relation has no generator to lead on.
     empty = GeneratorSet([])

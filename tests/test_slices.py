@@ -409,13 +409,12 @@ def test_linear_operations_match_scalar_loop():
         assert_same(p + q, reference_add(p, q))
         assert_same(p - q, reference_add(p, reference_scale(q, Scalar.coerce(-1))))
         assert_same(-p, reference_scale(p, Scalar.coerce(-1)))
+        components = p.degree_components()
         for k in range(-1, 8):
             assert_same(p.truncate(k), reference_select(p, lambda e: e <= k))
-            assert_same(p.graded_component(k), reference_select(p, lambda e: e == k))
-        components = p.degree_components()
+            assert_same(components.get(k, GradedPoly.zero(gens)),
+                        reference_select(p, lambda e: e == k))
         assert list(components) == sorted({gens.degree_of(m) for m, _ in p.items()})
-        for k, component in components.items():
-            assert_same(component, reference_select(p, lambda e: e == k))
         for fn in (lambda c: c * L + Fraction(1, 6), lambda c: c * 4, lambda c: c - c):
             assert_same(p.map_coefficients(fn),
                         GradedPoly(gens, {m: fn(c) for m, c in p.items()}))
@@ -442,13 +441,12 @@ def test_selections_that_drop_nothing_return_self():
             assert below is not p
             assert_same(below, reference_select(p, lambda e: e < top))
         for k in range(-1, 9):
-            for selected, keep in ((p.truncate(k), lambda e: e <= k),
-                                   (p.graded_component(k), lambda e: e == k)):
-                if all(map(keep, degrees)):
-                    assert selected is p
-                else:
-                    assert selected is not p
-                    assert_same(selected, reference_select(p, keep))
+            selected = p.truncate(k)
+            if all(e <= k for e in degrees):
+                assert selected is p
+            else:
+                assert selected is not p
+                assert_same(selected, reference_select(p, lambda e: e <= k))
 
 
 def reference_merge(m1, m2):
@@ -502,10 +500,12 @@ def test_sum_of_products_copies_what_it_starts_from():
             r, reference_add(reference_mul_truncated(p, q, 5),
                              reference_mul_truncated(q, r, 5))))
         p + q, q - r, -r, p * q
+        components = p.degree_components()
         for k in range(-1, 6):
-            p.truncate(k) + q, p.graded_component(k) - r
+            component = components.get(k, GradedPoly.zero(gens))
+            p.truncate(k) + q, component - r
             sum_of_products(gens, [(q, r)], k, start=p.truncate(k))
-            sum_of_products(gens, [(r, q)], k, start=p.graded_component(k))
+            sum_of_products(gens, [(r, q)], k, start=component)
         assert [x.items() for x in (p, q, r)] == before
         # from_slices keeps the dicts it is handed; operations on the result
         # leave them as they were.
@@ -516,7 +516,8 @@ def test_sum_of_products_copies_what_it_starts_from():
         built + q, built - q, -built, built * q, built.truncate(3) + q
         sum_of_products(gens, [(built, q)], 5, start=built)
         sum_of_products(gens, [(q, q)], 5, start=built.truncate(2))
-        sum_of_products(gens, [(q, q)], None, start=built.graded_component(3))
+        sum_of_products(gens, [(q, q)], None,
+                        start=built.degree_components().get(3, GradedPoly.zero(gens)))
         assert slices == snapshot
         assert_same(built, p + r)
     ring = AbelianTautRing(3)
