@@ -15,21 +15,22 @@ the form relations.  Two quotients are modelled:
 * the Lagrangian-Grassmannian ring: b_k is the formal symbol h(2k-1).
 
 Reduction tracks ideal-membership cofactors on the polynomial side and pushes
-each eliminated relation occurrence into the form part.  The critical power
-and the height polynomial are computed here; the proportionality map
-(``propmap``) and the even Chern character check (``series``) load on first
-use.
+each eliminated relation occurrence into the form part.  A lifted monomial
+that reduction meets again keeps its push, so a class whose monomials all
+keep theirs is reduced without cofactors.  The critical power and the height
+polynomial are computed here; the proportionality map (``propmap``) and the
+even Chern character check (``series``) load on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .scalars import _EXACT, Scalar, _merge_monomials, bracket, harmonic_symbol
-from .graded import (GeneratorSet, GradedPoly, _add_slice, _combine, _power,
-                     linear_image, sum_of_products)
+from .graded import (GeneratorSet, GradedPoly, Slices, _add_slice, _combine,
+                     _power, linear_image, sum_of_products)
 from .quotient import QuotientRing, ReductionError, RingPresentation
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 
@@ -276,6 +277,11 @@ class ArithRing:
                 (k, q.numerator, q.denominator * den)
                 for k, q in Scalar.coerce(beta)._terms.items()]))
         self._step_images: list[dict[int, tuple]] = [{} for _ in forms]
+        # The push table {lifted monomial m: (form slices, gamma slices)}:
+        # m's kept zq cofactors sent through the step images and scaled by
+        # beta.  reduce admits a monomial it meets again with the value
+        # None, and builds the value when a class first reads it.
+        self._pushes: dict[int, tuple[Slices, Slices] | None] = {}
 
     # -- constructors of elements -------------------------------------------
 
@@ -332,10 +338,55 @@ class ArithRing:
     # -- reduction -----------------------------------------------------------
 
     def reduce(self, x: ArithClass) -> ArithClass:
+        """The normal form of x: its lifted part truncated to the working
+        degree and reduced, with what the cofactors push into its form part
+        and gamma coefficient.  When the push table holds every monomial of
+        the lifted part, each side is one linear image of it through the
+        table.  Otherwise the division's cofactors are pushed, and then the
+        monomials that zq had divided before this call are admitted to the
+        table: a monomial is admitted when it is reduced a second time, and
+        its push is built when a class first reads it from the table."""
         if x.ring is not self:
             raise ValueError("class from another ring")
-        nf, cofactors = self.zq.reduce_with_cofactors(x.z.truncate(self.cap))
-        return ArithClass(self, nf, *self._form_contributions(cofactors, x.a, x.g))
+        z = x.z.truncate(self.cap)
+        monos = z._keys()
+        pushes = self._pushes
+        if monos <= pushes.keys():
+            unbuilt = [m for m in monos if pushes[m] is None]
+            if unbuilt:
+                self._build_pushes(unbuilt)
+            nf = linear_image(z._slices, self.zq.normal_forms(monos))
+            sides = self._form_sides(x.a, x.g)
+            for k1, (d1, terms) in z._slices.items():
+                for m, n in terms.items():
+                    for side, pushed in zip(sides, pushes[m]):
+                        for k2, (d2, image) in pushed.items():
+                            _add_slice(side, _merge_monomials(k1, k2), n,
+                                       d1 * d2, image.items())
+            return ArithClass(self, GradedPoly.from_slices(self.zgens, nf),
+                              *self._form_polys(sides))
+        held = self.zq.kept_cofactors(())
+        repeats = [m for m in monos if m in held and m not in pushes]
+        nf, cofactors = self.zq.reduce_with_cofactors(z)
+        out = ArithClass(self, nf, *self._form_contributions(cofactors, x.a, x.g))
+        for m in repeats:
+            pushes.setdefault(m, None)   # never unsets a push another call built
+        return out
+
+    def _build_pushes(self, monos: list[int]):
+        """Build the push of each admitted lifted monomial in monos, whose
+        cofactors zq holds: the step images its cofactor terms need are
+        added first, and each push is stored only once it is complete."""
+        cofactors = self.zq.kept_cofactors(monos)
+        images = self._step_images
+        self._add_step_images((ri, t) for m in monos
+                              for ri, terms in cofactors[m].items()
+                              for t, _ in terms)
+        for m in monos:
+            sides: list[Slices] = [{}, {}]
+            for ri, terms in cofactors[m].items():
+                self._push(sides, ri, {(): (1, _combine(terms, images[ri]))})
+            self._pushes[m] = tuple(p._slices for p in self._form_polys(sides))
 
     def _form_contributions(self, cofactors: Mapping[int, GradedPoly],
                             a: GradedPoly, g: GradedPoly):
@@ -344,52 +395,64 @@ class ArithRing:
         degree.  A cofactor term c*C^t of relation r pushes c * beta times
         the step image of (r, t) into r's side.  The cofactor terms are
         sent through the linear map of their relation's step images once:
-        the first missing image sends them all to _add_step_images.  Each
-        side is summed in one slice accumulator, which the normal forms of a
-        or g start."""
+        the first missing image sends them all to _add_step_images."""
         images = self._step_images
         pushed = []
         for ri, cof in cofactors.items():
             try:
                 image = linear_image(cof._slices, images[ri])
             except KeyError:
-                self._add_step_images(cofactors)
+                self._add_step_images(
+                    (rj, t) for rj, other in cofactors.items()
+                    for _, terms in other._slices.values() for t in terms)
                 image = linear_image(cof._slices, images[ri])
-            pushed.append((self._form_parts[ri], image))
+            pushed.append((ri, image))
+        sides = self._form_sides(a, g)
+        for ri, image in pushed:
+            self._push(sides, ri, image)
+        return self._form_polys(sides)
+
+    def _form_sides(self, a: GradedPoly, g: GradedPoly) -> list[Slices]:
+        """One slice accumulator per side, started by the normal form of a
+        or g truncated to its working degree."""
         sides = []
         for poly, cap in zip((a, g), self.form_caps):
             slices = poly.truncate(cap)._slices
             sides.append(linear_image(slices, self.aq.normal_forms(
                 m for _, terms in slices.values() for m in terms)))
-        for (side, _, _, scalar), image in pushed:
-            for k1, (d1, acc) in image.items():
-                for k2, num, den in scalar:
-                    _add_slice(sides[side], _merge_monomials(k1, k2),
-                               num, d1 * den, acc.items())
+        return sides
+
+    def _form_polys(self, sides: list[Slices]) -> tuple[GradedPoly, ...]:
         return tuple(GradedPoly.from_slices(self.agens, out) for out in sides)
 
-    def _add_step_images(self, cofactors: Mapping[int, GradedPoly]):
-        """Keep the step images that the cofactor terms need and the memo
-        lacks, each a tuple of (monomial, coefficient) pairs with no zero.
-        Their product monomials are divided in one pass, smallest first.  A
-        product is a sum of packed monomials of at most the working degree,
-        so it needs no guard check."""
+    def _push(self, sides: list[Slices], ri: int, image: Slices):
+        """Add beta times image, the step images of relation ri's cofactor
+        terms, to ri's side: the push arithmetic of both routes."""
+        side, _, _, scalar = self._form_parts[ri]
+        out = sides[side]
+        for k1, (d1, acc) in image.items():
+            for k2, num, den in scalar:
+                _add_slice(out, _merge_monomials(k1, k2), num, d1 * den,
+                           acc.items())
+
+    def _add_step_images(self, pairs: Iterable[tuple[int, int]]):
+        """Keep the step images of the (relation, cofactor monomial) pairs
+        that the memo lacks, each a tuple of (monomial, coefficient) pairs
+        with no zero.  Their product monomials are divided in one pass,
+        smallest first.  A product is a sum of packed monomials of at most
+        the working degree, so it needs no guard check."""
         shift = self.agens.shift
         caps = self.form_caps
         products: dict[int, int] = {}   # one int object per monomial
         pending: dict[tuple[int, int], list[int]] = {}
-        for ri, cof in cofactors.items():
-            known = self._step_images[ri]
+        for ri, t in pairs:
+            if t in self._step_images[ri] or (ri, t) in pending:
+                continue
             side, degree, poly, _ = self._form_parts[ri]
-            for _, terms in cof._slices.values():
-                for t in terms:
-                    if t in known or (ri, t) in pending:
-                        continue
-                    # A form side is homogeneous: its image is kept or
-                    # dropped whole.
-                    shifted = ([t + m for m in poly]
-                               if (t >> shift) + degree <= caps[side] else [])
-                    pending[ri, t] = [products.setdefault(p, p) for p in shifted]
+            # A form side is homogeneous: its image is kept or dropped whole.
+            shifted = ([t + m for m in poly]
+                       if (t >> shift) + degree <= caps[side] else [])
+            pending[ri, t] = [products.setdefault(p, p) for p in shifted]
         reduced = self.aq.normal_forms(products)
         # Stored only now, so a division that raises leaves no image behind.
         for (ri, t), shifted in pending.items():

@@ -29,7 +29,7 @@ monomials_of_degree), and each is validated there before it is packed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, lcm
 from operator import mul
 from struct import Struct, error as StructError
 from typing import Callable, Iterable, Mapping
@@ -58,7 +58,8 @@ Terms = Iterable[tuple[int, int]]
 class GeneratorSet:
     """Ordered list of named generators with int degrees >= 1."""
 
-    __slots__ = ("names", "degrees", "shift", "guard", "_index", "_fields")
+    __slots__ = ("names", "degrees", "shift", "guard", "product_limit",
+                 "_index", "_fields")
 
     def __init__(self, generators: Iterable[tuple[str, int]]):
         names = []
@@ -79,6 +80,9 @@ class GeneratorSet:
         # The top bit of every field: set in a product exactly when one of
         # its exponents reached EXPONENT_LIMIT.
         self.guard = sum(EXPONENT_LIMIT << FIELD_BITS * i for i in range(len(names)))
+        # An int above the key of every product of two monomials: its
+        # exponents are below 2^16, so its degree is below 2^16 * sum(degrees).
+        self.product_limit = ((sum(degrees) << FIELD_BITS) + 1) << self.shift
         self._index = {n: i for i, n in enumerate(names)}
         # A packed monomial's little-endian bytes are its unsigned 16-bit
         # fields, first generator first.
@@ -473,12 +477,15 @@ def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, Graded
     max_degree dropped during expansion (None drops none).  One integer
     product per pair of slices: the constant monomials are merged and the
     denominators multiplied once per pair.  A product of packed monomials is
-    their sum, kept when below (max_degree + 1) << shift; one that reaches
-    EXPONENT_LIMIT keeps its guard bit whatever its coefficient, so the keys
-    of the sum are checked once, and it raises ValueError."""
+    their sum, kept when below (max_degree + 1) << shift, or below
+    gens.product_limit, an int above every product key, when there is no
+    cap.  A product that reaches EXPONENT_LIMIT keeps its guard bit
+    whatever its coefficient, so the keys of the sum are checked once, and
+    it raises ValueError."""
     if start is not None and start.gens != gens:
         raise ValueError("generator-set mismatch")
-    limit = inf if max_degree is None else (max_degree + 1) << gens.shift
+    limit = (gens.product_limit if max_degree is None
+             else (max_degree + 1) << gens.shift)
     out: Slices = {}
     if start is not None:
         for k, (den, terms) in start._slices.items():

@@ -221,6 +221,17 @@ class QuotientRing:
                     self._reduce_monomial(m)
         return kept
 
+    def kept_cofactors(self, monos: Iterable[int]
+                       ) -> dict[int, dict[int, tuple[tuple[int, int], ...]]]:
+        """The kept table {monomial: {relation: cofactor terms}} itself,
+        once it holds each of the packed monomials monos, divided as
+        normal_forms divides them; the caller must not change it.  With no
+        monos it divides nothing, so it tells which monomials are kept."""
+        if not self.track_witnesses:
+            raise ReductionError("ring built without witness tracking")
+        self.normal_forms(monos)
+        return self._cof
+
     def normal_form(self, poly: GradedPoly) -> GradedPoly:
         nf, _ = self._reduce(poly, with_cofactors=False)
         return nf

@@ -167,6 +167,13 @@ def test_degree_limit_keeps_the_reference_terms():
     assert sum_of_products(gens, [(x, x)], 4 * half - 1).is_zero()
     with pytest.raises(ValueError, match="reaches"):
         sum_of_products(gens, [(x, x)], 4 * half)
+    # With no cap the limit lies above every product key: the largest
+    # exponents are kept, and a product that reaches the limit raises.
+    top = GradedPoly.monomial(gens, (EXPONENT_LIMIT - 1,) * 3)
+    y, z = (GradedPoly.monomial(gens, (e,) * 3) for e in (half, half - 1))
+    assert sum_of_products(gens, [(y, z)], None) == top
+    with pytest.raises(ValueError, match="reaches"):
+        sum_of_products(gens, [(top, top)], None)
 
 
 def test_mul_truncated_slices_cancel_to_zero():
@@ -335,12 +342,102 @@ def test_reduce_through_step_images_matches_product_route():
                                       (reduced.g, y.g)):
                         assert_same(got, want)
                 assert any(ring._step_images)
-            # The other order on a fresh ring fills the same memo.
+            # The other order on a fresh ring fills the same memo once it has
+            # built the push of every monomial, as the ring's second pass
+            # did: a push adds the images of each of its monomial's cofactor
+            # terms.  Nothing divided the queries in it beforehand, so its
+            # second pass admits the monomials and its third builds them.
             other = make(d)
-            assert [other.reduce(ArithClass(other, x.z, x.a, x.g))
-                    for x in reversed(queries)] == [
-                        ArithClass(other, y.z, y.a, y.g) for y in reversed(expected)]
+            for _ in range(3):
+                assert [other.reduce(ArithClass(other, x.z, x.a, x.g))
+                        for x in reversed(queries)] == [
+                            ArithClass(other, y.z, y.a, y.g) for y in reversed(expected)]
             assert image_values(other) == image_values(ring)
+
+
+def drawn_class(rng, ring):
+    """A class like random_class's, with each monomial drawn one generator
+    at a time rather than from an enumeration, so it is cheap at large d."""
+    def poly(gens, cap, n_terms, symbol):
+        terms = {}
+        for degree in [rng.randrange(cap + 1) for _ in range(n_terms)]:
+            mono = [0] * len(gens)
+            while degree:
+                j = rng.randrange(min(degree, len(gens)))
+                mono[j] += 1
+                degree -= j + 1
+            terms[tuple(mono)] = random_scalar(rng)
+        return GradedPoly(gens, terms) + GradedPoly.monomial(
+            gens, gens.single(gens.names[0], cap + 1), symbol)
+
+    g = GradedPoly.zero(ring.agens)
+    if ring.gamma_degree is not None:
+        g = poly(ring.agens, ring.cap - ring.gamma_degree, 3, H1)
+    return ArithClass(ring, poly(ring.zgens, ring.cap, 5, L),
+                      poly(ring.agens, ring.cap - 1, 4, Z1), g)
+
+
+def reduce_three_passes(ring, classes):
+    """Three passes of ring.reduce over the classes.  The first divides each
+    lifted monomial with cofactors, the second reduces them again and
+    admits them to the push table, and the third answers every class from
+    the table, with no division with cofactors."""
+    passes = [[ring.reduce(x) for x in classes] for _ in range(2)]
+    assert all(x.z.truncate(ring.cap)._keys() <= ring._pushes.keys()
+               for x in classes)
+    ring.zq.reduce_with_cofactors = None    # a call raises TypeError
+    try:
+        passes.append([ring.reduce(x) for x in classes])
+    finally:
+        del ring.zq.reduce_with_cofactors
+    return passes
+
+
+def test_reduce_from_push_table_matches_product_route():
+    # The product route runs on a twin ring, so it divides nothing in the
+    # ring under test and every monomial there is admitted by reduce alone.
+    rng = random.Random(34)
+    for d in range(2, 7):
+        for make in (AbelianTautRing, lambda d: LagrangianArithRing(d, "formal")):
+            ring, twin = make(d), make(d)
+            classes = [random_class(rng, ring) for _ in range(5)]
+            classes += [drawn_class(rng, ring) for _ in range(3)]
+            assert all(x.z.truncate(ring.cap).symbol_degree() for x in classes)
+            expected = [reference_reduce_class(ArithClass(twin, x.z, x.a, x.g))
+                        for x in classes]
+            for reduced in reduce_three_passes(ring, classes):
+                for x, y in zip(reduced, expected):
+                    for got, want in ((x.z, y.z), (x.a, y.a), (x.g, y.g)):
+                        assert_same(got, want)
+                        assert_lowest_terms(got)
+
+
+def test_push_table_admits_monomials_reduced_again(monkeypatch):
+    for ring in (AbelianTautRing(5), LagrangianArithRing(5)):
+        calls = []
+        divide = ring.zq.reduce_with_cofactors
+        monkeypatch.setattr(ring.zq, "reduce_with_cofactors",
+                            lambda poly: calls.append(poly) or divide(poly))
+        x = random_class(random.Random(8), ring)
+        monos = x.z.truncate(ring.cap)._keys()
+        first = ring.reduce(x)
+        assert len(calls) == 1 and not ring._pushes
+        assert ring.reduce(x) == first
+        assert len(calls) == 2 and ring._pushes.keys() == monos
+        # Admitted unbuilt; the first read from the table builds them.
+        assert set(ring._pushes.values()) == {None}
+        assert ring.reduce(x) == first and len(calls) == 2
+        assert None not in ring._pushes.values()
+        # One fresh monomial sends the class down the cofactor route, and
+        # only the monomials held before that call are admitted.
+        fresh = ring.lifted(1) ** ring.cap
+        assert fresh.z._keys().isdisjoint(ring.zq.kept_cofactors(()))
+        mixed = ring.reduce(x + fresh)
+        assert len(calls) == 3 and ring._pushes.keys() == monos
+        assert ring.reduce(x + fresh) == mixed
+        assert len(calls) == 4 and ring._pushes.keys() == monos | fresh.z._keys()
+        assert ring.reduce(x + fresh) == mixed == first + ring.reduce(fresh)
+        assert len(calls) == 4
 
 
 def test_kept_reductions_and_step_images_are_integers():
