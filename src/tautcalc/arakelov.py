@@ -28,9 +28,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .scalars import _EXACT, Scalar, _merge_monomials, bracket, harmonic_symbol
-from .graded import (GeneratorSet, GradedPoly, Slices, _add_slice, _combine,
-                     _power, linear_image, sum_of_products)
+from .scalars import _EXACT, Scalar, bracket, harmonic_symbol
+from .graded import (GeneratorSet, GradedPoly, Slices, _add_slices, _combine,
+                     _power, linear_image, linear_image_below, sum_of_products)
 from .quotient import QuotientRing, ReductionError, RingPresentation
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 
@@ -341,8 +341,9 @@ class ArithRing:
         """The normal form of x: its lifted part truncated to the working
         degree and reduced, with what the cofactors push into its form part
         and gamma coefficient.  When the push table holds every monomial of
-        the lifted part, each side is one linear image of it through the
-        table.  Otherwise the division's cofactors are pushed, and then the
+        the lifted part, one pass over its terms adds each one's kept
+        normal form and, one _add_slices call per side, its push.
+        Otherwise the division's cofactors are pushed, and then the
         monomials that zq had divided before this call are admitted to the
         table: a monomial is admitted when it is reduced a second time, and
         its push is built when a class first reads it from the table."""
@@ -355,14 +356,20 @@ class ArithRing:
             unbuilt = [m for m in monos if pushes[m] is None]
             if unbuilt:
                 self._build_pushes(unbuilt)
-            nf = linear_image(z._slices, self.zq.normal_forms(monos))
-            sides = self._form_sides(x.a, x.g)
+            kept = self.zq.normal_forms(())
+            nf: Slices = {}
+            form, gamma = sides = self._form_sides(x.a, x.g)
             for k1, (d1, terms) in z._slices.items():
+                acc: dict[int, int] = {}
+                nf[k1] = d1, acc
                 for m, n in terms.items():
-                    for side, pushed in zip(sides, pushes[m]):
-                        for k2, (d2, image) in pushed.items():
-                            _add_slice(side, _merge_monomials(k1, k2), n,
-                                       d1 * d2, image.items())
+                    for t, v in kept[m]:
+                        acc[t] = acc.get(t, 0) + n * v
+                    form_push, gamma_push = pushes[m]
+                    if form_push:
+                        _add_slices(form, k1, n, d1, form_push)
+                    if gamma_push:
+                        _add_slices(gamma, k1, n, d1, gamma_push)
             return ArithClass(self, GradedPoly.from_slices(self.zgens, nf),
                               *self._form_polys(sides))
         held = self.zq.kept_cofactors(())
@@ -414,12 +421,22 @@ class ArithRing:
 
     def _form_sides(self, a: GradedPoly, g: GradedPoly) -> list[Slices]:
         """One slice accumulator per side, started by the normal form of a
-        or g truncated to its working degree."""
+        or g truncated to its working degree: one sweep over its slices
+        through the normal forms aq keeps.  The first missing one sends
+        every monomial of that side to aq.normal_forms, in one call."""
+        aq = self.aq
+        kept = aq.normal_forms(())
+        shift = self.agens.shift
         sides = []
         for poly, cap in zip((a, g), self.form_caps):
-            slices = poly.truncate(cap)._slices
-            sides.append(linear_image(slices, self.aq.normal_forms(
-                m for _, terms in slices.values() for m in terms)))
+            limit = (cap + 1) << shift
+            try:
+                side = linear_image_below(poly._slices, limit, kept)
+            except KeyError:
+                aq.normal_forms(m for _, terms in poly._slices.values()
+                                for m in terms if m < limit)
+                side = linear_image_below(poly._slices, limit, kept)
+            sides.append(side)
         return sides
 
     def _form_polys(self, sides: list[Slices]) -> tuple[GradedPoly, ...]:
@@ -429,11 +446,8 @@ class ArithRing:
         """Add beta times image, the step images of relation ri's cofactor
         terms, to ri's side: the push arithmetic of both routes."""
         side, _, _, scalar = self._form_parts[ri]
-        out = sides[side]
-        for k1, (d1, acc) in image.items():
-            for k2, num, den in scalar:
-                _add_slice(out, _merge_monomials(k1, k2), num, d1 * den,
-                           acc.items())
+        for k, num, den in scalar:
+            _add_slices(sides[side], k, num, den, image)
 
     def _add_step_images(self, pairs: Iterable[tuple[int, int]]):
         """Keep the step images of the (relation, cofactor monomial) pairs

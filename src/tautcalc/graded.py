@@ -102,7 +102,12 @@ class GeneratorSet:
         return hash((self.names, self.degrees))
 
     def index(self, name: str) -> int:
-        return self._index[name]
+        """The position of the named generator; ValueError if the set has
+        no such generator."""
+        try:
+            return self._index[name]
+        except KeyError:
+            raise ValueError(f"no generator {name!r} in {self!r}") from None
 
     def pack(self, mono: Iterable[int]) -> int:
         """mono's packed key, the one place a degree is computed; ValueError
@@ -528,6 +533,23 @@ def linear_image(slices: Slices, image: Mapping[int, Terms]) -> Slices:
             for k, (den, terms) in slices.items()}
 
 
+def linear_image_below(slices: Slices, limit: int,
+                       image: Mapping[int, Terms]) -> Slices:
+    """linear_image of the terms of slices whose keys are below limit, in
+    one sweep that skips the others in place; a slice left with no term is
+    dropped.  KeyError if image lacks a monomial below limit."""
+    out: Slices = {}
+    for k, (den, terms) in slices.items():
+        acc: dict[int, int] = {}
+        for m, n in terms.items():
+            if m < limit:
+                for t, v in image[m]:
+                    acc[t] = acc.get(t, 0) + n * v
+        if acc:
+            out[k] = den, acc
+    return out
+
+
 def _combine(pairs: Terms, image: Mapping[int, Terms]) -> dict[int, int]:
     """The sum of n * image[m] over the pairs (m, n), a fresh dict that may
     hold zeros.  KeyError if image lacks a monomial."""
@@ -549,6 +571,22 @@ def _add_slice(out: dict, k: ConstMonomial, num: int, den: int, source: Terms):
     scale *= num
     for m, n in source:
         terms[m] = terms.get(m, 0) + n * scale
+
+
+def _add_slices(out: dict, k1: ConstMonomial, num: int, den: int,
+                slices: Slices):
+    """out += k1 * num * slices / den, in place, as _add_slice does for one
+    slice: slice k2 of slices goes to out's slice k1 * k2 (k2 itself when
+    k1 is the empty monomial), brought to a common denominator."""
+    for k2, (d2, source) in slices.items():
+        k = _merge_monomials(k1, k2) if k1 else k2
+        if k not in out:
+            out[k] = den * d2, {m: n * num for m, n in source.items()}
+            continue
+        terms, scale = _target_slice(out, k, den * d2)
+        scale *= num
+        for m, n in source.items():
+            terms[m] = terms.get(m, 0) + n * scale
 
 
 def _target_slice(out: dict, k: ConstMonomial, den: int) -> tuple[dict, int]:

@@ -40,6 +40,24 @@ def test_malformed_monomials_rejected():
     assert GradedPoly.monomial(g, (1, 0, 1)) == u1 * u3
 
 
+def test_unknown_generator_names_rejected():
+    # Each raised a bare KeyError naming neither the generator nor the set.
+    g = gens_u(3)
+    ring = AbelianTautRing(2)
+    cases = [(lambda: g.index("z"), "z", g),
+             (lambda: g.single("u4"), "u4", g),
+             (lambda: GradedPoly.generator(g, "z"), "z", g),
+             (lambda: ring.lifted(3), "C3", ring.zgens),
+             (lambda: ring.lifted(0), "C0", ring.zgens)]
+    for call, name, gens in cases:
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == f"no generator {name!r} in {gens!r}"
+    assert str(ring.zgens) == "GeneratorSet(C1:1, C2:2)"
+    assert g.index("u3") == 2 and ring.lifted(2).z == GradedPoly.generator(
+        ring.zgens, "C2")
+
+
 def test_wrong_length_monomials_rejected_on_lookup_and_as_leads():
     g = GeneratorSet([("u1", 1), ("u2", 2)])
     u2 = GradedPoly.generator(g, "u2")

@@ -12,7 +12,8 @@ import pytest
 
 from tautcalc.scalars import Scalar, ZERO, _merge_monomials, symbol_sort_key
 from tautcalc.graded import (EXPONENT_LIMIT, GeneratorSet, GradedPoly,
-                             monomials_of_degree, sum_of_products)
+                             _add_slice, _add_slices, monomials_of_degree,
+                             sum_of_products)
 from tautcalc.quotient import QuotientRing, RingPresentation
 from tautcalc.arakelov import (AbelianTautRing, ArithClass, LagrangianArithRing,
                                c1_critical_power, height_polynomial)
@@ -438,6 +439,79 @@ def test_push_table_admits_monomials_reduced_again(monkeypatch):
         assert len(calls) == 4 and ring._pushes.keys() == monos | fresh.z._keys()
         assert ring.reduce(x + fresh) == mixed == first + ring.reduce(fresh)
         assert len(calls) == 4
+
+
+def test_push_route_divides_a_fresh_form_monomial_once():
+    # A class whose lifted monomials all have built pushes, with a form
+    # monomial that aq never divided and form and gamma terms above their
+    # working degrees.  The push route divides the fresh monomial alone: as
+    # many aq steps as its division takes in a twin ring with the same
+    # history, and no zq step.
+    rng = random.Random(35)
+    for make in (AbelianTautRing, LagrangianArithRing):
+        ring, twin = make(5), make(5)
+        x = random_class(rng, ring)
+        for r in (ring, twin):
+            for _ in range(3):
+                r.reduce(ArithClass(r, x.z, x.a, x.g))
+        monos = x.z.truncate(ring.cap)._keys()
+        assert monos and all(ring._pushes.get(m) is not None for m in monos)
+        gens, kept = ring.agens, ring.aq.normal_forms(())
+        fresh = next(m for m in monomials_of_degree(gens, ring.cap - 1)
+                     if m[0] >= 2 and gens.pack(m) not in kept)
+        steps = twin.aq.division_steps
+        twin.aq.normal_forms([gens.pack(fresh)])
+        fresh_steps = twin.aq.division_steps - steps
+        assert fresh_steps > 0
+        above = GradedPoly.monomial(gens, gens.single("u2", ring.cap // 2 + 1), Z3)
+        a = x.a + GradedPoly.monomial(gens, fresh, L * Fraction(2, 3)) + above
+        g = x.g
+        if ring.gamma_degree is not None:
+            g = g + above * GradedPoly.monomial(gens, gens.single("u1", 1), H3)
+        y = ArithClass(ring, x.z, a, g)
+        steps = (ring.aq.division_steps, ring.zq.division_steps)
+        ring.zq.reduce_with_cofactors = None    # a call raises TypeError
+        try:
+            got = ring.reduce(y)
+        finally:
+            del ring.zq.reduce_with_cofactors
+        assert (ring.aq.division_steps - steps[0],
+                ring.zq.division_steps - steps[1]) == (fresh_steps, 0)
+        want = reference_reduce_class(ArithClass(twin, y.z, y.a, y.g))
+        for part, expected in ((got.z, want.z), (got.a, want.a), (got.g, want.g)):
+            assert_same(part, expected)
+            assert_lowest_terms(part)
+
+
+def test_add_slices_matches_one_slice_at_a_time():
+    # _add_slices adds k1 * num * slices / den in one call; _add_slice adds
+    # one slice.  From an empty accumulator and from one already filled,
+    # with k1 empty and symbolic, and the source slices left unchanged.
+    rng = random.Random(3535)
+    gens = GeneratorSet([(f"u{j}", j) for j in range(1, 5)])
+    mixed = 0
+    for _ in range(40):
+        source = random_poly(rng, gens, 5, 6)
+        mixed += len({den for den, _ in source._slices.values()}) > 1
+        kept = {k: (den, dict(terms)) for k, (den, terms) in source._slices.items()}
+        for start in (GradedPoly.zero(gens), random_poly(rng, gens, 5, 4)):
+            for k1, q in [((), Fraction(1)), ((), Fraction(-3, 4)),
+                          *random_scalar(rng)._terms.items()]:
+                one, each = ({k: (den, dict(terms)) for k, (den, terms)
+                              in start._slices.items()} for _ in range(2))
+                # Twice, so a slice that took the source's terms as they are
+                # would change them on the second call.
+                for _ in range(2):
+                    _add_slices(one, k1, q.numerator, q.denominator, source._slices)
+                    for k2, (d2, terms) in source._slices.items():
+                        _add_slice(each, _merge_monomials(k1, k2), q.numerator,
+                                   q.denominator * d2, terms.items())
+                got = GradedPoly.from_slices(gens, one)
+                assert_same(got, GradedPoly.from_slices(gens, each))
+                assert_same(got, reference_add(start, reference_scale(
+                    source, Scalar({k1: q * 2}))))
+        assert source._slices == kept
+    assert mixed >= 10
 
 
 def test_kept_reductions_and_step_images_are_integers():
