@@ -246,6 +246,9 @@ def run_checks(selection: list[str] | None = None) -> list[CheckResult]:
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}; "
                          f"available: {', '.join(CHECKS)}")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ValueError(f"checks named more than once: {', '.join(repeated)}")
     try:
         return [CHECKS[name]() for name in names]
     finally:

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -288,6 +289,54 @@ def test_verify_empty_selection(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert "error: --only needs check names" in err
+
+
+def test_verify_repeated_check(capsys):
+    # A check named twice would run, and print its line, twice.
+    for only, named in (("newton,newton", "newton"),
+                        ("cauchy,newton,cauchy,newton", "cauchy, newton")):
+        assert main(["verify", "--only", only]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: checks named more than once: {named}\n" in err
+
+
+def test_in_process_main_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert main(["c1-power", "--d", "3"]) == 0
+    assert main(["verify", "--only", "newton"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_fresh_import_freezes_nothing():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import gc, tautcalc.cli; print(gc.get_freeze_count())"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "0\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+def test_console_script_freezes_after_its_report(capsys, fmt):
+    # The console script calls main() with no arguments: the process ends
+    # with the command, so main freezes the heap once the report is out.
+    # Its stdout is the report main([...]) writes in process, byte for byte.
+    args = ["--format", fmt, "c1-power", "--d", "4"]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import gc, sys\n"
+         "from tautcalc.cli import main\n"
+         f"sys.argv = ['tautcalc', *{args!r}]\n"
+         "code = main()\n"
+         "print('frozen:', gc.get_freeze_count(), file=sys.stderr)\n"
+         "sys.exit(code)\n"],
+        capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    elapsed, frozen = proc.stderr.decode().splitlines()
+    assert elapsed.startswith("elapsed: ")
+    assert int(frozen.removeprefix("frozen: ")) > 0
+    assert main(args) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
 
 
 def test_usage_errors(capsys):
