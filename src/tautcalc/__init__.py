@@ -8,13 +8,11 @@ zeta'(1-2k) and odd harmonic placeholders.
 from .scalars import (Rational, Scalar, bernoulli, harmonic, harmonic_symbol,
                       zeta_negative_odd, zeta_prime_symbol, LOG2)
 from .graded import GeneratorSet, GradedPoly, monomials_of_degree
-from .quotient import (DimensionReport, QuotientRing, ReductionError,
-                       RingPresentation, Witness)
-from .charclasses import ClassVector, c_from_ch, ch_from_c, pontrjagin_from_c
+from .quotient import QuotientRing, ReductionError, RingPresentation, Witness
+from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 from .arakelov import (AbelianTautRing, ArithClass, LagrangianArithRing,
                        c1_critical_power, harmonic_substitution,
-                       height_polynomial, lagrangian_degree,
-                       tautological_presentation, tautological_ring)
+                       height_polynomial)
 
 __version__ = "0.1.0"
 
@@ -35,13 +33,17 @@ __all__ = [
 
 # Names whose modules load on first use (PEP 562), so importing the CLI for
 # one command loads neither the verification suite, nor the proportionality
-# map, nor the series code: name -> module.
+# map, nor the series code, nor the classical ring: name -> module.
 _LAZY = {
     "CHECKS": "verify", "CheckResult": "verify", "run_checks": "verify",
     "MapCertificate": "propmap", "proportionality_map_check": "propmap",
     "verify_map_certificate": "propmap",
-    "additive_class": "series", "cauchy_single_class": "series",
-    "ch_even_check": "series", "multiplicative_class": "series",
+    "additive_class": "series", "c_from_ch": "series",
+    "cauchy_single_class": "series", "ch_even_check": "series",
+    "multiplicative_class": "series",
+    "DimensionReport": "classical", "lagrangian_degree": "classical",
+    "tautological_presentation": "classical",
+    "tautological_ring": "classical",
 }
 
 

@@ -18,14 +18,15 @@ Reduction tracks ideal-membership cofactors on the polynomial side and pushes
 each eliminated relation occurrence into the form part.  A lifted monomial
 that reduction meets again keeps its push, so a class whose monomials all
 keep theirs is reduced without cofactors.  The critical power and the height
-polynomial are computed here; the proportionality map (``propmap``) and the
-even Chern character check (``series``) load on first use.
+polynomial are computed here.  What no ring command runs loads on first use:
+the classical ring R_d (``classical``), the proportionality map
+(``propmap``), the even Chern character check (``series``) and the
+reductions by other witnesses (``verify``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .scalars import _EXACT, Scalar, bracket, harmonic_symbol
@@ -35,50 +36,19 @@ from .quotient import QuotientRing, ReductionError, RingPresentation
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 
 
+# The largest d whose working degree d(d-1)/2 + 1 is below EXPONENT_LIMIT,
+# the bound on a quotient's working degree.
+MAX_D = 256
+
+
 def arithmetic_dimension(d: int) -> int:
     """d(d-1)/2 + 1, every ring's working degree: every arithmetic class
-    vanishes above it, and C1 to this power is the critical power."""
+    vanishes above it, and C1 to this power is the critical power.
+    ValueError unless d is an int from 1 to MAX_D; each ring asks for it
+    before it builds anything."""
+    if not isinstance(d, int) or not 1 <= d <= MAX_D:
+        raise ValueError(f"d must be an int from 1 to {MAX_D}, not {d!r}")
     return d * (d - 1) // 2 + 1
-
-
-# ---------------------------------------------------------------------------
-# Classical tautological ring
-# ---------------------------------------------------------------------------
-
-
-def tautological_presentation(d: int) -> RingPresentation:
-    """Presentation of the rank-d tautological ring: generators u1..ud with
-    the classical relations p_k(u) = 0 for k = 1..d (up to sign, the
-    homogeneous components of the dual square c(t)c(-t) = 1), in degree
-    order, and u_d = 0, up to the arithmetic dimension."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    gens = GeneratorSet([(f"u{j}", j) for j in range(1, d + 1)])
-    relations = [*pontrjagin_from_c(ClassVector.standard(gens, gens.names)),
-                 GradedPoly.generator(gens, f"u{d}")]
-    return RingPresentation(gens, relations, arithmetic_dimension(d))
-
-
-def tautological_ring(d: int) -> QuotientRing:
-    return QuotientRing(tautological_presentation(d), track_witnesses=False)
-
-
-def lagrangian_degree(d: int) -> int:
-    """Projective degree of the rank-(d-1) Lagrangian Grassmannian:
-    (d(d-1)/2)! / prod_{k<d} (2k-1)!!."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    num = factorial(d * (d - 1) // 2)
-    den = 1
-    for k in range(1, d):
-        m = 2 * k - 1
-        while m > 1:
-            den *= m
-            m -= 2
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError("degree formula did not divide evenly")
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -473,19 +443,6 @@ class ArithRing:
             acc = _combine(zip(shifted, self._form_parts[ri][2].values()), reduced)
             self._step_images[ri][t] = tuple((m, v) for m, v in acc.items() if v)
 
-    def reduce_variants(self, x: ArithClass) -> list[ArithClass]:
-        """Reductions of a class whose polynomial part lies in the relation
-        ideal, one per witness of alternative_witnesses: the division's
-        cofactors and those cofactors moved by Koszul syzygies of the lifted
-        relations."""
-        z = x.z.truncate(self.cap)
-        witnesses = self.zq.alternative_witnesses(z)
-        out = []
-        for w in witnesses:
-            a, g = self._form_contributions(w.cofactors, x.a, x.g)
-            out.append(ArithClass(self, GradedPoly.zero(self.zgens), a, g))
-        return out
-
     # -- display helpers -----------------------------------------------------
 
     def display_znames(self, latex: bool) -> dict[str, str]:
@@ -509,8 +466,6 @@ class AbelianTautRing(ArithRing):
     """
 
     def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("d must be positive")
         self._setup(d, d, gamma_degree=d, b=lambda k: -bracket(k))
 
 

@@ -1,6 +1,7 @@
-"""Characteristic-class calculus on graded polynomials: Newton's identities
-between Chern classes and power sums, and Pontrjagin classes.  The classes
-of a power series live in ``series``, which loads on first use."""
+"""Characteristic-class calculus on graded polynomials: the power sums of
+Chern classes by Newton's identities, and Pontrjagin classes.  The inverse
+route and the classes of a power series live in ``series``, which loads on
+first use."""
 
 from __future__ import annotations
 
@@ -66,24 +67,6 @@ def ch_from_c(classes: ClassVector, up_to: int,
         acc = sum_of_products(classes.gens, pairs, None, start)
         sums.append(reduce(acc) if reduce else acc)
     return sums
-
-
-def c_from_ch(power_sums: Sequence[GradedPoly], rank: int,
-              gens: GeneratorSet) -> ClassVector:
-    """Invert Newton's identities: recover c_1..c_rank from s_1..s_rank,
-    c_k = (-1)^(k-1)/k (s_k + sum_{i<k} (-1)^i c_i s_{k-i}), each step one
-    sum of products.  ValueError for fewer than rank power sums."""
-    if len(power_sums) < rank:
-        raise ValueError(f"rank {rank} needs the power sums s_1..s_{rank}, "
-                         f"got {len(power_sums)}")
-    classes: list[GradedPoly] = []
-    signed: list[GradedPoly] = []
-    for k in range(1, rank + 1):
-        pairs = [(c, power_sums[k - i - 1]) for i, c in enumerate(signed, 1)]
-        acc = sum_of_products(gens, pairs, None, power_sums[k - 1])
-        classes.append(acc * Fraction((-1) ** (k - 1), k))
-        signed.append(classes[-1] * (-1) ** k)
-    return ClassVector(gens, classes)
 
 
 def pontrjagin_from_c(classes: ClassVector, up_to: int | None = None) -> list[GradedPoly]:

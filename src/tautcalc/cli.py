@@ -16,8 +16,7 @@ from .scalars import Scalar
 from .graded import GradedPoly
 from .charclasses import ClassVector, pontrjagin_from_c
 from .arakelov import (AbelianTautRing, ArithClass, c1_critical_power,
-                       harmonic_substitution, height_polynomial,
-                       lagrangian_degree, tautological_ring)
+                       harmonic_substitution, height_polynomial)
 
 
 class Report:
@@ -118,8 +117,10 @@ def cmd_c1_power(args: argparse.Namespace) -> Report:
 
 
 def cmd_ring_info(args: argparse.Namespace) -> Report:
+    from .classical import audit_dump, dimension_report, tautological_ring
+
     ring = tautological_ring(args.d)
-    rep = ring.dimension_report()
+    rep = dimension_report(ring)
     report = Report("ring-info", {"d": args.d})
     report.add("dimensions", str(rep.dims), str(rep.dims), rep.dims)
     report.add("total", str(rep.total), str(rep.total), rep.total)
@@ -129,7 +130,7 @@ def cmd_ring_info(args: argparse.Namespace) -> Report:
                rep.socle_dim)
     if args.audit:
         # Only the JSON report carries the dump; text and latex say so.
-        dump = ring.audit_dump() if args.format == "json" else None
+        dump = audit_dump(ring) if args.format == "json" else None
         report.add("audit", "(json only)", "(json only)", dump)
     return report
 
@@ -191,6 +192,8 @@ def cmd_hmap_check(args: argparse.Namespace) -> Report:
 
 
 def cmd_degree(args: argparse.Namespace) -> Report:
+    from .classical import lagrangian_degree
+
     value = lagrangian_degree(args.d)
     report = Report("degree", {"d": args.d})
     report.add(f"deg B_{args.d - 1}", str(value), str(value), value)
@@ -278,13 +281,23 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "pontrjagin" and not 1 <= args.k <= args.d:
             parser.error("--k must satisfy 1 <= k <= d")
 
+    # An exact value may have more digits than the interpreter converts to
+    # a string by default (Python 3.10.7 on): the command and its rendering
+    # run without that limit, and the caller's limit is restored.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     start = time.monotonic()
     try:
         report = COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(report.render(args.format))
+    else:
+        sys.stdout.write(report.render(args.format))
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
     print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
     if argv is None:
         # This process ends with the command: frozen, its heap is skipped by

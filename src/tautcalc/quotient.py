@@ -8,7 +8,11 @@ monomials.  By Buchberger's first criterion (Cox-Little-O'Shea, *Ideals,
 Varieties, and Algorithms*, ch. 2 sec. 9) they are then a Groebner basis, so
 multivariate division gives normal forms on the standard monomials together
 with cofactors (membership witnesses).  Other witnesses differ from these by
-Koszul syzygies.
+Koszul syzygies; ``verify``, the one module that compares them, builds them.
+
+This module holds the presentation, the division with its kept tables, and
+the membership witness.  The reports of a ring, its dimensions and its
+audit dump, live in ``classical``, which loads on first use.
 
 The division runs on packed monomials (``graded``): the heap holds bare ints,
 whose order within one degree is the term order, a rule's test is one
@@ -20,7 +24,7 @@ has an exponent at the limit and these sums need no guard check.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable
 
 from .graded import (EXPONENT_LIMIT, GeneratorSet, GradedPoly, Monomial, Slices,
                      Terms, _add_slice, linear_image, monomials_of_degree,
@@ -84,13 +88,6 @@ class Witness:
 
     def verify(self) -> bool:
         return self.expand() == self.target
-
-
-class DimensionReport(NamedTuple):
-    dims: list[int]
-    total: int
-    socle_degree: int
-    socle_dim: int
 
 
 class QuotientRing:
@@ -277,77 +274,6 @@ class QuotientRing:
         if not witness.verify():
             raise ReductionError("witness failed to re-expand to its target")
         return witness
-
-    def alternative_witnesses(self, poly: GradedPoly) -> list[Witness]:
-        """Up to three distinct witnesses for poly: the division witness and
-        that witness perturbed by Koszul syzygies (s_j e_i - s_i e_j) * m of
-        the relations, scaled 1, 2.  Fewer when fewer exist.  Each is
-        re-expanded; ReductionError if one fails."""
-        base = self.membership_witness(poly)
-        degrees = sorted(poly.degree_components())
-        out = [base]
-        for scale in range(1, 3):
-            for syzygy in self._koszul_syzygies(degrees):
-                if len(out) == 3:
-                    return out
-                cofactors = dict(base.cofactors)
-                for ri, p in syzygy.items():
-                    cofactors[ri] = (cofactors.get(ri, GradedPoly.zero(self.gens))
-                                     + p * scale)
-                cofactors = {ri: p for ri, p in cofactors.items() if p}
-                if all(cofactors != w.cofactors for w in out):
-                    out.append(self._checked_witness(poly, cofactors))
-        return out
-
-    def _koszul_syzygies(self, degrees: list[int]) -> Iterator[dict[int, GradedPoly]]:
-        relations = self.presentation.relations
-        for k in degrees:
-            for i, si in enumerate(relations):
-                for j, sj in enumerate(relations[i + 1:], i + 1):
-                    rem = k - si.max_degree() - sj.max_degree()
-                    for mult in monomials_of_degree(self.gens, rem) if rem >= 0 else ():
-                        m = GradedPoly.monomial(self.gens, mult)
-                        yield {i: sj * m, j: -(si * m)}
-
-    # -- reports -------------------------------------------------------------
-
-    def dimension_report(self) -> DimensionReport:
-        dims = [len(self.monomial_basis(k)) for k in range(self.top_degree + 1)]
-        socle = max((k for k, d in enumerate(dims) if d), default=0)
-        return DimensionReport(dims, sum(dims), socle, dims[socle])
-
-    def audit_dump(self) -> dict:
-        """Per-degree bases and reduction rows m - nf(m), JSON-ready.  Each
-        degree's monomials are divided in one pass; its basis is the
-        monomials that are their own normal form."""
-        degrees = []
-        for k in range(self.top_degree + 1):
-            listed = monomials_of_degree(self.gens, k)
-            monos = list(map(self.gens.pack, listed))
-            kept = self.normal_forms(monos)
-            names = {m: GradedPoly.monomial(self.gens, mono).render()
-                     for m, mono in zip(monos, listed)}
-            position = {m: i for i, m in enumerate(monos)}
-            basis, rows = [], {}
-            for m in monos:
-                nf = kept[m]
-                if nf == ((m, 1),):
-                    basis.append(names[m])
-                    continue
-                entries = {b: -v for b, v in nf}
-                entries[m] = 1
-                rows[names[m]] = {names[b]: str(entries[b])
-                                  for b in sorted(entries, key=position.__getitem__)}
-            degrees.append({
-                "degree": k,
-                "monomials": list(names.values()),
-                "basis": basis,
-                "reduction_rows": rows,
-            })
-        return {"generators": [{"name": n, "degree": d}
-                               for n, d in zip(self.gens.names, self.gens.degrees)],
-                "top_degree": self.top_degree,
-                "degrees": degrees}
 
 
 def _axpy(target: dict, factor: int, source: Terms):

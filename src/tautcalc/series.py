@@ -1,4 +1,5 @@
 """Truncated power series and the code that only the series checks run:
+Chern classes from their power sums (Newton's identities inverted),
 additive and multiplicative classes of a series, the single-class
 extraction of an even series and its reference route, and the even Chern
 character check of an abelian ring.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .scalars import ONE, ZERO, Scalar, bracket
 from .graded import GeneratorSet, GradedPoly, sum_of_products
@@ -127,6 +128,29 @@ def ch_even_defect_series(order: int) -> Series:
         if m % 2 == 1:
             coeffs[m] = bracket((m + 1) // 2) / (2 * fact)
     return series(order, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Chern classes from power sums
+# ---------------------------------------------------------------------------
+
+
+def c_from_ch(power_sums: Sequence[GradedPoly], rank: int,
+              gens: GeneratorSet) -> ClassVector:
+    """Invert Newton's identities: recover c_1..c_rank from s_1..s_rank,
+    c_k = (-1)^(k-1)/k (s_k + sum_{i<k} (-1)^i c_i s_{k-i}), each step one
+    sum of products.  ValueError for fewer than rank power sums."""
+    if len(power_sums) < rank:
+        raise ValueError(f"rank {rank} needs the power sums s_1..s_{rank}, "
+                         f"got {len(power_sums)}")
+    classes: list[GradedPoly] = []
+    signed: list[GradedPoly] = []
+    for k in range(1, rank + 1):
+        pairs = [(c, power_sums[k - i - 1]) for i, c in enumerate(signed, 1)]
+        acc = sum_of_products(gens, pairs, None, power_sums[k - 1])
+        classes.append(acc * Fraction((-1) ** (k - 1), k))
+        signed.append(classes[-1] * (-1) ** k)
+    return ClassVector(gens, classes)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,10 @@ Each check recomputes its target quantities and compares exactly; random
 inputs come from a fixed seed so reports are reproducible byte for byte.
 The checks share one abelian ring per d through ``_abelian``, whose cache
 lives for one ``run_checks`` call.
+
+The module also holds what only its witness-independence check runs: the
+witnesses that differ from the division's by Koszul syzygies, and the
+reductions of a class by each of them.
 """
 
 from __future__ import annotations
@@ -12,18 +16,19 @@ import functools
 import random
 from fractions import Fraction
 from math import factorial
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .scalars import (Scalar, LOG2, bernoulli, harmonic,
                       zeta_negative_odd, zeta_prime_symbol)
-from .graded import GeneratorSet, GradedPoly
-from .charclasses import ClassVector, c_from_ch, ch_from_c
-from .arakelov import (AbelianTautRing, c1_critical_power, height_polynomial,
-                       lagrangian_degree, tautological_ring)
-from .series import (cauchy_single_class, ch_even_check, sech_squared_half,
-                     single_class_slots)
+from .graded import GeneratorSet, GradedPoly, monomials_of_degree
+from .charclasses import ClassVector, ch_from_c
+from .arakelov import (AbelianTautRing, ArithClass, ArithRing,
+                       c1_critical_power, height_polynomial)
+from .classical import dimension_report, lagrangian_degree, tautological_ring
+from .series import (c_from_ch, cauchy_single_class, ch_even_check,
+                     sech_squared_half, single_class_slots)
 from .propmap import proportionality_map_check, verify_map_certificate
-from .quotient import ReductionError
+from .quotient import QuotientRing, ReductionError, Witness
 
 
 class CheckResult(NamedTuple):
@@ -34,6 +39,64 @@ class CheckResult(NamedTuple):
 
 
 _abelian = functools.cache(AbelianTautRing)
+
+
+# ---------------------------------------------------------------------------
+# Witnesses moved by Koszul syzygies
+# ---------------------------------------------------------------------------
+
+
+def alternative_witnesses(ring: QuotientRing, poly: GradedPoly) -> list[Witness]:
+    """Up to three distinct witnesses for poly: the division witness and
+    that witness perturbed by Koszul syzygies (s_j e_i - s_i e_j) * m of
+    the relations, scaled 1, 2.  Fewer when fewer exist.  Each is
+    re-expanded; ReductionError if one fails."""
+    base = ring.membership_witness(poly)
+    degrees = sorted(poly.degree_components())
+    out = [base]
+    for scale in range(1, 3):
+        for syzygy in _koszul_syzygies(ring, degrees):
+            if len(out) == 3:
+                return out
+            cofactors = dict(base.cofactors)
+            for ri, p in syzygy.items():
+                cofactors[ri] = (cofactors.get(ri, GradedPoly.zero(ring.gens))
+                                 + p * scale)
+            cofactors = {ri: p for ri, p in cofactors.items() if p}
+            if all(cofactors != w.cofactors for w in out):
+                out.append(ring._checked_witness(poly, cofactors))
+    return out
+
+
+def _koszul_syzygies(ring: QuotientRing, degrees: list[int]
+                     ) -> Iterator[dict[int, GradedPoly]]:
+    relations = ring.presentation.relations
+    for k in degrees:
+        for i, si in enumerate(relations):
+            for j, sj in enumerate(relations[i + 1:], i + 1):
+                rem = k - si.max_degree() - sj.max_degree()
+                for mult in monomials_of_degree(ring.gens, rem) if rem >= 0 else ():
+                    m = GradedPoly.monomial(ring.gens, mult)
+                    yield {i: sj * m, j: -(si * m)}
+
+
+def reduce_variants(ring: ArithRing, x: ArithClass) -> list[ArithClass]:
+    """Reductions of a class whose polynomial part lies in the relation
+    ideal, one per witness of alternative_witnesses: the division's
+    cofactors and those cofactors moved by Koszul syzygies of the lifted
+    relations."""
+    z = x.z.truncate(ring.cap)
+    witnesses = alternative_witnesses(ring.zq, z)
+    out = []
+    for w in witnesses:
+        a, g = ring._form_contributions(w.cofactors, x.a, x.g)
+        out.append(ArithClass(ring, GradedPoly.zero(ring.zgens), a, g))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Checks
+# ---------------------------------------------------------------------------
 
 
 def _published_r_values() -> dict[int, Scalar]:
@@ -95,7 +158,7 @@ def check_dimensions() -> CheckResult:
     failures = []
     for d in range(2, 8):
         ring = tautological_ring(d)
-        rep = ring.dimension_report()
+        rep = dimension_report(ring)
         top = d * (d - 1) // 2
         if rep.total != 2 ** (d - 1):
             failures.append(f"d={d} total {rep.total}")
@@ -196,7 +259,7 @@ def check_witness_independence() -> CheckResult:
         top = d * (d - 1) // 2
         power = GradedPoly.monomial(ring.zgens, ring.zgens.single("C1", top + 1))
         try:
-            variants = ring.reduce_variants(ring.from_z(power))
+            variants = reduce_variants(ring, ring.from_z(power))
         except ReductionError:
             failures.append(f"d={d} expansion")
             continue

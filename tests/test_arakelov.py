@@ -7,19 +7,22 @@ import pytest
 
 from tautcalc.scalars import (LOG2, Scalar, ZERO, harmonic, harmonic_symbol,
                               zeta_negative_odd, zeta_prime_symbol)
-from tautcalc.graded import GradedPoly
+from tautcalc.graded import EXPONENT_LIMIT, GradedPoly
 from tautcalc.quotient import QuotientRing
 from tautcalc.charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 from tautcalc import propmap
 from tautcalc.arakelov import (AbelianTautRing, ArithClass,
-                               LagrangianArithRing, arithmetic_dimension,
+                               LagrangianArithRing, MAX_D, arithmetic_dimension,
                                c1_critical_power, harmonic_substitution,
-                               height_polynomial, lagrangian_degree)
+                               height_polynomial)
+from tautcalc.classical import (lagrangian_degree, tautological_presentation,
+                                tautological_ring)
 from tautcalc.series import ch_even_check
 from tautcalc.propmap import (MapCertificate, _MapSolver,
                               _solve_rational_system, condition_pairing,
                               proportionality_map_check,
                               verify_map_certificate)
+from tautcalc.verify import reduce_variants
 
 Z1, Z3, Z5 = (zeta_prime_symbol(k) for k in (1, 2, 3))
 
@@ -595,7 +598,7 @@ def test_witness_independence_variants():
     for d in (4, 5):
         ring = AbelianTautRing(d)
         top = d * (d - 1) // 2
-        variants = ring.reduce_variants(c1_power_class(ring, top + 1))
+        variants = reduce_variants(ring, c1_power_class(ring, top + 1))
         assert len(variants) >= 3
         assert all(v.a == variants[0].a and v.g == variants[0].g
                    for v in variants)
@@ -677,6 +680,21 @@ def test_builder_ranges():
         AbelianTautRing(3, cap=3)
     with pytest.raises(TypeError):
         LagrangianArithRing(3, "formal", 3)
+
+
+def test_d_must_be_an_int_whose_working_degree_packs():
+    # A non-int d raised TypeError from range, and d = 257 built its
+    # relations before the quotient rejected its working degree.
+    assert arithmetic_dimension(MAX_D) < EXPONENT_LIMIT
+    assert MAX_D * (MAX_D + 1) // 2 + 1 >= EXPONENT_LIMIT
+    for call in (lambda: AbelianTautRing(2.5),
+                 lambda: LagrangianArithRing(3.0),
+                 lambda: tautological_ring(2.5),
+                 lambda: tautological_presentation(MAX_D + 1),
+                 lambda: AbelianTautRing(MAX_D + 1),
+                 lambda: arithmetic_dimension(0)):
+        with pytest.raises(ValueError, match=f"d must be an int from 1 to {MAX_D}"):
+            call()
 
 
 @pytest.mark.parametrize("call", [

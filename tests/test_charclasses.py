@@ -7,10 +7,9 @@ import pytest
 
 from tautcalc.scalars import Scalar, zeta_negative_odd
 from tautcalc.graded import GeneratorSet, GradedPoly, monomials_of_degree
-from tautcalc.arakelov import tautological_ring
-from tautcalc.charclasses import (ClassVector, c_from_ch, ch_from_c,
-                                  pontrjagin_from_c)
-from tautcalc.series import (additive_class, cauchy_single_class,
+from tautcalc.classical import tautological_ring
+from tautcalc.charclasses import ClassVector, ch_from_c, pontrjagin_from_c
+from tautcalc.series import (additive_class, c_from_ch, cauchy_single_class,
                              compose_even, multiplicative_class,
                              sech_squared_half, series, series_log,
                              series_mul, single_class_slots)

@@ -9,9 +9,11 @@ import pytest
 from tautcalc import cli
 from tautcalc.cli import main
 from tautcalc.graded import GradedPoly
-from tautcalc.arakelov import AbelianTautRing, c1_critical_power, lagrangian_degree
+from tautcalc import classical, verify
+from tautcalc.arakelov import AbelianTautRing, c1_critical_power
+from tautcalc.classical import lagrangian_degree
 from tautcalc.propmap import proportionality_map_check, verify_map_certificate
-from tautcalc.quotient import QuotientRing, ReductionError
+from tautcalc.quotient import ReductionError
 from tautcalc.verify import run_checks
 
 
@@ -96,7 +98,7 @@ def test_ring_info_audit_builds_the_dump_for_json_only(capsys, monkeypatch):
     def refuse(ring):
         raise AssertionError("audit_dump built for a report without it")
 
-    monkeypatch.setattr(QuotientRing, "audit_dump", refuse)
+    monkeypatch.setattr(classical, "audit_dump", refuse)
     assert main(["ring-info", "--d", "4", "--audit"]) == 0
     assert "audit: (json only)" in capsys.readouterr().out
     assert main(["--format", "latex", "ring-info", "--d", "4", "--audit"]) == 0
@@ -251,13 +253,13 @@ def test_verify_builds_one_abelian_ring_per_d(monkeypatch):
 
 def test_witness_independence_builds_each_witness_set_once(monkeypatch):
     calls = []
-    alternatives = QuotientRing.alternative_witnesses
+    alternatives = verify.alternative_witnesses
 
-    def counting(self, poly):
+    def counting(ring, poly):
         calls.append(poly)
-        return alternatives(self, poly)
+        return alternatives(ring, poly)
 
-    monkeypatch.setattr(QuotientRing, "alternative_witnesses", counting)
+    monkeypatch.setattr(verify, "alternative_witnesses", counting)
     (result,) = run_checks(["witness-independence"])
     assert result.ok, result.detail
     assert result.detail == "d=2..5: all solutions reduce identically"
@@ -265,14 +267,14 @@ def test_witness_independence_builds_each_witness_set_once(monkeypatch):
 
 
 def test_witness_independence_reports_a_failed_expansion(monkeypatch):
-    variants = AbelianTautRing.reduce_variants
+    variants = verify.reduce_variants
 
-    def failing_at_d3(self, x):
-        if self.d == 3:
+    def failing_at_d3(ring, x):
+        if ring.d == 3:
             raise ReductionError("witness failed to re-expand to its target")
-        return variants(self, x)
+        return variants(ring, x)
 
-    monkeypatch.setattr(AbelianTautRing, "reduce_variants", failing_at_d3)
+    monkeypatch.setattr(verify, "reduce_variants", failing_at_d3)
     (result,) = run_checks(["witness-independence"])
     assert not result.ok
     assert result.detail == "d=3 expansion"
@@ -349,6 +351,46 @@ def test_usage_errors(capsys):
     # every command works at the arithmetic dimension; none takes a cap
     err = usage_error(capsys, ["c1-power", "--d", "9", "--max-degree", "37"])
     assert "unrecognized arguments: --max-degree 37" in err
+
+
+def decimal(n):
+    """The decimal digits of n >= 0, converted in chunks of nine, each far
+    below the interpreter's int-to-string digit limit."""
+    chunks = []
+    while n >= 10 ** 9:
+        n, r = divmod(n, 10 ** 9)
+        chunks.append(f"{r:09d}")
+    return str(n) + "".join(reversed(chunks))
+
+
+def test_degree_prints_every_digit(capsys):
+    # From d = 77 on the degree has more than 4,300 digits, the default
+    # limit of int-to-string conversion (Python 3.10.7 on): the command
+    # exited 2 with "Exceeds the limit ...".  main lifts the limit for the
+    # command and its rendering only, and gives the caller's back.
+    digits = decimal(lagrangian_degree(80))
+    assert len(digits) == 4779
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    for fmt, line in (("text", f"deg B_79: {digits}\n"),
+                      ("latex", f"\\[ {digits} \\]\n"),
+                      ("json", f'"deg B_79": {digits}\n')):
+        assert main(["--format", fmt, "degree", "--d", "80"]) == 0
+        assert line in capsys.readouterr().out
+        assert limit() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["c1-power"], ["height-poly"], ["pontrjagin", "--k", "1"], ["ring-info"],
+    ["hmap-check"]], ids=lambda argv: argv[0])
+def test_ring_commands_reject_d_above_256(capsys, argv):
+    # At d = 257 the working degree d(d-1)/2 + 1 reaches the exponent
+    # limit 32768: c1-power built relations over 257 generators for about
+    # a second before it said "top degree must be below 32768".
+    assert main([*argv, "--d", "257"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: d must be an int from 1 to 256, not 257\n"
 
 
 def usage_error(capsys, argv):

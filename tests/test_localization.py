@@ -19,8 +19,8 @@ from itertools import product
 from tautcalc.scalars import Scalar
 from tautcalc.graded import GeneratorSet, GradedPoly, sum_of_products
 from tautcalc.arakelov import (AbelianTautRing, LagrangianArithRing,
-                               c1_critical_power, height_polynomial,
-                               lagrangian_degree)
+                               c1_critical_power, height_polynomial)
+from tautcalc.classical import lagrangian_degree
 
 
 def elementary(x, k):

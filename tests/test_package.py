@@ -51,15 +51,24 @@ def test_arakelov_forwards_the_moved_checks():
             getattr(arakelov, name)
 
 
-# Names of the code that only hmap-check and verify run.
+# Names of the code that only hmap-check and verify run, of the code that
+# only verify runs, and of the classical ring that ring-info, degree and
+# verify run.
 MAP_NAMES = ("_MapSolver", "proportionality_map_check")
-SERIES_NAMES = ("ch_even_check", "series_log", "multiplicative_class")
+SERIES_NAMES = ("c_from_ch", "ch_even_check", "series_log",
+                "multiplicative_class")
+WITNESS_NAMES = ("_koszul_syzygies", "alternative_witnesses",
+                 "reduce_variants")
+CLASSICAL_NAMES = ("DimensionReport", "audit_dump", "dimension_report",
+                   "lagrangian_degree", "tautological_presentation",
+                   "tautological_ring")
+NAMES = MAP_NAMES + SERIES_NAMES + WITNESS_NAMES + CLASSICAL_NAMES
 
 
 def names_loaded_by(argv: list[str]) -> list[str]:
     """Run the CLI command argv in a fresh interpreter; return which of the
-    map and series names some loaded tautcalc module then holds.  vars() is
-    read, not hasattr, which would load a module through a forwarder."""
+    names above some loaded tautcalc module then holds.  vars() is read, not
+    hasattr, which would load a module through a forwarder."""
     out = run_fresh(
         "import contextlib, io, sys\n"
         "from tautcalc.cli import main\n"
@@ -67,7 +76,7 @@ def names_loaded_by(argv: list[str]) -> list[str]:
         f"    main({argv!r})\n"
         "print(*sorted({name for key, module in list(sys.modules.items())\n"
         "               if key.split('.')[0] == 'tautcalc'\n"
-        f"               for name in {MAP_NAMES + SERIES_NAMES!r}\n"
+        f"               for name in {NAMES!r}\n"
         "               if name in vars(module)}))")
     return out.split()
 
@@ -75,13 +84,18 @@ def names_loaded_by(argv: list[str]) -> list[str]:
 def test_cli_import_leaves_unused_modules_unloaded():
     # A CLI request loads only what its command runs: no dataclasses (and
     # the inspect it pulls in), no json before JSON output, no verification
-    # suite before `verify`.
+    # suite before `verify`, no classical ring before `ring-info` or
+    # `degree`.
     out = run_fresh("import sys, tautcalc.cli; print(*sorted({'dataclasses', "
-                    "'inspect', 'json', 'tautcalc.verify'} & set(sys.modules)))")
+                    "'inspect', 'json', 'tautcalc.verify', "
+                    "'tautcalc.classical'} & set(sys.modules)))")
     assert out.split() == []
-    # The ring commands compile neither the proportionality map nor the
-    # series code; hmap-check loads the map and no series code.
+    # The ring commands compile none of the proportionality map, the series
+    # code, the witness variants and the classical ring; hmap-check loads
+    # the map only, ring-info and degree the classical ring only.
     for argv in (["c1-power", "--d", "3"], ["height-poly", "--d", "3"],
                  ["pontrjagin", "--d", "3", "--k", "1"]):
         assert names_loaded_by(argv) == [], argv
     assert names_loaded_by(["hmap-check", "--d", "3"]) == sorted(MAP_NAMES)
+    for argv in (["ring-info", "--d", "3"], ["degree", "--d", "3"]):
+        assert names_loaded_by(argv) == sorted(CLASSICAL_NAMES), argv

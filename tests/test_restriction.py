@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from test_pieri import pieri_product, socle_coefficient
 from tautcalc.graded import GradedPoly
-from tautcalc.arakelov import (AbelianTautRing, c1_critical_power,
-                               lagrangian_degree)
+from tautcalc.arakelov import AbelianTautRing, c1_critical_power
+from tautcalc.classical import lagrangian_degree
 
 
 def solve(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
