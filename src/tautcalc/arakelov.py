@@ -27,11 +27,11 @@ reductions by other witnesses (``verify``).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .scalars import _EXACT, Scalar, bracket, harmonic_symbol
 from .graded import (GeneratorSet, GradedPoly, Slices, _add_slices, _combine,
-                     _power, linear_image, linear_image_below, sum_of_products)
+                     _power, linear_image_below, sum_of_products)
 from .quotient import QuotientRing, ReductionError, RingPresentation
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 
@@ -230,12 +230,11 @@ class ArithRing:
         self.odd_sums = {k: sums[2 * k - 2] for k in range(1, top_k + 1)}
         # Each lifted relation rewrites to a(beta * poly) on one side, 0 for
         # the form part and 1 for the gamma coefficient.  Per relation r,
-        # whose lift is zq.presentation.relations[r]: its form record
-        # _form_parts[r] (side, degree, poly's integer terms, beta as
-        # [(constant monomial, numerator, denominator)]) and the memo {t:
-        # step image of (r, t)}, the normal form of u^t times those terms; an
-        # image is a normal form, so it does not depend on the queries.  All
-        # are keyed by packed monomial; C_j and u_j pack alike.
+        # whose lift is zq.presentation.relations[r], its form record
+        # _form_parts[r]: side, room (the largest degree of a cofactor term
+        # whose push lies within the side's working degree), poly's integer
+        # terms and beta as [(constant monomial, numerator, denominator)].
+        # All are keyed by packed monomial; C_j and u_j pack alike.
         forms = [(0, s, b(k) * (-1) ** (k + 1)) for k, s in self.odd_sums.items()]
         self.rho = {k: s * beta for k, (_, s, beta) in enumerate(forms, 1)}
         if gamma_degree is not None:
@@ -243,14 +242,13 @@ class ArithRing:
         self._form_parts = []
         for side, poly, beta in forms:
             den, terms = poly._slices.get((), (1, {}))
-            self._form_parts.append((side, poly.max_degree(), terms, [
-                (k, q.numerator, q.denominator * den)
-                for k, q in Scalar.coerce(beta)._terms.items()]))
-        self._step_images: list[dict[int, tuple]] = [{} for _ in forms]
+            self._form_parts.append((side, self.form_caps[side] - poly.max_degree(),
+                                     terms, [(k, q.numerator, q.denominator * den)
+                                             for k, q in Scalar.coerce(beta)._terms.items()]))
         # The push table {lifted monomial m: (form slices, gamma slices)}:
-        # m's kept zq cofactors sent through the step images and scaled by
-        # beta.  reduce admits a monomial it meets again with the value
-        # None, and builds the value when a class first reads it.
+        # m's kept zq cofactors pushed into both sides.  reduce admits a
+        # monomial it meets again with the value None, and builds the value
+        # when a class first reads it.
         self._pushes: dict[int, tuple[Slices, Slices] | None] = {}
 
     # -- constructors of elements -------------------------------------------
@@ -352,42 +350,56 @@ class ArithRing:
 
     def _build_pushes(self, monos: list[int]):
         """Build the push of each admitted lifted monomial in monos, whose
-        cofactors zq holds: the step images its cofactor terms need are
-        added first, and each push is stored only once it is complete."""
+        cofactors zq holds, as one job each of a single _pushed call, so
+        a push is stored only once it is complete."""
         cofactors = self.zq.kept_cofactors(monos)
-        images = self._step_images
-        self._add_step_images((ri, t) for m in monos
-                              for ri, terms in cofactors[m].items()
-                              for t, _ in terms)
-        for m in monos:
-            sides: list[Slices] = [{}, {}]
-            for ri, terms in cofactors[m].items():
-                self._push(sides, ri, {(): (1, _combine(terms, images[ri]))})
-            self._pushes[m] = tuple(p._slices for p in self._form_polys(sides))
+        zero = GradedPoly.zero(self.agens)
+        pushed = self._pushed([({ri: {(): (1, dict(terms))}
+                                 for ri, terms in cofactors[m].items()}, zero, zero)
+                                for m in monos])
+        for m, sides in zip(monos, pushed):
+            self._pushes[m] = tuple(p._slices for p in sides)
 
     def _form_contributions(self, cofactors: Mapping[int, GradedPoly],
                             a: GradedPoly, g: GradedPoly):
         """Normal forms of the form part a and the gamma coefficient g plus
         what the cofactors push into them, each truncated to its working
-        degree.  A cofactor term c*C^t of relation r pushes c * beta times
-        the step image of (r, t) into r's side.  The cofactor terms are
-        sent through the linear map of their relation's step images once:
-        the first missing image sends them all to _add_step_images."""
-        images = self._step_images
-        pushed = []
-        for ri, cof in cofactors.items():
-            try:
-                image = linear_image(cof._slices, images[ri])
-            except KeyError:
-                self._add_step_images(
-                    (rj, t) for rj, other in cofactors.items()
-                    for _, terms in other._slices.values() for t in terms)
-                image = linear_image(cof._slices, images[ri])
-            pushed.append((ri, image))
-        sides = self._form_sides(a, g)
-        for ri, image in pushed:
-            self._push(sides, ri, image)
-        return self._form_polys(sides)
+        degree: one job of _pushed."""
+        (polys,) = self._pushed([({ri: cof._slices for ri, cof in cofactors.items()},
+                                  a, g)])
+        return polys
+
+    def _pushed(self, jobs: list[tuple[Mapping[int, Slices], GradedPoly, GradedPoly]]
+                ) -> list[tuple[GradedPoly, GradedPoly]]:
+        """The push arithmetic of both routes.  Per job (cofactors
+        {relation: slices}, a, g): the normal forms of a and g plus what the
+        cofactors push into them, as _form_polys gives them.  A cofactor
+        term c*C^t of relation r pushes c * beta times the normal form of
+        u^t times r's integer form side into r's side; the side is
+        homogeneous, so a term above r's room pushes nothing.  The keys t +
+        m of every job's products are divided in one aq.normal_forms pass,
+        smallest first, before the monomials of a and g; the products
+        themselves are summed per slice through the kept normal forms."""
+        shift = self.agens.shift
+        parts = self._form_parts
+        nf = self.aq.normal_forms({
+            t + m
+            for cofactors, _, _ in jobs for ri, slices in cofactors.items()
+            for _, terms in slices.values() for t in terms
+            if t >> shift <= parts[ri][1] for m in parts[ri][2]})
+        out = []
+        for cofactors, a, g in jobs:
+            sides = self._form_sides(a, g)
+            for ri, slices in cofactors.items():
+                side, room, poly, scalar = parts[ri]
+                image = {k: (den, _combine(((t + m, c * s) for t, c in terms.items()
+                                            if t >> shift <= room
+                                            for m, s in poly.items()), nf))
+                         for k, (den, terms) in slices.items()}
+                for k, num, den in scalar:
+                    _add_slices(sides[side], k, num, den, image)
+            out.append(self._form_polys(sides))
+        return out
 
     def _form_sides(self, a: GradedPoly, g: GradedPoly) -> list[Slices]:
         """One slice accumulator per side, started by the normal form of a
@@ -411,37 +423,6 @@ class ArithRing:
 
     def _form_polys(self, sides: list[Slices]) -> tuple[GradedPoly, ...]:
         return tuple(GradedPoly.from_slices(self.agens, out) for out in sides)
-
-    def _push(self, sides: list[Slices], ri: int, image: Slices):
-        """Add beta times image, the step images of relation ri's cofactor
-        terms, to ri's side: the push arithmetic of both routes."""
-        side, _, _, scalar = self._form_parts[ri]
-        for k, num, den in scalar:
-            _add_slices(sides[side], k, num, den, image)
-
-    def _add_step_images(self, pairs: Iterable[tuple[int, int]]):
-        """Keep the step images of the (relation, cofactor monomial) pairs
-        that the memo lacks, each a tuple of (monomial, coefficient) pairs
-        with no zero.  Their product monomials are divided in one pass,
-        smallest first.  A product is a sum of packed monomials of at most
-        the working degree, so it needs no guard check."""
-        shift = self.agens.shift
-        caps = self.form_caps
-        products: dict[int, int] = {}   # one int object per monomial
-        pending: dict[tuple[int, int], list[int]] = {}
-        for ri, t in pairs:
-            if t in self._step_images[ri] or (ri, t) in pending:
-                continue
-            side, degree, poly, _ = self._form_parts[ri]
-            # A form side is homogeneous: its image is kept or dropped whole.
-            shifted = ([t + m for m in poly]
-                       if (t >> shift) + degree <= caps[side] else [])
-            pending[ri, t] = [products.setdefault(p, p) for p in shifted]
-        reduced = self.aq.normal_forms(products)
-        # Stored only now, so a division that raises leaves no image behind.
-        for (ri, t), shifted in pending.items():
-            acc = _combine(zip(shifted, self._form_parts[ri][2].values()), reduced)
-            self._step_images[ri][t] = tuple((m, v) for m, v in acc.items() if v)
 
     # -- display helpers -----------------------------------------------------
 
@@ -479,6 +460,7 @@ class LagrangianArithRing(ArithRing):
     """
 
     def __init__(self, d: int, harmonic_mode: str = "formal"):
+        arithmetic_dimension(d)     # ValueError first for a d that is no int
         if d < 2:
             raise ValueError("d must be at least 2")
         if harmonic_mode != "formal":

@@ -9,7 +9,7 @@ package's lazy table.
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, prod
 from typing import NamedTuple
 
 from .graded import GeneratorSet, GradedPoly, monomials_of_degree
@@ -36,17 +36,13 @@ def tautological_ring(d: int) -> QuotientRing:
 
 def lagrangian_degree(d: int) -> int:
     """Projective degree of the rank-(d-1) Lagrangian Grassmannian:
-    (d(d-1)/2)! / prod_{k<d} (2k-1)!!."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    num = factorial(d * (d - 1) // 2)
-    den = 1
-    for k in range(1, d):
-        m = 2 * k - 1
-        while m > 1:
-            den *= m
-            m -= 2
-    q, r = divmod(num, den)
+    (d(d-1)/2)! / prod_{k<d} (2k-1)!!.  An odd factor m > 1 occurs in
+    (2k-1)!! for the d - 1 - (m-1)/2 values of k from (m+1)/2 to d - 1.
+    d has no upper limit; ValueError unless it is an int of at least 2."""
+    if not isinstance(d, int) or d < 2:
+        raise ValueError(f"d must be an int of at least 2, not {d!r}")
+    den = prod(m ** (d - 1 - (m - 1) // 2) for m in range(3, 2 * d - 2, 2))
+    q, r = divmod(factorial(d * (d - 1) // 2), den)
     if r:
         raise ArithmeticError("degree formula did not divide evenly")
     return q

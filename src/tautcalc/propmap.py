@@ -17,7 +17,8 @@ from .scalars import ONE, Scalar, ZERO, harmonic
 from .graded import GradedPoly, Monomial
 from .quotient import ReductionError, _axpy
 from .charclasses import ClassVector, pontrjagin_from_c
-from .arakelov import AbelianTautRing, ArithClass, _ring_for
+from .arakelov import (AbelianTautRing, ArithClass, _ring_for,
+                       arithmetic_dimension)
 
 
 class MapCertificate(NamedTuple):
@@ -276,6 +277,7 @@ def proportionality_map_check(d: int,
     them to the form relations of the abelian ring, which reduction sends to
     0 whatever the images (it also sends u_d to 0).
     """
+    arithmetic_dimension(d)     # ValueError first for a d that is no int
     if d < 2:
         raise ValueError("d must be at least 2")
     A = _ring_for(d, abelian, AbelianTautRing)

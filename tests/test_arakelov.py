@@ -2,6 +2,7 @@ import json
 import operator
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -181,9 +182,9 @@ def test_critical_power_two_routes_d8_d11():
 
 
 def test_critical_power_division_steps():
-    # The form side divides the product monomials of every step image once,
-    # smallest first, so each larger division reuses the smaller ones.  The
-    # counts are those of dividing the expanded form part in one pass.
+    # The form side divides the product monomials of every cofactor term
+    # once, smallest first, so each larger division reuses the smaller ones.
+    # The counts are those of dividing the expanded form part in one pass.
     for d, (aq_steps, zq_steps) in {8: (740, 383), 9: (1779, 1068)}.items():
         ring = AbelianTautRing(d)
         c1_critical_power(d, ring)
@@ -695,6 +696,32 @@ def test_d_must_be_an_int_whose_working_degree_packs():
                  lambda: arithmetic_dimension(0)):
         with pytest.raises(ValueError, match=f"d must be an int from 1 to {MAX_D}"):
             call()
+
+
+def test_entry_points_of_d_at_least_2_reject_a_non_int_d():
+    # Each compared d < 2 before any int check, so a str or float d raised
+    # TypeError from the comparison.
+    for call in (lambda: LagrangianArithRing("3"),
+                 lambda: proportionality_map_check("3"),
+                 lambda: lagrangian_degree(2.5),
+                 lambda: lagrangian_degree("3")):
+        with pytest.raises(ValueError, match="^d must be an int"):
+            call()
+    for call in (lambda: LagrangianArithRing(1),
+                 lambda: proportionality_map_check(1),
+                 lambda: lagrangian_degree(1)):
+        with pytest.raises(ValueError, match="at least 2"):
+            call()
+
+
+def test_lagrangian_degree_matches_the_double_factorials():
+    # The denominator is one product of odd powers; the formula divides by
+    # each double factorial (2k-1)!! in turn.
+    for d in range(2, 60):
+        num = factorial(d * (d - 1) // 2)
+        for k in range(1, d):
+            num //= prod(range(2 * k - 1, 0, -2))
+        assert lagrangian_degree(d) == num, d
 
 
 @pytest.mark.parametrize("call", [

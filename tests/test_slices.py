@@ -309,14 +309,16 @@ def reference_reduce_class(x):
     return ArithClass(ring, nf, *reference_form_parts(ring, cof, x.a, x.g))
 
 
-def image_values(ring):
-    """The step-image memo with each image as a dict: the order of its terms
-    may follow the order of the queries, its values may not."""
-    return [{t: dict(image) for t, image in memo.items()}
-            for memo in ring._step_images]
+def kept_tables(ring):
+    """The normal forms both quotients keep, each as a dict, and the pushes
+    built: the order of a normal form's terms may follow the order of the
+    queries, its values may not."""
+    return ({m: dict(nf) for m, nf in ring.aq._nf.items()},
+            {m: dict(nf) for m, nf in ring.zq._nf.items()},
+            {m: push for m, push in ring._pushes.items() if push is not None})
 
 
-def test_reduce_through_step_images_matches_product_route():
+def test_reduce_through_kept_tables_matches_product_route():
     rng = random.Random(17)
     for d in range(2, 7):
         for make in (AbelianTautRing, lambda d: LagrangianArithRing(d, "formal")):
@@ -333,27 +335,25 @@ def test_reduce_through_step_images_matches_product_route():
             queries += [ring.from_z(rel * c1) for rel in ring.zq.presentation.relations
                         if rel.max_degree() < ring.cap]
             expected = [reference_reduce_class(x) for x in queries]
-            assert not any(ring._step_images)
-            # A cold memo, then warm ones: each query once, then all again.
-            # Each part is in the lowest terms of the product route.
-            for _ in range(2):
+            # A cold ring, then warm ones: each query once, then all again
+            # twice.  The second pass admits every lifted monomial to the
+            # push table and the third builds its push.  Each part is in
+            # the lowest terms of the product route.
+            for _ in range(3):
                 for x, y in zip(queries, expected):
                     reduced = ring.reduce(x)
                     for got, want in ((reduced.z, y.z), (reduced.a, y.a),
                                       (reduced.g, y.g)):
                         assert_same(got, want)
-                assert any(ring._step_images)
-            # The other order on a fresh ring fills the same memo once it has
-            # built the push of every monomial, as the ring's second pass
-            # did: a push adds the images of each of its monomial's cofactor
-            # terms.  Nothing divided the queries in it beforehand, so its
-            # second pass admits the monomials and its third builds them.
+            assert None not in ring._pushes.values()
+            # The other order on a fresh ring keeps the same normal forms
+            # and builds the same pushes.
             other = make(d)
             for _ in range(3):
                 assert [other.reduce(ArithClass(other, x.z, x.a, x.g))
                         for x in reversed(queries)] == [
                             ArithClass(other, y.z, y.a, y.g) for y in reversed(expected)]
-            assert image_values(other) == image_values(ring)
+            assert kept_tables(other) == kept_tables(ring)
 
 
 def drawn_class(rng, ring):
@@ -514,20 +514,20 @@ def test_add_slices_matches_one_slice_at_a_time():
     assert mixed >= 10
 
 
-def test_kept_reductions_and_step_images_are_integers():
+def test_kept_reductions_and_pushes_are_integers():
     # Every relation has integer coefficients and a leading coefficient of
-    # +-1, so every kept normal form, cofactor and step image holds ints.
-    # Each is a tuple of (packed monomial, int) pairs with no zero; aq keeps
-    # no cofactors, and zq keeps them for every normal form.
+    # +-1, so every kept normal form and cofactor holds ints.  Each is a
+    # tuple of (packed monomial, int) pairs with no zero; aq keeps no
+    # cofactors, and zq keeps them for every normal form.  A push's slices
+    # hold int numerators over an int denominator, in lowest terms.
     def kept_terms(ring):
         for q in (ring.aq, ring.zq):
             for nf in q._nf.values():
                 yield nf
             for cof in q._cof.values():
                 yield from cof.values()
-        for memo in ring._step_images:
-            yield from memo.values()
 
+    rng = random.Random(518)
     for d in range(1, 10):
         rings = [AbelianTautRing(d)]
         c1_critical_power(d, rings[0])
@@ -535,6 +535,15 @@ def test_kept_reductions_and_step_images_are_integers():
             rings.append(LagrangianArithRing(d))
             height_polynomial(d, rings[1])
         for ring in rings:
+            x = drawn_class(rng, ring)
+            for _ in range(3):
+                ring.reduce(x)
+            pushed = [side for push in ring._pushes.values() for side in push]
+            assert pushed and None not in ring._pushes.values(), (d, ring)
+            for den, terms in (s for side in pushed for s in side.values()):
+                assert type(den) is int and den > 0 and terms, (d, ring)
+                assert all(type(n) is int and n for n in terms.values()), (d, ring)
+                assert gcd(den, *terms.values()) == 1, (d, ring)
             seen = list(kept_terms(ring))
             assert seen and all(type(v) is int for terms in seen for _, v in terms), (d, ring)
             assert all(type(terms) is tuple and all(
@@ -545,6 +554,7 @@ def test_kept_reductions_and_step_images_are_integers():
             gens = ring.agens
             monos = [m for terms in seen for m, _ in terms]
             monos += [m for q in (ring.aq, ring.zq) for m in q._nf]
+            monos += [m for side in pushed for _, terms in side.values() for m in terms]
             assert all(gens.pack(gens.unpack(m)) == m for m in monos), (d, ring)
             assert not ring.aq._cof and ring.zq._cof.keys() == ring.zq._nf.keys()
             # Monomials already kept: no division step, the kept table itself.
@@ -759,17 +769,20 @@ def test_scalar_on_the_left_matches_the_right():
 
 def kept_values(ring):
     """Deep copies of the kept normal forms and cofactors of both quotients
-    and of the step images."""
+    and of the pushes built."""
     def kept(q):
         return {m: (dict(nf), {ri: dict(t) for ri, t in q._cof.get(m, {}).items()})
                 for m, nf in q._nf.items()}
-    return kept(ring.zq), kept(ring.aq), [dict(memo) for memo in ring._step_images]
+    pushes = {m: tuple({k: (den, dict(terms)) for k, (den, terms) in side.items()}
+                       for side in push)
+              for m, push in ring._pushes.items() if push is not None}
+    return kept(ring.zq), kept(ring.aq), pushes
 
 
 def test_warm_queries_leave_kept_values_unchanged():
     # A slice's first contribution is a fresh scaled dict.  Were it a kept
-    # normal form, cofactor or step image itself, the next contribution to
-    # that slice would change the kept value in place.
+    # normal form, cofactor or push itself, the next contribution to that
+    # slice would change the kept value in place.
     rng = random.Random(2626)
     for d in range(4, 7):
         for ring in (AbelianTautRing(d), LagrangianArithRing(d)):
@@ -778,15 +791,19 @@ def test_warm_queries_leave_kept_values_unchanged():
             pairs = [(x, y) for x in reduced for y in reduced]
             expected = [ring.reduce(x * y) for x, y in pairs]
             before = kept_values(ring)
-            for _ in range(2):
+            # The first warm pass admits every lifted monomial to the push
+            # table and the second builds its push; the later ones read it.
+            for n in range(4):
                 assert [ring.reduce(x) for x in classes] == reduced
                 assert [ring.reduce(x * y) for x, y in pairs] == expected
                 for x, y in pairs:
                     sum_of_products(ring.agens, [(ring.omega(x.z), y.a),
                                                  (x.a, y.a)], None, x.a)
-            assert kept_values(ring) == before
-
-
+                if n == 1:
+                    built = kept_values(ring)[2]
+            after = kept_values(ring)
+            assert after[:2] == before[:2]
+            assert built and after[2] == built
 def assert_lowest_terms(poly):
     for den, terms in poly._slices.values():
         assert terms and all(type(n) is int and n for n in terms.values())
