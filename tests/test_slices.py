@@ -804,6 +804,8 @@ def test_warm_queries_leave_kept_values_unchanged():
             after = kept_values(ring)
             assert after[:2] == before[:2]
             assert built and after[2] == built
+
+
 def assert_lowest_terms(poly):
     for den, terms in poly._slices.values():
         assert terms and all(type(n) is int and n for n in terms.values())
