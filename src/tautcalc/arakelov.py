@@ -31,7 +31,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from .scalars import _EXACT, Scalar, bracket, harmonic_symbol
 from .graded import (GeneratorSet, GradedPoly, Slices, _add_slices, _combine,
-                     _power, linear_image_below, sum_of_products)
+                     _power, linear_image, sum_of_products)
 from .quotient import QuotientRing, ReductionError, RingPresentation
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 
@@ -327,6 +327,7 @@ class ArithRing:
             kept = self.zq.normal_forms(())
             nf: Slices = {}
             form, gamma = sides = self._form_sides(x.a, x.g)
+            # One pass: a linear_image sweep, then the pushes, read 1.3% slower.
             for k1, (d1, terms) in z._slices.items():
                 acc: dict[int, int] = {}
                 nf[k1] = d1, acc
@@ -413,11 +414,11 @@ class ArithRing:
         for poly, cap in zip((a, g), self.form_caps):
             limit = (cap + 1) << shift
             try:
-                side = linear_image_below(poly._slices, limit, kept)
+                side = linear_image(poly._slices, limit, kept)
             except KeyError:
                 aq.normal_forms(m for _, terms in poly._slices.values()
                                 for m in terms if m < limit)
-                side = linear_image_below(poly._slices, limit, kept)
+                side = linear_image(poly._slices, limit, kept)
             sides.append(side)
         return sides
 

@@ -273,13 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.command != "verify":
-        if args.d < 1:
-            parser.error("--d must be positive")
-        if args.command in ("height-poly", "hmap-check", "degree") and args.d < 2:
-            parser.error(f"{args.command} needs --d >= 2")
-        if args.command == "pontrjagin" and not 1 <= args.k <= args.d:
-            parser.error("--k must satisfy 1 <= k <= d")
+    # The library checks d; k indexes pontrjagin_from_c, so it is checked here.
+    if args.command == "pontrjagin" and not 1 <= args.k <= args.d:
+        parser.error("--k must satisfy 1 <= k <= d")
 
     # An exact value may have more digits than the interpreter converts to
     # a string by default (Python 3.10.7 on): the command and its rendering

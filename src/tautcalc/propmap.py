@@ -13,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .scalars import ONE, Scalar, ZERO, harmonic
+from .scalars import ONE, Scalar, ZERO, _axpy, harmonic
 from .graded import GradedPoly, Monomial
-from .quotient import ReductionError, _axpy
+from .quotient import ReductionError
 from .charclasses import ClassVector, pontrjagin_from_c
 from .arakelov import (AbelianTautRing, ArithClass, _ring_for,
                        arithmetic_dimension)

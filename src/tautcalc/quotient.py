@@ -27,8 +27,9 @@ from heapq import heappop, heappush
 from typing import Iterable
 
 from .graded import (EXPONENT_LIMIT, GeneratorSet, GradedPoly, Monomial, Slices,
-                     Terms, _add_slice, linear_image, monomials_of_degree,
+                     _add_slice, linear_image, monomials_of_degree,
                      sum_of_products)
+from .scalars import _axpy
 
 
 class ReductionError(ValueError):
@@ -185,9 +186,11 @@ class QuotientRing:
                     heappush(heap, n)
                 else:
                     coeffs[n] = old + c * tc
-        kept_nf[mono] = tuple(nf.items())
+        # The cofactors are kept first: a thread that shares the ring and
+        # finds mono's normal form kept then finds its cofactors kept too.
         if cof is not None:
             kept_cof[mono] = {ri: tuple(terms.items()) for ri, terms in cof.items()}
+        kept_nf[mono] = tuple(nf.items())
 
     # -- reduction -----------------------------------------------------------
 
@@ -230,30 +233,28 @@ class QuotientRing:
         return self._cof
 
     def normal_form(self, poly: GradedPoly) -> GradedPoly:
-        nf, _ = self._reduce(poly, with_cofactors=False)
-        return nf
-
-    def reduce_with_cofactors(self, poly: GradedPoly) -> tuple[GradedPoly, dict[int, GradedPoly]]:
-        if not self.track_witnesses:
-            raise ReductionError("ring built without witness tracking")
-        return self._reduce(poly, with_cofactors=True)
-
-    def _reduce(self, poly: GradedPoly, with_cofactors: bool):
+        """poly's normal form, one linear_image of the kept normal forms."""
         if poly.gens != self.gens:
             raise ReductionError("polynomial over wrong generator set")
         slices = poly._slices
-        nf = linear_image(slices, self.normal_forms(
-            m for _, terms in slices.values() for m in terms))
+        image = self.normal_forms(m for _, terms in slices.values() for m in terms)
+        return GradedPoly.from_slices(self.gens, linear_image(
+            slices, (self.top_degree + 1) << self.gens.shift, image))
+
+    def reduce_with_cofactors(self, poly: GradedPoly) -> tuple[GradedPoly, dict[int, GradedPoly]]:
+        """normal_form(poly) and, per relation, its monomials' kept
+        cofactors summed."""
+        if not self.track_witnesses:
+            raise ReductionError("ring built without witness tracking")
+        nf = self.normal_form(poly)
+        kept = self._cof
         cof: dict[int, Slices] = {}
-        if with_cofactors:
-            kept = self._cof
-            for k, (den, terms) in slices.items():
-                for mono, n in terms.items():
-                    for ri, source in kept[mono].items():
-                        _add_slice(cof.setdefault(ri, {}), k, n, den, source)
-        cofactors = {ri: p for ri, cof_slices in sorted(cof.items())
-                     if (p := GradedPoly.from_slices(self.gens, cof_slices))}
-        return GradedPoly.from_slices(self.gens, nf), cofactors
+        for k, (den, terms) in poly._slices.items():
+            for mono, n in terms.items():
+                for ri, source in kept[mono].items():
+                    _add_slice(cof.setdefault(ri, {}), k, n, den, source)
+        return nf, {ri: p for ri, cof_slices in sorted(cof.items())
+                    if (p := GradedPoly.from_slices(self.gens, cof_slices))}
 
     # -- witnesses -----------------------------------------------------------
 
@@ -275,13 +276,3 @@ class QuotientRing:
             raise ReductionError("witness failed to re-expand to its target")
         return witness
 
-
-def _axpy(target: dict, factor: int, source: Terms):
-    """target += factor * source, over the integers; source is (key, value)
-    pairs."""
-    for m, v in source:
-        new = target.get(m, 0) + factor * v
-        if new:
-            target[m] = new
-        else:
-            target.pop(m, None)

@@ -105,14 +105,8 @@ class Scalar:
     def __add__(self, other) -> "Scalar":
         if not isinstance(other, _EXACT):
             return NotImplemented
-        other = Scalar.coerce(other)
         terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            new = terms.get(mono, Fraction(0)) + coeff
-            if new:
-                terms[mono] = new
-            else:
-                terms.pop(mono, None)
+        _axpy(terms, 1, Scalar.coerce(other)._terms.items())
         out = Scalar.__new__(Scalar)
         out._terms = terms
         return out
@@ -146,13 +140,8 @@ class Scalar:
             return NotImplemented
         terms: dict[ConstMonomial, Fraction] = {}
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _merge_monomials(m1, m2)
-                new = terms.get(mono, Fraction(0)) + c1 * c2
-                if new:
-                    terms[mono] = new
-                else:
-                    terms.pop(mono, None)
+            _axpy(terms, c1, ((_merge_monomials(m1, m2), c2)
+                              for m2, c2 in other._terms.items()))
         out = Scalar.__new__(Scalar)
         out._terms = terms
         return out
@@ -251,6 +240,17 @@ class Scalar:
 # The operands Scalar arithmetic takes; with any other, Python tries the
 # other operand's reflected method.
 _EXACT = (int, Fraction, Scalar)
+
+
+def _axpy(target: dict, factor, source: Iterable[tuple]):
+    """target += factor * source, in place, dropping the keys that reach 0;
+    source is (key, value) pairs."""
+    for m, v in source:
+        new = target.get(m, 0) + factor * v
+        if new:
+            target[m] = new
+        else:
+            target.pop(m, None)
 
 
 def _monomial_key(mono: ConstMonomial):

@@ -346,8 +346,14 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(["c1-power"])
     assert code == 2
-    code, _, _ = run_cli(["height-poly", "--d", "1"])
-    assert code == 2
+    # d is checked by the library alone: its ValueError is the one line
+    # on stderr, and nothing reaches stdout.
+    for argv in (["degree", "--d", "1"], ["c1-power", "--d", "0"],
+                 ["height-poly", "--d", "1"], ["hmap-check", "--d", "1"],
+                 ["ring-info", "--d", "0"]):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: d must be ") and err.count("\n") == 1, (argv, err)
     # every command works at the arithmetic dimension; none takes a cap
     err = usage_error(capsys, ["c1-power", "--d", "9", "--max-degree", "37"])
     assert "unrecognized arguments: --max-degree 37" in err

@@ -344,6 +344,28 @@ def test_rule_order_picks_first_relation_whose_lead_divides():
     assert zq.membership_witness(C1 * C5).cofactors == {5: C1}
 
 
+def test_cofactors_are_kept_before_the_normal_form():
+    # A thread that shares the ring and finds a normal form kept must find
+    # its cofactors kept too: every store into _nf comes after the one into
+    # _cof.
+    ring = AbelianTautRing(4)
+    zq = ring.zq
+    stored = []
+
+    class CofactorsFirst(dict):
+        def __setitem__(self, mono, nf):
+            assert mono in zq._cof, "normal form kept before its cofactors"
+            stored.append(mono)
+            super().__setitem__(mono, nf)
+
+    zq._nf = CofactorsFirst(zq._nf)
+    c1 = GradedPoly.generator(zq.gens, "C1")
+    nf, cof = zq.reduce_with_cofactors(c1 ** 7)
+    assert stored and cof
+    assert nf + sum((c * zq.presentation.relations[ri] for ri, c in cof.items()),
+                    GradedPoly.zero(zq.gens)) == c1 ** 7
+
+
 def test_reduction_does_not_depend_on_query_order():
     ring = QuotientRing(tautological_presentation(5))
     rng = random.Random(11)

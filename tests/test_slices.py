@@ -12,8 +12,8 @@ import pytest
 
 from tautcalc.scalars import Scalar, ZERO, _merge_monomials, symbol_sort_key
 from tautcalc.graded import (EXPONENT_LIMIT, GeneratorSet, GradedPoly,
-                             _add_slice, _add_slices, monomials_of_degree,
-                             sum_of_products)
+                             _add_slice, _add_slices, linear_image,
+                             monomials_of_degree, sum_of_products)
 from tautcalc.quotient import QuotientRing, RingPresentation
 from tautcalc.arakelov import (AbelianTautRing, ArithClass, LagrangianArithRing,
                                c1_critical_power, height_polynomial)
@@ -512,6 +512,23 @@ def test_add_slices_matches_one_slice_at_a_time():
                     source, Scalar({k1: q * 2}))))
         assert source._slices == kept
     assert mixed >= 10
+
+
+def test_linear_image_skips_keys_at_the_limit_and_keeps_denominators():
+    # The image of each slice is summed through image below limit; a key at
+    # or above limit is skipped, so image need not hold it, and a slice
+    # whose image is empty is dropped.  The input slices are not changed.
+    image = {1: ((10, 1), (11, -2)), 2: ((10, 3),), 3: ()}
+    slices = {(): (3, {1: 2, 2: 1, 5: 7}),
+              (("L", 1),): (2, {3: 4, 4: 1}),
+              (("Z1", 1),): (5, {6: 1})}
+    kept = {k: (den, dict(terms)) for k, (den, terms) in slices.items()}
+    assert linear_image(slices, 4, image) == {(): (3, {10: 5, 11: -4})}
+    assert slices == kept
+    assert linear_image(slices, 6, {**image, 4: ((12, 1),), 5: ((10, 1),)}) == {
+        (): (3, {10: 12, 11: -4}), (("L", 1),): (2, {12: 1})}
+    with pytest.raises(KeyError):
+        linear_image(slices, 5, image)   # key 4 is below 5, and image lacks it
 
 
 def test_kept_reductions_and_pushes_are_integers():
