@@ -309,8 +309,9 @@ class ArithRing:
         """The normal form of x: its lifted part truncated to the working
         degree and reduced, with what the cofactors push into its form part
         and gamma coefficient.  When the push table holds every monomial of
-        the lifted part, one pass over its terms adds each one's kept
-        normal form and, one _add_slices call per side, its push.
+        the lifted part, its normal form is one linear_image of the kept
+        normal forms, and one pass over its terms adds each one's push, one
+        _add_slices call per side.
         Otherwise the division's cofactors are pushed, and then the
         monomials that zq had divided before this call are admitted to the
         table: a monomial is admitted when it is reduced a second time, and
@@ -325,20 +326,15 @@ class ArithRing:
             if unbuilt:
                 self._build_pushes(unbuilt)
             kept = self.zq.normal_forms(())
-            nf: Slices = {}
             form, gamma = sides = self._form_sides(x.a, x.g)
-            # One pass: a linear_image sweep, then the pushes, read 1.3% slower.
             for k1, (d1, terms) in z._slices.items():
-                acc: dict[int, int] = {}
-                nf[k1] = d1, acc
                 for m, n in terms.items():
-                    for t, v in kept[m]:
-                        acc[t] = acc.get(t, 0) + n * v
                     form_push, gamma_push = pushes[m]
                     if form_push:
                         _add_slices(form, k1, n, d1, form_push)
                     if gamma_push:
                         _add_slices(gamma, k1, n, d1, gamma_push)
+            nf = linear_image(z._slices, (self.cap + 1) << self.zgens.shift, kept)
             return ArithClass(self, GradedPoly.from_slices(self.zgens, nf),
                               *self._form_polys(sides))
         held = self.zq.kept_cofactors(())

@@ -87,6 +87,8 @@ def _class_renderings(x: ArithClass, invert2: bool) -> tuple[str, str, dict]:
 def cmd_pontrjagin(args: argparse.Namespace) -> Report:
     ring = AbelianTautRing(args.d)
     k = args.k
+    if k > args.d:
+        raise ValueError(f"k must be at most d = {args.d}")
     report = Report("pontrjagin", {"d": args.d, "k": k, "invert2": args.invert2})
     classes = ClassVector.standard(ring.zgens, list(ring.zgens.names))
     poly = pontrjagin_from_c(classes, k)[k - 1]
@@ -273,9 +275,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    # The library checks d; k indexes pontrjagin_from_c, so it is checked here.
-    if args.command == "pontrjagin" and not 1 <= args.k <= args.d:
-        parser.error("--k must satisfy 1 <= k <= d")
+    # The library checks d; k indexes pontrjagin_from_c, so it is checked
+    # here from below and in cmd_pontrjagin, once d is valid, from above.
+    if args.command == "pontrjagin" and args.k < 1:
+        parser.error("--k must be at least 1")
 
     # An exact value may have more digits than the interpreter converts to
     # a string by default (Python 3.10.7 on): the command and its rendering

@@ -342,15 +342,17 @@ def test_console_script_freezes_after_its_report(capsys, fmt):
 
 
 def test_usage_errors(capsys):
-    code, _, err = run_cli(["pontrjagin", "--d", "2", "--k", "3"])
-    assert code == 2
+    code, out, err = run_cli(["pontrjagin", "--d", "2", "--k", "3"])
+    assert (code, out, err) == (2, "", "error: k must be at most d = 2\n")
+    err = usage_error(capsys, ["pontrjagin", "--d", "2", "--k", "0"])
+    assert "--k must be at least 1" in err
     code, _, _ = run_cli(["c1-power"])
     assert code == 2
     # d is checked by the library alone: its ValueError is the one line
     # on stderr, and nothing reaches stdout.
     for argv in (["degree", "--d", "1"], ["c1-power", "--d", "0"],
                  ["height-poly", "--d", "1"], ["hmap-check", "--d", "1"],
-                 ["ring-info", "--d", "0"]):
+                 ["ring-info", "--d", "0"], ["pontrjagin", "--d", "0", "--k", "1"]):
         code, out, err = run_cli(argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: d must be ") and err.count("\n") == 1, (argv, err)
