@@ -310,12 +310,11 @@ def reference_reduce_class(x):
 
 
 def kept_tables(ring):
-    """The normal forms both quotients keep, each as a dict, and the pushes
-    built: the order of a normal form's terms may follow the order of the
+    """The normal forms both quotients keep, each as a dict, and the push
+    table: the order of a normal form's terms may follow the order of the
     queries, its values may not."""
     return ({m: dict(nf) for m, nf in ring.aq._nf.items()},
-            {m: dict(nf) for m, nf in ring.zq._nf.items()},
-            {m: push for m, push in ring._pushes.items() if push is not None})
+            {m: dict(nf) for m, nf in ring.zq._nf.items()}, dict(ring._pushes))
 
 
 def test_reduce_through_kept_tables_matches_product_route():
@@ -337,8 +336,8 @@ def test_reduce_through_kept_tables_matches_product_route():
             expected = [reference_reduce_class(x) for x in queries]
             # A cold ring, then warm ones: each query once, then all again
             # twice.  The second pass admits every lifted monomial to the
-            # push table and the third builds its push.  Each part is in
-            # the lowest terms of the product route.
+            # push table with its push and the third reads it.  Each part is
+            # in the lowest terms of the product route.
             for _ in range(3):
                 for x, y in zip(queries, expected):
                     reduced = ring.reduce(x)
@@ -379,16 +378,21 @@ def drawn_class(rng, ring):
 
 
 def reduce_three_passes(ring, classes):
-    """Three passes of ring.reduce over the classes.  The first divides each
+    """Three passes of ring.reduce over the classes, each as (reduced
+    classes, (aq, zq) division steps after it).  The first divides each
     lifted monomial with cofactors, the second reduces them again and
-    admits them to the push table, and the third answers every class from
-    the table, with no division with cofactors."""
-    passes = [[ring.reduce(x) for x in classes] for _ in range(2)]
+    admits them with their pushes to the push table, and the third answers
+    every class from the table, with no division with cofactors."""
+    def run():
+        return ([ring.reduce(x) for x in classes],
+                (ring.aq.division_steps, ring.zq.division_steps))
+
+    passes = [run(), run()]
     assert all(x.z.truncate(ring.cap)._keys() <= ring._pushes.keys()
                for x in classes)
     ring.zq.reduce_with_cofactors = None    # a call raises TypeError
     try:
-        passes.append([ring.reduce(x) for x in classes])
+        passes.append(run())
     finally:
         del ring.zq.reduce_with_cofactors
     return passes
@@ -406,7 +410,10 @@ def test_reduce_from_push_table_matches_product_route():
             assert all(x.z.truncate(ring.cap).symbol_degree() for x in classes)
             expected = [reference_reduce_class(ArithClass(twin, x.z, x.a, x.g))
                         for x in classes]
-            for reduced in reduce_three_passes(ring, classes):
+            passes = reduce_three_passes(ring, classes)
+            # The third pass reads kept tables alone: no division step.
+            assert passes[2][1] == passes[1][1], (d, ring)
+            for reduced, _ in passes:
                 for x, y in zip(reduced, expected):
                     for got, want in ((x.z, y.z), (x.a, y.a), (x.g, y.g)):
                         assert_same(got, want)
@@ -425,10 +432,14 @@ def test_push_table_admits_monomials_reduced_again(monkeypatch):
         assert len(calls) == 1 and not ring._pushes
         assert ring.reduce(x) == first
         assert len(calls) == 2 and ring._pushes.keys() == monos
-        # Admitted unbuilt; the first read from the table builds them.
-        assert set(ring._pushes.values()) == {None}
+        # Admitted complete: a (form, gamma) pair of slices each, so the
+        # first read from the table divides nothing in either quotient.
+        assert all(type(push) is tuple and len(push) == 2
+                   and all(type(side) is dict for side in push)
+                   for push in ring._pushes.values())
+        steps = (ring.aq.division_steps, ring.zq.division_steps)
         assert ring.reduce(x) == first and len(calls) == 2
-        assert None not in ring._pushes.values()
+        assert (ring.aq.division_steps, ring.zq.division_steps) == steps
         # One fresh monomial sends the class down the cofactor route, and
         # only the monomials held before that call are admitted.
         fresh = ring.lifted(1) ** ring.cap
@@ -439,6 +450,27 @@ def test_push_table_admits_monomials_reduced_again(monkeypatch):
         assert len(calls) == 4 and ring._pushes.keys() == monos | fresh.z._keys()
         assert ring.reduce(x + fresh) == mixed == first + ring.reduce(fresh)
         assert len(calls) == 4
+
+
+def test_stored_pushes_equal_the_push_builder_on_a_twin():
+    # After two passes every stored push is complete: slice for slice, the
+    # monomial's kept cofactors pushed by _form_contributions in a twin
+    # ring that never reduced a class.
+    rng = random.Random(40)
+    for d in range(2, 7):
+        for make in (AbelianTautRing, LagrangianArithRing):
+            ring, twin = make(d), make(d)
+            classes = [random_class(rng, ring) for _ in range(3)]
+            for _ in range(2):
+                for x in classes:
+                    ring.reduce(x)
+            assert ring._pushes, (d, ring)
+            zero = GradedPoly.zero(twin.agens)
+            for m, push in ring._pushes.items():
+                mono = GradedPoly.monomial(twin.zgens, twin.zgens.unpack(m))
+                _, cofactors = twin.zq.reduce_with_cofactors(mono)
+                built = twin._form_contributions(cofactors, zero, zero)
+                assert push == tuple(side._slices for side in built), (d, m)
 
 
 def test_push_route_divides_a_fresh_form_monomial_once():
@@ -786,13 +818,13 @@ def test_scalar_on_the_left_matches_the_right():
 
 def kept_values(ring):
     """Deep copies of the kept normal forms and cofactors of both quotients
-    and of the pushes built."""
+    and of the push table."""
     def kept(q):
         return {m: (dict(nf), {ri: dict(t) for ri, t in q._cof.get(m, {}).items()})
                 for m, nf in q._nf.items()}
     pushes = {m: tuple({k: (den, dict(terms)) for k, (den, terms) in side.items()}
                        for side in push)
-              for m, push in ring._pushes.items() if push is not None}
+              for m, push in ring._pushes.items()}
     return kept(ring.zq), kept(ring.aq), pushes
 
 
@@ -809,7 +841,7 @@ def test_warm_queries_leave_kept_values_unchanged():
             expected = [ring.reduce(x * y) for x, y in pairs]
             before = kept_values(ring)
             # The first warm pass admits every lifted monomial to the push
-            # table and the second builds its push; the later ones read it.
+            # table with its push; the later ones read it.
             for n in range(4):
                 assert [ring.reduce(x) for x in classes] == reduced
                 assert [ring.reduce(x * y) for x, y in pairs] == expected
