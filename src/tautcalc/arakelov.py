@@ -381,7 +381,7 @@ class ArithRing:
         through the normal forms aq keeps.  The first missing one sends
         every monomial of that side to aq.normal_forms, in one call.  Most
         sides find every one kept: one call per side and no retry read
-        lib-reduce wall_s +3.4% (0.3261 -> 0.3373 s, higher in 8 of 8 pairs)."""
+        lib-reduce wall_s +6.9% (0.3238 -> 0.3462 s, higher in 8 of 8 pairs)."""
         aq = self.aq
         kept = aq.normal_forms(())
         shift = self.agens.shift
