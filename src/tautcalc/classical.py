@@ -9,7 +9,7 @@ package's lazy table.
 
 from __future__ import annotations
 
-from math import factorial, prod
+from math import prod
 from typing import NamedTuple
 
 from .graded import GeneratorSet, GradedPoly, monomials_of_degree
@@ -34,18 +34,36 @@ def tautological_ring(d: int) -> QuotientRing:
     return QuotientRing(tautological_presentation(d), track_witnesses=False)
 
 
+def _legendre(n: int, p: int) -> int:
+    """The exponent of the prime p in n!."""
+    return n // p + _legendre(n // p, p) if n >= p else 0
+
+
 def lagrangian_degree(d: int) -> int:
     """Projective degree of the rank-(d-1) Lagrangian Grassmannian:
-    (d(d-1)/2)! / prod_{k<d} (2k-1)!!.  An odd factor m > 1 occurs in
-    (2k-1)!! for the d - 1 - (m-1)/2 values of k from (m+1)/2 to d - 1.
+    N! / prod_{k<d} (2k-1)!! with N = d(d-1)/2, built with no factorial and
+    no division as a balanced product of prime powers p^e: e is the
+    exponent of p in N! less its exponent in the denominator, which for an
+    odd p is its exponent in (2k)! less that in k!, summed over k < d.
     d has no upper limit; ValueError unless it is an int of at least 2."""
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"d must be an int of at least 2, not {d!r}")
-    den = prod(m ** (d - 1 - (m - 1) // 2) for m in range(3, 2 * d - 2, 2))
-    q, r = divmod(factorial(d * (d - 1) // 2), den)
-    if r:
-        raise ArithmeticError("degree formula did not divide evenly")
-    return q
+    n = d * (d - 1) // 2
+    composite = bytearray(n + 1)
+    factors = [1]
+    for p in range(2, n + 1):
+        if composite[p]:
+            continue
+        composite[p * p::p] = b"\1" * len(range(p * p, n + 1, p))
+        e = _legendre(n, p)
+        if 2 < p < 2 * d:
+            e -= sum(_legendre(2 * k, p) - _legendre(k, p) for k in range(1, d))
+        if e < 0:
+            raise ArithmeticError("degree formula did not divide evenly")
+        factors.append(p ** e)
+    while len(factors) > 1:
+        factors = [prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0]
 
 
 class DimensionReport(NamedTuple):

@@ -7,10 +7,10 @@ byte-identical across runs (timing goes to stderr).  Exit codes: 0 success,
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 import time
+from types import SimpleNamespace
 
 from .scalars import Scalar
 from .graded import GradedPoly
@@ -84,7 +84,7 @@ def _class_renderings(x: ArithClass, invert2: bool) -> tuple[str, str, dict]:
     return x.render(False), x.render(True), x.to_json()
 
 
-def cmd_pontrjagin(args: argparse.Namespace) -> Report:
+def cmd_pontrjagin(args: SimpleNamespace) -> Report:
     ring = AbelianTautRing(args.d)
     k = args.k
     if k > args.d:
@@ -98,7 +98,7 @@ def cmd_pontrjagin(args: argparse.Namespace) -> Report:
     return report
 
 
-def cmd_c1_power(args: argparse.Namespace) -> Report:
+def cmd_c1_power(args: SimpleNamespace) -> Report:
     result = c1_critical_power(args.d)
     report = Report("c1-power", {"d": args.d, "invert2": args.invert2})
     text, latex, payload = _class_renderings(result.reduced, args.invert2)
@@ -118,7 +118,7 @@ def cmd_c1_power(args: argparse.Namespace) -> Report:
     return report
 
 
-def cmd_ring_info(args: argparse.Namespace) -> Report:
+def cmd_ring_info(args: SimpleNamespace) -> Report:
     from .classical import audit_dump, dimension_report, tautological_ring
 
     ring = tautological_ring(args.d)
@@ -137,7 +137,7 @@ def cmd_ring_info(args: argparse.Namespace) -> Report:
     return report
 
 
-def cmd_height_poly(args: argparse.Namespace) -> Report:
+def cmd_height_poly(args: SimpleNamespace) -> Report:
     result = height_polynomial(args.d)
     report = Report("height-poly", {"d": args.d, "invert2": args.invert2})
     report.add("height polynomial", result.height.render(),
@@ -154,7 +154,7 @@ def cmd_height_poly(args: argparse.Namespace) -> Report:
     return report
 
 
-def cmd_hmap_check(args: argparse.Namespace) -> Report:
+def cmd_hmap_check(args: SimpleNamespace) -> Report:
     from .propmap import proportionality_map_check
 
     ring = AbelianTautRing(args.d)
@@ -193,7 +193,7 @@ def cmd_hmap_check(args: argparse.Namespace) -> Report:
     return report
 
 
-def cmd_degree(args: argparse.Namespace) -> Report:
+def cmd_degree(args: SimpleNamespace) -> Report:
     from .classical import lagrangian_degree
 
     value = lagrangian_degree(args.d)
@@ -202,7 +202,7 @@ def cmd_degree(args: argparse.Namespace) -> Report:
     return report
 
 
-def cmd_verify(args: argparse.Namespace) -> Report:
+def cmd_verify(args: SimpleNamespace) -> Report:
     from .verify import run_checks
 
     selection = None if args.only is None else args.only.split(",")
@@ -216,69 +216,93 @@ def cmd_verify(args: argparse.Namespace) -> Report:
     return report
 
 
-def build_parser() -> argparse.ArgumentParser:
+FORMATS = ("text", "latex", "json")
+# Each command's function, help and options, read by build_parser and by
+# parse_plain.  An option maps to its type and help: an int is required, a
+# bool is a bare flag (default False), a str takes a value (default None).
+COMMANDS = {
+    "pontrjagin": (cmd_pontrjagin, "lifted Pontrjagin class value", {
+        "d": (int, None), "k": (int, None),
+        "invert2": (bool, "drop every log 2 term (base change inverting 2)")}),
+    "c1-power": (cmd_c1_power, "critical power of the first class",
+                 {"d": (int, None), "invert2": (bool, None)}),
+    "ring-info": (cmd_ring_info, "classical ring dimensions", {
+        "d": (int, None),
+        "audit": (bool, "include per-degree bases and reduction rows (json)")}),
+    "height-poly": (cmd_height_poly, "harmonic height polynomial",
+                    {"d": (int, None), "invert2": (bool, None)}),
+    "hmap-check": (cmd_hmap_check, "proportionality map residues",
+                   {"d": (int, None)}),
+    "degree": (cmd_degree, "degree of the Lagrangian Grassmannian",
+               {"d": (int, None)}),
+    "verify": (cmd_verify, "run the verification suite",
+               {"only": (str, "comma-separated check names")}),
+}
+
+
+def build_parser():
+    """The argparse parser of the command line.  It loads only when
+    parse_plain declines, and prints help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tautcalc",
         description="Exact calculator for tautological rings of Hodge "
                     "bundles and their arithmetic extensions.")
-    parser.add_argument("--format", choices=("text", "latex", "json"),
-                        default="text")
+    parser.add_argument("--format", choices=FORMATS, default="text")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, need_k=False):
-        p.add_argument("--d", type=int, required=True)
-        if need_k:
-            p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("pontrjagin", help="lifted Pontrjagin class value")
-    common(p, need_k=True)
-    p.add_argument("--invert2", action="store_true",
-                   help="drop every log 2 term (base change inverting 2)")
-
-    p = sub.add_parser("c1-power", help="critical power of the first class")
-    common(p)
-    p.add_argument("--invert2", action="store_true")
-
-    p = sub.add_parser("ring-info", help="classical ring dimensions")
-    common(p)
-    p.add_argument("--audit", action="store_true",
-                   help="include per-degree bases and reduction rows (json)")
-
-    p = sub.add_parser("height-poly", help="harmonic height polynomial")
-    common(p)
-    p.add_argument("--invert2", action="store_true")
-
-    p = sub.add_parser("hmap-check", help="proportionality map residues")
-    common(p)
-
-    p = sub.add_parser("degree", help="degree of the Lagrangian Grassmannian")
-    common(p)
-
-    p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--only", type=str, default=None,
-                   help="comma-separated check names")
+    for command, (_, summary, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, (kind, text) in options.items():
+            if kind is bool:
+                p.add_argument(f"--{name}", action="store_true", help=text)
+            else:
+                p.add_argument(f"--{name}", type=kind, required=kind is int,
+                               help=text)
     return parser
 
 
-COMMANDS = {
-    "pontrjagin": cmd_pontrjagin,
-    "c1-power": cmd_c1_power,
-    "ring-info": cmd_ring_info,
-    "height-poly": cmd_height_poly,
-    "hmap-check": cmd_hmap_check,
-    "degree": cmd_degree,
-    "verify": cmd_verify,
-}
+def parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of a plain command line as argparse gives them: an
+    optional leading --format, a command, then its options in any order,
+    each at most once, an int as ASCII digits, a str not led by "-".  None
+    for any other argv (help, abbreviations, --opt=value, ...)."""
+    fmt = "text"
+    if argv[:1] == ["--format"] and len(argv) > 1:
+        fmt, argv = argv[1], argv[2:]
+    if fmt not in FORMATS or not argv or argv[0] not in COMMANDS:
+        return None
+    options = COMMANDS[argv[0]][2]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name = token[2:]
+        if token[:2] != "--" or name not in options or name in given:
+            return None
+        kind = options[name][0]
+        value = True if kind is bool else next(tokens, "-")
+        if kind is not bool and (value.startswith("-") or kind is int and not (
+                value.isascii() and value.isdigit())):
+            return None
+        given[name] = kind(value)
+    if {n for n, (kind, _) in options.items() if kind is int} - given.keys():
+        return None
+    return SimpleNamespace(format=fmt, command=argv[0], **{
+        name: given.get(name, False if kind is bool else None)
+        for name, (kind, _) in options.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse runs only for what parse_plain declines: help and usage
+    # errors, whose output it prints.
+    args = parse_plain(sys.argv[1:] if argv is None else list(argv))
+    if args is None:
+        args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
 
     # The library checks d; k indexes pontrjagin_from_c, so it is checked
     # here from below and in cmd_pontrjagin, once d is valid, from above.
     if args.command == "pontrjagin" and args.k < 1:
-        parser.error("--k must be at least 1")
+        build_parser().error("--k must be at least 1")
 
     # An exact value may have more digits than the interpreter converts to
     # a string by default (Python 3.10.7 on): the command and its rendering
@@ -288,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     start = time.monotonic()
     try:
-        report = COMMANDS[args.command](args)
+        report = COMMANDS[args.command][0](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -715,8 +715,13 @@ def test_entry_points_of_d_at_least_2_reject_a_non_int_d():
 
 
 def test_lagrangian_degree_matches_the_double_factorials():
-    # The denominator is one product of odd powers; the formula divides by
-    # each double factorial (2k-1)!! in turn.
+    # The degree is a product of prime powers, with no factorial and no
+    # division.  The oracles divide N! by the denominator as one product of
+    # odd powers, and by each double factorial (2k-1)!! in turn.
+    for d in range(2, 81):
+        num, rem = divmod(factorial(d * (d - 1) // 2), prod(
+            m ** (d - 1 - (m - 1) // 2) for m in range(3, 2 * d - 2, 2)))
+        assert rem == 0 and lagrangian_degree(d) == num, d
     for d in range(2, 60):
         num = factorial(d * (d - 1) // 2)
         for k in range(1, d):

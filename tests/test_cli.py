@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import subprocess
 import sys
@@ -359,6 +360,71 @@ def test_usage_errors(capsys):
     # every command works at the arithmetic dimension; none takes a cap
     err = usage_error(capsys, ["c1-power", "--d", "9", "--max-degree", "37"])
     assert "unrecognized arguments: --max-degree 37" in err
+
+
+# A value for each option that takes one.
+OPTION_VALUES = {"d": "3", "k": "2", "only": "cauchy,newton"}
+
+
+def plain_command_lines(monkeypatch):
+    """Well-formed command lines: every command with no --format and in
+    each format, with and without each optional option, its options in both
+    orders, plus every request the benchmark's CLI workloads can send."""
+    out = [["degree", "--d", "007"], ["pontrjagin", "--k", "0", "--d", "2"],
+           ["verify", "--only", ""], ["verify", "--only", "a b"]]
+    for command, (_, _, options) in cli.COMMANDS.items():
+        needed = [[f"--{name}", OPTION_VALUES[name]]
+                  for name, (kind, _) in options.items() if kind is int]
+        optional = [[f"--{name}"] if kind is bool
+                    else [f"--{name}", OPTION_VALUES[name]]
+                    for name, (kind, _) in options.items() if kind is not int]
+        for chosen in itertools.product((False, True), repeat=len(optional)):
+            groups = needed + list(itertools.compress(optional, chosen))
+            for order in (groups, groups[::-1]):
+                for fmt in ([], *(["--format", f] for f in cli.FORMATS)):
+                    out.append([*fmt, command, *itertools.chain(*order)])
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "benchmarks"))
+    from cli_workloads import all_requests
+    return out + [req.args() for req in all_requests()]
+
+
+def test_plain_parser_agrees_with_argparse(monkeypatch):
+    parser = cli.build_parser()
+    lines = plain_command_lines(monkeypatch)
+    assert len(lines) > 200
+    for argv in lines:
+        plain = cli.parse_plain(argv)
+        assert plain is not None, argv
+        typed = {k: (type(v), v) for k, v in vars(plain).items()}
+        assert typed == {k: (type(v), v)
+                         for k, v in vars(parser.parse_args(argv)).items()}, argv
+
+
+@pytest.mark.parametrize("line", [
+    "", "-h", "--help", "c1-power --help", "--form json c1-power --d 2",
+    "c1-power --inv --d 2", "c1-power --d=6", "c1-power --d -3",
+    "c1-power --d \u0666", "c1-power --d 1_0", "c1-power --d 2 --d 3",
+    "c1-power -- --d 2", "c1-power --d 2 --format json", "--format",
+    "--format xml c1-power --d 2", "c1-power", "c1-power --d",
+    "pontrjagin --d 2", "verify --only", "verify --only -x",
+    "c1-power --d 2 extra", "ring-info --d 2 --audit --audit", "nope --d 2"])
+def test_plain_parser_leaves_the_rest_to_argparse(line):
+    assert cli.parse_plain(line.split()) is None
+
+
+def test_argparse_answers_what_the_plain_parser_declines(capsys):
+    # An abbreviation and --opt=value reach argparse, which accepts them.
+    assert main(["--format", "json", "c1-power", "--d", "2"]) == 0
+    expected = capsys.readouterr().out
+    for argv in (["--form", "json", "c1-power", "--d", "2"],
+                 ["--format=json", "c1-power", "--d=2"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(command in out for command in cli.COMMANDS)
 
 
 def decimal(n):

@@ -8,11 +8,16 @@ import pytest
 import tautcalc
 
 
+def fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this tautcalc with args."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tautcalc.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
 def run_fresh(code: str) -> str:
     """Run code in a fresh interpreter that imports this tautcalc."""
-    env = dict(os.environ, PYTHONPATH=str(Path(tautcalc.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
+    proc = fresh("-c", code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -65,10 +70,15 @@ CLASSICAL_NAMES = ("DimensionReport", "audit_dump", "dimension_report",
 NAMES = MAP_NAMES + SERIES_NAMES + WITNESS_NAMES + CLASSICAL_NAMES
 
 
+# The argument parser's modules: they load for help and usage errors only.
+PARSER_MODULES = ("argparse", "gettext", "locale")
+
+
 def names_loaded_by(argv: list[str]) -> list[str]:
     """Run the CLI command argv in a fresh interpreter; return which of the
-    names above some loaded tautcalc module then holds.  vars() is read, not
-    hasattr, which would load a module through a forwarder."""
+    names above some loaded tautcalc module then holds, and which parser
+    modules are loaded.  vars() is read, not hasattr, which would load a
+    module through a forwarder."""
     out = run_fresh(
         "import contextlib, io, sys\n"
         "from tautcalc.cli import main\n"
@@ -77,7 +87,8 @@ def names_loaded_by(argv: list[str]) -> list[str]:
         "print(*sorted({name for key, module in list(sys.modules.items())\n"
         "               if key.split('.')[0] == 'tautcalc'\n"
         f"               for name in {NAMES!r}\n"
-        "               if name in vars(module)}))")
+        "               if name in vars(module)}\n"
+        f"              | ({set(PARSER_MODULES)!r} & set(sys.modules))))")
     return out.split()
 
 
@@ -85,10 +96,12 @@ def test_cli_import_leaves_unused_modules_unloaded():
     # A CLI request loads only what its command runs: no dataclasses (and
     # the inspect it pulls in), no json before JSON output, no verification
     # suite before `verify`, no classical ring before `ring-info` or
-    # `degree`.
+    # `degree`, and no argument parser unless argparse must print help or
+    # a usage error.
     out = run_fresh("import sys, tautcalc.cli; print(*sorted({'dataclasses', "
                     "'inspect', 'json', 'tautcalc.verify', "
-                    "'tautcalc.classical'} & set(sys.modules)))")
+                    f"'tautcalc.classical', *{PARSER_MODULES!r}}} "
+                    "& set(sys.modules)))")
     assert out.split() == []
     # The ring commands compile none of the proportionality map, the series
     # code, the witness variants and the classical ring; hmap-check loads
@@ -99,3 +112,7 @@ def test_cli_import_leaves_unused_modules_unloaded():
     assert names_loaded_by(["hmap-check", "--d", "3"]) == sorted(MAP_NAMES)
     for argv in (["ring-info", "--d", "3"], ["degree", "--d", "3"]):
         assert names_loaded_by(argv) == sorted(CLASSICAL_NAMES), argv
+    # A usage error still gets argparse's usage line.
+    proc = fresh("-m", "tautcalc.cli", "c1-power")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: tautcalc c1-power")
