@@ -297,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     # errors, whose output it prints.
     args = parse_plain(sys.argv[1:] if argv is None else list(argv))
     if args is None:
-        args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
+        args = build_parser().parse_args(argv)
 
     # The library checks d; k indexes pontrjagin_from_c, so it is checked
     # here from below and in cmd_pontrjagin, once d is valid, from above.
