@@ -112,6 +112,9 @@ def test_cli_import_leaves_unused_modules_unloaded():
     assert names_loaded_by(["hmap-check", "--d", "3"]) == sorted(MAP_NAMES)
     for argv in (["ring-info", "--d", "3"], ["degree", "--d", "3"]):
         assert names_loaded_by(argv) == sorted(CLASSICAL_NAMES), argv
+    # verify loads the names above, but no argument parser either.
+    assert not set(PARSER_MODULES) & set(
+        names_loaded_by(["verify", "--only", "cauchy"]))
     # A usage error still gets argparse's usage line.
     proc = fresh("-m", "tautcalc.cli", "c1-power")
     assert proc.returncode == 2
