@@ -308,32 +308,52 @@ class ArithRing:
     def reduce(self, x: ArithClass) -> ArithClass:
         """The normal form of x: its lifted part truncated to the working
         degree and reduced, with what the cofactors push into its form part
-        and gamma coefficient.  When the push table holds every monomial of
-        the lifted part, its normal form is one linear_image of the kept
-        normal forms, and one pass over its terms adds each one's push, one
-        _add_slices call per side.
-        Otherwise the division's cofactors are pushed, and then each
-        monomial that zq had divided before this call is admitted to the
-        table: a monomial reduced a second time gets its complete push, its
-        kept cofactors pushed by _form_contributions."""
+        and gamma coefficient.  One sweep over the lifted terms below the
+        working degree settles the route and builds the normal form: each
+        term looks up its push, and while the push table holds every one,
+        adds its kept zq normal form to its slice.  Then _form_sides starts
+        both sides and the collected pushes are added, one _add_slices call
+        per side and term.  The first term without a push sends x down
+        _cofactor_route before anything is divided."""
         if x.ring is not self:
             raise ValueError("class from another ring")
+        pushes = self._pushes
+        kept = self.zq.normal_forms(())
+        limit = (self.cap + 1) << self.zgens.shift
+        nf: Slices = {}
+        collected = []
+        for k1, (d1, terms) in x.z._slices.items():
+            acc: dict[int, int] = {}
+            for m, n in terms.items():
+                # Every key of the table lies below the limit.
+                push = pushes.get(m)
+                if push is None:
+                    if m < limit:
+                        return self._cofactor_route(x)
+                    continue
+                collected.append((k1, n, d1, push))
+                for t, v in kept[m]:
+                    acc[t] = acc.get(t, 0) + n * v
+            if acc:
+                nf[k1] = d1, acc
+        form, gamma = sides = self._form_sides(x.a, x.g)
+        for k1, n, d1, (form_push, gamma_push) in collected:
+            if form_push:
+                _add_slices(form, k1, n, d1, form_push)
+            if gamma_push:
+                _add_slices(gamma, k1, n, d1, gamma_push)
+        return ArithClass(self, GradedPoly.from_slices(self.zgens, nf),
+                          *self._form_polys(sides))
+
+    def _cofactor_route(self, x: ArithClass) -> ArithClass:
+        """reduce's cofactor route: the division's cofactors are pushed,
+        and then each monomial that zq had divided before this call is
+        admitted to the push table: a monomial reduced a second time gets
+        its complete push, its kept cofactors pushed by
+        _form_contributions."""
         z = x.z.truncate(self.cap)
         monos = z._keys()
         pushes = self._pushes
-        if monos <= pushes.keys():
-            kept = self.zq.normal_forms(())
-            form, gamma = sides = self._form_sides(x.a, x.g)
-            for k1, (d1, terms) in z._slices.items():
-                for m, n in terms.items():
-                    form_push, gamma_push = pushes[m]
-                    if form_push:
-                        _add_slices(form, k1, n, d1, form_push)
-                    if gamma_push:
-                        _add_slices(gamma, k1, n, d1, gamma_push)
-            nf = linear_image(z._slices, (self.cap + 1) << self.zgens.shift, kept)
-            return ArithClass(self, GradedPoly.from_slices(self.zgens, nf),
-                              *self._form_polys(sides))
         held = self.zq.kept_cofactors(())
         repeats = [m for m in monos if m in held and m not in pushes]
         nf, cofactors = self.zq.reduce_with_cofactors(z)

@@ -23,11 +23,13 @@ class Report:
     def __init__(self, command: str, params: dict):
         self.command = command
         self.params = params
-        # (label, text rendering, latex rendering, JSON payload)
-        self.lines: list[tuple[str, str, str, object]] = []
+        # (label, text rendering, latex rendering, JSON payload); a
+        # rendering that is no str is converted by str() when its format is
+        # rendered.
+        self.lines: list[tuple[str, object, object, object]] = []
         self.checks: list[dict] = []
 
-    def add(self, label: str, text: str, latex: str, payload):
+    def add(self, label: str, text: object, latex: object, payload):
         self.lines.append((label, text, latex, payload))
 
     def to_text(self) -> str:
@@ -198,7 +200,9 @@ def cmd_degree(args: SimpleNamespace) -> Report:
 
     value = lagrangian_degree(args.d)
     report = Report("degree", {"d": args.d})
-    report.add(f"deg B_{args.d - 1}", str(value), str(value), value)
+    # The decimal string is made only for the format rendered: at d = 600
+    # one str() of the degree takes seconds, and JSON makes its own.
+    report.add(f"deg B_{args.d - 1}", value, value, value)
     return report
 
 

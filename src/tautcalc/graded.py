@@ -485,7 +485,9 @@ def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, Graded
     gens.product_limit, an int above every product key, when there is no
     cap.  A product that reaches EXPONENT_LIMIT keeps its guard bit
     whatever its coefficient, so the keys of the sum are checked once, and
-    it raises ValueError."""
+    it raises ValueError.  Under a cap below EXPONENT_LIMIT no kept product
+    can reach it (each exponent is at most the degree), so no key is
+    checked."""
     if start is not None and start.gens != gens:
         raise ValueError("generator-set mismatch")
     limit = (gens.product_limit if max_degree is None
@@ -504,12 +506,13 @@ def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, Graded
                     for m2, n2 in right.items():
                         if (m := m1 + m2) < limit:
                             terms[m] = terms.get(m, 0) + n1 * n2
-    guard = gens.guard
-    for _, terms in out.values():
-        for m in terms:
-            if m & guard:
-                raise ValueError("a product exponent reaches "
-                                 f"{EXPONENT_LIMIT}: {gens.unpack(m)}")
+    if max_degree is None or max_degree >= EXPONENT_LIMIT:
+        guard = gens.guard
+        for _, terms in out.values():
+            for m in terms:
+                if m & guard:
+                    raise ValueError("a product exponent reaches "
+                                     f"{EXPONENT_LIMIT}: {gens.unpack(m)}")
     return GradedPoly.from_slices(gens, out)
 
 

@@ -454,6 +454,30 @@ def test_degree_prints_every_digit(capsys):
         assert limit() == before
 
 
+def test_degree_converts_to_decimal_once_per_report(monkeypatch, capsys):
+    # At d = 600 one str() of the degree takes seconds.  Text and LaTeX
+    # convert it once, and JSON leaves it to json.dumps, which makes no
+    # str() call of an int.
+    calls = []
+
+    class Counted(int):
+        def __str__(self):
+            calls.append(self)
+            return int.__str__(self)
+
+    plain = {}
+    for fmt in cli.FORMATS:
+        assert main(["--format", fmt, "degree", "--d", "7"]) == 0
+        plain[fmt] = capsys.readouterr().out
+    monkeypatch.setattr(classical, "lagrangian_degree",
+                        lambda d: Counted(lagrangian_degree(d)))
+    for fmt, expected in (("text", 1), ("latex", 1), ("json", 0)):
+        calls.clear()
+        assert main(["--format", fmt, "degree", "--d", "7"]) == 0
+        assert capsys.readouterr().out == plain[fmt]
+        assert len(calls) == expected, fmt
+
+
 @pytest.mark.parametrize("argv", [
     ["c1-power"], ["height-poly"], ["pontrjagin", "--k", "1"], ["ring-info"],
     ["hmap-check"]], ids=lambda argv: argv[0])

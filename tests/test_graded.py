@@ -207,6 +207,11 @@ def test_field_limit_and_product_guard():
         x.mul_truncated(x, None)
     assert x * GradedPoly.monomial(g, (12767, 3)) == GradedPoly.monomial(g, (32767, 3))
     assert x.mul_truncated(x, 39999).is_zero()
+    # A cap below the limit keeps no product that reaches it, so the keys
+    # go unchecked; a cap above it keeps x^2 and still raises.
+    assert x.mul_truncated(x, EXPONENT_LIMIT - 1).is_zero()
+    with pytest.raises(ValueError, match="reaches 32768"):
+        x.mul_truncated(x, 40000)
     raw = g.pack((20000, 0)) + g.pack((20000, 3))
     assert raw & g.guard and g.unpack(raw) == (40000, 3)
     # No monomial of a working degree reaches the limit.

@@ -7,6 +7,7 @@ as the reference."""
 import random
 from fractions import Fraction
 from math import gcd, inf
+from pathlib import Path
 
 import pytest
 
@@ -513,6 +514,71 @@ def test_push_route_divides_a_fresh_form_monomial_once():
         for part, expected in ((got.z, want.z), (got.a, want.a), (got.g, want.g)):
             assert_same(part, expected)
             assert_lowest_terms(part)
+
+
+def test_push_route_settles_its_route_before_any_division():
+    # A class whose lifted monomials all have pushes but one that zq never
+    # divided, and with a form monomial that aq never divided, goes down
+    # the cofactor route before anything is divided: the same division
+    # order as the cofactor route run explicitly on a twin with the same
+    # history, so the same steps, the same kept tables in the same key
+    # order and the same push table.
+    rng = random.Random(42)
+    for make in (AbelianTautRing, LagrangianArithRing):
+        ring, twin = make(5), make(5)
+        x = random_class(rng, ring)
+        for r in (ring, twin):
+            for _ in range(3):
+                r.reduce(ArithClass(r, x.z, x.a, x.g))
+        monos = x.z.truncate(ring.cap)._keys()
+        assert monos and monos <= ring._pushes.keys()
+        fresh_z = ring.lifted(1) ** ring.cap
+        assert fresh_z.z._keys().isdisjoint(ring.zq.normal_forms(()))
+        gens, kept = ring.agens, ring.aq.normal_forms(())
+        fresh_a = next(m for m in monomials_of_degree(gens, ring.cap - 1)
+                       if m[0] >= 2 and gens.pack(m) not in kept)
+        y = x + fresh_z + ring.from_a(GradedPoly.monomial(gens, fresh_a, Z3))
+
+        def state(r):
+            return ((r.aq.division_steps, r.zq.division_steps),
+                    list(r.aq.normal_forms(())), list(r.zq.normal_forms(())),
+                    r._pushes)
+
+        # A class from another ring is refused before any step.
+        before = state(ring)
+        with pytest.raises(ValueError, match="another ring"):
+            ring.reduce(ArithClass(twin, y.z, y.a, y.g))
+        assert state(ring) == before
+        got = ring.reduce(y)
+        aq_keys = len(twin.aq.normal_forms(()))
+        nf, cofactors = twin.zq.reduce_with_cofactors(y.z.truncate(twin.cap))
+        assert cofactors
+        want = (nf, *twin._form_contributions(cofactors, y.a, y.g))
+        # The cofactor route divides product keys before the fresh form
+        # monomial, so a route that divided the form part first would
+        # leave another key order.
+        assert len(twin.aq.normal_forms(())) - aq_keys > 1
+        assert (got.z, got.a, got.g) == want
+        assert state(ring) == state(twin)
+
+
+def test_benchmark_queries_keep_their_division_order(monkeypatch):
+    # lib-reduce's own queries (seed 1) against its d = 6 rings: every
+    # answer is correct, the (aq, zq) division steps after one round are
+    # pinned, and a second round divides nothing and admits the monomials
+    # met again to the push table.
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "benchmarks"))
+    from lib_reduce import Checker, build_rings, make_queries, run_query
+    rings = build_rings()
+    queries = make_queries(1, rings)
+    checker = Checker()
+    steps = {"abelian": (688, 1482), "lagrangian": (489, 1087)}
+    for pushes in ({"abelian": 302, "lagrangian": 272},
+                   {"abelian": 386, "lagrangian": 350}):
+        assert all(run_query(rings, query, checker)[1] for query in queries)
+        assert {name: (ring.aq.division_steps, ring.zq.division_steps)
+                for name, ring in rings.items()} == steps
+        assert {name: len(ring._pushes) for name, ring in rings.items()} == pushes
 
 
 def test_add_slices_matches_one_slice_at_a_time():
