@@ -30,8 +30,8 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
 
 from .scalars import _EXACT, Scalar, bracket, harmonic_symbol
-from .graded import (GeneratorSet, GradedPoly, Slices, _add_slices, _combine,
-                     _power, linear_image, sum_of_products)
+from .graded import (GeneratorSet, GradedPoly, Slices, _add_products, _add_slices,
+                     _combine, _power, linear_image)
 from .quotient import QuotientRing, ReductionError, RingPresentation
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 
@@ -102,20 +102,34 @@ class ArithClass:
 
     def __mul__(self, other) -> "ArithClass":
         if isinstance(other, (int, Fraction, Scalar)):
-            return ArithClass(self.ring, self.z * other, self.a * other,
-                              self.g * other)
+            return _assemble(self.ring, self.z * other, self.a * other,
+                             self.g * other)
         if not isinstance(other, ArithClass):
             return NotImplemented
         self._check(other)
+        # z z' + a(omega(z) a' + omega(z') a), and alike for gamma, each
+        # truncated to its working degree, on the parts' slices: C_j and u_j
+        # pack alike, and the ring's caps lie below EXPONENT_LIMIT, so no
+        # product key needs its guard bits checked.
         ring = self.ring
-        z = self.z.mul_truncated(other.z, ring.cap)
-        w1, w2 = ring.omega(self.z), ring.omega(other.z)
-        a_cap, g_cap = ring.form_caps
-        a = sum_of_products(ring.agens, [(w1, other.a), (w2, self.a)], a_cap)
-        g = self.g
-        if g or other.g:
-            g = sum_of_products(ring.agens, [(w1, other.g), (w2, g)], g_cap)
-        return ArithClass(ring, z, a, g)
+        z_limit, a_limit, g_limit = ring._limits
+        left, right = self.z._slices, other.z._slices
+        z: Slices = {}
+        _add_products(z, left, right, z_limit)
+        a: Slices = {}
+        if other.a._slices:
+            _add_products(a, left, other.a._slices, a_limit)
+        if self.a._slices:
+            _add_products(a, right, self.a._slices, a_limit)
+        g: Slices = {}
+        if other.g._slices:
+            _add_products(g, left, other.g._slices, g_limit)
+        if self.g._slices:
+            _add_products(g, right, self.g._slices, g_limit)
+        agens = ring.agens
+        return _assemble(ring, GradedPoly.from_slices(ring.zgens, z),
+                         GradedPoly.from_slices(agens, a),
+                         GradedPoly.from_slices(agens, g))
 
     __rmul__ = __mul__
 
@@ -176,10 +190,23 @@ class ArithClass:
                 "gamma_part": self.g.to_json()}
 
 
-# The slot setters, which only the constructor calls: they bypass the
+# The slot setters, which only the constructors call: they bypass the
 # __setattr__ that makes a class immutable.
 _set_ring, _set_z, _set_a, _set_g = (ArithClass.__dict__[name].__set__
                                      for name in ArithClass.__slots__)
+
+
+def _assemble(ring: "ArithRing", z: GradedPoly, a: GradedPoly,
+              g: GradedPoly) -> ArithClass:
+    """ArithClass(ring, z, a, g) without its checks, for the parts that
+    reduce and * build over ring's own generator sets, which hold no gamma
+    part in a ring without gamma."""
+    x = object.__new__(ArithClass)
+    _set_ring(x, ring)
+    _set_z(x, z)
+    _set_a(x, a)
+    _set_g(x, g)
+    return x
 
 
 class ArithRing:
@@ -222,6 +249,14 @@ class ArithRing:
             track_witnesses=False)
         self.zq = QuotientRing(RingPresentation(self.zgens, lifted, cap),
                                track_witnesses=True)
+        # Both quotients' kept normal-form tables, the same dicts for the
+        # ring's life, and the key limits of the working degrees of the
+        # lifted part, the form part and the gamma coefficient (C_j and u_j
+        # pack alike).
+        self._zkept = self.zq.normal_forms(())
+        self._akept = self.aq.normal_forms(())
+        self._limits = tuple((c + 1) << self.zgens.shift
+                             for c in (cap, *self.form_caps))
 
         sums = ch_from_c(ClassVector.standard(self.agens, self.agens.names),
                          2 * top_k - 1, self.aq.normal_form)
@@ -318,8 +353,8 @@ class ArithRing:
         if x.ring is not self:
             raise ValueError("class from another ring")
         pushes = self._pushes
-        kept = self.zq.normal_forms(())
-        limit = (self.cap + 1) << self.zgens.shift
+        kept = self._zkept
+        limit = self._limits[0]
         nf: Slices = {}
         collected = []
         for k1, (d1, terms) in x.z._slices.items():
@@ -342,8 +377,10 @@ class ArithRing:
                 _add_slices(form, k1, n, d1, form_push)
             if gamma_push:
                 _add_slices(gamma, k1, n, d1, gamma_push)
-        return ArithClass(self, GradedPoly.from_slices(self.zgens, nf),
-                          *self._form_polys(sides))
+        agens = self.agens
+        return _assemble(self, GradedPoly.from_slices(self.zgens, nf),
+                         GradedPoly.from_slices(agens, form),
+                         GradedPoly.from_slices(agens, gamma))
 
     def _cofactor_route(self, x: ArithClass) -> ArithClass:
         """reduce's cofactor route: the division's cofactors are pushed,
@@ -357,7 +394,7 @@ class ArithRing:
         held = self.zq.kept_cofactors(())
         repeats = [m for m in monos if m in held and m not in pushes]
         nf, cofactors = self.zq.reduce_with_cofactors(z)
-        out = ArithClass(self, nf, *self._form_contributions(cofactors, x.a, x.g))
+        out = _assemble(self, nf, *self._form_contributions(cofactors, x.a, x.g))
         zero = GradedPoly.zero(self.agens)
         for m in repeats:
             push = self._form_contributions(
@@ -371,7 +408,7 @@ class ArithRing:
         """The push arithmetic of both routes: the normal forms of the form
         part a and the gamma coefficient g plus what the cofactors
         {relation: cofactor} push into them, each truncated to its working
-        degree, as _form_polys gives them.  A cofactor term c*C^t of
+        degree, as a pair of polynomials.  A cofactor term c*C^t of
         relation r pushes c * beta times the normal form of u^t times r's
         integer form side into r's side; the side is homogeneous, so a term
         above r's room pushes nothing.  The keys t + m of the products are
@@ -393,32 +430,31 @@ class ArithRing:
                      for k, (den, terms) in cof._slices.items()}
             for k, num, den in scalar:
                 _add_slices(sides[side], k, num, den, image)
-        return self._form_polys(sides)
+        return tuple(GradedPoly.from_slices(self.agens, out) for out in sides)
 
     def _form_sides(self, a: GradedPoly, g: GradedPoly) -> list[Slices]:
         """One slice accumulator per side, started by the normal form of a
         or g truncated to its working degree: one sweep over its slices
-        through the normal forms aq keeps.  The first missing one sends
-        every monomial of that side to aq.normal_forms, in one call.  Most
-        sides find every one kept: one call per side and no retry read
-        lib-reduce wall_s +6.9% (0.3238 -> 0.3462 s, higher in 8 of 8 pairs)."""
-        aq = self.aq
-        kept = aq.normal_forms(())
-        shift = self.agens.shift
+        through the normal forms aq keeps, none for an empty side.  The
+        first missing one sends every monomial of that side to
+        aq.normal_forms, in one call.  Most sides find every one kept: one
+        call per side and no retry read lib-reduce wall_s +6.9% (0.3238 ->
+        0.3462 s, higher in 8 of 8 pairs)."""
+        kept = self._akept
         sides = []
-        for poly, cap in zip((a, g), self.form_caps):
-            limit = (cap + 1) << shift
+        for poly, limit in zip((a, g), self._limits[1:]):
+            slices = poly._slices
+            if not slices:
+                sides.append({})
+                continue
             try:
-                side = linear_image(poly._slices, limit, kept)
+                side = linear_image(slices, limit, kept)
             except KeyError:
-                aq.normal_forms(m for _, terms in poly._slices.values()
-                                for m in terms if m < limit)
-                side = linear_image(poly._slices, limit, kept)
+                self.aq.normal_forms(m for _, terms in slices.values()
+                                     for m in terms if m < limit)
+                side = linear_image(slices, limit, kept)
             sides.append(side)
         return sides
-
-    def _form_polys(self, sides: list[Slices]) -> tuple[GradedPoly, ...]:
-        return tuple(GradedPoly.from_slices(self.agens, out) for out in sides)
 
     # -- display helpers -----------------------------------------------------
 

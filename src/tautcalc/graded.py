@@ -498,14 +498,7 @@ def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, Graded
     for p, q in pairs:
         if not p.gens == q.gens == gens:
             raise ValueError("generator-set mismatch")
-        for k1, (d1, left) in p._slices.items():
-            for k2, (d2, right) in q._slices.items():
-                terms, scale = _target_slice(out, _merge_monomials(k1, k2), d1 * d2)
-                for m1, n1 in left.items():
-                    n1 *= scale
-                    for m2, n2 in right.items():
-                        if (m := m1 + m2) < limit:
-                            terms[m] = terms.get(m, 0) + n1 * n2
+        _add_products(out, p._slices, q._slices, limit)
     if max_degree is None or max_degree >= EXPONENT_LIMIT:
         guard = gens.guard
         for _, terms in out.values():
@@ -514,6 +507,22 @@ def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, Graded
                     raise ValueError("a product exponent reaches "
                                      f"{EXPONENT_LIMIT}: {gens.unpack(m)}")
     return GradedPoly.from_slices(gens, out)
+
+
+def _add_products(out: dict, left: Slices, right: Slices, limit: int):
+    """out += left * right, in place, as _add_slice adds: one integer
+    product per pair of slices, into out's slice of the merged constant
+    monomial over the product of the denominators.  A product of packed
+    monomials is their sum, kept when below limit; nothing checks the
+    generator sets or the guard bits, which is the caller's part."""
+    for k1, (d1, lterms) in left.items():
+        for k2, (d2, rterms) in right.items():
+            terms, scale = _target_slice(out, _merge_monomials(k1, k2), d1 * d2)
+            for m1, n1 in lterms.items():
+                n1 *= scale
+                for m2, n2 in rterms.items():
+                    if (m := m1 + m2) < limit:
+                        terms[m] = terms.get(m, 0) + n1 * n2
 
 
 def linear_image(slices: Slices, limit: int,
@@ -570,7 +579,12 @@ def _add_slices(out: dict, k1: ConstMonomial, num: int, den: int,
 def _target_slice(out: dict, k: ConstMonomial, den: int) -> tuple[dict, int]:
     """The terms of out's slice k, brought to a common denominator with
     den, and the factor that takes a numerator over den to it."""
-    old, terms = out.setdefault(k, (den, {}))
+    slot = out.get(k)
+    if slot is None:
+        terms = {}
+        out[k] = den, terms
+        return terms, 1
+    old, terms = slot
     if old % den:
         new = lcm(old, den)
         for m in terms:

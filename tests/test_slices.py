@@ -421,6 +421,58 @@ def test_reduce_from_push_table_matches_product_route():
                         assert_lowest_terms(got)
 
 
+def reference_class_mul(x, y):
+    """The parts of x * y by the generic products: z z' and omega(z) times
+    the other class's form and gamma parts, each truncated to its working
+    degree."""
+    ring = x.ring
+    a_cap, g_cap = ring.form_caps
+    w1, w2 = ring.omega(x.z), ring.omega(y.z)
+    return (x.z.mul_truncated(y.z, ring.cap),
+            sum_of_products(ring.agens, [(w1, y.a), (w2, x.a)], a_cap),
+            sum_of_products(ring.agens, [(w1, y.g), (w2, x.g)], g_cap))
+
+
+def assert_as_checked(r):
+    """r, a class that reduce or * returned, is the class the checking
+    constructor builds from its parts, each in lowest terms."""
+    assert_same(r, ArithClass(r.ring, r.z, r.a, r.g))
+    for part in (r.z, r.a, r.g):
+        assert_lowest_terms(part)
+
+
+def test_class_products_and_reductions_match_the_generic_route():
+    # Products of drawn and random classes, with symbolic coefficients, a
+    # zero form part and a zero gamma part among them, and of their
+    # reductions: each part equals the generic product's, and every class
+    # that reduce or * returns passes the checking constructor.  Two passes
+    # of reductions, so the push route answers the second.
+    rng = random.Random(4343)
+    for d in range(2, 8):
+        for make in (AbelianTautRing, LagrangianArithRing):
+            ring = make(d)
+            classes = [random_class(rng, ring) for _ in range(3)]
+            classes += [drawn_class(rng, ring) for _ in range(3)]
+            x = classes[0]
+            classes += [ArithClass(ring, x.z, GradedPoly.zero(ring.agens), x.g),
+                        x.drop_gamma(), ring.from_a(x.a), ring.zero()]
+            assert all(y.z.symbol_degree() for y in classes[:6])
+            for _ in range(2):
+                reduced = [ring.reduce(y) for y in classes]
+            operands = classes + reduced
+            s = L - Fraction(2, 3)
+            for x, y in zip(operands, operands[1:] + operands[:1]):
+                product, scaled = x * y, x * s
+                for got, want in zip((product.z, product.a, product.g),
+                                     reference_class_mul(x, y)):
+                    assert_same(got, want)
+                assert (scaled.z, scaled.a, scaled.g) == (x.z * s, x.a * s, x.g * s)
+                for r in (product, scaled, ring.reduce(product)):
+                    assert_as_checked(r)
+            for r in reduced:
+                assert_as_checked(r)
+
+
 def test_push_table_admits_monomials_reduced_again(monkeypatch):
     for ring in (AbelianTautRing(5), LagrangianArithRing(5)):
         calls = []
