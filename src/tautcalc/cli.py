@@ -19,13 +19,52 @@ from .arakelov import (AbelianTautRing, ArithClass, c1_critical_power,
                        harmonic_substitution, height_polynomial)
 
 
+# Up to this many bits an int is rendered by str(); above it str(),
+# quadratic in the digit count, is slower than _decimal_digits.
+_STR_BITS = 1 << 15
+
+
+def _decimal_digits(n: int) -> str:
+    """str(n) for an int, by binary splitting: n = hi * 2^h + lo, each half
+    converted the same way down to _STR_BITS bits and recombined in
+    decimal, whose multiplication of large operands is sub-quadratic.  The
+    context's precision is unbounded, so every step is exact."""
+    import decimal
+
+    powers: dict[int, decimal.Decimal] = {}
+
+    def convert(n: int, bits: int) -> decimal.Decimal:
+        if bits <= _STR_BITS:
+            return decimal.Decimal(n)
+        h = bits // 2
+        hi = n >> h
+        if h not in powers:
+            powers[h] = decimal.Decimal(2) ** h
+        return convert(n - (hi << h), h) + convert(hi, bits - h) * powers[h]
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(convert(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
+def _rendered(value) -> str:
+    """A text or LaTeX rendering as a str: an int of more than _STR_BITS
+    bits by _decimal_digits, any other value by str()."""
+    if isinstance(value, int) and value.bit_length() > _STR_BITS:
+        return _decimal_digits(value)
+    return str(value)
+
+
 class Report:
     def __init__(self, command: str, params: dict):
         self.command = command
         self.params = params
         # (label, text rendering, latex rendering, JSON payload); a
-        # rendering that is no str is converted by str() when its format is
-        # rendered.
+        # rendering that is no str is converted by _rendered when its
+        # format is rendered.
         self.lines: list[tuple[str, object, object, object]] = []
         self.checks: list[dict] = []
 
@@ -36,7 +75,7 @@ class Report:
         out = [f"# {self.command} " + " ".join(
             f"{k}={v}" for k, v in self.params.items())]
         for label, text, _, _ in self.lines:
-            out.append(f"{label}: {text}")
+            out.append(f"{label}: {_rendered(text)}")
         for check in self.checks:
             status = "PASS" if check["ok"] else "FAIL"
             out.append(f"[{status}] {check['name']} ({check['source']}): "
@@ -47,7 +86,7 @@ class Report:
         out = ["% " + self.command]
         for label, _, latex, _ in self.lines:
             out.append(f"% {label}")
-            out.append(f"\\[ {latex} \\]")
+            out.append(f"\\[ {_rendered(latex)} \\]")
         for check in self.checks:
             status = "PASS" if check["ok"] else "FAIL"
             out.append(f"% [{status}] {check['name']}: {check['detail']}")
@@ -200,8 +239,8 @@ def cmd_degree(args: SimpleNamespace) -> Report:
 
     value = lagrangian_degree(args.d)
     report = Report("degree", {"d": args.d})
-    # The decimal string is made only for the format rendered: at d = 600
-    # one str() of the degree takes seconds, and JSON makes its own.
+    # The decimal string is made only for the format rendered, by
+    # _rendered for text and LaTeX, and JSON makes its own.
     report.add(f"deg B_{args.d - 1}", value, value, value)
     return report
 

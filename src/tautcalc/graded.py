@@ -34,7 +34,8 @@ from operator import mul
 from struct import Struct, error as StructError
 from typing import Callable, Iterable, Mapping
 
-from .scalars import _EXACT, ConstMonomial, Scalar, _merge_monomials, join_signed
+from .scalars import (_EXACT, ConstMonomial, Scalar, _merge_monomials, _scalar,
+                      join_signed)
 
 Monomial = tuple[int, ...]
 
@@ -59,7 +60,7 @@ class GeneratorSet:
     """Ordered list of named generators with int degrees >= 1."""
 
     __slots__ = ("names", "degrees", "shift", "guard", "product_limit",
-                 "_index", "_fields")
+                 "_exponents", "_index", "_fields")
 
     def __init__(self, generators: Iterable[tuple[str, int]]):
         names = []
@@ -83,6 +84,8 @@ class GeneratorSet:
         # An int above the key of every product of two monomials: its
         # exponents are below 2^16, so its degree is below 2^16 * sum(degrees).
         self.product_limit = ((sum(degrees) << FIELD_BITS) + 1) << self.shift
+        # The exponent fields of a key, its degree masked off.
+        self._exponents = (1 << self.shift) - 1
         self._index = {n: i for i, n in enumerate(names)}
         # A packed monomial's little-endian bytes are its unsigned 16-bit
         # fields, first generator first.
@@ -129,7 +132,7 @@ class GeneratorSet:
     def unpack(self, key: int) -> Monomial:
         """The exponent tuple of a packed monomial, its degree masked off."""
         fields = self._fields
-        return fields.unpack((key & ~(-1 << self.shift)).to_bytes(fields.size, "little"))
+        return fields.unpack((key & self._exponents).to_bytes(fields.size, "little"))
 
     @staticmethod
     def field_mask(i: int) -> int:
@@ -140,7 +143,7 @@ class GeneratorSet:
     def degree_of(self, mono: Iterable[int]) -> int:
         """ValueError unless mono is an exponent vector, checked on every
         call: it is packed first."""
-        return self.packed_degree(self.pack(mono))
+        return self.pack(mono) >> self.shift
 
     def packed_degree(self, key: int) -> int:
         """The degree of a packed monomial, read off its degree field."""
@@ -270,20 +273,29 @@ class GradedPoly:
     # -- inspection ----------------------------------------------------------
 
     def items(self) -> list[tuple[Monomial, Scalar]]:
-        """(monomial, coefficient) pairs in monomial_sort_key order: by
-        exponent tuple from the largest, then stably by degree."""
-        shift = self.gens.shift
-        pairs = sorted(((self.gens.unpack(key), key) for key in self._keys()),
-                       reverse=True)
-        pairs.sort(key=lambda pair: pair[1] >> shift)
-        return [(mono, self._coefficient(key)) for mono, key in pairs]
+        """(monomial, coefficient) pairs in monomial_sort_key order, sorted
+        once: by degree, then by exponent tuple from the largest.  Every
+        coefficient is built in one pass over the slices."""
+        coeffs: dict[int, dict[ConstMonomial, Fraction]] = {}
+        for k, (den, terms) in self._slices.items():
+            for m, n in terms.items():
+                q = Fraction(n) if den == 1 else Fraction(n, den)
+                if (c := coeffs.get(m)) is None:
+                    coeffs[m] = {k: q}
+                else:
+                    c[k] = q
+        gens = self.gens
+        shift, unpack = gens.shift, gens.unpack
+        rows = sorted(((-(m >> shift), unpack(m), m) for m in coeffs), reverse=True)
+        return [(mono, _scalar(coeffs[m])) for _, mono, m in rows]
 
     def coefficient(self, mono: Monomial) -> Scalar:
         return self._coefficient(self.gens.pack(mono))
 
     def _coefficient(self, key: int) -> Scalar:
-        return Scalar({k: Fraction(n, den) for k, (den, terms) in self._slices.items()
-                       if (n := terms.get(key))})
+        return _scalar({k: Fraction(n) if den == 1 else Fraction(n, den)
+                        for k, (den, terms) in self._slices.items()
+                        if (n := terms.get(key))})
 
     def is_zero(self) -> bool:
         return not self._slices
@@ -391,11 +403,11 @@ class GradedPoly:
         return GradedPoly(self.gens, {m: fn(c) for m, c in self.items()})
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, GradedPoly):
+            return self.gens == other.gens and self._slices == other._slices
         if isinstance(other, _EXACT):
-            other = GradedPoly.constant(self.gens, other)
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        return self.gens == other.gens and self._slices == other._slices
+            return self == GradedPoly.constant(self.gens, other)
+        return NotImplemented
 
     def __hash__(self) -> int:
         # A constant equals its coefficient (and an int or Fraction), so it

@@ -107,16 +107,12 @@ class Scalar:
             return NotImplemented
         terms = dict(self._terms)
         _axpy(terms, 1, Scalar.coerce(other)._terms.items())
-        out = Scalar.__new__(Scalar)
-        out._terms = terms
-        return out
+        return _scalar(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        out = Scalar.__new__(Scalar)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return _scalar({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Scalar":
         if not isinstance(other, _EXACT):
@@ -133,18 +129,14 @@ class Scalar:
             q = _as_fraction(other)
             if not q:
                 return Scalar()
-            out = Scalar.__new__(Scalar)
-            out._terms = {m: c * q for m, c in self._terms.items()}
-            return out
+            return _scalar({m: c * q for m, c in self._terms.items()})
         if not isinstance(other, Scalar):
             return NotImplemented
         terms: dict[ConstMonomial, Fraction] = {}
         for m1, c1 in self._terms.items():
             _axpy(terms, c1, ((_merge_monomials(m1, m2), c2)
                               for m2, c2 in other._terms.items()))
-        out = Scalar.__new__(Scalar)
-        out._terms = terms
-        return out
+        return _scalar(terms)
 
     __rmul__ = __mul__
 
@@ -240,6 +232,15 @@ class Scalar:
 # The operands Scalar arithmetic takes; with any other, Python tries the
 # other operand's reflected method.
 _EXACT = (int, Fraction, Scalar)
+
+
+def _scalar(terms: dict[ConstMonomial, Fraction]) -> Scalar:
+    """Scalar(terms) without its checks, for a dict the package built: its
+    values are nonzero Fractions, its keys sorted constant monomials.  The
+    scalar takes the dict over, so the caller must never change it."""
+    out = object.__new__(Scalar)
+    out._terms = terms
+    return out
 
 
 def _axpy(target: dict, factor, source: Iterable[tuple]):

@@ -240,6 +240,10 @@ def test_class_vector_validation():
     gens = GeneratorSet([("c1", 1), ("c2", 2)])
     with pytest.raises(ValueError):
         ClassVector(gens, [GradedPoly.generator(gens, "c2")])
+    other = GeneratorSet([("c1", 1), ("c3", 3)])
+    with pytest.raises(ValueError) as exc:
+        ClassVector(gens, [GradedPoly.generator(other, "c1")])
+    assert str(exc.value) == "class over wrong generator set"
 
 
 def reference_ch_from_c(classes, up_to, reduce=None):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -476,6 +477,104 @@ def test_degree_converts_to_decimal_once_per_report(monkeypatch, capsys):
         assert main(["--format", fmt, "degree", "--d", "7"]) == 0
         assert capsys.readouterr().out == plain[fmt]
         assert len(calls) == expected, fmt
+
+
+def test_large_ints_render_through_decimal_as_str_does():
+    # Above cli._STR_BITS bits an int is rendered by binary splitting in
+    # decimal, below it by str(); both give str()'s digits, with the sign.
+    # str() of the larger values needs the digit limit lifted, as main
+    # lifts it.
+    bits = cli._STR_BITS
+    rng = random.Random(44)
+    values = [0, 1, 7, 10 ** 40, 2 ** bits - 1, 2 ** bits, 2 ** bits + 1,
+              10 ** 10000, 10 ** 10000 - 1, lagrangian_degree(130),
+              rng.getrandbits(bits), rng.getrandbits(bits + 1),
+              rng.getrandbits(3 * bits + 5), rng.getrandbits(4 * bits)]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        for n in values:
+            digits = str(n)
+            for v, want in ((n, digits), (-n, "-" + digits if n else digits)):
+                assert cli._rendered(v) == want
+                if v.bit_length() > bits:
+                    assert cli._decimal_digits(v) == want
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_degree_renders_a_large_value_through_decimal(monkeypatch, capsys):
+    # The degree at d = 130 has 48,058 bits, above cli._STR_BITS: text and
+    # LaTeX render it by _decimal_digits, with every digit.
+    value = lagrangian_degree(130)
+    assert value.bit_length() > cli._STR_BITS
+    digits = decimal(value)
+    calls = []
+    convert = cli._decimal_digits
+    monkeypatch.setattr(cli, "_decimal_digits",
+                        lambda n: calls.append(n) or convert(n))
+    for fmt, line in (("text", f"deg B_129: {digits}\n"),
+                      ("latex", f"\\[ {digits} \\]\n")):
+        calls.clear()
+        assert main(["--format", fmt, "degree", "--d", "130"]) == 0
+        assert line in capsys.readouterr().out
+        assert calls == [value], fmt
+
+
+def test_latex_reports_carry_their_check_lines(capsys):
+    assert main(["--format", "latex", "verify", "--only", "bernoulli-zeta"]) == 0
+    assert capsys.readouterr().out == (
+        "% verify\n"
+        "% [PASS] bernoulli-zeta: zeta(1-2k) = -B_2k/2k for k<=20; "
+        "harmonic sums match\n")
+    assert main(["--format", "latex", "hmap-check", "--d", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("% [")] == [
+        "% [FAIL] residue of lifted relation 1: a((8/3*log2 + 24*zeta'(-1))*c1)",
+        "% [FAIL] residue of lifted relation 2: a((32/15*log2 - 240*zeta'(-3))"
+        "*c1*c2 + (-32/5*log2 + 720*zeta'(-3))*c3)",
+        "% [FAIL] residue of lifted relation 3: a((-128/21*log2 - 1512*zeta'(-5))"
+        "*c1*c4 + (128/63*log2 + 504*zeta'(-5))*c2*c3)",
+        "% [FAIL] residue of lifted relation 4: a((512/255*log2 - 480*zeta'(-7))"
+        "*c3*c4)",
+        "% [FAIL] construction: no correction forms make every relation "
+        "component vanish: the linear system is inconsistent over the exact "
+        "scalars"]
+
+
+def test_pontrjagin_rejects_k_above_d_in_process(capsys):
+    assert main(["pontrjagin", "--d", "3", "--k", "4"]) == 2
+    assert capsys.readouterr() == ("", "error: k must be at most d = 3\n")
+
+
+def test_c1_power_d1_is_the_lone_gamma(capsys):
+    # At d = 1, C1 reduces to a(gamma) with coefficient 1, which renders
+    # as gamma alone.
+    assert main(["c1-power", "--d", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "# c1-power d=1 invert2=False\n"
+        "c^1^1(E): a(g)\n"
+        "r_d: 0\n"
+        "phi: 1\n"
+        "phi (witness basis): 1\n")
+    assert main(["--format", "latex", "c1-power", "--d", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "% c1-power\n"
+        "% c^1^1(E)\n"
+        "\\[ \\hat c_1^{1}(\\bar E) = a(\\gamma) \\]\n"
+        "% r_d\n\\[ 0 \\]\n"
+        "% phi\n\\[ 1 \\]\n"
+        "% phi (witness basis)\n\\[ 1 \\]\n")
+    assert main(["--format", "json", "c1-power", "--d", "1"]) == 0
+    one = {"terms": [{"monomial": {}, "coeff": {"rat": "1"}}]}
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "c1-power", "params": {"d": 1, "invert2": False},
+        "results": {"c^1^1(E)": {"zpart": {"terms": []}, "apart": {"terms": []},
+                                 "gamma_part": one},
+                    "r_d": {}, "phi": one, "phi (witness basis)": one},
+        "checks": []}
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,8 @@ import pytest
 
 from tautcalc.scalars import Scalar
 from tautcalc.graded import (EXPONENT_LIMIT, GeneratorSet, GradedPoly,
-                             monomial_sort_key, monomials_of_degree)
+                             monomial_sort_key, monomials_of_degree,
+                             sum_of_products)
 from tautcalc.quotient import RingPresentation
 from tautcalc.arakelov import AbelianTautRing, c1_critical_power
 
@@ -419,6 +420,20 @@ def test_generator_set_mismatch():
     b = GradedPoly.generator(gens_u(3), "u1")
     with pytest.raises(ValueError):
         a + b
+    for start, pairs in ((b, [(a, a)]), (None, [(a, a), (a, b)]),
+                         (None, [(b, b)])):
+        with pytest.raises(ValueError) as exc:
+            sum_of_products(a.gens, pairs, None, start)
+        assert str(exc.value) == "generator-set mismatch"
+
+
+def test_negative_degrees_and_powers_rejected():
+    with pytest.raises(ValueError) as exc:
+        monomials_of_degree(gens_u(2), -1)
+    assert str(exc.value) == "degree must be non-negative"
+    with pytest.raises(ValueError) as exc:
+        GradedPoly.generator(gens_u(2), "u1") ** -1
+    assert str(exc.value) == "negative power"
 
 
 def test_render_style():

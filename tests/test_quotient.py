@@ -232,6 +232,31 @@ def test_presentation_rejects_negative_top_degree():
         [1], 1, 0, 1)
 
 
+def raises_exactly(exc_type, message, fn, *args):
+    with pytest.raises(exc_type) as exc:
+        fn(*args)
+    assert type(exc.value) is exc_type and str(exc.value) == message
+
+
+def test_presentations_and_rings_reject_what_they_cannot_use():
+    gens = GeneratorSet([("u1", 1), ("u2", 2)])
+    other = GeneratorSet([("u1", 1), ("u3", 3)])
+    u1 = u(gens, "u1")
+    raises_exactly(ValueError, "zero relation", RingPresentation,
+                   gens, [u1 * u1, GradedPoly.zero(gens)], 4)
+    raises_exactly(ValueError, "relation over wrong generator set",
+                   RingPresentation, gens, [u(other, "u1") ** 2], 4)
+    raises_exactly(ValueError, "top degree below maximal generator degree",
+                   RingPresentation, gens, [u1 ** 2], 1)
+    plain = tautological_ring(3)
+    raises_exactly(ReductionError, "ring built without witness tracking",
+                   plain.kept_cofactors, ())
+    raises_exactly(ReductionError, "ring built without witness tracking",
+                   plain.reduce_with_cofactors, u(plain, "u1"))
+    raises_exactly(ReductionError, "polynomial over wrong generator set",
+                   plain.normal_form, u(other, "u1"))
+
+
 def test_malformed_monomials_rejected_by_degree_and_normal_forms():
     ring = tautological_ring(3)
     # (1, 0, 0, 0, 5) was read as u1, (3, -1, 0) reduced to 2*u1, a 4-tuple

@@ -177,8 +177,13 @@ def test_scalar_rendering():
 def test_symbol_validation():
     with pytest.raises(ValueError):
         Scalar.symbol("Q7")
-    with pytest.raises(ValueError):
-        zeta_prime_symbol(0)
+    for fn, message in ((zeta_prime_symbol, "k must be positive"),
+                        (harmonic_symbol, "k must be positive"),
+                        (zeta_negative_odd, "k must be positive"),
+                        (harmonic, "n must be positive")):
+        with pytest.raises(ValueError) as exc:
+            fn(0)
+        assert str(exc.value) == message, fn
 
 
 # Eight threads extend a fresh Bernoulli table to B_79 at once, under a

@@ -1018,3 +1018,90 @@ def test_stored_slices_are_in_lowest_terms():
             y = ring.reduce(x)
             for result in (y.z, y.a, y.g, (y * y).a, (y * 3).g):
                 assert_lowest_terms(result)
+
+
+def reference_coefficient(p, key):
+    """The coefficient of a packed monomial as _coefficient built it: a scan
+    of every slice, through the checking Scalar(...)."""
+    return Scalar({k: Fraction(n, den) for k, (den, terms) in p._slices.items()
+                   if (n := terms.get(key))})
+
+
+def reference_items(p):
+    """items() as it was: the keys sorted by exponent tuple from the
+    largest, then stably by degree, each coefficient by
+    reference_coefficient."""
+    gens = p.gens
+    keys = set().union(*(terms for _, terms in p._slices.values()))
+    pairs = sorted(((gens.unpack(key), key) for key in keys), reverse=True)
+    pairs.sort(key=lambda pair: pair[1] >> gens.shift)
+    return [(mono, reference_coefficient(p, key)) for mono, key in pairs]
+
+
+def reference_eq(p, other):
+    """== as it was: a constant operand made a constant polynomial first,
+    then generator sets and slices compared."""
+    if isinstance(other, (int, Fraction, Scalar)):
+        other = GradedPoly.constant(p.gens, other)
+    return p.gens == other.gens and p._slices == other._slices
+
+
+def reference_accepts(ring, z, a, g):
+    """ArithClass(...)'s generator-set test as it was: one tuple compare."""
+    return (z.gens, a.gens, g.gens) == (ring.zgens, ring.agens, ring.agens)
+
+
+def test_read_path_matches_the_scan_through_checked_scalars():
+    # items(), coefficient(), monomials() and == against the routes they
+    # replaced: one pass over the slices with the package's own Scalar
+    # constructor, one sort, and a GradedPoly operand compared first.
+    rng = random.Random(4401)
+    gens = GeneratorSet([(f"u{j}", j) for j in range(1, 5)])
+    twin = GeneratorSet([(f"u{j}", j) for j in range(1, 5)])
+    other = GeneratorSet([(f"u{j}", j) for j in range(1, 4)])
+    integral = [GradedPoly(gens, {m: rng.randrange(-6, 7) for m in
+                                  rng.sample(monomials_of_degree(gens, d), 2)})
+                for d in range(2, 7)]
+    halves = [p * Fraction(1, 2) + GradedPoly.monomial(gens, gens.unit(), 3)
+              for p in integral]
+    symbolic = [random_poly(rng, gens, 6, 6) for _ in range(25)]
+    constants = [GradedPoly.constant(gens, c)
+                 for c in (1, -4, Fraction(3, 2), L * 2, L * Fraction(1, 3) + 5)]
+    polys = [GradedPoly.zero(gens), *constants, *integral, *halves, *symbolic]
+    assert any(len(p._slices) > 2 for p in symbolic)
+    assert {den for p in polys for den, _ in p._slices.values()} >= {1, 2, 3}
+    for p in polys:
+        got = p.items()
+        assert got == reference_items(p)
+        for mono, coeff in got:
+            assert type(mono) is tuple and all(type(e) is int for e in mono)
+            assert type(coeff) is Scalar and coeff
+            assert all(type(k) is tuple and type(q) is Fraction and q
+                       for k, q in coeff._terms.items())
+            assert p.coefficient(mono) == coeff
+        assert p.monomials() == {mono for mono, _ in got}
+        missing = [m for m in monomials_of_degree(gens, 3) if m not in p.monomials()]
+        assert all(p.coefficient(m) == ZERO and not p.coefficient(m)._terms
+                   for m in missing)
+        for q in polys[:12] + [p, p + 0, p * 1, p - p, GradedPoly(twin, dict(got)),
+                               GradedPoly.zero(other)]:
+            assert (p == q) is reference_eq(p, q)
+        for c in (0, 1, -4, Fraction(3, 2), L * 2, ZERO):
+            assert (p == c) is reference_eq(p, c)
+        assert (p == "u1") is False
+    for ring in (AbelianTautRing(3), LagrangianArithRing(4)):
+        x = random_class(rng, ring)
+        zt = GeneratorSet(zip(ring.zgens.names, ring.zgens.degrees))
+        at = GeneratorSet(zip(ring.agens.names, ring.agens.degrees))
+        parts = (GradedPoly(zt, dict(x.z.items())), GradedPoly(at, dict(x.a.items())),
+                 GradedPoly(at, dict(x.g.items())))
+        assert reference_accepts(ring, *parts)
+        assert ArithClass(ring, *parts) == x
+        assert ArithClass(ring, *parts).z.gens is zt
+        wrong = GeneratorSet(zip(ring.agens.names, reversed(ring.agens.degrees)))
+        for bad in ((parts[0], GradedPoly.zero(wrong), parts[2]),
+                    (GradedPoly.zero(at), parts[1], parts[2]),
+                    (parts[0], parts[1], GradedPoly.zero(zt))):
+            assert not reference_accepts(ring, *bad)
+            with pytest.raises(ValueError, match="part over the wrong generator set"):
+                ArithClass(ring, *bad)
