@@ -145,10 +145,6 @@ class GeneratorSet:
         call: it is packed first."""
         return self.pack(mono) >> self.shift
 
-    def packed_degree(self, key: int) -> int:
-        """The degree of a packed monomial, read off its degree field."""
-        return key >> self.shift
-
     def unit(self) -> Monomial:
         return (0,) * len(self.names)
 
