@@ -68,11 +68,7 @@ class ArithClass:
 
     def __init__(self, ring: "ArithRing", z: GradedPoly, a: GradedPoly,
                  g: GradedPoly):
-        agens = ring.agens
-        # The ring's own generator sets pass by identity; equal but distinct
-        # ones are compared.
-        if not (z.gens is ring.zgens and a.gens is agens and g.gens is agens) and (
-                z.gens, a.gens, g.gens) != (ring.zgens, agens, agens):
+        if (z.gens, a.gens, g.gens) != (ring.zgens, ring.agens, ring.agens):
             raise ValueError("part over the wrong generator set")
         if ring.gamma_degree is None and g:
             raise ValueError("gamma part in a ring without gamma")

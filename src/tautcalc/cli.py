@@ -19,8 +19,10 @@ from .arakelov import (AbelianTautRing, ArithClass, c1_critical_power,
                        harmonic_substitution, height_polynomial)
 
 
-# Up to this many bits an int is rendered by str(); above it str(),
-# quadratic in the digit count, is slower than _decimal_digits.
+# Up to this many bits an int is rendered by str(), and `decimal` stays
+# unloaded.  On Python 3.11, str() is the faster up to 2^15 bits (1.5 against
+# 1.8 ms at 2^15) and _decimal_digits from 2^16 on (4.6 against 5.9 ms);
+# Python 3.12 and later convert such ints through `decimal` in str() itself.
 _STR_BITS = 1 << 15
 
 
