@@ -31,7 +31,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from .scalars import _EXACT, Scalar, bracket, harmonic_symbol
 from .graded import (GeneratorSet, GradedPoly, Slices, _add_products, _add_slices,
-                     _combine, _power, linear_image)
+                     _combine, _poly, _power, linear_image)
 from .quotient import QuotientRing, ReductionError, RingPresentation
 from .charclasses import ClassVector, ch_from_c, pontrjagin_from_c
 
@@ -333,10 +333,7 @@ class ArithRing:
         """Forget the arithmetic lift: rename C_j to u_j.  Both sit at index
         j - 1 with degree j, so the result shares poly's slices (neither
         polynomial is ever changed in place)."""
-        out = GradedPoly.__new__(GradedPoly)
-        out.gens = self.agens
-        out._slices = poly._slices
-        return out
+        return _poly(self.agens, poly._slices)
 
     # -- reduction -----------------------------------------------------------
 

@@ -5,7 +5,6 @@ first use."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .graded import GeneratorSet, GradedPoly, sum_of_products
@@ -18,10 +17,13 @@ class ClassVector:
     def __init__(self, gens: GeneratorSet, classes: Sequence[GradedPoly]):
         self.gens = gens
         self.classes = list(classes)
+        shift = gens.shift
         for j, c in enumerate(self.classes, start=1):
             if c.gens != gens:
                 raise ValueError("class over wrong generator set")
-            if not c.is_zero() and (not c.is_homogeneous() or c.max_degree() != j):
+            # One pass over the packed monomials: each holds its degree
+            # above the shift.
+            if any(m >> shift != j for _, terms in c._slices.values() for m in terms):
                 raise ValueError(f"c_{j} must be homogeneous of degree {j}")
 
     @classmethod
@@ -46,9 +48,8 @@ class ClassVector:
         return acc
 
     def dual(self) -> "ClassVector":
-        return ClassVector(self.gens,
-                           [c * Fraction((-1) ** j)
-                            for j, c in enumerate(self.classes, start=1)])
+        return ClassVector(self.gens, [-c if j % 2 else c
+                                       for j, c in enumerate(self.classes, start=1)])
 
 
 def ch_from_c(classes: ClassVector, up_to: int,
@@ -59,7 +60,7 @@ def ch_from_c(classes: ClassVector, up_to: int,
 
     With ``reduce`` (a normal form of a quotient ring) each s_k is reduced
     as soon as it is built, so the recursion runs on normal forms."""
-    signed = [c * (-1) ** (i - 1) for i, c in enumerate(classes.classes[:up_to], 1)]
+    signed = [c if i % 2 else -c for i, c in enumerate(classes.classes[:up_to], 1)]
     sums: list[GradedPoly] = []
     for k in range(1, up_to + 1):
         pairs = [(c, sums[k - i - 1]) for i, c in enumerate(signed[:k - 1], 1) if c]
@@ -76,4 +77,5 @@ def pontrjagin_from_c(classes: ClassVector, up_to: int | None = None) -> list[Gr
         up_to = classes.rank
     parts = (classes.total() * classes.dual().total()).degree_components()
     zero = GradedPoly.zero(classes.gens)
-    return [parts.get(2 * k, zero) * Fraction((-1) ** k) for k in range(1, up_to + 1)]
+    return [-parts.get(2 * k, zero) if k % 2 else parts.get(2 * k, zero)
+            for k in range(1, up_to + 1)]

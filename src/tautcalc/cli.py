@@ -95,13 +95,33 @@ class Report:
         return "\n".join(out) + "\n"
 
     def to_json(self) -> str:
+        """The JSON report, as json.dumps(doc, indent=2) writes it.  An int
+        of more than _STR_BITS bits in a payload is written by
+        _decimal_digits: json.dumps writes a placeholder string in its
+        place, "\\u0000" and the int's index (no report text holds a NUL),
+        and the placeholder is then replaced by the digits."""
         import json
 
+        digits: list[str] = []
+
+        def placed(value):
+            if isinstance(value, int) and value.bit_length() > _STR_BITS:
+                digits.append(_decimal_digits(value))
+                return f"\0{len(digits) - 1}"
+            if isinstance(value, dict):
+                return {k: placed(v) for k, v in value.items()}
+            if isinstance(value, (list, tuple)):
+                return [placed(v) for v in value]
+            return value
+
         doc = {"command": self.command, "params": self.params,
-               "results": {label: payload
+               "results": {label: placed(payload)
                            for label, _, _, payload in self.lines},
                "checks": self.checks}
-        return json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2) + "\n"
+        for i, number in enumerate(digits):
+            text = text.replace(f'"\\u0000{i}"', number, 1)
+        return text
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -241,8 +261,8 @@ def cmd_degree(args: SimpleNamespace) -> Report:
 
     value = lagrangian_degree(args.d)
     report = Report("degree", {"d": args.d})
-    # The decimal string is made only for the format rendered, by
-    # _rendered for text and LaTeX, and JSON makes its own.
+    # The decimal string is made only for the format rendered: by
+    # _rendered for text and LaTeX, and by Report.to_json for JSON.
     report.add(f"deg B_{args.d - 1}", value, value, value)
     return report
 
@@ -256,6 +276,7 @@ def cmd_verify(args: SimpleNamespace) -> Report:
     results = run_checks(selection)
     report = Report("verify", {"only": selection or "all"})
     for res in results:
+        print(f"check {res.name}: {res.seconds * 1000:.1f} ms", file=sys.stderr)
         report.checks.append({"name": res.name, "source": res.source,
                               "ok": res.ok, "detail": res.detail})
     return report

@@ -228,21 +228,25 @@ class GradedPoly:
 
     # -- constructors --------------------------------------------------------
 
+    # Each builds its one term's slices directly, in lowest terms.
+
     @classmethod
     def zero(cls, gens: GeneratorSet) -> "GradedPoly":
-        return cls(gens)
+        return _poly(gens, {})
 
     @classmethod
     def constant(cls, gens: GeneratorSet, value) -> "GradedPoly":
-        return cls(gens, {gens.unit(): Scalar.coerce(value)})
+        return _poly(gens, _term_slices(0, value))
 
     @classmethod
     def generator(cls, gens: GeneratorSet, name: str) -> "GradedPoly":
-        return cls(gens, {gens.single(name): Scalar.coerce(1)})
+        i = gens.index(name)
+        key = (1 << FIELD_BITS * i) + (gens.degrees[i] << gens.shift)
+        return _poly(gens, {(): (1, {key: 1})})
 
     @classmethod
     def monomial(cls, gens: GeneratorSet, mono: Monomial, coeff=1) -> "GradedPoly":
-        return cls(gens, {tuple(mono): Scalar.coerce(coeff)})
+        return _poly(gens, _term_slices(gens.pack(mono), coeff))
 
     @classmethod
     def from_slices(cls, gens: GeneratorSet, slices: Mapping) -> "GradedPoly":
@@ -252,9 +256,7 @@ class GradedPoly:
         stored as it is, so the caller hands it over and must never change
         it afterwards.  A slice over 1 is in lowest terms once its zeros are
         gone, so it takes no gcd."""
-        out = cls.__new__(cls)
-        out.gens = gens
-        out._slices = kept = {}
+        kept: Slices = {}
         for k, (den, terms) in slices.items():
             if not all(terms.values()):
                 terms = {m: n for m, n in terms.items() if n}
@@ -264,7 +266,7 @@ class GradedPoly:
                 den //= g
                 terms = {m: n // g for m, n in terms.items()}
             kept[k] = den, terms
-        return out
+        return _poly(gens, kept)
 
     # -- inspection ----------------------------------------------------------
 
@@ -349,9 +351,8 @@ class GradedPoly:
             self._check(other)
             added = other._slices
         elif isinstance(other, _EXACT):
-            # A constant's slices: each term on the unit monomial, key 0.
-            added = {k: (q.denominator, {0: q.numerator})
-                     for k, q in _scalar_terms(other)}
+            # A constant's slices: its terms on the unit monomial, key 0.
+            added = _term_slices(0, other)
         else:
             return NotImplemented
         out: Slices = {}
@@ -362,9 +363,9 @@ class GradedPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly.from_slices(self.gens, {
-            k: (den, {m: -n for m, n in terms.items()})
-            for k, (den, terms) in self._slices.items()})
+        # Negated numerators keep every slice in lowest terms.
+        return _poly(self.gens, {k: (den, {m: -n for m, n in terms.items()})
+                                 for k, (den, terms) in self._slices.items()})
 
     def __sub__(self, other) -> "GradedPoly":
         return self + (-other)
@@ -373,11 +374,20 @@ class GradedPoly:
         return -self + other
 
     def __mul__(self, other) -> "GradedPoly":
-        if isinstance(other, _EXACT):
+        if isinstance(other, (int, Fraction)):
+            # Each slice's numerators times other's numerator, over its
+            # denominator times other's, in one lowest-terms pass.
+            if not other:
+                return _poly(self.gens, {})
+            num, den = other.numerator, other.denominator
+            return GradedPoly.from_slices(self.gens, {
+                k: (d * den, {m: n * num for m, n in terms.items()})
+                for k, (d, terms) in self._slices.items()})
+        if isinstance(other, Scalar):
             # One target slice per merged constant monomial: k1 * k2 is
             # reached from several pairs when the scalar has symbols.
             out: Slices = {}
-            for k, q in _scalar_terms(other):
+            for k, q in other._terms.items():
                 _add_slices(out, k, q.numerator, q.denominator, self._slices)
             return GradedPoly.from_slices(self.gens, out)
         if not isinstance(other, GradedPoly):
@@ -475,12 +485,24 @@ def _power(base, n: int, one):
     return result
 
 
-def _scalar_terms(value) -> Iterable[tuple[ConstMonomial, int | Fraction]]:
-    """The nonzero (constant monomial, rational) terms of an int, Fraction
-    or Scalar."""
+def _poly(gens: GeneratorSet, slices: Slices) -> GradedPoly:
+    """GradedPoly over slices already in lowest terms, which it takes over:
+    the caller must never change them."""
+    out = object.__new__(GradedPoly)
+    out.gens = gens
+    out._slices = slices
+    return out
+
+
+def _term_slices(key: int, value) -> Slices:
+    """The slices of value times the packed monomial key, in lowest terms,
+    for an int, Fraction or Scalar value; TypeError for any other."""
     if isinstance(value, Scalar):
-        return value._terms.items()
-    return [((), value)] if value else []
+        return {k: (q.denominator, {key: q.numerator})
+                for k, q in value._terms.items()}
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    return {(): (value.denominator, {key: value.numerator})} if value else {}
 
 
 def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, GradedPoly]],
@@ -504,16 +526,17 @@ def sum_of_products(gens: GeneratorSet, pairs: Iterable[tuple[GradedPoly, Graded
     if start is not None:
         _add_slices(out, (), 1, 1, start._slices)
     for p, q in pairs:
-        if not p.gens == q.gens == gens:
+        # A tuple compare takes identical sets as equal without a call.
+        if (p.gens, q.gens) != (gens, gens):
             raise ValueError("generator-set mismatch")
         _add_products(out, p._slices, q._slices, limit)
     if max_degree is None or max_degree >= EXPONENT_LIMIT:
         guard = gens.guard
         for _, terms in out.values():
-            for m in terms:
-                if m & guard:
-                    raise ValueError("a product exponent reaches "
-                                     f"{EXPONENT_LIMIT}: {gens.unpack(m)}")
+            if any(map(guard.__and__, terms)):
+                m = next(m for m in terms if m & guard)
+                raise ValueError("a product exponent reaches "
+                                 f"{EXPONENT_LIMIT}: {gens.unpack(m)}")
     return GradedPoly.from_slices(gens, out)
 
 
@@ -566,7 +589,7 @@ def _add_slice(out: dict, k: ConstMonomial, num: int, den: int, source: Terms):
     of slices that GradedPoly.from_slices then takes over.  The first
     contribution to a slice becomes the slice: a fresh dict of num * source."""
     if k not in out:
-        out[k] = den, {m: n * num for m, n in source}
+        out[k] = den, dict(source) if num == 1 else {m: n * num for m, n in source}
         return
     terms, scale = _target_slice(out, k, den)
     scale *= num

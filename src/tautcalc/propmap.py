@@ -11,9 +11,9 @@ use: they import it, and so do the package's lazy table and
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
-from .scalars import ONE, Scalar, ZERO, _axpy, harmonic
+from .scalars import ONE, Scalar, ZERO, harmonic
 from .graded import GradedPoly, Monomial
 from .quotient import ReductionError
 from .charclasses import ClassVector, pontrjagin_from_c
@@ -50,6 +50,17 @@ class ProportionalityReport(NamedTuple):
     def ok(self) -> bool:
         return (self.constructed
                 and all(res.is_zero() for _, res in self.relation_residues))
+
+
+def _axpy(target: dict, factor, source: Iterable[tuple]):
+    """target += factor * source, in place, dropping the keys that reach 0;
+    source is (key, value) pairs."""
+    for m, v in source:
+        new = target.get(m, 0) + factor * v
+        if new:
+            target[m] = new
+        else:
+            target.pop(m, None)
 
 
 def _solve_rational_system(rows: list[tuple[dict[int, Fraction], Scalar]],
@@ -142,14 +153,14 @@ class _MapSolver:
             half = degree // 2
             acc = self._harmonic_rhs(degree, e0)
             if half < d:
-                acc = acc - (X[half] * X[half]) * Fraction((-1) ** half)
+                acc = acc - (X[half] * X[half]) * (-1) ** half
             for i in range(max(1, degree - d + 1), half):
-                acc = acc - (X[i] * X[degree - i]) * Fraction(2 * (-1) ** i)
+                acc = acc - (X[i] * X[degree - i]) * (2 * (-1) ** i)
             return acc
 
         for k in range(1, d):
             if k % 2 == 1:
-                z = GradedPoly.generator(ring.zgens, f"C{k}") * Fraction(-1)
+                z = -GradedPoly.generator(ring.zgens, f"C{k}")
                 terms = {m: values[(k, m)] for m in ring.aq.monomial_basis(k - 1)}
                 image = ArithClass(ring, z,
                                    GradedPoly(ring.agens, terms),

@@ -27,9 +27,7 @@ from heapq import heappop, heappush
 from typing import Iterable
 
 from .graded import (EXPONENT_LIMIT, GeneratorSet, GradedPoly, Monomial, Slices,
-                     _add_slice, linear_image, monomials_of_degree,
-                     sum_of_products)
-from .scalars import _axpy
+                     linear_image, monomials_of_degree, sum_of_products)
 
 
 class ReductionError(ValueError):
@@ -163,21 +161,25 @@ class QuotientRing:
                 continue
             hit = kept_nf.get(m)
             if hit is not None:
-                _axpy(nf, c, hit)
+                for t, v in hit:
+                    nf[t] = nf.get(t, 0) + c * v
                 if cof is not None:
                     for ri, terms in kept_cof[m].items():
-                        _axpy(cof.setdefault(ri, {}), c, terms)
+                        acc = cof.setdefault(ri, {})
+                        for t, v in terms:
+                            acc[t] = acc.get(t, 0) + c * v
                 continue
             for ri, (mask, field, lead, lc, tail) in enumerate(rules):
                 if m & mask >= field:
                     break
             else:
-                _axpy(nf, c, ((m, 1),))
+                nf[m] = nf.get(m, 0) + c
                 continue
             self.division_steps += 1
             t = m - lead
             if cof is not None:
-                _axpy(cof.setdefault(ri, {}), c, ((t, lc),))
+                acc = cof.setdefault(ri, {})
+                acc[t] = acc.get(t, 0) + c * lc
             for tm, tc in tail:
                 n = t + tm
                 old = coeffs.get(n)
@@ -186,11 +188,13 @@ class QuotientRing:
                     heappush(heap, n)
                 else:
                     coeffs[n] = old + c * tc
-        # The cofactors are kept first: a thread that shares the ring and
-        # finds mono's normal form kept then finds its cofactors kept too.
+        # The sums may hold zeros, which are dropped here.  The cofactors
+        # are kept first: a thread that shares the ring and finds mono's
+        # normal form kept then finds its cofactors kept too.
         if cof is not None:
-            kept_cof[mono] = {ri: tuple(terms.items()) for ri, terms in cof.items()}
-        kept_nf[mono] = tuple(nf.items())
+            kept_cof[mono] = {ri: tuple((t, v) for t, v in terms.items() if v)
+                              for ri, terms in cof.items()}
+        kept_nf[mono] = tuple((t, v) for t, v in nf.items() if v)
 
     # -- reduction -----------------------------------------------------------
 
@@ -255,9 +259,16 @@ class QuotientRing:
         kept = self._cof
         cof: dict[int, Slices] = {}
         for k, (den, terms) in poly._slices.items():
+            # Each slice's integer cofactors, summed before they meet its
+            # denominator.
+            sums: dict[int, dict[int, int]] = {}
             for mono, n in terms.items():
                 for ri, source in kept[mono].items():
-                    _add_slice(cof.setdefault(ri, {}), k, n, den, source)
+                    acc = sums.setdefault(ri, {})
+                    for t, v in source:
+                        acc[t] = acc.get(t, 0) + n * v
+            for ri, acc in sums.items():
+                cof.setdefault(ri, {})[k] = den, acc
         return nf, {ri: p for ri, cof_slices in sorted(cof.items())
                     if (p := GradedPoly.from_slices(self.gens, cof_slices))}
 

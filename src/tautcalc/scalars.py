@@ -102,11 +102,26 @@ class Scalar:
 
     # -- ring operations ---------------------------------------------------
 
+    # An int or Fraction operand needs no Scalar: a sum adds it as one
+    # Fraction on the empty monomial, and a product multiplies each
+    # Fraction by it as it is.
+
     def __add__(self, other) -> "Scalar":
-        if not isinstance(other, _EXACT):
+        if isinstance(other, Scalar):
+            added = other._terms.items()
+        elif isinstance(other, (int, Fraction)):
+            added = (((), Fraction(other)),) if other else ()
+        else:
             return NotImplemented
         terms = dict(self._terms)
-        _axpy(terms, 1, Scalar.coerce(other)._terms.items())
+        for m, c in added:
+            old = terms.get(m)
+            if old is None:
+                terms[m] = c
+            elif new := old + c:
+                terms[m] = new
+            else:
+                del terms[m]
         return _scalar(terms)
 
     __radd__ = __add__
@@ -117,26 +132,27 @@ class Scalar:
     def __sub__(self, other) -> "Scalar":
         if not isinstance(other, _EXACT):
             return NotImplemented
-        return self + (-Scalar.coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other) -> "Scalar":
         if not isinstance(other, _EXACT):
             return NotImplemented
-        return Scalar.coerce(other) + (-self)
+        return -self + other
 
     def __mul__(self, other) -> "Scalar":
         if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            if not q:
-                return Scalar()
-            return _scalar({m: c * q for m, c in self._terms.items()})
+            if not other:
+                return _scalar({})
+            return _scalar({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, Scalar):
             return NotImplemented
         terms: dict[ConstMonomial, Fraction] = {}
         for m1, c1 in self._terms.items():
-            _axpy(terms, c1, ((_merge_monomials(m1, m2), c2)
-                              for m2, c2 in other._terms.items()))
-        return _scalar(terms)
+            for m2, c2 in other._terms.items():
+                m = _merge_monomials(m1, m2)
+                old = terms.get(m)
+                terms[m] = c1 * c2 if old is None else old + c1 * c2
+        return _scalar({m: c for m, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -153,11 +169,11 @@ class Scalar:
         return self * (Fraction(1) / q)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Scalar):
+            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            other = Scalar.from_rational(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self._terms == other._terms
+            return self._terms == ({(): other} if other else {})
+        return NotImplemented
 
     def __hash__(self) -> int:
         # A rational value equals its Fraction (and int), so it hashes alike.
@@ -241,17 +257,6 @@ def _scalar(terms: dict[ConstMonomial, Fraction]) -> Scalar:
     out = object.__new__(Scalar)
     out._terms = terms
     return out
-
-
-def _axpy(target: dict, factor, source: Iterable[tuple]):
-    """target += factor * source, in place, dropping the keys that reach 0;
-    source is (key, value) pairs."""
-    for m, v in source:
-        new = target.get(m, 0) + factor * v
-        if new:
-            target[m] = new
-        else:
-            target.pop(m, None)
 
 
 def _monomial_key(mono: ConstMonomial):
@@ -342,8 +347,9 @@ def bernoulli(n: int) -> Fraction:
     with _BERNOULLI_LOCK:
         while len(_BERNOULLI_CACHE) <= n:
             m = len(_BERNOULLI_CACHE)
-            acc = sum(Fraction(comb(m + 1, j)) * _BERNOULLI_CACHE[j]
-                      for j in range(m))
+            # B_j = 0 for every odd j >= 3, so those terms are skipped.
+            acc = sum(comb(m + 1, j) * b
+                      for j, b in enumerate(_BERNOULLI_CACHE) if b)
             _BERNOULLI_CACHE.append(-acc / (m + 1))
     return _BERNOULLI_CACHE[n]
 
@@ -359,7 +365,11 @@ def harmonic(n: int) -> Fraction:
     """Harmonic number H_n = 1 + 1/2 + ... + 1/n."""
     if n < 1:
         raise ValueError("n must be positive")
-    return sum((Fraction(1, j) for j in range(1, n + 1)), Fraction(0))
+    # num / den = H_j, summed over the running den = j!, reduced once.
+    num, den = 0, 1
+    for j in range(1, n + 1):
+        num, den = num * j + den, den * j
+    return Fraction(num, den)
 
 
 def bracket(k: int) -> Scalar:

@@ -68,7 +68,7 @@ def series_inverse(f: Series) -> Series:
     for k in range(1, len(f)):
         acc = ZERO
         for j in range(1, k + 1):
-            if f[j]:
+            if f[j] and out[k - j]:
                 acc = acc + f[j] * out[k - j]
         out.append(-acc * inv0)
     return out
@@ -94,7 +94,7 @@ def compose_even(f: Series) -> Series:
     (-1)^k * [z^(2k)] f at z^k.  Rejects series with odd terms."""
     if any(f[1::2]):
         raise ValueError("compose_even needs an even series")
-    return [c * (-1) ** k for k, c in enumerate(f[::2])]
+    return [-c if k % 2 else c for k, c in enumerate(f[::2])]
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +148,11 @@ def c_from_ch(power_sums: Sequence[GradedPoly], rank: int,
     for k in range(1, rank + 1):
         pairs = [(c, power_sums[k - i - 1]) for i, c in enumerate(signed, 1)]
         acc = sum_of_products(gens, pairs, None, power_sums[k - 1])
-        classes.append(acc * Fraction((-1) ** (k - 1), k))
-        signed.append(classes[-1] * (-1) ** k)
+        # c_k and (-1)^k c_k are acc / k and -acc / k in some order: one
+        # scaling and one negation.
+        scaled = acc * Fraction(1, k)
+        classes.append(scaled if k % 2 else -scaled)
+        signed.append(-classes[-1] if k % 2 else classes[-1])
     return ClassVector(gens, classes)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import random
+import time
 from fractions import Fraction
 from math import factorial
 from typing import Iterator, NamedTuple
@@ -36,6 +37,7 @@ class CheckResult(NamedTuple):
     source: str
     ok: bool
     detail: str
+    seconds: float = 0.0    # the check's run time, set by run_checks
 
 
 _abelian = functools.cache(AbelianTautRing)
@@ -312,7 +314,12 @@ def run_checks(selection: list[str] | None = None) -> list[CheckResult]:
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
         raise ValueError(f"checks named more than once: {', '.join(repeated)}")
+    results = []
     try:
-        return [CHECKS[name]() for name in names]
+        for name in names:
+            start = time.perf_counter()
+            result = CHECKS[name]()
+            results.append(result._replace(seconds=time.perf_counter() - start))
+        return results
     finally:
         _abelian.cache_clear()

@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -239,6 +240,21 @@ def test_verify_subset(capsys):
     assert out.count("[PASS]") == 2
 
 
+def test_verify_times_each_check_it_runs(capsys):
+    # One stderr line per check that ran, in run order, before the elapsed
+    # line; stdout is the report alone.
+    for only, names in (("cauchy,bernoulli-zeta", ["cauchy", "bernoulli-zeta"]),
+                        ("newton", ["newton"])):
+        assert main(["verify", "--only", only]) == 0
+        out, err = capsys.readouterr()
+        *lines, elapsed = err.splitlines()
+        assert [re.fullmatch(r"check (\S+): \d+\.\d ms", line)[1]
+                for line in lines] == names
+        assert elapsed.startswith("elapsed: ")
+        assert out.startswith("# verify ") and "\ncheck " not in out
+        assert out.count("[PASS]") == len(names)
+
+
 def test_verify_builds_one_abelian_ring_per_d(monkeypatch):
     built = []
     init = AbelianTautRing.__init__
@@ -457,8 +473,8 @@ def test_degree_prints_every_digit(capsys):
 
 def test_degree_converts_to_decimal_once_per_report(monkeypatch, capsys):
     # At d = 600 one str() of the degree takes seconds.  Text and LaTeX
-    # convert it once, and JSON leaves it to json.dumps, which makes no
-    # str() call of an int.
+    # convert it once, and JSON leaves an int of at most cli._STR_BITS bits
+    # to json.dumps, which makes no str() call of an int.
     calls = []
 
     class Counted(int):
@@ -521,6 +537,37 @@ def test_degree_renders_a_large_value_through_decimal(monkeypatch, capsys):
         assert main(["--format", fmt, "degree", "--d", "130"]) == 0
         assert line in capsys.readouterr().out
         assert calls == [value], fmt
+
+
+def test_json_writes_large_ints_as_json_dumps_does(monkeypatch):
+    # Report.to_json writes an int of more than cli._STR_BITS bits by
+    # _decimal_digits, wherever it sits in a payload; the bytes must equal
+    # what json.dumps writes.  Both need the digit limit lifted for the
+    # ints below that size, as main lifts it.
+    bits = cli._STR_BITS
+    near, far = 2 ** bits + 12345, 7 ** 60000 + 1
+    assert near.bit_length() == bits + 1 and far.bit_length() > 5 * bits
+    calls = []
+    convert = cli._decimal_digits
+    monkeypatch.setattr(cli, "_decimal_digits",
+                        lambda n: calls.append(n) or convert(n))
+    report = cli.Report("degree", {"d": 3})
+    payloads = [near, -far, {"value": far, "small": 2 ** bits - 1, "list": [1, -near]},
+                ("x", 5, near), "text", None, True]
+    for i, payload in enumerate(payloads):
+        report.add(f"line {i}", "", "", payload)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        expected = json.dumps({"command": "degree", "params": {"d": 3},
+                               "results": {f"line {i}": p for i, p in enumerate(payloads)},
+                               "checks": []}, indent=2) + "\n"
+        assert report.to_json() == expected
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert calls == [near, -far, far, -near, near]
 
 
 def test_latex_reports_carry_their_check_lines(capsys):

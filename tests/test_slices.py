@@ -18,6 +18,7 @@ from tautcalc.graded import (EXPONENT_LIMIT, GeneratorSet, GradedPoly,
 from tautcalc.quotient import QuotientRing, RingPresentation
 from tautcalc.arakelov import (AbelianTautRing, ArithClass, LagrangianArithRing,
                                c1_critical_power, height_polynomial)
+from tautcalc.charclasses import ClassVector
 from packed import normal_forms, unpack_terms
 
 L, Z1, Z3 = Scalar.symbol("L"), Scalar.symbol("Z1"), Scalar.symbol("Z3")
@@ -1105,3 +1106,78 @@ def test_read_path_matches_the_scan_through_checked_scalars():
             assert not reference_accepts(ring, *bad)
             with pytest.raises(ValueError, match="part over the wrong generator set"):
                 ArithClass(ring, *bad)
+
+
+def general_scale(p, q):
+    """p * q by the general route: the terms of Scalar.coerce(q) through
+    _add_slices, then one from_slices pass."""
+    out = {}
+    for k, c in Scalar.coerce(q)._terms.items():
+        _add_slices(out, k, c.numerator, c.denominator, p._slices)
+    return GradedPoly.from_slices(p.gens, out)
+
+
+def test_constructors_and_rational_scaling_match_the_general_route():
+    # zero, constant, generator and monomial build their one slice
+    # directly, p * q for an int or Fraction q multiplies the numerators
+    # and denominators and takes one lowest-terms pass, and -p negates the
+    # numerators.  Each must give the general route's slices, in lowest
+    # terms: GradedPoly(gens, {mono: coeff}) for a constructor, and
+    # _add_slices with Scalar.coerce(q) for a product.
+    rng = random.Random(4545)
+    sets = [GeneratorSet([(f"u{j}", j) for j in range(1, n + 1)]) for n in (1, 3, 6)]
+    sets.append(GeneratorSet([("x", 2), ("y", 1), ("z", 3)]))
+    rationals = [0, 1, -1, 7, -12, Fraction(-3, 4), Fraction(5, 6), Fraction(-1, 9),
+                 Fraction(12, 1)]
+    for gens in sets:
+        values = (rationals + [Fraction(rng.randrange(-9, 10), rng.randrange(1, 13))
+                               for _ in range(4)]
+                  + [ZERO, L, L * Z1 - H1 / 3] + [random_scalar(rng) for _ in range(4)])
+        assert slices_of(GradedPoly.zero(gens)) == slices_of(GradedPoly(gens)) == {}
+        for name in gens.names:
+            single = gens.single(name)
+            for got in (GradedPoly.generator(gens, name), GradedPoly.monomial(gens, single)):
+                assert slices_of(got) == slices_of(GradedPoly(gens, {single: 1}))
+                assert_lowest_terms(got)
+        for c in values:
+            got = GradedPoly.constant(gens, c)
+            assert slices_of(got) == slices_of(GradedPoly(gens, {gens.unit(): c}))
+            assert_lowest_terms(got)
+            for _ in range(3):
+                mono = rng.choice(monomials_of_degree(gens, rng.randrange(6)))
+                got = GradedPoly.monomial(gens, mono, c)
+                assert slices_of(got) == slices_of(GradedPoly(gens, {mono: c}))
+                assert_lowest_terms(got)
+        polys = [GradedPoly.zero(gens)] + [random_poly(rng, gens, 4, rng.randrange(1, 6))
+                                           for _ in range(12)]
+        for p in polys:
+            before = slices_of(p)
+            for q in values:
+                for got in (p * q, q * p):
+                    assert slices_of(got) == slices_of(general_scale(p, q))
+                    assert_lowest_terms(got)
+            got = -p
+            assert slices_of(got) == slices_of(general_scale(p, -1))
+            assert_lowest_terms(got)
+            assert slices_of(p) == before
+    u = sets[1]
+    for bad in ("u4", "x", "U1"):
+        with pytest.raises(ValueError, match=f"no generator {bad!r}"):
+            GradedPoly.generator(u, bad)
+    for bad in (1.5, "1", None):
+        with pytest.raises(TypeError):
+            GradedPoly.constant(u, bad)
+
+
+def test_class_vectors_check_each_degree_in_one_pass():
+    gens = GeneratorSet([(f"c{j}", j) for j in range(1, 4)])
+    c1, c2, c3 = (GradedPoly.generator(gens, n) for n in gens.names)
+    zero = GradedPoly.zero(gens)
+    # Homogeneous classes of the right degree, over several slices too.
+    for classes in ([c1, c2, c3], [c1 * L + c1, c1 * c1 * Z1 + c2 * Fraction(-1, 3), zero],
+                    [zero, zero, c1 * c2 * H1 + c3 * L]):
+        assert ClassVector(gens, classes).classes == classes
+    for j, classes in ((1, [c2]), (2, [c1, c2 + c1]), (2, [c1, c2 * L + c1 * L]),
+                       (3, [c1, c2, c3 + 1]), (3, [c1, c2, c3 * L + c1 * c1])):
+        with pytest.raises(ValueError, match=f"c_{j} must be homogeneous of degree {j}"):
+            ClassVector(gens, classes)
