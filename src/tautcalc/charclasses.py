@@ -48,7 +48,7 @@ class ClassVector:
         return acc
 
     def dual(self) -> "ClassVector":
-        return ClassVector(self.gens, [-c if j % 2 else c
+        return ClassVector(self.gens, [c * (-1) ** j
                                        for j, c in enumerate(self.classes, start=1)])
 
 
@@ -60,7 +60,7 @@ def ch_from_c(classes: ClassVector, up_to: int,
 
     With ``reduce`` (a normal form of a quotient ring) each s_k is reduced
     as soon as it is built, so the recursion runs on normal forms."""
-    signed = [c if i % 2 else -c for i, c in enumerate(classes.classes[:up_to], 1)]
+    signed = [c * (-1) ** (i - 1) for i, c in enumerate(classes.classes[:up_to], 1)]
     sums: list[GradedPoly] = []
     for k in range(1, up_to + 1):
         pairs = [(c, sums[k - i - 1]) for i, c in enumerate(signed[:k - 1], 1) if c]
@@ -77,5 +77,4 @@ def pontrjagin_from_c(classes: ClassVector, up_to: int | None = None) -> list[Gr
         up_to = classes.rank
     parts = (classes.total() * classes.dual().total()).degree_components()
     zero = GradedPoly.zero(classes.gens)
-    return [-parts.get(2 * k, zero) if k % 2 else parts.get(2 * k, zero)
-            for k in range(1, up_to + 1)]
+    return [parts.get(2 * k, zero) * (-1) ** k for k in range(1, up_to + 1)]

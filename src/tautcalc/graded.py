@@ -589,7 +589,7 @@ def _add_slice(out: dict, k: ConstMonomial, num: int, den: int, source: Terms):
     of slices that GradedPoly.from_slices then takes over.  The first
     contribution to a slice becomes the slice: a fresh dict of num * source."""
     if k not in out:
-        out[k] = den, dict(source) if num == 1 else {m: n * num for m, n in source}
+        out[k] = den, {m: n * num for m, n in source}
         return
     terms, scale = _target_slice(out, k, den)
     scale *= num
